@@ -93,10 +93,11 @@ impl Processor {
         Self::with_shared_program(config, Arc::new(program.clone()), injector)
     }
 
-    /// Builds a processor over an already-shared program image, avoiding
-    /// the deep copy [`Processor::new`] makes for API compatibility. This
-    /// is what the builder and the experiment grid use: one `Arc` per
-    /// distinct program, cloned by reference count into every cell.
+    /// Builds a processor over an already-shared program. This is what the
+    /// builder and the experiment grid use: one `Arc` per distinct
+    /// program, cloned by reference count into every cell. Committed
+    /// memory starts as a copy-on-write view of the program's data image
+    /// ([`Program::initial_memory`]), so a build copies no data bytes.
     ///
     /// # Panics
     ///
@@ -110,8 +111,6 @@ impl Processor {
         config
             .validate()
             .expect("invalid machine configuration (use SimBuilder to surface this as an error)");
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
         Self {
             now: 0,
             next_seq: 0,
@@ -121,7 +120,7 @@ impl Processor {
             map: MapTable::new(),
             checkpoints: SeqHashMap::default(),
             regs: ArchRegs::new(),
-            mem,
+            mem: program.initial_memory(),
             committed_next_pc: program.entry(),
             fetch: FetchUnit::new(&config, program.entry()),
             hierarchy: Hierarchy::new(&config.hierarchy),

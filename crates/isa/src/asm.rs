@@ -180,6 +180,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
         BuildError::OffsetOverflow { label } => {
             AsmError::new(0, format!("displacement to `{label}` overflows"))
         }
+        e @ BuildError::DataOverlap { .. } => AsmError::new(0, e.to_string()),
     })
 }
 
@@ -385,6 +386,27 @@ mod tests {
         e.run(1000).unwrap();
         assert_eq!(e.mem().read_u64(DATA_BASE + 24), 41);
         assert_eq!(f64::from_bits(e.mem().read_u64(DATA_BASE + 16)), 2.5);
+    }
+
+    #[test]
+    fn overlapping_data_directives_are_refused() {
+        let err = assemble(&format!(
+            "halt\n.u64 {DATA_BASE} 1 2 3\n.u64 {} 9",
+            DATA_BASE + 16
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err.message,
+            BuildError::DataOverlap {
+                addr: DATA_BASE + 16
+            }
+            .to_string()
+        );
+        assert!(assemble(&format!(
+            "halt\n.u64 {DATA_BASE} 1 2 3\n.u64 {} 9",
+            DATA_BASE + 24
+        ))
+        .is_ok());
     }
 
     #[test]

@@ -92,14 +92,15 @@ pub struct Emulator {
 impl Emulator {
     /// Creates an emulator with the program's data image loaded and the PC
     /// at the entry point.
+    ///
+    /// This is cheap: the program is reference-counted, and memory starts
+    /// as a copy-on-write view of the program's shared data image.
     pub fn new(program: &Program) -> Self {
-        let mut mem = SparseMemory::new();
-        program.load_data(&mut mem);
         Self {
             pc: program.entry(),
             program: program.clone(),
             regs: ArchRegs::new(),
-            mem,
+            mem: program.initial_memory(),
             retired: 0,
             halted: false,
         }

@@ -3,9 +3,10 @@
 use crate::inst::Inst;
 use crate::op::Opcode;
 use crate::reg::{FpReg, IntReg};
-use ftsim_mem::SparseMemory;
-use std::collections::HashMap;
+use ftsim_mem::{PageImage, SparseMemory};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Base address of the text (instruction) segment.
 pub const TEXT_BASE: u64 = 0x1000;
@@ -19,6 +20,12 @@ pub const INST_BYTES: usize = 4;
 /// Instructions live at [`TEXT_BASE`] with a fixed [`INST_BYTES`] stride.
 /// Fetches outside the text segment return `None`, which the pipeline
 /// treats as a front-end stall — a benign outcome for wrong-path fetches.
+///
+/// A program is immutable and cheap to clone: its instructions and data
+/// are reference-counted. The data chunks are laid out into memory pages
+/// once, on first use, and every clone shares that [`PageImage`]; each
+/// simulated machine starts from it copy-on-write
+/// ([`Program::initial_memory`]).
 ///
 /// # Examples
 ///
@@ -35,8 +42,22 @@ pub const INST_BYTES: usize = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    insts: Vec<Inst>,
-    data: Vec<(u64, Vec<u8>)>,
+    insts: Arc<[Inst]>,
+    data: Arc<DataImage>,
+}
+
+/// A program's initial data: the builder's non-overlapping chunks, and
+/// their page layout, made on first use.
+#[derive(Debug, Default)]
+struct DataImage {
+    chunks: Vec<(u64, Vec<u8>)>,
+    pages: OnceLock<PageImage>,
+}
+
+impl PartialEq for DataImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.chunks == other.chunks
+    }
 }
 
 impl Program {
@@ -44,7 +65,7 @@ impl Program {
     pub fn from_insts<I: IntoIterator<Item = Inst>>(insts: I) -> Self {
         Self {
             insts: insts.into_iter().collect(),
-            data: Vec::new(),
+            data: Arc::default(),
         }
     }
 
@@ -88,18 +109,29 @@ impl Program {
         &self.insts
     }
 
-    /// Writes the initial data image into `mem`.
-    pub fn load_data(&self, mem: &mut SparseMemory) {
-        for (addr, bytes) in &self.data {
-            for (i, &b) in bytes.iter().enumerate() {
-                mem.write_u8(addr + i as u64, b);
+    /// The initial data image laid out into pages. The first call lays it
+    /// out; later calls, on this program or any clone, return the same
+    /// image.
+    pub fn data_image(&self) -> &PageImage {
+        self.data.pages.get_or_init(|| {
+            let mut mem = SparseMemory::new();
+            for (addr, bytes) in &self.data.chunks {
+                mem.write_slice(*addr, bytes);
             }
-        }
+            mem.freeze()
+        })
+    }
+
+    /// A memory holding the initial data image. It shares the image's
+    /// pages copy-on-write: the first store to a page copies that page,
+    /// and the image itself is never written.
+    pub fn initial_memory(&self) -> SparseMemory {
+        SparseMemory::from_image(self.data_image())
     }
 
     /// The raw initial data image as `(address, bytes)` chunks.
     pub fn data(&self) -> &[(u64, Vec<u8>)] {
-        &self.data
+        &self.data.chunks
     }
 }
 
@@ -115,6 +147,12 @@ pub enum BuildError {
         /// The label whose displacement overflowed.
         label: String,
     },
+    /// Two data chunks claim the same byte.
+    DataOverlap {
+        /// The lowest byte address the later chunk shares with an earlier
+        /// one.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -124,6 +162,9 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
             BuildError::OffsetOverflow { label } => {
                 write!(f, "branch displacement to `{label}` overflows")
+            }
+            BuildError::DataOverlap { addr } => {
+                write!(f, "data chunks overlap at address {addr:#x}")
             }
         }
     }
@@ -472,8 +513,9 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] for undefined or duplicate labels and for
-    /// displacements that do not fit in the immediate field.
+    /// Returns [`BuildError`] for undefined or duplicate labels, for
+    /// displacements that do not fit in the immediate field and for data
+    /// chunks that overlap.
     pub fn build(mut self) -> Result<Program, BuildError> {
         if let Some(dup) = self.duplicate {
             return Err(BuildError::DuplicateLabel(dup));
@@ -489,11 +531,42 @@ impl ProgramBuilder {
             })?;
             self.insts[*idx].imm = imm;
         }
+        let mut placed = BTreeMap::new();
+        for (addr, bytes) in &self.data {
+            insert_placement(&mut placed, *addr, bytes.len() as u64)?;
+        }
         Ok(Program {
-            insts: self.insts,
-            data: self.data,
+            insts: self.insts.into(),
+            data: Arc::new(DataImage {
+                chunks: self.data,
+                pages: OnceLock::new(),
+            }),
         })
     }
+}
+
+/// Records the data chunk `[addr, addr + len)` in `placed` (chunk start →
+/// end, chunks disjoint), refusing one that shares a byte with an earlier
+/// chunk.
+fn insert_placement(
+    placed: &mut BTreeMap<u64, u64>,
+    addr: u64,
+    len: u64,
+) -> Result<(), BuildError> {
+    if len == 0 {
+        return Ok(());
+    }
+    let end = addr.saturating_add(len);
+    let below = placed.range(..=addr).next_back();
+    let overlap = match below {
+        Some((_, &below_end)) if below_end > addr => Some(addr),
+        _ => placed.range(addr..end).next().map(|(&start, _)| start),
+    };
+    if let Some(addr) = overlap {
+        return Err(BuildError::DataOverlap { addr });
+    }
+    placed.insert(addr, end);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -560,11 +633,43 @@ mod tests {
         b.data_u64(DATA_BASE, &[0xdead, 0xbeef]);
         b.data_f64(DATA_BASE + 64, &[1.5]);
         let p = b.build().unwrap();
-        let mut mem = SparseMemory::new();
-        p.load_data(&mut mem);
+        let mem = p.initial_memory();
         assert_eq!(mem.read_u64(DATA_BASE), 0xdead);
         assert_eq!(mem.read_u64(DATA_BASE + 8), 0xbeef);
         assert_eq!(f64::from_bits(mem.read_u64(DATA_BASE + 64)), 1.5);
+    }
+
+    #[test]
+    fn overlapping_data_chunks_are_refused() {
+        let build = |chunks: &[(u64, usize)]| {
+            let mut b = ProgramBuilder::new();
+            b.halt();
+            for &(addr, len) in chunks {
+                b.data_bytes(addr, &vec![1; len]);
+            }
+            b.build().map(|_| ())
+        };
+        let overlap = |addr| Err(BuildError::DataOverlap { addr });
+        assert_eq!(build(&[(0x100, 8), (0x108, 8), (0xf8, 8)]), Ok(()));
+        assert_eq!(build(&[(0x100, 8), (0x10, 0), (0x104, 0)]), Ok(()));
+        assert_eq!(build(&[(0x100, 8), (0x104, 8)]), overlap(0x104));
+        assert_eq!(build(&[(0x100, 8), (0xfc, 8)]), overlap(0x100));
+        assert_eq!(
+            build(&[(0x100, 8), (0x200, 8), (0x80, 0x400)]),
+            overlap(0x100)
+        );
+        assert_eq!(build(&[(0x100, 8), (0x100, 1)]), overlap(0x100));
+    }
+
+    #[test]
+    fn clones_share_one_data_image() {
+        let mut b = ProgramBuilder::new();
+        b.halt();
+        b.data_u64(DATA_BASE, &[1; 1024]); // two pages
+        let p = b.build().unwrap();
+        let q = p.clone();
+        assert!(std::ptr::eq(p.data_image(), q.data_image()));
+        assert_eq!(p.data_image().page_count(), 2);
     }
 
     #[test]

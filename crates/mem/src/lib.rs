@@ -47,6 +47,6 @@ mod tlb;
 
 pub use cache::{Cache, CacheConfig, CacheOutcome, CacheStats};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, LatencyConfig};
-pub use memory::{MemDiff, SparseMemory, PAGE_BYTES};
+pub use memory::{MemDiff, PageImage, SparseMemory, PAGE_BYTES};
 pub use ports::PortSet;
 pub use tlb::{Tlb, TlbConfig};

@@ -11,6 +11,45 @@ pub const PAGE_BYTES: usize = 4096;
 /// number: the largest byte address yields page `u64::MAX / PAGE_BYTES`).
 const NO_PAGE: u64 = u64::MAX;
 
+/// The FNV-1a prime [`SparseMemory::content_digest`] multiplies by.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One page of storage.
+type Page = [u8; PAGE_BYTES];
+
+/// An immutable memory image: pages in ascending address order.
+///
+/// Unlike [`SparseMemory`], an image is `Sync`, so one image can be built
+/// once and shared by every thread. Its pages are never written: a memory
+/// made with [`SparseMemory::from_image`] shares them copy-on-write, and
+/// its first store to a page copies that page into private storage.
+///
+/// # Examples
+///
+/// ```
+/// use ftsim_mem::SparseMemory;
+///
+/// let mut m = SparseMemory::new();
+/// m.write_slice(0x1ffe, &[1, 2, 3, 4]); // straddles two pages
+/// let image = m.freeze();
+/// let mut a = SparseMemory::from_image(&image);
+/// let b = SparseMemory::from_image(&image);
+/// a.write_u8(0x2000, 9);
+/// assert_eq!((a.read_u8(0x2000), b.read_u8(0x2000)), (9, 3));
+/// assert_eq!(a.pages_shared_with(&b), 1, "the store peeled one page");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PageImage {
+    pages: Vec<(u64, Arc<Page>)>,
+}
+
+impl PageImage {
+    /// Number of pages in the image.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+}
+
 /// A lazily-allocated, byte-addressable memory.
 ///
 /// Reads of unmapped locations return zero, which gives the simulator total
@@ -34,7 +73,10 @@ const NO_PAGE: u64 = u64::MAX;
 /// costs one pointer per page, and the first write to a shared page after
 /// a clone faults just that page (O([`PAGE_BYTES`])) into private
 /// storage. This is what makes periodic machine snapshots cheap enough to
-/// drop every few thousand cycles during a sweep's baseline run.
+/// drop every few thousand cycles during a sweep's baseline run. The same
+/// mechanism shares a program's initial data image: [`SparseMemory::freeze`]
+/// turns a laid-out memory into a [`PageImage`], and every
+/// [`SparseMemory::from_image`] starts from its pages without copying them.
 ///
 /// # Examples
 ///
@@ -52,7 +94,7 @@ pub struct SparseMemory {
     index: BTreeMap<u64, usize>,
     /// Page storage; slots are stable (pages are never removed). Shared
     /// copy-on-write with any clone of this memory.
-    pages: Vec<Arc<[u8; PAGE_BYTES]>>,
+    pages: Vec<Arc<Page>>,
     /// Last-translated `(page number, arena slot)`; `NO_PAGE` when cold.
     /// Interior mutability lets plain reads refresh the cache.
     last: Cell<(u64, usize)>,
@@ -146,16 +188,16 @@ impl SparseMemory {
         buf
     }
 
-    /// Writes `N` little-endian bytes starting at `addr`.
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let (p, off) = Self::page_index(addr);
-        if off + bytes.len() <= PAGE_BYTES {
+    /// Writes `bytes` starting at `addr`, one slice copy per page touched,
+    /// allocating pages on demand.
+    pub fn write_slice(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let (p, off) = Self::page_index(addr);
+            let n = bytes.len().min(PAGE_BYTES - off);
             let slot = self.slot_of_or_alloc(p);
-            Arc::make_mut(&mut self.pages[slot])[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
-        }
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+            Arc::make_mut(&mut self.pages[slot])[off..off + n].copy_from_slice(&bytes[..n]);
+            addr = addr.wrapping_add(n as u64);
+            bytes = &bytes[n..];
         }
     }
 
@@ -176,17 +218,17 @@ impl SparseMemory {
 
     /// Writes a little-endian `u16`.
     pub fn write_u16(&mut self, addr: u64, value: u16) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Writes a little-endian `u32`.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_slice(addr, &value.to_le_bytes());
     }
 
     /// Reads `size` bytes (1, 2, 4 or 8) zero-extended into a `u64`.
@@ -239,6 +281,30 @@ impl SparseMemory {
             .count()
     }
 
+    /// Freezes this memory into an immutable, shareable image. No bytes
+    /// are copied.
+    pub fn freeze(self) -> PageImage {
+        PageImage {
+            pages: self
+                .index
+                .iter()
+                .map(|(&page, &slot)| (page, Arc::clone(&self.pages[slot])))
+                .collect(),
+        }
+    }
+
+    /// A memory holding `image`'s contents. It shares the image's pages
+    /// copy-on-write, so this costs one reference count per page.
+    pub fn from_image(image: &PageImage) -> Self {
+        Self {
+            index: (image.pages.iter().enumerate())
+                .map(|(slot, &(page, _))| (page, slot))
+                .collect(),
+            pages: image.pages.iter().map(|(_, p)| Arc::clone(p)).collect(),
+            last: Cell::new((NO_PAGE, 0)),
+        }
+    }
+
     /// Folds this memory's *contents* into a running FNV-1a hash and
     /// returns the updated hash.
     ///
@@ -249,19 +315,25 @@ impl SparseMemory {
     /// all-zero pages happen to be allocated — the property the outcome
     /// classifier relies on when comparing a faulty run's committed state
     /// against its family's fault-free baseline.
+    ///
+    /// Per nonzero byte the stream is the byte's eight address bytes, low
+    /// byte first, then its value. Address bytes 2–7 are the same for every
+    /// byte of a page, so they are folded once per page, with each run of
+    /// zero bytes merged into a power of the FNV prime; the resulting hash
+    /// is exactly the byte-at-a-time FNV-1a one.
     pub fn content_digest(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         for (&page, &slot) in &self.index {
             let base = page * PAGE_BYTES as u64;
-            for (off, &byte) in self.pages[slot].iter().enumerate() {
-                if byte == 0 {
+            let suffix = AddrSuffix::new(base);
+            for (w, word) in self.pages[slot].chunks_exact(8).enumerate() {
+                if word == [0; 8] {
                     continue;
                 }
-                let addr = base + off as u64;
-                for b in addr.to_le_bytes() {
-                    hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
+                for (i, &byte) in word.iter().enumerate() {
+                    if byte != 0 {
+                        hash = suffix.fold(hash, base + (w * 8 + i) as u64, byte);
+                    }
                 }
-                hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
             }
         }
         hash
@@ -282,8 +354,15 @@ impl SparseMemory {
             .copied()
             .collect();
         for p in pages {
-            let a = self.index.get(&p).map_or(&zero, |&s| &*self.pages[s]);
-            let b = other.index.get(&p).map_or(&zero, |&s| &*other.pages[s]);
+            let a = self.index.get(&p).map(|&s| &self.pages[s]);
+            let b = other.index.get(&p).map(|&s| &other.pages[s]);
+            if let (Some(a), Some(b)) = (a, b) {
+                if Arc::ptr_eq(a, b) {
+                    continue; // one shared page: equal without a look
+                }
+            }
+            let a = a.map_or(&zero, |p| &**p);
+            let b = b.map_or(&zero, |p| &**p);
             if a == b {
                 continue;
             }
@@ -304,6 +383,52 @@ impl SparseMemory {
             }
         }
         out
+    }
+}
+
+/// The FNV-1a steps of a page's address bytes 2–7, with each run of zero
+/// bytes folded into the multiply before it: a zero byte's step
+/// `(h ^ 0)·P` is `h·P`, so a byte followed by `k` zero bytes is one step
+/// `(h ^ b)·P^(k+1)`. Below 2^24 every byte's address then costs three
+/// dependent multiplies instead of eight.
+struct AddrSuffix {
+    /// Multiplier of address byte 1's step: `P` times the folded zero
+    /// bytes that lead the suffix.
+    byte1_mul: u64,
+    /// The suffix's nonzero bytes, each with its folded multiplier.
+    steps: [(u64, u64); 6],
+    len: usize,
+}
+
+impl AddrSuffix {
+    fn new(base: u64) -> Self {
+        let mut suffix = Self {
+            byte1_mul: FNV_PRIME,
+            steps: [(0, 0); 6],
+            len: 0,
+        };
+        for &b in &base.to_le_bytes()[2..] {
+            if b != 0 {
+                suffix.steps[suffix.len] = (u64::from(b), FNV_PRIME);
+                suffix.len += 1;
+            } else if let Some(last) = suffix.len.checked_sub(1) {
+                suffix.steps[last].1 = suffix.steps[last].1.wrapping_mul(FNV_PRIME);
+            } else {
+                suffix.byte1_mul = suffix.byte1_mul.wrapping_mul(FNV_PRIME);
+            }
+        }
+        suffix
+    }
+
+    /// Folds the `(addr, value)` pair of one nonzero byte into `hash`;
+    /// `addr` lies in the page this suffix was made for.
+    fn fold(&self, hash: u64, addr: u64, value: u8) -> u64 {
+        let mut h = (hash ^ (addr & 0xff)).wrapping_mul(FNV_PRIME);
+        h = (h ^ ((addr >> 8) & 0xff)).wrapping_mul(self.byte1_mul);
+        for &(b, mul) in &self.steps[..self.len] {
+            h = (h ^ b).wrapping_mul(mul);
+        }
+        (h ^ u64::from(value)).wrapping_mul(FNV_PRIME)
     }
 }
 
@@ -357,6 +482,86 @@ mod tests {
         let mut d = SparseMemory::new();
         d.write_u64(0x1008, 7);
         assert_ne!(a.content_digest(SEED), d.content_digest(SEED));
+    }
+
+    /// The digest as a plain byte-at-a-time FNV-1a loop over each nonzero
+    /// byte's eight address bytes and value: the stream the goldens pin.
+    fn reference_digest(m: &SparseMemory, mut hash: u64) -> u64 {
+        for (&page, &slot) in &m.index {
+            let base = page * PAGE_BYTES as u64;
+            for (off, &byte) in m.pages[slot].iter().enumerate() {
+                if byte == 0 {
+                    continue;
+                }
+                let addr = base + off as u64;
+                for b in addr.to_le_bytes() {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                }
+                hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn content_digest_matches_the_bytewise_reference() {
+        // Page bases chosen for their address bytes: page 0; zeros in
+        // bytes 1 and 2; nonzero bytes 3–7 (above 2^24, 2^32 and 2^56);
+        // zero runs between nonzero bytes; the last page.
+        const BASES: [u64; 9] = [
+            0,
+            0x1000,
+            0x0010_0000,
+            0x0100_0000,
+            0x0123_0000,
+            0x1_0000_0000,
+            0x0100_0000_0000_0000,
+            0x1200_3400_0056_0000,
+            u64::MAX - (PAGE_BYTES as u64 - 1),
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..16 {
+            let mut m = SparseMemory::new();
+            for (i, &base) in BASES.iter().enumerate() {
+                // Alternate sparse pages (a few bytes) and dense ones
+                // (every byte drawn, about one in eight left zero).
+                if (i + round) % 2 == 0 {
+                    for _ in 0..1 + next() % 8 {
+                        m.write_u8(base + next() % PAGE_BYTES as u64, next() as u8 | 1);
+                    }
+                } else {
+                    for off in 0..PAGE_BYTES as u64 {
+                        let v = next();
+                        m.write_u8(base + off, if v % 8 == 0 { 0 } else { v as u8 });
+                    }
+                }
+            }
+            let seed = next();
+            assert_eq!(
+                m.content_digest(seed),
+                reference_digest(&m, seed),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn write_slice_spans_pages() {
+        let mut m = SparseMemory::new();
+        let bytes: Vec<u8> = (1..=255).cycle().take(3 * PAGE_BYTES).collect();
+        m.write_slice(PAGE_BYTES as u64 - 5, &bytes);
+        assert_eq!(m.page_count(), 4);
+        for (i, &b) in bytes.iter().enumerate() {
+            assert_eq!(m.read_u8(PAGE_BYTES as u64 - 5 + i as u64), b);
+        }
+        m.write_slice(0x9_0000, &[]);
+        assert_eq!(m.page_count(), 4, "an empty slice allocates nothing");
     }
 
     #[test]

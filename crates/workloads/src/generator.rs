@@ -394,7 +394,9 @@ pub(crate) fn generate(profile: &WorkloadProfile, iterations: u32) -> (Program, 
     }
     b.halt();
 
-    let program = b.build().expect("generator produces valid labels");
+    let program = b
+        .build()
+        .expect("generator produces valid labels and disjoint data");
     (
         program,
         GeneratorReport {

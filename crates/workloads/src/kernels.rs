@@ -55,7 +55,7 @@ pub fn dot_product(n: u32) -> Program {
     b.sfd(facc, rb, 0); // one past b[] = DATA_BASE + 16n
     b.cvtfi(r2, facc);
     b.halt();
-    b.build().expect("static labels")
+    b.build().expect("static labels, disjoint data")
 }
 
 /// Iterative Fibonacci: computes `fib(n) mod 2^64` into `r2` and stores the
@@ -96,7 +96,7 @@ pub fn fibonacci(n: u32) -> Program {
     b.bne(r1, IntReg::ZERO, "loop");
     b.label("done");
     b.halt();
-    b.build().expect("static labels")
+    b.build().expect("static labels, disjoint data")
 }
 
 /// Pointer chase through a pseudo-randomly permuted ring of `nodes`
@@ -156,7 +156,7 @@ pub fn pointer_chase(nodes: u32, steps: u32) -> Program {
     b.sub(r2, rp, r2);
     b.srli(r2, r2, 6);
     b.halt();
-    b.build().expect("static labels")
+    b.build().expect("static labels, disjoint data")
 }
 
 #[cfg(test)]

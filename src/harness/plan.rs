@@ -400,15 +400,6 @@ impl SweepPlan {
                 .cloned();
             drop(baseline); // release the family lock before simulating
             if let Some(cp) = fork_from {
-                if std::env::var_os("FTSIM_FORK_DEBUG").is_some() {
-                    eprintln!(
-                        "fork: rate={} seed={} bound={bound} from cycle {} (draws {})",
-                        cell.rate_pm,
-                        cell.seed,
-                        cp.cycle(),
-                        cp.draws()
-                    );
-                }
                 let builder = self
                     .cell_builder(cell)
                     .injector(cell_injector(&self.exp, cell));
