@@ -297,6 +297,13 @@ impl AnalysisReport {
     /// `GET /jobs/<id>/report` endpoint. Same sections: outcome counts
     /// by label, sensitivity rows, latency rows, MTTF rows.
     pub fn to_json(&self) -> String {
+        self.to_json_value().render_pretty(2)
+    }
+
+    /// The report as a JSON value, for embedding in a larger document
+    /// (the daemon's `report --watch` snapshots); [`AnalysisReport::to_json`]
+    /// is its pretty rendering.
+    pub fn to_json_value(&self) -> JsonValue {
         let s = |v: &str| JsonValue::Str(v.to_string());
         let outcomes = JsonValue::Obj(
             CellOutcome::ALL
@@ -404,7 +411,6 @@ impl AnalysisReport {
             ("latency".to_string(), latency),
             ("mttf".to_string(), mttf),
         ])
-        .render_pretty(2)
     }
 }
 

@@ -10,6 +10,7 @@ use crate::entry::{Entry, EntryState, Operand};
 use crate::fetch::FetchUnit;
 use crate::fu::FuPool;
 use crate::lsq::Lsq;
+use crate::profile::{NoProbe, SampledProbe, StageProbe};
 use crate::rename::{MapCheckpoint, MapTable};
 use crate::ruu::Ruu;
 use crate::sched::Scheduler;
@@ -149,52 +150,23 @@ impl Processor {
     /// with correct single-cycle timing.
     pub fn cycle(&mut self) {
         if crate::profile::enabled() {
-            self.cycle_profiled();
-            return;
+            self.cycle_with(SampledProbe::new(self.now));
+        } else {
+            self.cycle_with(NoProbe);
         }
-        self.hierarchy.begin_cycle();
-        self.stage_commit();
-        if !self.halted {
-            self.stage_writeback();
-            self.stage_issue();
-            self.stage_dispatch();
-            self.fetch
-                .fetch_cycle(self.now, &self.program, &mut self.hierarchy);
-        }
-        self.stats.ruu_occupancy_sum += self.ruu.len() as u64;
-        self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
-        #[cfg(debug_assertions)]
-        self.assert_group_invariants();
-        self.stats.cycles += 1;
-        self.now += 1;
     }
 
-    /// [`Processor::cycle`] with stage profiling: same stages, same
-    /// order, same conditions — simulation state evolves identically —
-    /// plus exact per-stage call counts and, on one cycle in 64, wall
-    /// time per stage (see [`crate::profile`] for why sampling).
-    fn cycle_profiled(&mut self) {
-        use std::time::Instant;
-        let sampled = self.now & 63 == 0;
-        let mut ran = [true, false, false, false, false];
-        let mut ns = [0u64; 5];
-        let mut stage = |i: usize, f: &mut dyn FnMut()| {
-            if sampled {
-                let t = Instant::now();
-                f();
-                ns[i] = t.elapsed().as_nanos() as u64;
-            } else {
-                f();
-            }
-        };
+    /// The one cycle body. `probe` observes each stage it wraps (see
+    /// [`crate::profile`]) and never touches machine state, so the
+    /// machine evolves identically under either probe.
+    fn cycle_with<P: StageProbe>(&mut self, mut probe: P) {
         self.hierarchy.begin_cycle();
-        stage(0, &mut || self.stage_commit());
+        probe.stage(0, || self.stage_commit());
         if !self.halted {
-            ran = [true; 5];
-            stage(1, &mut || self.stage_writeback());
-            stage(2, &mut || self.stage_issue());
-            stage(3, &mut || self.stage_dispatch());
-            stage(4, &mut || {
+            probe.stage(1, || self.stage_writeback());
+            probe.stage(2, || self.stage_issue());
+            probe.stage(3, || self.stage_dispatch());
+            probe.stage(4, || {
                 self.fetch
                     .fetch_cycle(self.now, &self.program, &mut self.hierarchy);
             });
@@ -205,7 +177,7 @@ impl Processor {
         self.assert_group_invariants();
         self.stats.cycles += 1;
         self.now += 1;
-        crate::profile::record(&ran, &ns, sampled);
+        probe.end_cycle();
     }
 
     /// Whether `halt` has committed.
@@ -278,17 +250,6 @@ impl Processor {
         fold(self.committed_next_pc);
         fold(u64::from(self.halted));
         self.mem.content_digest(h)
-    }
-
-    /// Statistics gathered so far. Cache/fetch counters are synchronized
-    /// on access.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `stats_snapshot()`; reading statistics does not need `&mut self`"
-    )]
-    pub fn stats(&mut self) -> &SimStats {
-        self.stats = self.stats_snapshot();
-        &self.stats
     }
 
     /// The machine configuration.
@@ -596,10 +557,6 @@ mod tests {
         let s = frozen.stats_snapshot();
         assert_eq!(s.retired_instructions, 2);
         assert!(s.fetched > 0, "fetch counters are folded into snapshots");
-        #[allow(deprecated)]
-        let legacy = proc.stats().clone();
-        assert_eq!(legacy.retired_instructions, s.retired_instructions);
-        assert_eq!(legacy.fetched, s.fetched);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Opt-in per-stage wall-time profiling of the pipeline hot loop.
 //!
-//! With `FTSIM_PROFILE=1` (or [`set_enabled`]),
-//! [`Processor::cycle`](crate::pipeline::Processor::cycle) switches to
-//! an instrumented twin that counts
-//! every stage invocation and samples per-stage wall time on one cycle in
-//! 64. The aggregate accumulates in a **thread-local** [`StageProfile`]
-//! the harness drains per cell with [`take`].
+//! [`Processor::cycle`](crate::pipeline::Processor::cycle) has one body,
+//! generic over a stage probe that wraps each stage call. Normally the
+//! probe is the zero-sized `NoProbe`, which compiles away; with
+//! `FTSIM_PROFILE=1` (or [`set_enabled`]) it is `SampledProbe`, which
+//! counts every stage invocation and samples per-stage wall time on one
+//! cycle in 64. The aggregate accumulates in a **thread-local**
+//! [`StageProfile`] the harness drains per cell with [`take`].
 //!
 //! Like the `FTSIM_PLANT` counter, profiling state is deliberately **not**
 //! part of [`Checkpoint`](crate::Checkpoint): it observes the machine
 //! without being machine state, so records stay byte-identical whether a
-//! cell ran cold, forked, or with profiling off. The instrumented cycle
-//! calls the same stages, in the same order, under the same conditions —
-//! only `Instant::now()` reads are interleaved, and those touch no
+//! cell ran cold, forked, or with profiling off. Both probes run the same
+//! cycle body — same stages, same order, same conditions — and the
+//! sampling probe only interleaves `Instant::now()` reads, which touch no
 //! simulation state and consume no RNG.
 //!
 //! Sampling (rather than timing every cycle) keeps the overhead under the
@@ -110,24 +111,77 @@ thread_local! {
     }) };
 }
 
-/// Folds one instrumented cycle into the thread-local aggregate. Called
-/// by the profiled cycle path only.
-pub(crate) fn record(ran: &[bool; 5], ns: &[u64; 5], sampled: bool) {
-    PROFILE.with(|p| {
-        let mut p = p.borrow_mut();
-        for (i, &stage_ran) in ran.iter().enumerate() {
-            if stage_ran {
-                p.calls[i] += 1;
-                if sampled {
-                    p.sampled_ns[i] += ns[i];
+/// What one cycle reports to besides the machine itself. The cycle body
+/// hands each stage to [`StageProbe::stage`] and calls
+/// [`StageProbe::end_cycle`] once the cycle is complete.
+pub(crate) trait StageProbe {
+    /// Runs stage `index` (see [`STAGE_NAMES`]).
+    fn stage(&mut self, index: usize, run: impl FnOnce());
+    /// Closes the cycle.
+    fn end_cycle(self);
+}
+
+/// The probe of an unprofiled run: runs each stage and nothing else.
+pub(crate) struct NoProbe;
+
+impl StageProbe for NoProbe {
+    #[inline(always)]
+    fn stage(&mut self, _index: usize, run: impl FnOnce()) {
+        run();
+    }
+
+    #[inline(always)]
+    fn end_cycle(self) {}
+}
+
+/// The profiling probe: counts every stage that runs, times each one on
+/// one cycle in 64, and folds the cycle into the thread-local aggregate.
+pub(crate) struct SampledProbe {
+    sampled: bool,
+    ran: [bool; 5],
+    ns: [u64; 5],
+}
+
+impl SampledProbe {
+    /// A probe for the cycle numbered `now`.
+    pub(crate) fn new(now: u64) -> Self {
+        Self {
+            sampled: now & 63 == 0,
+            ran: [false; 5],
+            ns: [0; 5],
+        }
+    }
+}
+
+impl StageProbe for SampledProbe {
+    fn stage(&mut self, index: usize, run: impl FnOnce()) {
+        self.ran[index] = true;
+        if self.sampled {
+            let t = std::time::Instant::now();
+            run();
+            self.ns[index] = t.elapsed().as_nanos() as u64;
+        } else {
+            run();
+        }
+    }
+
+    fn end_cycle(self) {
+        PROFILE.with(|p| {
+            let mut p = p.borrow_mut();
+            for (i, &stage_ran) in self.ran.iter().enumerate() {
+                if stage_ran {
+                    p.calls[i] += 1;
+                    if self.sampled {
+                        p.sampled_ns[i] += self.ns[i];
+                    }
                 }
             }
-        }
-        if sampled {
-            p.samples += 1;
-        }
-        p.cycles += 1;
-    });
+            if self.sampled {
+                p.samples += 1;
+            }
+            p.cycles += 1;
+        });
+    }
 }
 
 /// Drains this thread's aggregate, returning it and resetting to zero.

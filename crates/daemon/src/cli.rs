@@ -23,31 +23,43 @@
 //! `--state` or the `FTSIMD_STATE` environment variable. `submit`
 //! prints the job id alone on stdout (scripts capture it; the human
 //! detail goes to stderr) and deduplicates byte-identical specs by
-//! attaching to the existing job. `results` prints a finished job's
-//! grid-order CSV verbatim; for a job still in flight it merges the
-//! streamed records into grid order and reports the gaps on stderr —
-//! or, with `--watch`, follows the job's `cells.csv` and streams each
-//! record as it completes (`--interval` sets the poll cadence).
+//! attaching to the existing job. `results` prints a job's records as
+//! grid-order CSV — a finished job's sealed `results.csv`; for a job
+//! still in flight the streamed records merged into grid order, with the
+//! gaps reported on stderr — or, with `--watch`, follows the job's
+//! `cells.csv` and streams each record as it completes, then backfills
+//! whatever never streamed from the final canonical read (`--interval`
+//! sets the poll cadence).
 //! `report` runs the `ftsim-analysis` layer over a job's records:
 //! outcome taxonomy (masked / detected / SDC / hang), per-site
 //! sensitivity with Wilson intervals, detection-latency distributions,
 //! and MTTF extrapolation — `--json` renders it as a JSON document.
 //!
+//! **One read path.** `jobs`, `status`, `results` and `report` — and the
+//! `--watch` forms — get their data from the daemon's read side (the
+//! `feed` module): one canonical record read, one follow loop, and the
+//! listing and status documents. This module only renders what it
+//! returns, as the HTTP handlers do, so a verb prints the same bytes
+//! locally and over `--remote`. `status` without a job id is `jobs`.
+//!
 //! **Remote mode.** Every verb except `serve` also speaks to a running
 //! `ftsimd serve --listen <addr>` over its HTTP API when given
 //! `--remote <addr>` (or `FTSIMD_REMOTE`): the client touches no state
 //! directory at all — submissions, listings, streamed results and
-//! reports all travel over the socket. `stop` with a job id pauses that
-//! job; without one it shuts the serving daemon down.
+//! reports all travel over the socket, and differ from a local run only
+//! in that transport (plus the local-only `dir:` line of `status <job>`
+//! and the stderr summaries). `stop` with a job id pauses that job;
+//! without one it shuts the serving daemon down.
 
-use crate::fabric::{family_progress, merged_records, LeaseMode};
+use crate::fabric::LeaseMode;
+use crate::feed::{jobs_doc, read_job, render, status_doc, watch, Verb};
 use crate::gc::{gc_pass, GcOptions};
 use crate::http::{http_request, http_stream};
 use crate::runner::{install_signal_handlers, serve, ServeOptions};
 use crate::spec::JobSpec;
-use crate::store::{Job, JobState, JobStore, QuotaPolicy};
-use ftsim::harness::{from_csv, from_csv_tolerant_prefix, to_csv, to_json, RunRecord};
+use crate::store::{JobState, JobStore, QuotaPolicy};
 use ftsim_stats::JsonValue;
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -270,8 +282,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "gc" => cmd_gc(&parsed),
         "jobs" => cmd_jobs(&parsed),
         "status" => cmd_status(&parsed),
-        "results" => cmd_results(&parsed),
-        "report" => cmd_report(&parsed),
+        "results" => cmd_read(&parsed, Verb::Results),
+        "report" => cmd_read(&parsed, Verb::Report),
         "trace" => cmd_trace(&parsed),
         "profile" => cmd_profile(&parsed),
         "stop" => cmd_stop(&parsed),
@@ -502,477 +514,190 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One row of the `jobs` table, from either a local store or `/jobs`.
-fn print_job_row(id: &str, state: &str, done: u64, total: u64, submitter: &str, error: &str) {
-    println!(
-        "{:<28} {:<8} {:>6}/{:<6} {:<12} {}",
-        id,
-        state,
-        done,
-        total,
-        if submitter.is_empty() { "-" } else { submitter },
-        error
-    );
-}
-
 fn cmd_jobs(args: &Args) -> Result<(), String> {
     args.ensure_flags(&[])?;
     if !args.positional.is_empty() {
         return Err("jobs takes no positional arguments".to_string());
     }
-    if let Some(addr) = args.remote() {
-        let doc = remote_json(addr, "/jobs")?;
-        let entries = doc
-            .get("jobs")
-            .and_then(|j| j.as_arr())
-            .ok_or("remote response has no jobs array")?;
-        if entries.is_empty() {
-            println!("no jobs at {addr}");
-            return Ok(());
+    let (doc, place) = match args.remote() {
+        Some(addr) => (remote_json(addr, "/jobs")?, format!("at {addr}")),
+        None => {
+            let store = open_store(args)?;
+            let doc = jobs_doc(&store).map_err(|e| e.to_string())?;
+            (doc, format!("in {}", store.root().display()))
         }
-        for e in entries {
-            print_job_row(
-                &str_of(e, "id"),
-                &str_of(e, "state"),
-                u64_of(e, "cells_done"),
-                u64_of(e, "cells_total"),
-                &str_of(e, "submitter"),
-                e.get("error").and_then(|v| v.as_str()).unwrap_or(""),
-            );
-        }
-        return Ok(());
+    };
+    let entries = doc
+        .get("jobs")
+        .and_then(|j| j.as_arr())
+        .ok_or("job listing has no jobs array")?;
+    if entries.is_empty() {
+        println!("no jobs {place}");
     }
-    let store = open_store(args)?;
-    let jobs = store.jobs().map_err(|e| e.to_string())?;
-    if jobs.is_empty() {
-        println!("no jobs in {}", store.root().display());
-        return Ok(());
-    }
-    for job in jobs {
-        let submitter = store
-            .load_spec(&job)
-            .map(|s| s.submitter)
-            .unwrap_or_default();
-        match store.load_status(&job) {
-            Ok(s) => print_job_row(
-                &job.id,
-                &s.state.to_string(),
-                s.cells_done as u64,
-                s.cells_total as u64,
-                &submitter,
-                &s.error,
-            ),
-            Err(e) => println!("{:<28} <unreadable status: {e}>", job.id),
-        }
+    for e in entries {
+        let id = str_of(e, "id");
+        let error = e.get("error").and_then(|v| v.as_str()).unwrap_or("");
+        let Some(state) = e.get("state").and_then(|v| v.as_str()) else {
+            println!("{id:<28} <unreadable status: {error}>");
+            continue;
+        };
+        let submitter = str_of(e, "submitter");
+        println!(
+            "{:<28} {:<8} {:>6}/{:<6} {:<12} {}",
+            id,
+            state,
+            u64_of(e, "cells_done"),
+            u64_of(e, "cells_total"),
+            if submitter.is_empty() {
+                "-"
+            } else {
+                &submitter
+            },
+            error
+        );
     }
     Ok(())
 }
 
 fn cmd_status(args: &Args) -> Result<(), String> {
     args.ensure_flags(&[])?;
-    if let Some(addr) = args.remote() {
-        return match args.positional.as_slice() {
-            [] => cmd_jobs(args),
-            [id] => {
-                let doc = remote_json(addr, &format!("/jobs/{id}/status"))?;
-                println!("job:    {id}");
-                println!("state:  {}", str_of(&doc, "state"));
-                println!(
-                    "cells:  {}/{}",
-                    u64_of(&doc, "cells_done"),
-                    u64_of(&doc, "cells_total")
-                );
-                let error = str_of(&doc, "error");
-                if !error.is_empty() && error != "?" {
-                    println!("error:  {error}");
-                }
-                if let Some(families) = doc.get("families").and_then(|f| f.as_arr()) {
-                    println!("families:");
-                    for f in families {
-                        println!(
-                            "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
-                            str_of(f, "workload"),
-                            u64_of(f, "budget"),
-                            str_of(f, "model"),
-                            u64_of(f, "done"),
-                            u64_of(f, "total")
-                        );
-                    }
-                }
-                Ok(())
-            }
-            _ => Err("status takes at most one job id".to_string()),
-        };
-    }
-    let store = open_store(args)?;
-    match args.positional.as_slice() {
-        [] => {
-            let jobs = store.jobs().map_err(|e| e.to_string())?;
-            if jobs.is_empty() {
-                println!("no jobs in {}", store.root().display());
-                return Ok(());
-            }
-            for job in jobs {
-                match store.load_status(&job) {
-                    Ok(s) => println!(
-                        "{:<28} {:<8} {:>6}/{} {}",
-                        job.id, s.state, s.cells_done, s.cells_total, s.error
-                    ),
-                    Err(e) => println!("{:<28} <unreadable status: {e}>", job.id),
-                }
-            }
-            Ok(())
-        }
-        [id] => {
+    let id = match args.positional.as_slice() {
+        [] => return cmd_jobs(args),
+        [id] => id,
+        _ => return Err("status takes at most one job id".to_string()),
+    };
+    let (doc, dir) = match args.remote() {
+        Some(addr) => (remote_json(addr, &format!("/jobs/{id}/status"))?, None),
+        None => {
+            let store = open_store(args)?;
             let job = store.job(id).map_err(|e| e.to_string())?;
-            let status = store.load_status(&job).map_err(|e| e.to_string())?;
-            println!("job:    {id}");
-            println!("state:  {}", status.state);
-            println!("cells:  {}/{}", status.cells_done, status.cells_total);
-            if !status.error.is_empty() {
-                println!("error:  {}", status.error);
-            }
-            println!("dir:    {}", job.dir().display());
-            match family_progress(&store, &job) {
-                Ok(families) => {
-                    println!("families:");
-                    for f in families {
-                        println!(
-                            "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
-                            f.family.workload, f.family.budget, f.family.model, f.done, f.total
-                        );
-                    }
-                }
-                // Family progress is best-effort decoration: an old job
-                // whose spec no longer resolves still shows its totals.
-                Err(e) => eprintln!("ftsimd: cannot compute family progress: {e}"),
-            }
-            Ok(())
+            (status_doc(&store, &job), Some(job.dir().to_path_buf()))
         }
-        _ => Err("status takes at most one job id".to_string()),
+    };
+    let Some(state) = doc.get("state").and_then(|v| v.as_str()) else {
+        return Err(str_of(&doc, "error"));
+    };
+    println!("job:    {id}");
+    println!("state:  {state}");
+    println!(
+        "cells:  {}/{}",
+        u64_of(&doc, "cells_done"),
+        u64_of(&doc, "cells_total")
+    );
+    let error = str_of(&doc, "error");
+    if !error.is_empty() {
+        println!("error:  {error}");
     }
+    if let Some(dir) = dir {
+        println!("dir:    {}", dir.display());
+    }
+    if let Some(families) = doc.get("families").and_then(|f| f.as_arr()) {
+        println!("families:");
+        for f in families {
+            println!(
+                "  {:<10} budget {:>7}  {:<10} {:>4}/{}",
+                str_of(f, "workload"),
+                u64_of(f, "budget"),
+                str_of(f, "model"),
+                u64_of(f, "done"),
+                u64_of(f, "total")
+            );
+        }
+    }
+    Ok(())
 }
 
-fn cmd_results(args: &Args) -> Result<(), String> {
+/// `results` and `report`: one canonical read rendered as CSV/JSON
+/// records or as the analysis report, or — with `--watch` — the
+/// matching follow stream, from the local store or over `--remote`.
+fn cmd_read(args: &Args, verb: Verb) -> Result<(), String> {
     args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
-    let [id] = args.positional.as_slice() else {
-        return Err("results takes exactly one job id".to_string());
+    let name = match verb {
+        Verb::Results => "results",
+        Verb::Report => "report",
     };
-    if args.flag("--watch") && args.flag("--json") {
-        return Err("--watch streams CSV rows; it cannot combine with --json".to_string());
+    let [id] = args.positional.as_slice() else {
+        return Err(format!("{name} takes exactly one job id"));
+    };
+    let json = args.flag("--json");
+    let watching = args.flag("--watch");
+    if watching && json {
+        return Err(match verb {
+            Verb::Results => "--watch streams CSV rows; it cannot combine with --json",
+            Verb::Report => "--watch already streams JSON snapshots; drop --json",
+        }
+        .to_string());
     }
     if let Some(addr) = args.remote() {
-        if args.flag("--watch") {
-            return watch_remote(addr, id, args.interval_ms());
-        }
-        let path = if args.flag("--json") {
-            format!("/jobs/{id}/results?json")
-        } else {
-            format!("/jobs/{id}/results")
+        let query = match (watching, json, verb) {
+            (true, _, _) => format!("?watch&interval={}", args.interval_ms()),
+            (false, true, Verb::Results) => "?json".to_string(),
+            (false, false, Verb::Report) => "?format=text".to_string(),
+            (false, _, _) => String::new(),
         };
+        let path = format!("/jobs/{id}/{name}{query}");
+        if watching {
+            return forward_stream(addr, &path);
+        }
         print!("{}", remote_call(addr, "GET", &path, None)?);
         return Ok(());
     }
     let store = open_store(args)?;
     let job = store.job(id).map_err(|e| e.to_string())?;
-    if args.flag("--watch") {
-        return watch_results(&store, &job, Duration::from_millis(args.interval_ms()));
-    }
-    let json = args.flag("--json");
-    let status = store.load_status(&job).map_err(|e| e.to_string())?;
-
-    if status.state == JobState::Done {
-        // A finished job's artifacts are canonical: print them verbatim.
-        let path = if json {
-            job.results_json_path()
-        } else {
-            job.results_path()
-        };
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        print!("{text}");
+    if watching {
+        let stdout = std::io::stdout();
+        let poll = Duration::from_millis(args.interval_ms());
+        let end = watch(
+            &store,
+            &job,
+            verb,
+            poll,
+            &AtomicBool::new(false),
+            &mut stdout.lock(),
+        )?;
+        if let (Verb::Results, Some(end)) = (verb, end) {
+            eprintln!(
+                "ftsimd: job {id} is {} — {} record(s) streamed{}",
+                end.state,
+                end.rows,
+                if end.backfilled > 0 {
+                    format!(
+                        " ({} backfilled from the final merged read)",
+                        end.backfilled
+                    )
+                } else {
+                    String::new()
+                }
+            );
+        }
         return Ok(());
     }
-
-    let spec = store.load_spec(&job).map_err(|e| e.to_string())?;
-    let (merged, total) = merged_records(&job, &spec).map_err(|e| e.to_string())?;
-    eprintln!(
-        "ftsimd: job {id} is {} — {} of {total} cells merged (grid order)",
-        status.state,
-        merged.len(),
-    );
-    if json {
-        print!("{}", to_json(&merged));
-    } else {
-        print!("{}", to_csv(&merged));
+    let view = read_job(&store, &job).map_err(|e| e.to_string())?;
+    if view.status.state != JobState::Done {
+        let (n, total) = (view.records.len(), view.total);
+        let coverage = match verb {
+            Verb::Results => format!("{n} of {total} cells merged (grid order)"),
+            Verb::Report => format!("report covers {n} of {total} cells"),
+        };
+        eprintln!("ftsimd: job {id} is {} — {coverage}", view.status.state);
     }
+    print!("{}", render(&view.records, verb, json));
     Ok(())
 }
 
-/// `results --watch` over `--remote`: the server streams CSV rows as
-/// cells complete and closes the connection when the job is terminal;
-/// the client just forwards lines to stdout, stopping early if the
-/// downstream pipe closes.
-fn watch_remote(addr: &str, id: &str, interval_ms: u64) -> Result<(), String> {
+/// A `--watch` over `--remote`: the server streams lines as cells land
+/// and closes the connection when the job is terminal; the client
+/// forwards them to stdout, stopping early if the downstream pipe
+/// closes.
+fn forward_stream(addr: &str, path: &str) -> Result<(), String> {
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let path = format!("/jobs/{id}/results?watch&interval={interval_ms}");
-    let code = http_stream(addr, &path, &mut |line| {
+    let code = http_stream(addr, path, &mut |line| {
         writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
     })?;
     if code != 200 {
         return Err(format!("remote {addr}: watch failed (http {code})"));
-    }
-    Ok(())
-}
-
-/// Follows a job's `cells.csv`, printing each streamed record (CSV, in
-/// completion order) as it appears, until the job reaches a terminal
-/// state. The tolerant loader is what makes mid-write polling safe: a
-/// torn tail row simply does not count as arrived yet. A closed stdout
-/// (`ftsimd results --watch | head`) ends the watch cleanly instead of
-/// panicking on the broken pipe.
-///
-/// **Exit condition.** The watch exits exactly when (1) a terminal
-/// status (`done`/`failed`) has been observed, and (2) one final read of
-/// the *canonical* record set taken after that observation —
-/// `results.csv` for a done job, the merged streamed records otherwise —
-/// has been forwarded. Cells the watch never saw stream (they were
-/// resumed from an earlier run, or `cells.csv` was already sealed into
-/// `results.csv` and dropped by GC) are backfilled from that final read,
-/// so a watch on a terminal-but-unmerged job prints the full record set
-/// and exits instead of hanging or silently truncating.
-///
-/// Polling is incremental: the byte boundary after the last complete
-/// record ([`from_csv_tolerant_prefix`]) is remembered, and each poll
-/// parses only the appended suffix — a watch on a large job stays O(new
-/// rows) per tick instead of re-parsing the whole growing log.
-///
-/// Read trouble (a flaky disk, an injected `eio@fabric.cells.read`)
-/// does not kill the watch outright: consecutive failures back off
-/// exponentially under the shared [`crate::http::watch_backoff`]
-/// budget, and only an exhausted budget becomes a CLI error.
-fn watch_results(store: &JobStore, job: &Job, poll: Duration) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let header = RunRecord::csv_header();
-    if writeln!(out, "{header}").is_err() {
-        return Ok(()); // reader went away before the header
-    }
-    let mut printed = 0usize;
-    let mut consumed = 0usize; // bytes of cells.csv fully parsed
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut backoff = crate::http::watch_backoff();
-    let retry_or = |backoff: &mut ftsim_chaos::retry::Backoff, e: String| match backoff.next_delay()
-    {
-        Some(delay) => {
-            std::thread::sleep(delay);
-            Ok(())
-        }
-        None => Err(format!(
-            "watching {}: {e} (after {} consecutive failed reads)",
-            job.id,
-            backoff.attempts()
-        )),
-    };
-    loop {
-        // Status first, cells second: anything streamed before a
-        // terminal status was set is guaranteed to be seen by the final
-        // read, so no record can slip between the last poll and exit.
-        let status = match store.load_status(job) {
-            Ok(status) => status,
-            Err(e) => {
-                retry_or(&mut backoff, e.to_string())?;
-                continue;
-            }
-        };
-        let text =
-            match ftsim_chaos::io().read(crate::failpoints::FABRIC_CELLS_READ, &job.cells_path()) {
-                Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => {
-                    retry_or(&mut backoff, e.to_string())?;
-                    continue;
-                }
-            };
-        backoff = crate::http::watch_backoff(); // a clean poll resets the budget
-                                                // `consumed` always sits on a record boundary; re-prefix the
-                                                // unparsed suffix with the header so it parses standalone.
-        let rows = if text.len() > consumed {
-            let (rows, parsed) = if consumed == 0 {
-                from_csv_tolerant_prefix(&text)
-            } else {
-                let doc = format!("{header}\n{}", &text[consumed..]);
-                let (rows, parsed) = from_csv_tolerant_prefix(&doc);
-                (rows, parsed.saturating_sub(header.len() + 1))
-            };
-            consumed += parsed;
-            rows
-        } else {
-            Vec::new()
-        };
-        for r in &rows {
-            if writeln!(out, "{}", r.to_csv_row()).is_err() {
-                return Ok(()); // downstream pipe closed mid-stream
-            }
-            seen.insert(r.cell_label());
-        }
-        printed += rows.len();
-        if out.flush().is_err() {
-            return Ok(());
-        }
-        match status.state {
-            JobState::Done | JobState::Failed => {
-                // Final merged read: backfill anything that never
-                // streamed past this watch (resumed cells from an
-                // earlier run, or a cells.csv GC already sealed into
-                // results.csv) so the watch always ends with the full
-                // record set.
-                let canonical = if status.state == JobState::Done {
-                    std::fs::read_to_string(job.results_path())
-                        .ok()
-                        .and_then(|text| from_csv(&text).ok())
-                } else {
-                    store
-                        .load_spec(job)
-                        .ok()
-                        .and_then(|spec| merged_records(job, &spec).ok())
-                        .map(|(records, _total)| records)
-                };
-                let mut backfilled = 0usize;
-                if let Some(records) = canonical {
-                    for r in records.iter().filter(|r| !seen.contains(&r.cell_label())) {
-                        if writeln!(out, "{}", r.to_csv_row()).is_err() {
-                            return Ok(());
-                        }
-                        backfilled += 1;
-                    }
-                    if out.flush().is_err() {
-                        return Ok(());
-                    }
-                }
-                printed += backfilled;
-                eprintln!(
-                    "ftsimd: job {} is {} — {printed} record(s) streamed{}",
-                    job.id,
-                    status.state,
-                    if backfilled > 0 {
-                        format!(" ({backfilled} backfilled from the final merged read)")
-                    } else {
-                        String::new()
-                    }
-                );
-                return Ok(());
-            }
-            JobState::Queued | JobState::Running => std::thread::sleep(poll),
-        }
-    }
-}
-
-fn cmd_report(args: &Args) -> Result<(), String> {
-    args.ensure_flags(&["--json", "--watch", "--poll-ms", "--interval"])?;
-    let [id] = args.positional.as_slice() else {
-        return Err("report takes exactly one job id".to_string());
-    };
-    if args.flag("--watch") && args.flag("--json") {
-        return Err("--watch already streams JSON snapshots; drop --json".to_string());
-    }
-    if let Some(addr) = args.remote() {
-        if args.flag("--watch") {
-            return watch_report_remote(addr, id, args.interval_ms());
-        }
-        let path = if args.flag("--json") {
-            format!("/jobs/{id}/report")
-        } else {
-            format!("/jobs/{id}/report?format=text")
-        };
-        print!("{}", remote_call(addr, "GET", &path, None)?);
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let job = store.job(id).map_err(|e| e.to_string())?;
-    if args.flag("--watch") {
-        return watch_report(&store, &job, Duration::from_millis(args.interval_ms()));
-    }
-    let status = store.load_status(&job).map_err(|e| e.to_string())?;
-
-    let records = if status.state == JobState::Done {
-        // The canonical grid-order artifact — byte-identical to what the
-        // one-shot Experiment would serialize, so the report matches
-        // `Experiment::analyze()` exactly.
-        let path = job.results_path();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        from_csv(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?
-    } else {
-        let spec = store.load_spec(&job).map_err(|e| e.to_string())?;
-        let (merged, total) = merged_records(&job, &spec).map_err(|e| e.to_string())?;
-        eprintln!(
-            "ftsimd: job {id} is {} — report covers {} of {total} cells",
-            status.state,
-            merged.len(),
-        );
-        merged
-    };
-    let report = ftsim_analysis::analyze_records(&records);
-    if args.flag("--json") {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    Ok(())
-}
-
-/// `report --watch` against a local store: re-analyzes the merged
-/// records whenever new cells land, printing one compact JSON snapshot
-/// per line — the same lines `GET /jobs/<id>/report?watch` streams —
-/// and exits after the snapshot taken at the terminal state (which
-/// analyzes the canonical `results.csv` when the job finished).
-fn watch_report(store: &JobStore, job: &Job, poll: Duration) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let mut last_cells: Option<usize> = None;
-    loop {
-        let status = store.load_status(job).map_err(|e| e.to_string())?;
-        let terminal = matches!(status.state, JobState::Done | JobState::Failed);
-        let records = if status.state == JobState::Done {
-            let text = std::fs::read_to_string(job.results_path())
-                .map_err(|e| format!("reading results: {e}"))?;
-            from_csv(&text).map_err(|e| e.to_string())?
-        } else {
-            let spec = store.load_spec(job).map_err(|e| e.to_string())?;
-            merged_records(job, &spec).map_err(|e| e.to_string())?.0
-        };
-        if terminal || last_cells != Some(records.len()) {
-            last_cells = Some(records.len());
-            let line = crate::http::report_snapshot(status.state, &records);
-            if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-                return Ok(()); // downstream pipe closed
-            }
-        }
-        if terminal {
-            return Ok(());
-        }
-        std::thread::sleep(poll);
-    }
-}
-
-/// `report --watch` over `--remote`: the server re-analyzes as cells
-/// land and closes the stream after the terminal snapshot; the client
-/// forwards lines to stdout.
-fn watch_report_remote(addr: &str, id: &str, interval_ms: u64) -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let path = format!("/jobs/{id}/report?watch&interval={interval_ms}");
-    let code = http_stream(addr, &path, &mut |line| {
-        writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
-    })?;
-    if code != 200 {
-        return Err(format!("remote {addr}: report watch failed (http {code})"));
     }
     Ok(())
 }
@@ -1264,7 +989,7 @@ mod tests {
         // per-family progress lines.
         assert_eq!(run(&strs(&["jobs", "--state", &state])), 0);
         assert_eq!(run(&strs(&["status", &id, "--state", &state])), 0);
-        let families = family_progress(&store, &job).unwrap();
+        let families = crate::fabric::family_progress(&store, &job).unwrap();
         assert_eq!(families.len(), 1, "one (workload, budget, model) shard");
         assert_eq!(families[0].family.workload, "gcc");
         assert_eq!(families[0].family.model, "SS-2");

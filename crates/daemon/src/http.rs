@@ -15,6 +15,11 @@
 //! | `POST /jobs/<id>/stop`      | pause one job                      |
 //! | `POST /stop`                | stop the serving daemon            |
 //!
+//! The read routes (`/jobs`, `status`, `results`, `report`) render what
+//! the `feed` module returns — the same data the local CLI prints — and
+//! every `?watch` stream is that module's one follow loop writing into
+//! the socket.
+//!
 //! Responses carry `Connection: close` and either a `Content-Length`
 //! or — for `?watch` streams — no length at all: the client reads to
 //! EOF, which is what lets result rows flow as cells complete without
@@ -22,11 +27,10 @@
 //! `<state>/http.addr`, so `--listen 127.0.0.1:0` (tests, parallel CI)
 //! is discoverable.
 
-use crate::fabric::{family_progress, merged_records};
 use crate::failpoints as fp;
+use crate::feed::{jobs_doc, read_job, render, status_doc, watch, Verb};
 use crate::spec::JobSpec;
 use crate::store::{io_err, write_atomic, DaemonError, Job, JobState, JobStore};
-use ftsim::harness::{from_csv, from_csv_tolerant_prefix, to_csv, to_json, RunRecord};
 use ftsim_chaos::retry::Backoff;
 use ftsim_obs::{metrics, trace};
 use ftsim_stats::JsonValue;
@@ -421,8 +425,12 @@ fn handle(
         ("POST", ["jobs"]) => post_job(store, &mut stream, &req),
         ("GET", ["jobs"]) => list_jobs(store, &mut stream),
         ("GET", ["jobs", id, "status"]) => job_status(store, &mut stream, id),
-        ("GET", ["jobs", id, "results"]) => job_results(store, &mut stream, id, &req, stopped),
-        ("GET", ["jobs", id, "report"]) => job_report(store, &mut stream, id, &req, stopped),
+        ("GET", ["jobs", id, "results"]) => {
+            job_read(store, &mut stream, id, &req, Verb::Results, stopped);
+        }
+        ("GET", ["jobs", id, "report"]) => {
+            job_read(store, &mut stream, id, &req, Verb::Report, stopped);
+        }
         ("POST", ["jobs", id, "stop"]) => job_stop(store, &mut stream, id),
         ("POST", ["stop"]) => {
             match store.request_stop() {
@@ -509,92 +517,28 @@ fn post_job(store: &JobStore, stream: &mut TcpStream, req: &Request) {
     }
 }
 
-/// One job's listing entry: status plus the spec's submitter/priority.
-fn job_entry(store: &JobStore, job: &Job) -> JsonValue {
-    let (submitter, priority) = store
-        .load_spec(job)
-        .map(|s| (s.submitter, s.priority))
-        .unwrap_or_default();
-    let mut pairs = vec![("id".to_string(), JsonValue::Str(job.id.clone()))];
-    match store.load_status(job) {
-        Ok(s) => pairs.extend([
-            ("state".to_string(), JsonValue::Str(s.state.to_string())),
-            (
-                "cells_done".to_string(),
-                JsonValue::U64(s.cells_done as u64),
-            ),
-            (
-                "cells_total".to_string(),
-                JsonValue::U64(s.cells_total as u64),
-            ),
-            ("error".to_string(), JsonValue::Str(s.error)),
-        ]),
-        Err(e) => pairs.push(("error".to_string(), JsonValue::Str(e.to_string()))),
-    }
-    pairs.extend([
-        ("submitter".to_string(), JsonValue::Str(submitter)),
-        ("priority".to_string(), JsonValue::I64(priority)),
-        (
-            "paused".to_string(),
-            JsonValue::Bool(store.job_stop_requested(job)),
-        ),
-    ]);
-    JsonValue::Obj(pairs)
-}
-
 fn list_jobs(store: &JobStore, stream: &mut TcpStream) {
-    match store.jobs() {
-        Ok(jobs) => {
-            let entries = jobs.iter().map(|job| job_entry(store, job)).collect();
-            respond_json(
-                stream,
-                200,
-                &JsonValue::obj([("jobs".to_string(), JsonValue::Arr(entries))]),
-            );
-        }
+    match jobs_doc(store) {
+        Ok(doc) => respond_json(stream, 200, &doc),
         Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
     }
 }
 
 fn job_status(store: &JobStore, stream: &mut TcpStream, id: &str) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    let mut doc = match job_entry(store, &job) {
-        JsonValue::Obj(pairs) => pairs,
-        _ => unreachable!("job_entry builds an object"),
-    };
-    // Family progress is best-effort decoration, exactly as in the CLI.
-    if let Ok(families) = family_progress(store, &job) {
-        doc.push((
-            "families".to_string(),
-            JsonValue::Arr(
-                families
-                    .iter()
-                    .map(|f| {
-                        JsonValue::obj([
-                            (
-                                "workload".to_string(),
-                                JsonValue::Str(f.family.workload.clone()),
-                            ),
-                            ("budget".to_string(), JsonValue::U64(f.family.budget)),
-                            ("model".to_string(), JsonValue::Str(f.family.model.clone())),
-                            ("done".to_string(), JsonValue::U64(f.done as u64)),
-                            ("total".to_string(), JsonValue::U64(f.total as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+    if let Some(job) = lookup(store, stream, id) {
+        respond_json(stream, 200, &status_doc(store, &job));
     }
-    respond_json(stream, 200, &JsonValue::Obj(doc));
 }
 
-fn job_results(
+/// `GET /jobs/<id>/results` (grid-order CSV, `?json`) and
+/// `GET /jobs/<id>/report` (analysis JSON, `?format=text`) over the
+/// canonical read, or — with `?watch` — the matching [`watch`] stream.
+fn job_read(
     store: &JobStore,
     stream: &mut TcpStream,
     id: &str,
     req: &Request,
+    verb: Verb,
     stopped: &AtomicBool,
 ) {
     let Some(job) = lookup(store, stream, id) else {
@@ -605,284 +549,53 @@ fn job_results(
             .query("interval")
             .and_then(|v| v.parse().ok())
             .map_or(Duration::from_millis(500), Duration::from_millis);
-        stream_results(store, stream, &job, interval, stopped);
+        stream_watch(store, stream, &job, verb, interval, stopped);
         return;
     }
-    let json = req.query("json").is_some();
-    let done = store
-        .load_status(&job)
-        .map(|s| s.state == JobState::Done)
-        .unwrap_or(false);
-    if done {
-        // A finished job's artifacts are canonical: serve them verbatim.
-        let path = if json {
-            job.results_json_path()
-        } else {
-            job.results_path()
-        };
-        match std::fs::read_to_string(&path) {
-            Ok(text) => respond(
-                stream,
-                200,
-                if json { "application/json" } else { "text/csv" },
-                &text,
-            ),
-            Err(e) => respond_json(stream, 500, &error_json(format!("reading results: {e}"))),
-        }
-        return;
-    }
-    let merged = store
-        .load_spec(&job)
-        .and_then(|spec| merged_records(&job, &spec));
-    match merged {
-        Ok((records, _total)) => {
-            if json {
-                respond(stream, 200, "application/json", &to_json(&records));
-            } else {
-                respond(stream, 200, "text/csv", &to_csv(&records));
-            }
-        }
+    let json = match verb {
+        Verb::Results => req.query("json").is_some(),
+        Verb::Report => req.query("format") != Some("text"),
+    };
+    let content_type = match (verb, json) {
+        (_, true) => "application/json",
+        (Verb::Results, false) => "text/csv",
+        (Verb::Report, false) => "text/plain",
+    };
+    match read_job(store, &job) {
+        Ok(view) => respond(
+            stream,
+            200,
+            content_type,
+            &render(&view.records, verb, json),
+        ),
         Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
     }
 }
 
-/// The retry budget a watch loop grants consecutive failed reads of
-/// `cells.csv` before ending the stream: 8 attempts, exponential from
-/// 25 ms, capped at 1 s. Shared by the HTTP `?watch` stream and the
-/// CLI `results --watch` loop so both degrade identically.
-pub(crate) fn watch_backoff() -> Backoff {
-    Backoff::new(Duration::from_millis(25), Duration::from_secs(1), 8)
-}
-
-/// Streams a job's records as CSV rows while they arrive — the HTTP
-/// twin of `ftsimd results --watch`. The response has no
-/// `Content-Length`; the client reads rows until the job reaches a
-/// terminal state (or the daemon shuts down) and the connection closes.
-fn stream_results(
+/// A `?watch` response: a head with no `Content-Length`, then the
+/// [`watch`] stream until the job is terminal (or the daemon shuts
+/// down) and the connection closes.
+fn stream_watch(
     store: &JobStore,
     stream: &mut TcpStream,
     job: &Job,
+    verb: Verb,
     interval: Duration,
     stopped: &AtomicBool,
 ) {
-    let header = RunRecord::csv_header();
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: text/csv\r\nConnection: close\r\n\r\n";
+    let content_type = match verb {
+        Verb::Results => "text/csv",
+        Verb::Report => "application/x-ndjson",
+    };
+    let head =
+        format!("HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n");
     if stream.write_all(head.as_bytes()).is_err() {
         return;
     }
-    if stream.write_all(format!("{header}\n").as_bytes()).is_err() {
-        return;
-    }
-    let mut consumed = 0usize; // bytes of cells.csv fully parsed
-    let mut backoff = watch_backoff();
-    loop {
-        // Status first, cells second: a record streamed before the
-        // terminal status was set is guaranteed to be seen by the final
-        // read.
-        let state = match store.load_status(job) {
-            Ok(s) => s.state,
-            Err(e) => match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => {
-                    eprintln!("ftsimd: watch stream on {}: {e}; giving up", job.id);
-                    return;
-                }
-            },
-        };
-        let text = match ftsim_chaos::io().read(fp::FABRIC_CELLS_READ, &job.cells_path()) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                // Transient read trouble: back off and retry; a budget
-                // of consecutive failures ends the stream (the client
-                // sees EOF and can re-watch).
-                match backoff.next_delay() {
-                    Some(delay) => {
-                        std::thread::sleep(delay);
-                        continue;
-                    }
-                    None => {
-                        eprintln!("ftsimd: watch stream on {}: {e}; giving up", job.id);
-                        return;
-                    }
-                }
-            }
-        };
-        backoff = watch_backoff(); // a successful read resets the budget
-        if text.len() > consumed {
-            let (rows, parsed) = if consumed == 0 {
-                from_csv_tolerant_prefix(&text)
-            } else {
-                let doc = format!("{header}\n{}", &text[consumed..]);
-                let (rows, parsed) = from_csv_tolerant_prefix(&doc);
-                (rows, parsed.saturating_sub(header.len() + 1))
-            };
-            consumed += parsed;
-            for r in &rows {
-                if stream
-                    .write_all(format!("{}\n", r.to_csv_row()).as_bytes())
-                    .is_err()
-                {
-                    return; // client went away
-                }
-            }
-            if stream.flush().is_err() {
-                return;
-            }
-        }
-        match state {
-            JobState::Done | JobState::Failed => return,
-            JobState::Queued | JobState::Running => {
-                if stopped.load(Ordering::SeqCst) {
-                    return; // daemon shutting down: end the stream
-                }
-                std::thread::sleep(interval);
-            }
-        }
-    }
-}
-
-fn job_report(
-    store: &JobStore,
-    stream: &mut TcpStream,
-    id: &str,
-    req: &Request,
-    stopped: &AtomicBool,
-) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    if req.query("watch").is_some() {
-        let interval = req
-            .query("interval")
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_millis(500), Duration::from_millis);
-        stream_report(store, stream, &job, interval, stopped);
-        return;
-    }
-    let done = store
-        .load_status(&job)
-        .map(|s| s.state == JobState::Done)
-        .unwrap_or(false);
-    let records = if done {
-        std::fs::read_to_string(job.results_path())
-            .map_err(|e| e.to_string())
-            .and_then(|text| from_csv(&text).map_err(|e| e.to_string()))
-    } else {
-        store
-            .load_spec(&job)
-            .and_then(|spec| merged_records(&job, &spec))
-            .map(|(records, _)| records)
-            .map_err(|e| e.to_string())
-    };
-    match records {
-        Ok(records) => {
-            let report = ftsim_analysis::analyze_records(&records);
-            if req.query("format") == Some("text") {
-                respond(stream, 200, "text/plain", &report.render());
-            } else {
-                respond(stream, 200, "application/json", &report.to_json());
-            }
-        }
-        Err(message) => respond_json(stream, 500, &error_json(message)),
-    }
-}
-
-/// One line of a `report?watch` stream: the job's state, how many cells
-/// the snapshot covers, and the full analysis report, as one compact
-/// JSON object.
-pub(crate) fn report_snapshot(state: JobState, records: &[RunRecord]) -> String {
-    let report = ftsim_analysis::analyze_records(records);
-    JsonValue::obj([
-        ("state".to_string(), JsonValue::Str(state.to_string())),
-        ("cells".to_string(), JsonValue::U64(records.len() as u64)),
-        (
-            "report".to_string(),
-            JsonValue::parse(&report.to_json()).unwrap_or(JsonValue::Null),
-        ),
-    ])
-    .render()
-}
-
-/// Streams incremental analysis snapshots as NDJSON — the HTTP twin of
-/// `ftsimd report --watch`, closing the "re-run analysis while a sweep
-/// streams" loop. Records come from the tolerant merged-cells reader, so
-/// a snapshot is re-emitted whenever new cells land; at the terminal
-/// state one final snapshot is always written (from the canonical
-/// `results.csv` when the job finished), so the last line a client reads
-/// analyzes exactly the records `ftsimd report <job>` would.
-fn stream_report(
-    store: &JobStore,
-    stream: &mut TcpStream,
-    job: &Job,
-    interval: Duration,
-    stopped: &AtomicBool,
-) {
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    let mut last_cells: Option<usize> = None;
-    let mut backoff = watch_backoff();
-    loop {
-        // Status first, records second, for the same reason as
-        // `stream_results`: records seen before the terminal status was
-        // set are never newer than the final read.
-        let state = match store.load_status(job) {
-            Ok(s) => s.state,
-            Err(_) => match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => return,
-            },
-        };
-        let terminal = matches!(state, JobState::Done | JobState::Failed);
-        let records = if state == JobState::Done {
-            std::fs::read_to_string(job.results_path())
-                .ok()
-                .and_then(|text| from_csv(&text).ok())
-        } else {
-            store
-                .load_spec(job)
-                .and_then(|spec| merged_records(job, &spec))
-                .ok()
-                .map(|(records, _total)| records)
-        };
-        let Some(records) = records else {
-            if terminal {
-                return; // failed job with unreadable records: nothing to analyze
-            }
-            match backoff.next_delay() {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => return,
-            }
-        };
-        backoff = watch_backoff();
-        if terminal || last_cells != Some(records.len()) {
-            last_cells = Some(records.len());
-            let line = report_snapshot(state, &records);
-            if stream.write_all(format!("{line}\n").as_bytes()).is_err() {
-                return;
-            }
-            if stream.flush().is_err() {
-                return;
-            }
-        }
-        if terminal {
-            return;
-        }
-        if stopped.load(Ordering::SeqCst) {
-            return; // daemon shutting down: end the stream
-        }
-        std::thread::sleep(interval);
+    let mut sink = std::io::BufWriter::new(stream);
+    if let Err(e) = watch(store, job, verb, interval, stopped, &mut sink) {
+        // The client sees EOF and can re-watch.
+        eprintln!("ftsimd: watch stream on {}: {e}; giving up", job.id);
     }
 }
 

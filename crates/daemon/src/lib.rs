@@ -29,7 +29,9 @@
 //! * an HTTP API (`serve --listen`) and its `--remote` client — every
 //!   daemon verb over a hand-rolled `std::net` server, no filesystem
 //!   access required of submitters; mutating verbs can be gated behind
-//!   a bearer token (`serve --token-file`);
+//!   a bearer token (`serve --token-file`); the read verbs (`jobs`,
+//!   `status`, `results`, `report`, watched or not) have one
+//!   implementation that the CLI and the HTTP handlers both render;
 //! * **tenancy hardening** — per-submitter admission quotas
 //!   ([`QuotaPolicy`], rejected work gets a structured
 //!   429-with-retry-after), job TTLs with a garbage-collection pass
@@ -95,6 +97,7 @@
 pub mod cli;
 mod fabric;
 pub mod failpoints;
+mod feed;
 mod gc;
 mod http;
 mod runner;
