@@ -37,11 +37,10 @@
 //! fabric-wide, so one wide job cannot monopolize every process.
 
 use crate::failpoints as fp;
+use crate::log;
 use crate::spec::JobSpec;
 use crate::store::{io_err, write_atomic, DaemonError, Job, JobState, JobStatus, JobStore};
-use ftsim::harness::{
-    from_csv_tolerant, group_families, to_csv, to_json, CellPath, FamilyId, RunRecord,
-};
+use ftsim::harness::{to_csv, to_json, CellPath, FamilyId, RunRecord};
 use ftsim_chaos::retry::Backoff;
 use ftsim_core::profile::{StageProfile, STAGE_NAMES};
 use ftsim_obs::metrics;
@@ -550,53 +549,6 @@ pub(crate) fn oldest_live_claim_age_ms(job: &Job) -> u64 {
         .unwrap_or(0)
 }
 
-/// The hashable projection of `RunRecord::same_identity`: two records
-/// are the same grid cell iff their keys are equal. Shared by the
-/// fabric's progress accounting and the CLI's `status`/`results`
-/// merging, so every layer matches streamed rows to grid cells the same
-/// way (newest row winning).
-pub(crate) type IdentityKey<'a> = (
-    &'a str,
-    &'a str,
-    &'a str,
-    u8,
-    bool,
-    u8,
-    u64,
-    &'a str,
-    u64,
-    u64,
-);
-
-pub(crate) fn identity_key(r: &RunRecord) -> IdentityKey<'_> {
-    (
-        r.workload.as_str(),
-        r.suite.as_str(),
-        r.model.as_str(),
-        r.r,
-        r.majority,
-        r.threshold,
-        r.fault_rate_pm.to_bits(),
-        r.site_mix.as_str(),
-        r.seed,
-        r.budget,
-    )
-}
-
-/// Indexes streamed records by identity, newest row winning: a cell
-/// re-run later (after a failure, or by a second claimant in a
-/// lost-lease window) appears twice in the log, and the recent record
-/// is the one kept.
-pub(crate) fn identity_index<'a>(
-    streamed: &'a [RunRecord],
-) -> HashMap<IdentityKey<'a>, &'a RunRecord> {
-    let mut index = HashMap::with_capacity(streamed.len());
-    for r in streamed {
-        index.insert(identity_key(r), r); // later rows overwrite earlier
-    }
-    index
-}
-
 /// One family's progress within a job.
 #[derive(Debug)]
 pub(crate) struct FamilyProgress {
@@ -611,38 +563,30 @@ pub(crate) struct FamilyProgress {
 /// Per-family cells-done counts for a job: its grid identities grouped
 /// by family, each matched against the streamed `cells.csv`. A done
 /// job counts every cell even if some were never streamed
-/// (resume-matched cells are not re-appended).
+/// (resume-matched cells are not re-appended), and needs no read.
 pub(crate) fn family_progress(
     store: &JobStore,
     job: &Job,
 ) -> Result<Vec<FamilyProgress>, DaemonError> {
     let spec = store.load_spec(job)?;
-    let identities = spec.to_experiment()?.identities()?;
     let done_job = store
         .load_status(job)
         .map(|s| s.state == JobState::Done)
         .unwrap_or(false);
-    let streamed = read_cells(job);
-    let (streamed, _) = from_csv_tolerant(&streamed);
-    let index = identity_index(&streamed);
-    Ok(group_families(&identities)
-        .into_iter()
-        .map(|(family, members)| {
-            let done = if done_job {
-                members.len()
-            } else {
-                members
-                    .iter()
-                    .filter(|&&i| index.contains_key(&identity_key(&identities[i])))
-                    .count()
-            };
-            FamilyProgress {
-                family,
-                done,
-                total: members.len(),
-            }
-        })
-        .collect())
+    let progress = |log: &log::JobLog| {
+        log.families()
+            .map(|(family, done, total)| FamilyProgress {
+                family: family.clone(),
+                done: if done_job { total } else { done },
+                total,
+            })
+            .collect()
+    };
+    if done_job {
+        Ok(progress(&log::JobLog::new(&spec)?))
+    } else {
+        log::with_log(job, &spec, progress)
+    }
 }
 
 /// A claimed unit of work: one family of one job.
@@ -748,6 +692,7 @@ pub(crate) fn next_assignment(
             }
         };
         if !matches!(status.state, JobState::Queued | JobState::Running) {
+            log::forget(&job); // terminal: its index is no longer needed
             continue;
         }
         if store.job_stop_requested(&job) {
@@ -783,40 +728,34 @@ pub(crate) fn next_assignment(
     });
 
     for c in candidates {
-        let identities = match c
-            .spec
-            .to_experiment()
-            .map_err(DaemonError::from)
-            .and_then(|e| e.identities().map_err(DaemonError::from))
-        {
-            Ok(ids) => ids,
+        let scanned = log::with_log(&c.job, &c.spec, |log| {
+            let missing: Vec<FamilyId> = log
+                .families()
+                .filter(|&(_, done, total)| done < total)
+                .map(|(family, _, _)| family.clone())
+                .collect();
+            (log.done(), log.total(), missing)
+        });
+        let (job_done, job_total, missing) = match scanned {
+            Ok(scanned) => scanned,
             Err(e) => {
                 mark_failed(store, &c.job, &e);
                 incomplete -= 1;
                 continue;
             }
         };
-        let streamed = read_cells(&c.job);
-        let (streamed, _) = from_csv_tolerant(&streamed);
-        let index = identity_index(&streamed);
-        let job_done = identities
-            .iter()
-            .filter(|id| index.contains_key(&identity_key(id)))
-            .count();
-        if job_done == identities.len() {
+        if missing.is_empty() {
             // Every cell has a record — e.g. a peer was killed after its
-            // last cell but before finalizing. Finish the paperwork.
-            try_finalize(store, &c.job, &c.spec)?;
-            incomplete -= 1;
+            // last cell but before finalizing. Finish the paperwork. A
+            // failed finalize (a flaky disk) leaves the job incomplete,
+            // and the next pass finalizes it again.
+            match try_finalize(store, &c.job, &c.spec) {
+                Ok(_) => incomplete -= 1,
+                Err(e) => eprintln!("ftsimd: finalizing {}: {e}", c.job.id),
+            }
             continue;
         }
-        for (family, members) in group_families(&identities) {
-            let missing = members
-                .iter()
-                .any(|&i| !index.contains_key(&identity_key(&identities[i])));
-            if !missing {
-                continue;
-            }
+        for family in missing {
             if let Some(claim) = try_claim(&c.job, &family, cfg)? {
                 LAST_SCHED_PASS_MS.store(now_ms(), Ordering::Relaxed);
                 return Ok(NextWork::Work(Box::new(Assignment {
@@ -825,7 +764,7 @@ pub(crate) fn next_assignment(
                     family,
                     claim,
                     job_done,
-                    job_total: identities.len(),
+                    job_total,
                 })));
             }
         }
@@ -922,22 +861,10 @@ fn note_job_error(store: &JobStore, job: &Job, err: DaemonError, incomplete: &mu
     }
 }
 
-/// Reads a job's streamed `cells.csv` leniently: a missing file is an
-/// empty log, a transient read error is treated the same (the rows are
-/// still on disk and re-run cells are byte-identical), and invalid
-/// UTF-8 from a write torn mid-character is decoded lossily so the
-/// damage stays confined to the trailing line the tolerant parser
-/// drops.
-fn read_cells(job: &Job) -> String {
-    match ftsim_chaos::io().read(fp::FABRIC_CELLS_READ, &job.cells_path()) {
-        Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-        Err(_) => String::new(),
-    }
-}
-
 /// Parks a job as failed with the error in its status (best-effort).
 pub(crate) fn mark_failed(store: &JobStore, job: &Job, err: &DaemonError) {
     eprintln!("ftsimd: job {} failed: {err}", job.id);
+    log::forget(job);
     let mut status = store.load_status(job).unwrap_or(JobStatus {
         state: JobState::Failed,
         cells_total: 0,
@@ -1133,13 +1060,8 @@ pub(crate) fn run_family(
                 ))
             }
         };
-    let (prior, dropped) = from_csv_tolerant(&existing);
-    if dropped > 0 {
-        eprintln!(
-            "ftsimd: {}: dropped {dropped} torn line(s) from cells.csv; re-simulating those cells",
-            a.job.id
-        );
-    }
+    // Only the claimed family's records: the sub-grid has no other cells.
+    let prior = log::family_records(&a.job, &a.spec, &a.family, &existing)?;
     let plan = std::sync::Arc::new(
         sub.to_experiment()?
             .resume_from(prior)
@@ -1333,15 +1255,7 @@ pub(crate) fn merged_records(
     job: &Job,
     spec: &JobSpec,
 ) -> Result<(Vec<RunRecord>, usize), DaemonError> {
-    let identities = spec.to_experiment()?.identities()?;
-    let streamed = read_cells(job);
-    let (streamed, _) = from_csv_tolerant(&streamed);
-    let index = identity_index(&streamed);
-    let records: Vec<RunRecord> = identities
-        .iter()
-        .filter_map(|id| index.get(&identity_key(id)).copied().cloned())
-        .collect();
-    Ok((records, identities.len()))
+    log::with_log(job, spec, |log| (log.records(), log.total()))
 }
 
 /// Finalizes a job if — and only if — every grid cell has a streamed
@@ -1359,10 +1273,13 @@ pub(crate) fn try_finalize(
     job: &Job,
     spec: &JobSpec,
 ) -> Result<bool, DaemonError> {
-    let (records, total) = merged_records(job, spec)?;
-    if records.len() < total {
+    let complete = log::with_log(job, spec, |log| {
+        (log.done() == log.total()).then(|| log.records())
+    })?;
+    let Some(records) = complete else {
         return Ok(false);
-    }
+    };
+    let total = records.len();
     write_atomic(
         fp::FABRIC_FINALIZE_RESULTS_CSV,
         &job.results_path(),
@@ -1389,6 +1306,7 @@ pub(crate) fn try_finalize(
     ftsim_chaos::io()
         .remove_dir_all(fp::FABRIC_FINALIZE_CLEAR_CLAIMS, &job.claims_dir())
         .ok();
+    log::forget(job);
     fobs().jobs_finalized.inc();
     trace::emit(TraceEvent::new(
         "merge",

@@ -13,8 +13,9 @@
 //!   documents `GET /jobs` serves and the CLI prints.
 
 use crate::fabric::{family_progress, merged_records};
+use crate::log::CellsTail;
 use crate::store::{io_err, DaemonError, Job, JobState, JobStatus, JobStore};
-use ftsim::harness::{from_csv, from_csv_tolerant_prefix, to_csv, to_json, RunRecord};
+use ftsim::harness::{from_csv, to_csv, to_json, RunRecord};
 use ftsim_chaos::retry::Backoff;
 use ftsim_stats::JsonValue;
 use std::collections::HashSet;
@@ -132,8 +133,8 @@ pub(crate) struct WatchEnd {
 /// Per-watch state between polls.
 struct Feed {
     verb: Verb,
-    /// Bytes of `cells.csv` fully parsed; always on a record boundary.
-    consumed: usize,
+    /// Where the results feed stands in `cells.csv`.
+    tail: CellsTail,
     /// Labels of the records streamed so far.
     seen: HashSet<String>,
     /// Record coverage of the last report snapshot written.
@@ -165,36 +166,19 @@ impl Feed {
 
     /// The records appended to `cells.csv` since the last poll, as CSV
     /// rows. Only the new suffix is parsed, so a poll costs O(new rows),
-    /// and the tolerant loader leaves a torn tail row for a later poll.
+    /// and a torn tail row is left for a later poll. Should the tail have
+    /// to start over (the file shrank or was replaced), rows already
+    /// streamed are not streamed again.
     fn tail(&mut self, job: &Job) -> Result<Vec<String>, String> {
-        let text =
-            match ftsim_chaos::io().read(crate::failpoints::FABRIC_CELLS_READ, &job.cells_path()) {
-                Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => return Err(e.to_string()),
-            };
-        if text.len() <= self.consumed {
-            return Ok(Vec::new());
-        }
-        let rows = if self.consumed == 0 {
-            let (rows, parsed) = from_csv_tolerant_prefix(&text);
-            self.consumed = parsed;
-            rows
-        } else {
-            // Re-prefix the unparsed suffix with the header so it parses
-            // standalone.
-            let header = RunRecord::csv_header();
-            let doc = format!("{header}\n{}", &text[self.consumed..]);
-            let (rows, parsed) = from_csv_tolerant_prefix(&doc);
-            self.consumed += parsed.saturating_sub(header.len() + 1);
-            rows
-        };
-        Ok(rows
+        let tail = self
+            .tail
+            .read(&job.cells_path())
+            .map_err(|e| e.to_string())?;
+        Ok(tail
+            .records
             .iter()
-            .map(|r| {
-                self.seen.insert(r.cell_label());
-                r.to_csv_row()
-            })
+            .filter(|r| self.seen.insert(r.cell_label()) || !tail.from_start)
+            .map(RunRecord::to_csv_row)
             .collect())
     }
 
@@ -253,7 +237,7 @@ pub(crate) fn watch(
     }
     let mut feed = Feed {
         verb,
-        consumed: 0,
+        tail: CellsTail::default(),
         seen: HashSet::new(),
         last_cells: None,
     };

@@ -100,6 +100,7 @@ pub mod failpoints;
 mod feed;
 mod gc;
 mod http;
+mod log;
 mod runner;
 mod spec;
 mod store;

@@ -1,0 +1,590 @@
+//! A job's streamed `cells.csv`, parsed once per process.
+//!
+//! Every scheduling pass, claim and finalization asks the same questions
+//! of the same growing file: which grid cells have a record, and which
+//! record? [`JobLog`] answers them from an in-memory index that each
+//! look brings up to date by parsing only the bytes appended since the
+//! previous one ([`CellsTail`]). A claim therefore costs O(new rows +
+//! family), not O(job).
+//!
+//! The index is an optimisation only. Any doubt about the bytes behind
+//! its boundary rebuilds it from offset 0 with a full tolerant parse:
+//! the file shrank (a peer's torn-tail repair, GC), vanished or was
+//! replaced (another device/inode), or no longer ends the consumed
+//! prefix with the bytes it did. A failed read leaves the index as it
+//! was. Either way the index can only lag the file, never run ahead of
+//! it — and a lagging index costs at worst a byte-identical re-run of a
+//! cell, never a wrong record.
+//!
+//! Indexes live in one process-wide map shared by the worker threads of
+//! a `serve`, one entry per job, dropped when the job reaches a terminal
+//! state ([`forget`]).
+
+use crate::failpoints as fp;
+use crate::spec::JobSpec;
+use crate::store::{DaemonError, Job};
+use ftsim::harness::{from_csv_tolerant_prefix, group_families, FamilyId, IdentityKey, RunRecord};
+use ftsim_obs::metrics;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Bytes before the consumed boundary a [`CellsTail`] keeps to recognise
+/// the prefix it parsed: about a row's worth, so a file cut back and
+/// regrown past the boundary between two reads is caught as surely as
+/// one that is still shorter.
+const GUARD_BYTES: usize = 256;
+
+/// `cells.csv` lines parsed by this process, whether they yielded a
+/// record or were dropped as damaged.
+fn rows_parsed() -> &'static metrics::Counter {
+    static ROWS: OnceLock<metrics::Counter> = OnceLock::new();
+    ROWS.get_or_init(|| metrics::counter("ftsimd_cells_rows_parsed_total", &[]))
+}
+
+/// A file's identity on its filesystem (device, inode), where the
+/// platform has one.
+type FileId = (u64, u64);
+
+fn file_id(path: &Path) -> Option<FileId> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt as _;
+        std::fs::metadata(path).ok().map(|m| (m.dev(), m.ino()))
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = path;
+        None
+    }
+}
+
+/// An incremental reader of a growing `cells.csv`: it remembers how far
+/// it has parsed and, on the next read, parses only what lies past that
+/// boundary — or the whole file again when the bytes before the
+/// boundary are not the ones it parsed.
+#[derive(Debug, Default)]
+pub(crate) struct CellsTail {
+    /// Bytes settled for good (parsed or dropped as damaged); 0 or just
+    /// past a row-ending newline.
+    consumed: usize,
+    /// The file the boundary belongs to.
+    file: Option<FileId>,
+    /// The last (up to [`GUARD_BYTES`]) bytes before the boundary.
+    guard: Vec<u8>,
+}
+
+/// What one [`CellsTail::read`] found.
+pub(crate) struct Tail {
+    /// The parse started at offset 0 — a first read or a rebuild — so
+    /// `records` covers the whole file rather than only new rows.
+    pub from_start: bool,
+    /// The records of the lines settled by this read, in file order.
+    pub records: Vec<RunRecord>,
+    /// Lines settled by this read that did not parse into a record.
+    pub damaged: usize,
+}
+
+impl CellsTail {
+    /// Reads `path` and parses what is new. A missing file reads as an
+    /// empty one.
+    ///
+    /// # Errors
+    ///
+    /// Any other read error — including one injected at the
+    /// `fabric.cells.read` failpoint. The tail is left as it was.
+    pub(crate) fn read(&mut self, path: &Path) -> io::Result<Tail> {
+        // Identify the file before reading it: if it is replaced in
+        // between, the next read sees a new identity and starts over.
+        let file = file_id(path);
+        let bytes = match ftsim_chaos::io().read(fp::FABRIC_CELLS_READ, path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        Ok(self.advance(file, &bytes))
+    }
+
+    /// Parses `bytes` — the whole current content of the file `file` —
+    /// from the boundary on, or from the start when the boundary cannot
+    /// be trusted.
+    fn advance(&mut self, file: Option<FileId>, bytes: &[u8]) -> Tail {
+        let from_start = self.consumed == 0
+            || file != self.file
+            || !bytes
+                .get(..self.consumed)
+                .is_some_and(|prefix| prefix.ends_with(&self.guard));
+        let start = if from_start { 0 } else { self.consumed };
+        let (records, damaged, settled) = parse_settled(&bytes[start..], start > 0);
+        self.consumed = start + settled;
+        self.file = file;
+        self.guard = bytes[self.consumed.saturating_sub(GUARD_BYTES)..self.consumed].to_vec();
+        rows_parsed().add((records.len() + damaged) as u64);
+        Tail {
+            from_start,
+            records,
+            damaged,
+        }
+    }
+}
+
+/// Parses the settled lines of `raw` — a whole `cells.csv`, or
+/// (`headless`) the part of one after a row boundary — returning the
+/// records, the damaged settled lines and the settled byte length.
+fn parse_settled(raw: &[u8], headless: bool) -> (Vec<RunRecord>, usize, usize) {
+    // Invalid UTF-8 from a write torn mid-character is decoded lossily,
+    // which keeps the damage inside the line that carries it.
+    let text = String::from_utf8_lossy(raw);
+    let (records, dropped, consumed) = if headless {
+        // Re-prefix the header so the suffix parses standalone.
+        let header = RunRecord::csv_header();
+        let (records, dropped, consumed) = from_csv_tolerant_prefix(&format!("{header}\n{text}"));
+        (records, dropped, consumed - header.len() - 1)
+    } else {
+        from_csv_tolerant_prefix(&text)
+    };
+    // The tolerant parser also counts an unsettled trailing fragment (and
+    // everything under an unreadable header) as dropped; only settled
+    // lines are damage.
+    let damaged = if consumed == 0 && !headless {
+        0
+    } else {
+        dropped - usize::from(consumed < text.len())
+    };
+    let settled = match text {
+        Cow::Borrowed(_) => consumed,
+        // Lossy decoding moved byte offsets; the settled part ends just
+        // past its last newline in the raw bytes as in the decoded text.
+        Cow::Owned(decoded) => {
+            let lines = decoded.as_bytes()[..consumed]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            raw.iter()
+                .enumerate()
+                .filter(|&(_, &b)| b == b'\n')
+                .nth(lines.wrapping_sub(1))
+                .map_or(0, |(i, _)| i + 1)
+        }
+    };
+    (records, damaged, settled)
+}
+
+/// One job's record index: its grid, and the newest streamed record of
+/// every grid cell that has one.
+pub(crate) struct JobLog {
+    tail: CellsTail,
+    /// The grid's families, each with its member cells.
+    families: Vec<(FamilyId, Vec<usize>)>,
+    /// Per cell: its family's index in `families`.
+    family_of: Vec<usize>,
+    /// Cells by identity (a repeated axis value gives one identity
+    /// several cells).
+    cells_of: HashMap<IdentityKey, Vec<usize>>,
+    /// Per cell, in grid order: its newest streamed record.
+    latest: Vec<Option<RunRecord>>,
+    /// Per family: its cells with a record.
+    family_done: Vec<usize>,
+    /// Cells with a record.
+    done: usize,
+}
+
+impl JobLog {
+    /// An empty index over `spec`'s grid.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError`] when the spec does not resolve to a grid.
+    pub(crate) fn new(spec: &JobSpec) -> Result<Self, DaemonError> {
+        let identities = spec.to_experiment()?.identities()?;
+        let families = group_families(&identities);
+        let mut family_of = vec![0; identities.len()];
+        for (f, (_, members)) in families.iter().enumerate() {
+            for &i in members {
+                family_of[i] = f;
+            }
+        }
+        let mut cells_of: HashMap<IdentityKey, Vec<usize>> = HashMap::new();
+        for (i, id) in identities.iter().enumerate() {
+            cells_of.entry(id.identity_key()).or_default().push(i);
+        }
+        Ok(Self {
+            tail: CellsTail::default(),
+            latest: vec![None; identities.len()],
+            family_done: vec![0; families.len()],
+            done: 0,
+            families,
+            family_of,
+            cells_of,
+        })
+    }
+
+    /// Brings the index up to date with the file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// The read error; the index is left as it was.
+    fn refresh(&mut self, path: &Path) -> io::Result<()> {
+        let tail = self.tail.read(path)?;
+        self.absorb(path, tail);
+        Ok(())
+    }
+
+    fn absorb(&mut self, path: &Path, tail: Tail) {
+        if tail.from_start {
+            self.latest.iter_mut().for_each(|r| *r = None);
+            self.family_done.iter_mut().for_each(|n| *n = 0);
+            self.done = 0;
+        }
+        if tail.damaged > 0 {
+            eprintln!(
+                "ftsimd: {}: dropped {} torn line(s); re-simulating those cells",
+                path.display(),
+                tail.damaged
+            );
+        }
+        for record in tail.records {
+            let Some(cells) = self.cells_of.get(&record.identity_key()) else {
+                continue; // not a cell of this grid
+            };
+            for &i in cells {
+                if self.latest[i].is_none() {
+                    self.done += 1;
+                    self.family_done[self.family_of[i]] += 1;
+                }
+                // Later rows overwrite earlier: a cell re-run (after a
+                // failure, or by a second claimant in a lost-lease
+                // window) keeps its newest record.
+                self.latest[i] = Some(record.clone());
+            }
+        }
+    }
+
+    /// Cells with a record.
+    pub(crate) fn done(&self) -> usize {
+        self.done
+    }
+
+    /// Cells in the grid.
+    pub(crate) fn total(&self) -> usize {
+        self.latest.len()
+    }
+
+    /// Each family with its cells-done count and size, in grid order.
+    pub(crate) fn families(&self) -> impl Iterator<Item = (&FamilyId, usize, usize)> {
+        self.families
+            .iter()
+            .zip(&self.family_done)
+            .map(|((family, members), &done)| (family, done, members.len()))
+    }
+
+    /// The records present, in grid order.
+    pub(crate) fn records(&self) -> Vec<RunRecord> {
+        self.latest.iter().flatten().cloned().collect()
+    }
+
+    /// The records present for `family`'s cells, in grid order.
+    pub(crate) fn family_records(&self, family: &FamilyId) -> Vec<RunRecord> {
+        self.families
+            .iter()
+            .find(|(f, _)| f == family)
+            .map(|(_, members)| {
+                members
+                    .iter()
+                    .filter_map(|&i| self.latest[i].clone())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The newest record of grid cell `idx`, if it has one.
+    #[cfg(test)]
+    fn record(&self, idx: usize) -> Option<&RunRecord> {
+        self.latest[idx].as_ref()
+    }
+}
+
+/// A cached index and the spec it was built from.
+struct Entry {
+    spec: JobSpec,
+    log: Mutex<JobLog>,
+}
+
+/// The process's indexes, by `cells.csv` path.
+fn cache() -> &'static Mutex<HashMap<PathBuf, Arc<Entry>>> {
+    static CACHE: OnceLock<Mutex<HashMap<PathBuf, Arc<Entry>>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// The job's cached index, built (empty) on first use or when the job
+/// directory now holds a different spec.
+fn entry(job: &Job, spec: &JobSpec) -> Result<Arc<Entry>, DaemonError> {
+    let mut cache = cache().lock().expect("job log cache lock");
+    let path = job.cells_path();
+    if let Some(entry) = cache.get(&path).filter(|e| e.spec == *spec) {
+        return Ok(Arc::clone(entry));
+    }
+    let entry = Arc::new(Entry {
+        spec: spec.clone(),
+        log: Mutex::new(JobLog::new(spec)?),
+    });
+    cache.insert(path, Arc::clone(&entry));
+    Ok(entry)
+}
+
+/// Brings the job's index up to date and runs `f` on it. A failed read
+/// leaves the index lagging, which every caller tolerates.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the spec does not resolve to a grid.
+pub(crate) fn with_log<T>(
+    job: &Job,
+    spec: &JobSpec,
+    f: impl FnOnce(&JobLog) -> T,
+) -> Result<T, DaemonError> {
+    let entry = entry(job, spec)?;
+    let mut log = entry.log.lock().expect("job log lock");
+    let _ = log.refresh(&job.cells_path());
+    Ok(f(&log))
+}
+
+/// The records present for `family`, read after the caller's
+/// [`AppendWriter::open`](ftsim_stats::csv::AppendWriter::open) of the
+/// job's `cells.csv` returned `opened`. Should the index's own read fail,
+/// it takes `opened` instead, so a peer's rows are never re-run because
+/// the index lagged.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the spec does not resolve to a grid.
+pub(crate) fn family_records(
+    job: &Job,
+    spec: &JobSpec,
+    family: &FamilyId,
+    opened: &str,
+) -> Result<Vec<RunRecord>, DaemonError> {
+    let entry = entry(job, spec)?;
+    let mut log = entry.log.lock().expect("job log lock");
+    let path = job.cells_path();
+    if log.refresh(&path).is_err() {
+        // `opened` is the file's content as of the open. Should it not
+        // extend what the index parsed, the tail starts over.
+        let tail = log.tail.advance(file_id(&path), opened.as_bytes());
+        log.absorb(&path, tail);
+    }
+    Ok(log.family_records(family))
+}
+
+/// Drops the job's cached index: the job reached a terminal state.
+pub(crate) fn forget(job: &Job) {
+    cache()
+        .lock()
+        .expect("job log cache lock")
+        .remove(&job.cells_path());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::JobStore;
+    use ftsim::harness::{from_csv_tolerant, to_csv};
+    use ftsim_stats::csv::AppendWriter;
+
+    fn spec() -> JobSpec {
+        let mut spec = JobSpec::new("log");
+        spec.workloads = vec!["gcc".to_string(), "fpppp".to_string()];
+        spec.models = vec!["SS-2".to_string()];
+        spec.fault_rates_pm = vec![0.0, 1_000.0];
+        spec.budgets = vec![400];
+        spec.seeds = vec![1, 2];
+        spec
+    }
+
+    fn temp_job(tag: &str) -> (JobStore, Job) {
+        let dir = std::env::temp_dir().join(format!("ftsimd-log-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = JobStore::open(dir).unwrap();
+        let (id, _) = store.submit(&spec()).unwrap();
+        let job = store.job(&id).unwrap();
+        (store, job)
+    }
+
+    /// Distinct records for every grid cell (outcomes are made up: the
+    /// index only reads identities).
+    fn records() -> Vec<RunRecord> {
+        let ids = spec().to_experiment().unwrap().identities().unwrap();
+        ids.into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                r.cycles = 1_000 + i as u64;
+                r
+            })
+            .collect()
+    }
+
+    fn row(r: &RunRecord) -> String {
+        format!("{}\n", r.to_csv_row())
+    }
+
+    fn append(path: &Path, bytes: &[u8]) {
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    /// Asserts the index equals a fresh full tolerant parse of the file,
+    /// newest row winning.
+    fn assert_matches_fresh_parse(log: &mut JobLog, path: &Path) {
+        log.refresh(path).unwrap();
+        let text = String::from_utf8_lossy(&std::fs::read(path).unwrap_or_default()).into_owned();
+        let (streamed, _) = from_csv_tolerant(&text);
+        let mut fresh: HashMap<IdentityKey, &RunRecord> = HashMap::new();
+        for r in &streamed {
+            fresh.insert(r.identity_key(), r);
+        }
+        let mut done = 0;
+        let ids = spec().to_experiment().unwrap().identities().unwrap();
+        for (i, id) in ids.iter().enumerate() {
+            let want = fresh.get(&id.identity_key()).copied();
+            assert_eq!(log.record(i), want, "cell {i}");
+            done += usize::from(want.is_some());
+        }
+        assert_eq!(log.done(), done);
+        let by_family: usize = log.families().map(|(_, d, _)| d).sum();
+        assert_eq!(by_family, done);
+    }
+
+    #[test]
+    fn index_tracks_appends_repairs_damage_and_replacement() {
+        let (store, job) = temp_job("track");
+        let path = job.cells_path();
+        let recs = records();
+        let mut log = JobLog::new(&spec()).unwrap();
+        assert_matches_fresh_parse(&mut log, &path); // no file yet
+
+        std::fs::write(&path, to_csv(&recs[..2])).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // A peer's append.
+        append(&path, row(&recs[2]).as_bytes());
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // A torn tail is not settled; the repairing open cuts it and the
+        // next appends land after the repair.
+        let torn = row(&recs[3]);
+        append(&path, &torn.as_bytes()[..torn.len() / 2]);
+        assert_matches_fresh_parse(&mut log, &path);
+        let (mut writer, _) = AppendWriter::open(&path, &RunRecord::csv_header()).unwrap();
+        writer.append_row(&recs[4].to_csv_row()).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // Interior damage: a torn fragment concatenated onto by a peer's
+        // row, then more rows behind it, plus a re-run (newest wins).
+        append(&path, &torn.as_bytes()[..torn.len() / 3]);
+        append(&path, row(&recs[5]).as_bytes());
+        let mut rerun = recs[0].clone();
+        rerun.cycles = 7;
+        append(
+            &path,
+            format!("{}{}", row(&recs[6]), row(&rerun)).as_bytes(),
+        );
+        assert_matches_fresh_parse(&mut log, &path);
+        assert_eq!(log.record(0).unwrap().cycles, 7);
+
+        // Invalid UTF-8 in a damaged interior line shifts lossy offsets.
+        append(&path, b"gcc,caf\xC3");
+        append(&path, row(&recs[7]).as_bytes());
+        assert_matches_fresh_parse(&mut log, &path);
+        append(&path, row(&recs[3]).as_bytes());
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // A shrunk file (cut back inside the consumed prefix).
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = to_csv(&recs[..2]).len();
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // Cut back and regrown past the old boundary between two reads.
+        std::fs::write(&path, to_csv(&recs[..7])).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+        let old_len = std::fs::metadata(&path).unwrap().len();
+        let mut regrown = to_csv(&recs[4..]);
+        for r in &recs[..4] {
+            regrown.push_str(&row(r));
+        }
+        assert!(regrown.len() as u64 > old_len);
+        std::fs::write(&path, &regrown).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+
+        // A replaced file: same length and tail, another inode and rows.
+        let mut current = to_csv(&recs[..1]);
+        let mut swapped = to_csv(&recs[1..2]);
+        for r in &recs[4..] {
+            current.push_str(&row(r));
+            swapped.push_str(&row(r));
+        }
+        std::fs::write(&path, &current).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+        assert_eq!(swapped.len(), current.len());
+        let staging = path.with_extension("new");
+        std::fs::write(&staging, &swapped).unwrap();
+        std::fs::rename(&staging, &path).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+        assert!(log.record(0).is_none() && log.record(1).is_some());
+
+        // A vanished file.
+        std::fs::remove_file(&path).unwrap();
+        assert_matches_fresh_parse(&mut log, &path);
+        assert_eq!(log.done(), 0);
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn appends_parse_only_the_new_rows() {
+        let (store, job) = temp_job("incremental");
+        let path = job.cells_path();
+        let recs = records();
+        std::fs::write(&path, to_csv(&recs[..4])).unwrap();
+        let mut tail = CellsTail::default();
+        let first = tail.read(&path).unwrap();
+        assert!(first.from_start);
+        assert_eq!(first.records, recs[..4]);
+        assert!(tail.read(&path).unwrap().records.is_empty());
+        append(
+            &path,
+            format!("{}{}", row(&recs[4]), row(&recs[5])).as_bytes(),
+        );
+        let next = tail.read(&path).unwrap();
+        assert!(!next.from_start);
+        assert_eq!(next.records, recs[4..6]);
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn cache_follows_the_spec_and_forgets_finished_jobs() {
+        let (store, job) = temp_job("cache");
+        let recs = records();
+        std::fs::write(job.cells_path(), to_csv(&recs)).unwrap();
+        let complete = with_log(&job, &spec(), |log| log.done() == log.total()).unwrap();
+        assert!(complete);
+        let fam = FamilyId::of_record(&recs[0]);
+        let members = recs
+            .iter()
+            .filter(|r| FamilyId::of_record(r) == fam)
+            .cloned()
+            .collect::<Vec<_>>();
+        assert_eq!(family_records(&job, &spec(), &fam, "").unwrap(), members);
+
+        // A different spec in the same directory gets a fresh index.
+        let mut other = spec();
+        other.seeds = vec![1, 2, 3];
+        let (done, total) = with_log(&job, &other, |log| (log.done(), log.total())).unwrap();
+        assert_eq!((done, total), (recs.len(), recs.len() * 3 / 2));
+        forget(&job);
+        assert!(!cache().lock().unwrap().contains_key(&job.cells_path()));
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+}

@@ -278,3 +278,44 @@ fn remote_client_survives_a_lossy_transport() {
     }
     std::fs::remove_dir_all(&state).ok();
 }
+
+/// A results.csv write that fails during finalization is retried on the
+/// next scheduler pass instead of ending `serve`: every seed here fails
+/// at least one attempt, yet the drain exits cleanly with the job done
+/// and its results byte-identical to a clean run.
+#[test]
+fn failed_finalize_is_retried_on_the_next_pass() {
+    let spec = SPEC.replace("degrade", "finalize").replace("gcc", "fpppp");
+    let expected = to_csv(
+        &JobSpec::parse(&spec)
+            .unwrap()
+            .to_experiment()
+            .unwrap()
+            .run()
+            .unwrap(),
+    );
+    for seed in [2, 3, 6] {
+        let state = state_dir(&format!("finalize-{seed}"));
+        let spec_path = state.join("job.toml");
+        std::fs::write(&spec_path, &spec).unwrap();
+        let job_id = run_ok(&state, &["submit", spec_path.to_str().unwrap()])
+            .trim()
+            .to_string();
+        drain(
+            &state,
+            Some(&format!("{seed}:eio@fabric.finalize.results_csv=0.5")),
+        );
+        let status = run_ok(&state, &["status", &job_id]);
+        assert!(
+            status.contains("state:  done"),
+            "seed {seed}: job finalized:\n{status}"
+        );
+        let results = state.join("jobs").join(&job_id).join("results.csv");
+        assert_eq!(
+            std::fs::read_to_string(&results).unwrap(),
+            expected,
+            "seed {seed}: results match a clean run"
+        );
+        std::fs::remove_dir_all(&state).ok();
+    }
+}

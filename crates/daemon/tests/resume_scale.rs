@@ -1,0 +1,89 @@
+//! Work-counter tripwire for a daemon resuming a large, mostly finished
+//! job: each `cells.csv` row is parsed about once per process, not once
+//! per claim, scheduling pass and finalization.
+//!
+//! A 2,048-cell job has 9 cells in 10 pre-filled into its `cells.csv`
+//! (from a one-shot run of the same grid); an in-process `serve --drain`
+//! runs the rest. The rows the daemon parsed, by the process counter
+//! `ftsimd_cells_rows_parsed_total`, may not exceed the pre-filled rows
+//! plus the appended rows plus one full rebuild's worth. Re-parsing the
+//! whole file per claim, per scheduling pass and per finalization would
+//! cost several times that for every one of the job's families.
+//!
+//! The test is one function in its own binary: the counter is
+//! process-wide.
+
+use ftsim::harness::to_csv;
+use ftsim_daemon::{serve, JobSpec, JobState, JobStore, ServeOptions};
+use ftsim_obs::metrics;
+use std::time::Duration;
+
+const SPEC: &str = r#"
+name = "resume-scale"
+workloads = ["fpppp", "equake"]
+models = ["SS-2", "SS-3M"]
+fault_rates = [0.0, 300.0, 1000.0, 3000.0]
+budgets = [200, 250, 300, 350]
+seeds = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+    17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+]
+checkpointing = true
+"#;
+
+/// Cell `idx` is left for the daemon; the rest are pre-filled.
+fn pending(idx: usize) -> bool {
+    idx % 10 == 9
+}
+
+#[test]
+fn resuming_a_large_job_parses_each_row_about_once() {
+    let spec = JobSpec::parse(SPEC).unwrap();
+    let oneshot = spec.to_experiment().unwrap().run().unwrap();
+    assert!(oneshot.len() >= 2_000, "{} cells", oneshot.len());
+    assert!(oneshot.iter().all(|r| r.ok()), "errored cells would re-run");
+
+    let dir = std::env::temp_dir().join(format!("ftsimd-resume-scale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = JobStore::open(&dir).unwrap();
+    let (id, _) = store.submit(&spec).unwrap();
+    let job = store.job(&id).unwrap();
+    let prefilled: Vec<_> = oneshot
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !pending(i))
+        .map(|(_, r)| r.clone())
+        .collect();
+    std::fs::write(job.cells_path(), to_csv(&prefilled)).unwrap();
+
+    let parsed = metrics::counter("ftsimd_cells_rows_parsed_total", &[]);
+    let before = parsed.get();
+    serve(
+        &store,
+        &ServeOptions {
+            drain: true,
+            workers: 1,
+            poll: Duration::from_millis(1),
+            gc_interval: Duration::ZERO,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let rows_parsed = parsed.get() - before;
+
+    assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
+    assert_eq!(
+        std::fs::read_to_string(job.results_path()).unwrap(),
+        to_csv(&oneshot),
+        "results.csv must be byte-identical to the one-shot run"
+    );
+    let appended = oneshot.len() - prefilled.len();
+    let bound = prefilled.len() + appended + oneshot.len();
+    assert!(
+        rows_parsed <= bound as u64,
+        "parsed {rows_parsed} cells.csv rows resuming {} pre-filled and \
+         {appended} appended rows (bound {bound})",
+        prefilled.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

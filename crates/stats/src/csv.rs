@@ -250,6 +250,55 @@ impl AppendWriter {
     }
 }
 
+/// Whether `text` is a CSV document [`parse`] accepts — the same
+/// accept/reject decision (unterminated quoted cell, quote inside an
+/// unquoted cell, junk after a closing quote), reached without building
+/// a single cell. Bytes are judged as [`parse`] judges the lossy UTF-8
+/// decoding of `text`: every byte the grammar reacts to is ASCII, which
+/// lossy decoding never alters.
+pub fn is_well_formed(text: &[u8]) -> bool {
+    scan(text).0
+}
+
+/// Walks `raw` under [`parse`]'s grammar without allocating. Returns
+/// whether the whole document is accepted, and the end of the last
+/// row-ending `\n` (outside any quoted cell) before the first error —
+/// 0 when there is none.
+fn scan(raw: &[u8]) -> (bool, usize) {
+    let mut boundary = 0;
+    // Whether the current cell has no characters yet: a quote opens a
+    // quoted cell only there.
+    let mut cell_empty = true;
+    let mut i = 0;
+    while i < raw.len() {
+        match raw[i] {
+            b'"' if cell_empty => {
+                i += 1;
+                loop {
+                    match raw.get(i) {
+                        None => return (false, boundary),
+                        Some(b'"') if raw.get(i + 1) == Some(&b'"') => i += 2,
+                        Some(b'"') => break,
+                        Some(_) => i += 1,
+                    }
+                }
+                if !matches!(raw.get(i + 1), None | Some(b',' | b'\n' | b'\r')) {
+                    return (false, boundary);
+                }
+            }
+            b'"' => return (false, boundary),
+            b',' | b'\r' => cell_empty = true,
+            b'\n' => {
+                cell_empty = true;
+                boundary = i + 1;
+            }
+            _ => cell_empty = false,
+        }
+        i += 1;
+    }
+    (true, boundary)
+}
+
 /// Byte length of the largest newline-terminated, CSV-parseable prefix
 /// of `raw` — the repair boundary used by [`AppendWriter::open`].
 ///
@@ -258,23 +307,13 @@ impl AppendWriter {
 /// both ends in a newline and parses (a fragment cut just past an
 /// embedded newline of a quoted multi-line cell satisfies the first test
 /// but not the second) always lands back on the pre-append row boundary.
+///
+/// One [`scan`] finds it: a prefix ending in `\n` parses exactly when
+/// that newline ends a row (it lies outside every quoted cell) and no
+/// error comes before it, since every error the grammar reports is
+/// decided by bytes at or before the newline that follows it.
 fn repaired_len(raw: &[u8]) -> usize {
-    let mut end = raw.len();
-    loop {
-        if end == 0 {
-            return 0;
-        }
-        if raw[end - 1] == b'\n' && parse(&String::from_utf8_lossy(&raw[..end])).is_ok() {
-            return end;
-        }
-        // Cut the trailing line: everything after the last newline that
-        // precedes `end` (excluding a trailing newline that merely ends
-        // the unparseable fragment).
-        end = match raw[..end - 1].iter().rposition(|&b| b == b'\n') {
-            Some(nl) => nl + 1,
-            None => 0,
-        };
-    }
+    scan(raw).1
 }
 
 #[cfg(test)]
@@ -342,6 +381,60 @@ mod tests {
         // Trailing characters after a closing quote are corruption, not
         // cell content.
         assert!(parse("\"SS-2\"x,1\n").is_err());
+    }
+
+    /// The repair boundary as it was first defined: trim trailing lines
+    /// until the rest ends in a newline and [`parse`] accepts it.
+    fn repaired_len_by_parsing(raw: &[u8]) -> usize {
+        let mut end = raw.len();
+        loop {
+            if end == 0 {
+                return 0;
+            }
+            if raw[end - 1] == b'\n' && parse(&String::from_utf8_lossy(&raw[..end])).is_ok() {
+                return end;
+            }
+            end = match raw[..end - 1].iter().rposition(|&b| b == b'\n') {
+                Some(nl) => nl + 1,
+                None => 0,
+            };
+        }
+    }
+
+    #[test]
+    fn scan_agrees_with_parse_and_the_trimming_repair() {
+        // Every byte the grammar reacts to, plus a lone UTF-8 lead byte.
+        const ALPHABET: &[&[u8]] = &[
+            b"a",
+            b"7",
+            b",",
+            b"\"",
+            b"\"\"",
+            b"\n",
+            b"\r",
+            b"\r\n",
+            b"\xC3",
+            b"\xC3\xA9",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let len = next() % 24;
+            let doc: Vec<u8> = (0..len)
+                .flat_map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize].to_vec())
+                .collect();
+            assert_eq!(
+                is_well_formed(&doc),
+                parse(&String::from_utf8_lossy(&doc)).is_ok(),
+                "{doc:?}"
+            );
+            assert_eq!(repaired_len(&doc), repaired_len_by_parsing(&doc), "{doc:?}");
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! the file must (a) hand back every complete row exactly as written,
 //! (b) never duplicate a row, and (c) cut the torn fragment away so the
 //! file holds only whole rows and fresh appends start on a clean
-//! boundary.
+//! boundary. The repair judges prefixes with
+//! [`ftsim_stats::csv::is_well_formed`], which must accept exactly the
+//! documents [`ftsim_stats::csv::parse`] accepts.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ftsim_stats::csv::{join_row, AppendWriter};
+use ftsim_stats::csv::{is_well_formed, join_row, parse, AppendWriter};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -57,8 +59,41 @@ fn rows_strategy() -> impl Strategy<Value = Vec<String>> {
     })
 }
 
+/// Document fragments covering every byte the CSV grammar reacts to
+/// (including doubled quotes and CRLF) and multi-byte UTF-8.
+fn fragment_strategy() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec![
+        "x", "", ",", "\"", "\"\"", "\n", "\r", "\r\n", "a,b", "\"q\"", "é", "日本",
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn validator_agrees_with_the_parser(
+        fragments in prop::collection::vec(fragment_strategy(), 0..24),
+        rows in rows_strategy(),
+        kraw in any::<u64>(),
+    ) {
+        // Random documents, and well-formed ones cut at an arbitrary byte
+        // (mid-row, mid-quote or mid-character, as a crash leaves them).
+        let random = fragments.concat();
+        let mut written = format!("{HEADER}\n");
+        for row in &rows {
+            written.push_str(row);
+            written.push('\n');
+        }
+        let cut = &written.as_bytes()[..(kraw % (written.len() as u64 + 1)) as usize];
+        for doc in [random.as_bytes(), written.as_bytes(), cut] {
+            prop_assert_eq!(
+                is_well_formed(doc),
+                parse(&String::from_utf8_lossy(doc)).is_ok(),
+                "disagreement on {:?}",
+                String::from_utf8_lossy(doc)
+            );
+        }
+    }
 
     #[test]
     fn torn_tail_repair_recovers_every_complete_row(

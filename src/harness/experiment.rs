@@ -654,6 +654,52 @@ mod tests {
     }
 
     #[test]
+    fn resume_takes_the_first_successful_prior_of_each_cell() {
+        let build = || {
+            Experiment::grid()
+                .workloads([profile("bzip").unwrap()])
+                .models([MachineConfig::ss1(), MachineConfig::ss2()])
+                .fault_rates([0.0, 1_000.0])
+                .budget(1_500)
+                .seeds([1, 2])
+        };
+        let ids = build().identities().unwrap();
+        let outcome = |i: usize, cycles: u64, error: &str| {
+            let mut r = ids[i].clone();
+            r.cycles = cycles;
+            r.error = error.to_string();
+            r
+        };
+        let mut stranger = outcome(0, 9, "");
+        stranger.seed = 99; // an identity outside the grid
+        let prior = vec![
+            outcome(0, 1, "wedged"), // errored, then two successes
+            outcome(3, 30, ""),
+            outcome(0, 2, ""),
+            stranger,
+            outcome(0, 3, ""),
+            outcome(1, 10, "wedged"), // only ever errored
+            outcome(2, 20, ""),       // success, then an errored duplicate
+            outcome(2, 21, "wedged"),
+            outcome(3, 31, ""),
+        ];
+        let plan = build().resume_from(prior.clone()).plan().unwrap();
+        let chosen: Vec<Option<u64>> = (0..plan.len())
+            .map(|i| plan.prior(i).map(|r| r.cycles))
+            .collect();
+        let mut expected = vec![None; ids.len()];
+        expected[0] = Some(2);
+        expected[2] = Some(20);
+        expected[3] = Some(30);
+        assert_eq!(chosen, expected);
+        // The same choice as a linear search for the first ok match.
+        for (i, id) in ids.iter().enumerate() {
+            let first = prior.iter().find(|p| p.ok() && p.same_identity(id));
+            assert_eq!(plan.prior(i), first, "cell {i}");
+        }
+    }
+
+    #[test]
     fn resume_never_reuses_records_from_a_different_oracle_mode() {
         // Regression: before the oracle mode joined the record identity,
         // resuming an OracleMode::Final grid from an OracleMode::Off

@@ -23,12 +23,14 @@
 //! baseline lock.
 
 use crate::harness::experiment::{Experiment, ExperimentError};
-use crate::harness::record::RunRecord;
+use crate::harness::record::{IdentityKey, RunRecord};
 use ftsim_core::profile::{self, StageProfile};
 use ftsim_core::{Checkpoint, MachineConfig, RunLimits, SimBuilder, SimResult, Simulator};
 use ftsim_faults::{per_million, FaultInjector};
 use ftsim_isa::Program;
 use ftsim_obs::metrics;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -143,8 +145,6 @@ struct Family {
     budget_idx: usize,
     model: usize,
     budget: u64,
-    /// Whether a baseline run pays for itself (see `plan_families`).
-    worthwhile: bool,
     /// Largest draw index any live faulty sibling can fork at (`None`
     /// when the family has no live faulty cells at all — no snapshots
     /// are taken then).
@@ -198,16 +198,22 @@ impl SweepPlan {
         let cells = enumerate_cells(&exp);
 
         // Cells already present in the prior records are not re-simulated.
-        let resumed: Vec<Option<RunRecord>> = cells
-            .iter()
-            .map(|cell| {
-                let id = cell_identity(&exp, cell);
-                exp.prior
-                    .iter()
-                    .find(|p| p.ok() && p.same_identity(&id))
-                    .cloned()
-            })
-            .collect();
+        // The first successful prior of each identity serves its cell.
+        let mut prior: HashMap<IdentityKey, &RunRecord> = HashMap::new();
+        for p in exp.prior.iter().filter(|p| p.ok()) {
+            prior.entry(p.identity_key()).or_insert(p);
+        }
+        let resumed: Vec<Option<RunRecord>> = if prior.is_empty() {
+            cells.iter().map(|_| None).collect()
+        } else {
+            cells
+                .iter()
+                .map(|cell| {
+                    let key = cell_identity(&exp, cell).identity_key();
+                    prior.get(&key).map(|&p| p.clone())
+                })
+                .collect()
+        };
 
         // Fork bounds, computed once per live faulty cell (the scan
         // replays the injector's Bernoulli stream, so it is worth caching
@@ -236,13 +242,14 @@ impl SweepPlan {
         } else {
             Vec::new()
         };
+        let family_index: HashMap<(usize, usize, usize), usize> = families
+            .iter()
+            .enumerate()
+            .map(|(i, f)| ((f.workload, f.budget_idx, f.model), i))
+            .collect();
         let cell_family = cells
             .iter()
-            .map(|cell| {
-                families
-                    .iter()
-                    .position(|f| (f.workload, f.budget_idx, f.model) == cell.family_key())
-            })
+            .map(|cell| family_index.get(&cell.family_key()).copied())
             .collect();
 
         Ok(Self {
@@ -309,18 +316,10 @@ impl SweepPlan {
     /// Shards are ordered by their first cell index and cells within a
     /// shard ascend, so shard iteration order is deterministic.
     pub fn shards(&self) -> Vec<Vec<usize>> {
-        let mut shards: Vec<((usize, usize, usize), Vec<usize>)> = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            if self.resumed[idx].is_some() {
-                continue;
-            }
-            let key = cell.family_key();
-            match shards.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, shard)) => shard.push(idx),
-                None => shards.push((key, vec![idx])),
-            }
-        }
-        shards.into_iter().map(|(_, shard)| shard).collect()
+        group_in_order(live_family_keys(&self.cells, &self.resumed))
+            .into_iter()
+            .map(|(_, shard)| shard)
+            .collect()
     }
 
     /// Computes family `fi`'s baseline if it has not been computed yet.
@@ -621,15 +620,44 @@ impl std::fmt::Display for FamilyId {
 /// This is the partition both the in-process shard scheduler
 /// ([`SweepPlan::shards`]) and the multi-process claim table agree on.
 pub fn group_families(identities: &[RunRecord]) -> Vec<(FamilyId, Vec<usize>)> {
-    let mut families: Vec<(FamilyId, Vec<usize>)> = Vec::new();
-    for (idx, r) in identities.iter().enumerate() {
-        let id = FamilyId::of_record(r);
-        match families.iter_mut().find(|(f, _)| *f == id) {
-            Some((_, members)) => members.push(idx),
-            None => families.push((id, vec![idx])),
+    group_in_order(
+        identities
+            .iter()
+            .enumerate()
+            .map(|(idx, r)| (FamilyId::of_record(r), idx)),
+    )
+}
+
+/// Groups indices by key: groups in order of their first index, indices
+/// in the order given.
+fn group_in_order<K: Hash + Eq + Clone>(
+    keyed: impl IntoIterator<Item = (K, usize)>,
+) -> Vec<(K, Vec<usize>)> {
+    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
+    let mut slot: HashMap<K, usize> = HashMap::new();
+    for (key, idx) in keyed {
+        match slot.get(&key) {
+            Some(&g) => groups[g].1.push(idx),
+            None => {
+                slot.insert(key.clone(), groups.len());
+                groups.push((key, vec![idx]));
+            }
         }
     }
-    families
+    groups
+}
+
+/// The family key of every cell not served by a prior record, with its
+/// index.
+fn live_family_keys<'a>(
+    cells: &'a [Cell],
+    resumed: &'a [Option<RunRecord>],
+) -> impl Iterator<Item = ((usize, usize, usize), usize)> + 'a {
+    cells
+        .iter()
+        .enumerate()
+        .filter(|&(idx, _)| resumed[idx].is_none())
+        .map(|(idx, cell)| (cell.family_key(), idx))
 }
 
 /// The flattened cell list, in deterministic grid order (workload-major,
@@ -701,42 +729,29 @@ fn plan_families(
     resumed: &[Option<RunRecord>],
     bounds: &[Option<u64>],
 ) -> Vec<Family> {
-    let mut families: Vec<Family> = Vec::new();
-    for (i, (cell, resumed)) in cells.iter().zip(resumed).enumerate() {
-        if resumed.is_some() {
-            continue;
-        }
-        let key = cell.family_key();
-        let family = match families
-            .iter_mut()
-            .find(|f| (f.workload, f.budget_idx, f.model) == key)
-        {
-            Some(f) => f,
-            None => {
-                families.push(Family {
-                    workload: cell.workload,
-                    budget_idx: cell.budget_idx,
-                    model: cell.model,
-                    budget: cell.budget,
-                    worthwhile: false,
-                    snapshot_horizon: None,
-                    baseline: Mutex::new(None),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        if cell.rate_pm == 0.0 {
-            family.worthwhile = true; // the baseline is this very cell
-        } else {
-            let bound = bounds[i].expect("live faulty cells have a bound");
-            if bound >= MIN_WORTHWHILE_FORK_DRAWS {
-                family.worthwhile = true;
-            }
-            // Snapshots are useful up to the *largest* divergence point
-            // any live faulty sibling can fork at.
-            family.snapshot_horizon = Some(family.snapshot_horizon.unwrap_or(0).max(bound));
-        }
-    }
-    families.retain(|f| f.worthwhile);
-    families
+    group_in_order(live_family_keys(cells, resumed))
+        .into_iter()
+        .filter_map(|(_, members)| {
+            let faulty_bounds = || {
+                members
+                    .iter()
+                    .filter(|&&i| cells[i].rate_pm != 0.0)
+                    .map(|&i| bounds[i].expect("live faulty cells have a bound"))
+            };
+            // A live fault-free cell's run *is* the baseline.
+            let worthwhile = members.iter().any(|&i| cells[i].rate_pm == 0.0)
+                || faulty_bounds().any(|bound| bound >= MIN_WORTHWHILE_FORK_DRAWS);
+            let first = &cells[members[0]];
+            worthwhile.then(|| Family {
+                workload: first.workload,
+                budget_idx: first.budget_idx,
+                model: first.model,
+                budget: first.budget,
+                // Snapshots are useful up to the *largest* divergence
+                // point any live faulty sibling can fork at.
+                snapshot_horizon: faulty_bounds().max(),
+                baseline: Mutex::new(None),
+            })
+        })
+        .collect()
 }

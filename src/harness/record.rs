@@ -369,6 +369,25 @@ macro_rules! impl_record_serde {
 
 with_fields!(impl_record_serde);
 
+/// The hashable form of [`RunRecord::same_identity`]: two records
+/// describe the same grid cell exactly when their keys are equal (the
+/// fault rate compares bit-exactly). Resume matching in the planner and
+/// the `ftsimd` record index both look records up by it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct IdentityKey {
+    workload: String,
+    suite: String,
+    model: String,
+    r: u8,
+    majority: bool,
+    threshold: u8,
+    fault_rate_bits: u64,
+    site_mix: String,
+    seed: u64,
+    budget: u64,
+    oracle: String,
+}
+
 impl RunRecord {
     /// Whether the cell simulated successfully.
     pub fn ok(&self) -> bool {
@@ -386,17 +405,24 @@ impl RunRecord {
     /// [`ftsim_core::OracleMode::Final`] verification (and vice versa) —
     /// such cells are simply re-simulated.
     pub fn same_identity(&self, other: &RunRecord) -> bool {
-        self.workload == other.workload
-            && self.suite == other.suite
-            && self.model == other.model
-            && self.r == other.r
-            && self.majority == other.majority
-            && self.threshold == other.threshold
-            && self.fault_rate_pm.to_bits() == other.fault_rate_pm.to_bits()
-            && self.site_mix == other.site_mix
-            && self.seed == other.seed
-            && self.budget == other.budget
-            && self.oracle == other.oracle
+        self.identity_key() == other.identity_key()
+    }
+
+    /// This record's [`IdentityKey`].
+    pub fn identity_key(&self) -> IdentityKey {
+        IdentityKey {
+            workload: self.workload.clone(),
+            suite: self.suite.clone(),
+            model: self.model.clone(),
+            r: self.r,
+            majority: self.majority,
+            threshold: self.threshold,
+            fault_rate_bits: self.fault_rate_pm.to_bits(),
+            site_mix: self.site_mix.clone(),
+            seed: self.seed,
+            budget: self.budget,
+            oracle: self.oracle.clone(),
+        }
     }
 
     /// A compact, stable label for this record's grid cell, built from
@@ -617,19 +643,19 @@ pub fn from_csv_tolerant(text: &str) -> (Vec<RunRecord>, usize) {
     (records, dropped)
 }
 
-/// As [`from_csv_tolerant`], but returns the records with the **byte
-/// length of the consumed prefix** — the boundary after the last line
-/// settled for good, whether parsed or discarded (0 when nothing was). A
-/// caller polling a growing log (the daemon's `results --watch`) can
-/// remember the boundary and re-parse only the appended suffix on the
-/// next poll instead of the whole file. An unterminated trailing line is
-/// never consumed: it is either a row in flight (a live writer finishes
-/// it) or a torn fragment (the next [`ftsim_stats::csv::AppendWriter`]
-/// open truncates it), and both resolve at bytes the boundary has not
-/// passed.
-pub fn from_csv_tolerant_prefix(text: &str) -> (Vec<RunRecord>, usize) {
-    let (records, _, consumed) = tolerant_parse(text);
-    (records, consumed)
+/// As [`from_csv_tolerant`], but also returns the **byte length of the
+/// consumed prefix** — the boundary after the last line settled for
+/// good, whether parsed or discarded (0 when nothing was): `(records,
+/// dropped, consumed)`. A caller polling a growing log (the daemon's
+/// record index and `results --watch`) can remember the boundary and
+/// re-parse only the appended suffix on the next poll instead of the
+/// whole file. An unterminated trailing line is never consumed: it is
+/// either a row in flight (a live writer finishes it) or a torn fragment
+/// (the next [`ftsim_stats::csv::AppendWriter`] open truncates it), and
+/// both resolve at bytes the boundary has not passed. It still counts
+/// as dropped, as in [`from_csv_tolerant`].
+pub fn from_csv_tolerant_prefix(text: &str) -> (Vec<RunRecord>, usize, usize) {
+    tolerant_parse(text)
 }
 
 fn tolerant_parse(text: &str) -> (Vec<RunRecord>, usize, usize) {
@@ -863,7 +889,7 @@ mod tests {
 
         // The watch boundary consumes the damaged line (it is settled —
         // nothing will repair it in place) along with the intact rows.
-        let (back, consumed) = from_csv_tolerant_prefix(&damaged);
+        let (back, _, consumed) = from_csv_tolerant_prefix(&damaged);
         assert_eq!(back, records);
         assert_eq!(consumed, damaged.len());
     }
@@ -872,7 +898,7 @@ mod tests {
     fn tolerant_prefix_reports_the_resume_boundary() {
         let records = vec![sample(), RunRecord::default()];
         let text = to_csv(&records);
-        let (back, consumed) = from_csv_tolerant_prefix(&text);
+        let (back, _, consumed) = from_csv_tolerant_prefix(&text);
         assert_eq!(back, records);
         assert_eq!(consumed, text.len(), "complete document fully consumed");
 
@@ -880,18 +906,18 @@ mod tests {
         // suffix from `consumed` after the row completes yields exactly
         // the missing record (the --watch incremental-poll contract).
         let torn = format!("{text}fpppp,\"SPEC95");
-        let (back, consumed) = from_csv_tolerant_prefix(&torn);
+        let (back, _, consumed) = from_csv_tolerant_prefix(&torn);
         assert_eq!(back, records);
         assert_eq!(consumed, text.len());
         let completed = to_csv(&[sample()]);
         let row = completed.lines().nth(1).unwrap();
         let grown = format!("{text}{row}\n");
         let suffix_doc = format!("{}\n{}", RunRecord::csv_header(), &grown[consumed..]);
-        let (suffix_rows, _) = from_csv_tolerant_prefix(&suffix_doc);
+        let (suffix_rows, _, _) = from_csv_tolerant_prefix(&suffix_doc);
         assert_eq!(suffix_rows, vec![sample()]);
 
-        assert_eq!(from_csv_tolerant_prefix(""), (Vec::new(), 0));
-        assert_eq!(from_csv_tolerant_prefix("not,a,header\n").1, 0);
+        assert_eq!(from_csv_tolerant_prefix(""), (Vec::new(), 0, 0));
+        assert_eq!(from_csv_tolerant_prefix("not,a,header\n").2, 0);
     }
 
     #[test]
