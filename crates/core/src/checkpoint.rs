@@ -1,14 +1,15 @@
 //! Whole-machine snapshot and restore.
 //!
 //! A [`Checkpoint`] captures every piece of microarchitectural and
-//! architectural state a [`Processor`] evolves during a run — the RUU and
-//! LSQ (with the LSQ's store index), the event-driven scheduler
+//! architectural state a [`Processor`] evolves during a run — the RUU
+//! (whose entries carry load values), the LSQ's slot count and store
+//! index, the event-driven scheduler
 //! (wait-lists, ready queue, deferred/parked entries, pending stores), the
 //! rename map and its per-branch checkpoints, committed registers and
 //! copy-on-write memory, the committed next-PC register, the whole front
 //! end (fetch queue, predictor/BTB/RAS training state, stall clock), cache
 //! and TLB contents, functional-unit busy clocks, the completion-event
-//! heap, the fault ledger, and the statistics counters.
+//! wheel, the fault ledger, and the statistics counters.
 //!
 //! Restoring a checkpoint into a processor built over the same
 //! configuration and program therefore resumes the run **bit-identically**:
@@ -43,11 +44,10 @@ use crate::ruu::Ruu;
 use crate::sched::Scheduler;
 use crate::seqhash::SeqHashMap;
 use crate::stats::SimStats;
+use crate::wheel::EventWheel;
 use ftsim_faults::FaultLog;
 use ftsim_isa::{ArchRegs, Program};
 use ftsim_mem::{Hierarchy, SparseMemory};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A complete, restorable snapshot of one [`Processor`] between cycles.
@@ -76,7 +76,7 @@ pub struct Checkpoint {
     fetch: FetchUnit,
     hierarchy: Hierarchy,
     fu: FuPool,
-    events: BinaryHeap<Reverse<(u64, u64)>>,
+    events: EventWheel,
     fault_log: FaultLog,
     stats: SimStats,
     halted: bool,

@@ -16,22 +16,21 @@ impl Processor {
         let r = self.r() as usize;
         let mut budget = self.config.commit_width as usize;
         let mut committed_any = false;
-        // Reused snapshot buffer: the head group is copied (≤ R small,
-        // heap-free entries) so the decision logic does not hold a borrow
-        // on the RUU; the buffer itself persists across cycles, so the
-        // steady-state commit loop allocates nothing.
+        // Reused snapshot buffer: a head group that will be checked is
+        // copied (R entries, none owning heap data) so the decision logic
+        // does not hold a borrow on the RUU; the buffer persists across
+        // cycles, so the steady-state commit loop allocates nothing.
         let mut group = std::mem::take(&mut self.commit_scratch);
 
         while budget >= r {
+            // Inspect in place: only a group whose copies are all done is
+            // worth copying out.
+            if self.ruu.is_empty() || !self.ruu.head_group().all(|e| e.state == EntryState::Done) {
+                break;
+            }
             group.clear();
             group.extend(self.ruu.head_group().cloned());
-            if group.is_empty() {
-                break;
-            }
             debug_assert_eq!(group.len(), r, "replication groups dispatch atomically");
-            if !group.iter().all(|e| e.state == EntryState::Done) {
-                break;
-            }
 
             // Control-flow check against the ECC-protected committed
             // next-PC register: "every retiring instruction's PC must be
@@ -140,7 +139,7 @@ impl Processor {
                             .resolve(id, fate, self.now, self.stats.retired_instructions);
                     }
 
-                    self.retire_group(rep.clone(), representative == 0);
+                    self.retire_group(rep);
                     budget -= r;
                     committed_any = true;
                     if self.halted {
@@ -160,7 +159,7 @@ impl Processor {
     }
 
     /// Applies one group's architectural effects and frees its resources.
-    fn retire_group(&mut self, rep: Entry, _rep_is_copy0: bool) {
+    fn retire_group(&mut self, rep: &Entry) {
         // First commit after a full rewind closes the recovery-penalty
         // measurement (the W of §4.2/§5.3). This runs before the group is
         // counted so same-cycle commits preceding a rewind can't zero it.
@@ -204,7 +203,7 @@ impl Processor {
         }
         self.checkpoints.remove(&rep.group);
         if inst.op.is_mem() {
-            self.lsq.remove_group(rep.group);
+            self.lsq.remove_group(copy0_seq, r, inst.op.is_store());
         }
 
         self.stats.retired_instructions += 1;

@@ -533,6 +533,25 @@ impl MachineConfig {
         }
         Ok(())
     }
+
+    /// The longest delay, in cycles, from an entry's issue to its
+    /// completion event: the slowest functional unit, store-to-load
+    /// forwarding, a load that misses L1, L2 and the data TLB, or the
+    /// one cycle of a redundant load copy or a store-data merge. Sizes
+    /// the completion wheel.
+    pub(crate) fn max_completion_latency(&self) -> u64 {
+        let l = &self.lat;
+        let h = &self.hierarchy;
+        let full_miss =
+            h.latency.l1_hit + h.latency.l2_hit + h.latency.memory + h.dtlb.miss_penalty;
+        [
+            l.int_alu, l.int_mul, l.int_div, l.fp_add, l.fp_mul, l.fp_div, l.fp_sqrt, l.forward,
+            full_miss, 1,
+        ]
+        .into_iter()
+        .max()
+        .expect("non-empty")
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! the copies form data-independent threads sharing one map table.
 
 use crate::entry::Entry;
-use crate::lsq::LsqEntry;
 use crate::pipeline::Processor;
 use ftsim_faults::InjectionPoint;
 use ftsim_isa::{Inst, Opcode, RegRef};
@@ -98,18 +97,10 @@ impl Processor {
                     e.fault = Some((id, event));
                 }
 
-                if inst.op.is_mem() {
-                    self.lsq.push(LsqEntry {
-                        seq,
-                        group,
-                        copy,
-                        is_store: inst.op.is_store(),
-                        size: inst.op.mem_bytes(),
-                        addr: None,
-                        data: None,
-                        mem_value: None,
-                    });
-                    e.in_lsq = true;
+                if inst.op.is_store() {
+                    self.lsq.push_store(seq, copy, inst.op.mem_bytes());
+                } else if inst.op.is_load() {
+                    self.lsq.push_load();
                 }
                 self.ruu.push(e);
                 self.stats.dispatched_entries += 1;

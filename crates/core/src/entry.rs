@@ -85,6 +85,11 @@ pub struct Entry {
     pub ea: Option<u64>,
     /// Store datum once read.
     pub store_data: Option<u64>,
+    /// For loads: the raw value of the access or forward, before
+    /// extension. Copy 0's stays pristine after its register result is
+    /// struck in the ROB, so sibling copies reading the single shared
+    /// memory access consume the uncorrupted value.
+    pub mem_value: Option<u64>,
     /// Resolved branch direction.
     pub taken: Option<bool>,
     /// Resolved branch target (valid when `taken == Some(true)`).
@@ -98,8 +103,6 @@ pub struct Entry {
     /// *disagreeing* sibling (fault) still triggers its own redirect and
     /// is then caught by the commit cross-check.
     pub resteer_next: Option<u64>,
-    /// Associated LSQ sequence (same as `seq`; presence marks a mem op).
-    pub in_lsq: bool,
     /// Whether this entry is a `halt`.
     pub halt: bool,
     /// Injected fault scheduled for this copy, with its log id and
@@ -125,11 +128,11 @@ impl Entry {
             result: None,
             ea: None,
             store_data: None,
+            mem_value: None,
             taken: None,
             target: None,
             pred: None,
             resteer_next: None,
-            in_lsq: false,
             halt: false,
             fault: None,
             fault_effective: false,

@@ -94,6 +94,7 @@ impl FetchUnit {
     }
 
     /// Queue occupancy.
+    #[cfg(test)]
     pub fn queued(&self) -> usize {
         self.ifq.len()
     }

@@ -31,6 +31,7 @@ impl UnitClass {
         }
     }
 
+    #[cfg(test)]
     fn busy_count(&self, now: u64) -> usize {
         self.busy_until.iter().filter(|b| **b > now).count()
     }
@@ -104,7 +105,8 @@ impl FuPool {
         class.try_issue(now, occupancy).then_some(latency)
     }
 
-    /// Units of `class` still executing at `now` (occupancy statistics).
+    /// Units of `class` still executing at `now`.
+    #[cfg(test)]
     pub fn busy(&self, class: FuClass, now: u64) -> usize {
         match class {
             FuClass::IntAlu => self.int_alu.busy_count(now),

@@ -1,6 +1,12 @@
 //! Issue stage: operand read, functional-unit allocation, execution, and
 //! memory scheduling — including the application of injected faults at
 //! their microarchitectural points.
+//!
+//! Each candidate's RUU slot is resolved once and every step works
+//! through that index: a memory entry's effective address, store datum
+//! and raw load value live in the entry itself, a redundant load copy
+//! finds copy 0's value `copy` slots back in its group, and the LSQ is
+//! consulted only for its per-copy store index (the dependence search).
 
 use crate::entry::EntryState;
 use crate::lsq::LoadSearch;
@@ -117,9 +123,9 @@ impl Processor {
     /// attempt that cannot win a data port, so the port-starved fast
     /// path runs just this before parking the entry.
     fn ensure_mem_addr(&mut self, seq: u64, idx: usize) -> u64 {
-        let (inst, pc, base, fault, ea_known) = {
+        let (inst, pc, copy, base, fault, ea_known) = {
             let e = self.ruu.at(idx);
-            (e.inst, e.pc, e.ops[0].value(), e.fault, e.ea)
+            (e.inst, e.pc, e.copy, e.ops[0].value(), e.fault, e.ea)
         };
         if let Some(ea) = ea_known {
             return ea;
@@ -145,7 +151,9 @@ impl Processor {
         let e = self.ruu.at_mut(idx);
         e.ea = Some(ea);
         e.fault_effective |= effective;
-        self.lsq.set_addr(seq, ea);
+        if inst.op.is_store() {
+            self.lsq.set_store_addr(seq, copy, ea);
+        }
         ea
     }
 
@@ -216,7 +224,9 @@ impl Processor {
     }
 
     /// Issues a memory instruction: address generation, disambiguation,
-    /// forwarding, and (for copy 0) the single shared cache access.
+    /// forwarding, and (for copy 0) the single shared cache access. A
+    /// load's raw value lands in its entry's `mem_value`, where writeback
+    /// extends it and sibling copies read copy 0's.
     fn try_issue_mem(&mut self, seq: u64, idx: usize) -> bool {
         let (inst, copy) = {
             let e = self.ruu.at(idx);
@@ -225,7 +235,6 @@ impl Processor {
 
         // Address generation (once).
         let ea = self.ensure_mem_addr(seq, idx);
-        let lidx = self.lsq.position(seq).expect("mem entry has an LSQ slot");
 
         if inst.op.is_store() {
             // The store's address phase occupies a memory port for its
@@ -254,7 +263,7 @@ impl Processor {
                 if !self.hierarchy.try_data_port() {
                     return false;
                 }
-                self.lsq.at_mut(lidx).mem_value = Some(raw);
+                self.ruu.at_mut(idx).mem_value = Some(raw);
                 self.schedule_completion_at(idx, seq, self.now + self.config.lat.forward);
                 self.stats.load_forwards += 1;
                 true
@@ -275,19 +284,21 @@ impl Processor {
                     }
                     let access = self.hierarchy.data_access(ea, AccessKind::Read);
                     let raw = self.mem.read_sized(ea, size);
-                    self.lsq.at_mut(lidx).mem_value = Some(raw);
+                    self.ruu.at_mut(idx).mem_value = Some(raw);
                     self.schedule_completion_at(idx, seq, self.now + access.latency);
                     self.stats.load_accesses += 1;
                     true
                 } else {
-                    // Redundant copies take the shared access's value.
-                    let copy0_seq = seq - u64::from(copy);
-                    match self.lsq.get(copy0_seq).and_then(|l| l.mem_value) {
+                    // Redundant copies take the shared access's value
+                    // from copy 0, `copy` slots back in the group.
+                    let copy0 = self.ruu.at(idx - usize::from(copy));
+                    debug_assert_eq!(copy0.seq, seq - u64::from(copy), "group not contiguous");
+                    match copy0.mem_value {
                         Some(raw) => {
                             if !self.hierarchy.try_data_port() {
                                 return false;
                             }
-                            self.lsq.at_mut(lidx).mem_value = Some(raw);
+                            self.ruu.at_mut(idx).mem_value = Some(raw);
                             self.schedule_completion_at(idx, seq, self.now + 1);
                             true
                         }
@@ -313,7 +324,7 @@ impl Processor {
             let Some(idx) = self.ruu.position(seq) else {
                 return false; // squashed since its address phase issued
             };
-            let (mut data, fault) = {
+            let (mut data, copy, fault) = {
                 let e = self.ruu.at(idx);
                 debug_assert!(
                     e.inst.op.is_store() && e.state == EntryState::Issued && e.store_data.is_none()
@@ -321,7 +332,7 @@ impl Processor {
                 if !e.ops[1].ready() {
                     return true; // datum still in flight: stay pending
                 }
-                (e.ops[1].value(), e.fault)
+                (e.ops[1].value(), e.copy, e.fault)
             };
             let mut effective = false;
             if let Some((_, ev)) = fault {
@@ -338,8 +349,8 @@ impl Processor {
                 e.store_data = Some(data);
                 e.fault_effective |= effective;
             }
-            self.lsq.set_store_data(seq, data);
-            crate::pipeline::schedule(&mut self.events, self.now + 1, seq);
+            self.lsq.set_store_data(seq, copy, data);
+            self.events.push(self.now, self.now + 1, seq);
             false // merged: leave the pending list
         });
         self.sched.put_pending_stores(pending);

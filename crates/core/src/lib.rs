@@ -83,6 +83,7 @@ mod sched;
 mod seqhash;
 mod sim;
 mod stats;
+mod wheel;
 mod writeback;
 
 pub use build::{BuildError, SimBuilder};

@@ -1,33 +1,7 @@
-//! Load/store queue with thread-local forwarding and conservative
-//! disambiguation.
+//! Load/store queue: slot accounting and a per-copy store index for
+//! thread-local forwarding and conservative disambiguation.
 
 use std::collections::VecDeque;
-
-/// One LSQ slot, paralleling an RUU entry (same sequence number).
-#[derive(Debug, Clone)]
-pub struct LsqEntry {
-    /// RUU sequence of the owning entry.
-    pub seq: u64,
-    /// Replication group (dispatch index).
-    pub group: u64,
-    /// Copy number; forwarding and disambiguation are *thread-local*
-    /// (copy *k* interacts only with stores of copy *k*), so a corrupted
-    /// store value or address stays confined to its thread and is exposed
-    /// by the commit-stage cross-check.
-    pub copy: u8,
-    /// Store (`true`) or load.
-    pub is_store: bool,
-    /// Access width in bytes.
-    pub size: u8,
-    /// Effective address once computed.
-    pub addr: Option<u64>,
-    /// Store datum once available.
-    pub data: Option<u64>,
-    /// For loads of copy 0: the raw value returned by the single shared
-    /// memory access, kept pristine so sibling copies can consume it even
-    /// if copy 0's own register result is later corrupted in the ROB.
-    pub mem_value: Option<u64>,
-}
 
 /// Outcome of a load's dependence search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +19,9 @@ pub enum LoadSearch {
     Memory,
 }
 
-/// Compact mirror of one store entry's disambiguation-relevant fields,
-/// kept in the per-copy store index so a load's dependence search touches
-/// only same-thread stores instead of walking the whole queue.
+/// One in-flight store as the dependence search sees it. `addr` and
+/// `data` mirror the owning RUU entry's `ea` and `store_data` as they
+/// resolve.
 #[derive(Debug, Clone, Copy)]
 struct StoreRef {
     seq: u64,
@@ -56,22 +30,22 @@ struct StoreRef {
     data: Option<u64>,
 }
 
-/// The load/store queue.
+/// The load/store queue: slot accounting plus a per-copy store index.
 ///
-/// Entries are ordered by sequence number (program order × copies). All
-/// `R` copies of a memory instruction occupy slots, halving (for `R = 2`)
-/// the queue's effective capacity exactly as the paper describes for the
-/// ROB and rename registers.
+/// All `R` copies of a memory instruction occupy slots, halving (for
+/// `R = 2`) the queue's effective capacity exactly as the paper describes
+/// for the ROB and rename registers. A memory entry's address, store
+/// datum and load value live in its RUU entry; the queue keeps only its
+/// occupancy and the stores the dependence search needs.
 ///
-/// Stores are additionally indexed per copy ([`StoreRef`]) because the
-/// dependence search is *thread-local*: copy *k* loads only ever interact
-/// with copy *k* stores, so the search walks a short, dense store list
-/// instead of every load and foreign-copy entry in between. Store `addr`
-/// and `data` must therefore be set through [`Lsq::set_addr`] /
-/// [`Lsq::set_store_data`], which keep the index coherent.
+/// That search is *thread-local*: copy *k* loads only ever interact with
+/// copy *k* stores, so each copy's in-flight stores are indexed on their
+/// own ([`StoreRef`]) and a search walks a short, dense store list. A
+/// store's resolved address and merged datum enter the index through
+/// [`Lsq::set_store_addr`] / [`Lsq::set_store_data`].
 #[derive(Debug, Clone, Default)]
 pub struct Lsq {
-    entries: VecDeque<LsqEntry>,
+    len: usize,
     capacity: usize,
     /// Store index: `stores[copy]` holds this copy's in-flight stores in
     /// ascending sequence order.
@@ -82,126 +56,92 @@ impl Lsq {
     /// Creates an empty queue.
     pub fn new(capacity: usize) -> Self {
         Self {
-            entries: VecDeque::with_capacity(capacity),
+            len: 0,
             capacity,
             stores: Vec::new(),
         }
     }
 
-    /// Live entries.
+    /// Occupied slots.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// `true` when no entries are live.
+    /// `true` when no slot is occupied.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Free slots.
     pub fn free(&self) -> usize {
-        self.capacity - self.entries.len()
+        self.capacity - self.len
     }
 
-    /// Appends an entry.
+    /// Occupies a slot for one load copy.
     ///
     /// # Panics
     ///
-    /// Panics on overflow or non-monotonic sequence.
-    pub fn push(&mut self, entry: LsqEntry) {
-        assert!(self.entries.len() < self.capacity, "LSQ overflow");
-        if let Some(last) = self.entries.back() {
-            assert!(entry.seq > last.seq, "LSQ sequence must increase");
-        }
-        if entry.is_store {
-            let copy = entry.copy as usize;
-            if self.stores.len() <= copy {
-                self.stores.resize_with(copy + 1, VecDeque::new);
-            }
-            self.stores[copy].push_back(StoreRef {
-                seq: entry.seq,
-                addr: entry.addr,
-                size: entry.size,
-                data: entry.data,
-            });
-        }
-        self.entries.push_back(entry);
+    /// Panics on overflow.
+    pub fn push_load(&mut self) {
+        self.occupy();
     }
 
-    /// Records the resolved effective address of the entry `seq`, keeping
-    /// the store index coherent.
+    /// Occupies a slot for store `seq` of copy `copy` and enters it in
+    /// that copy's store index.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` is not in the queue.
-    pub fn set_addr(&mut self, seq: u64, addr: u64) {
-        let e = self.get_mut(seq).expect("mem entry has an LSQ slot");
-        e.addr = Some(addr);
-        if e.is_store {
-            let copy = e.copy as usize;
-            self.store_ref_mut(copy, seq).addr = Some(addr);
+    /// Panics on overflow or a non-monotonic sequence within the copy.
+    pub fn push_store(&mut self, seq: u64, copy: u8, size: u8) {
+        self.occupy();
+        let copy = copy as usize;
+        if self.stores.len() <= copy {
+            self.stores.resize_with(copy + 1, VecDeque::new);
         }
+        let list = &mut self.stores[copy];
+        if let Some(last) = list.back() {
+            assert!(seq > last.seq, "LSQ sequence must increase");
+        }
+        list.push_back(StoreRef {
+            seq,
+            addr: None,
+            size,
+            data: None,
+        });
     }
 
-    /// Records the merged datum of the store `seq`, keeping the store
-    /// index coherent.
+    fn occupy(&mut self) {
+        assert!(self.len < self.capacity, "LSQ overflow");
+        self.len += 1;
+    }
+
+    /// Records the resolved effective address of store `seq` of `copy`.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` is not in the queue or is not a store.
-    pub fn set_store_data(&mut self, seq: u64, data: u64) {
-        let e = self.get_mut(seq).expect("store has an LSQ slot");
-        debug_assert!(e.is_store);
-        e.data = Some(data);
-        let copy = e.copy as usize;
+    /// Panics if the store is not in the index.
+    pub fn set_store_addr(&mut self, seq: u64, copy: u8, addr: u64) {
+        self.store_ref_mut(copy, seq).addr = Some(addr);
+    }
+
+    /// Records the merged datum of store `seq` of `copy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is not in the index.
+    pub fn set_store_data(&mut self, seq: u64, copy: u8, data: u64) {
         self.store_ref_mut(copy, seq).data = Some(data);
     }
 
     /// The index slot of store `seq` of `copy`.
-    fn store_ref_mut(&mut self, copy: usize, seq: u64) -> &mut StoreRef {
-        let list = &mut self.stores[copy];
+    fn store_ref_mut(&mut self, copy: u8, seq: u64) -> &mut StoreRef {
+        let list = &mut self.stores[copy as usize];
         let i = list.partition_point(|s| s.seq < seq);
-        debug_assert!(
+        assert!(
             i < list.len() && list[i].seq == seq,
-            "store index out of sync"
+            "store {seq} is not in the index"
         );
         &mut list[i]
-    }
-
-    /// Position (index handle) of `seq`, if present. Valid until the next
-    /// structural mutation; the issue stage resolves a sequence once and
-    /// reuses the handle.
-    ///
-    /// Unlike the RUU, the LSQ holds only memory entries, so its window is
-    /// rarely dense; the bounds check still rejects most stale lookups
-    /// before the binary search.
-    pub fn position(&self, seq: u64) -> Option<usize> {
-        let first = self.entries.front()?.seq;
-        let last = self.entries.back().expect("front exists").seq;
-        if seq < first || seq > last {
-            return None;
-        }
-        let i = self.entries.partition_point(|e| e.seq < seq);
-        (i < self.entries.len() && self.entries[i].seq == seq).then_some(i)
-    }
-
-    /// Mutable access through an index handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds (a stale handle).
-    pub fn at_mut(&mut self, idx: usize) -> &mut LsqEntry {
-        &mut self.entries[idx]
-    }
-
-    /// Lookup by sequence.
-    pub fn get(&self, seq: u64) -> Option<&LsqEntry> {
-        self.position(seq).map(|i| &self.entries[i])
-    }
-
-    /// Mutable lookup by sequence.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut LsqEntry> {
-        self.position(seq).map(|i| &mut self.entries[i])
     }
 
     /// Searches for the dependence governing a load (`seq`, copy `copy`)
@@ -242,51 +182,51 @@ impl Lsq {
         LoadSearch::Memory
     }
 
-    /// Removes every entry belonging to `group` (called as the group
-    /// commits).
+    /// Frees the `r` slots of a committing memory group whose copy 0 is
+    /// `copy0_seq`.
     ///
-    /// Commit retires in order and groups are numbered in dispatch order,
-    /// so a committing group's slots are contiguous at the queue's front:
-    /// pop there instead of filtering the whole queue.
-    pub fn remove_group(&mut self, group: u64) {
-        while self.entries.front().is_some_and(|e| e.group == group) {
-            let e = self.entries.pop_front().expect("front exists");
-            if e.is_store {
-                let popped = self.stores[e.copy as usize].pop_front();
+    /// Commit retires in order, so a committing store group's copies are
+    /// at the front of their copies' store lists: pop there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `r` slots are occupied.
+    pub fn remove_group(&mut self, copy0_seq: u64, r: usize, is_store: bool) {
+        assert!(r <= self.len, "LSQ underflow");
+        self.len -= r;
+        if is_store {
+            for (copy, list) in self.stores.iter_mut().take(r).enumerate() {
+                let popped = list.pop_front();
                 debug_assert_eq!(
                     popped.map(|s| s.seq),
-                    Some(e.seq),
+                    Some(copy0_seq + copy as u64),
                     "store index out of sync at commit"
                 );
             }
         }
-        debug_assert!(
-            !self.entries.iter().any(|e| e.group == group),
-            "group {group} was not contiguous at the LSQ front"
-        );
     }
 
-    /// Removes entries with `seq > cutoff` (branch rewind).
-    pub fn squash_after(&mut self, cutoff: u64) {
-        let keep = self.entries.partition_point(|e| e.seq <= cutoff);
-        self.entries.truncate(keep);
+    /// Frees the slots of the `squashed` memory entries younger than
+    /// `cutoff` (branch rewind) and drops their stores from the index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `squashed` slots are occupied.
+    pub fn squash_after(&mut self, cutoff: u64, squashed: usize) {
+        assert!(squashed <= self.len, "LSQ underflow");
+        self.len -= squashed;
         for list in &mut self.stores {
             let keep = list.partition_point(|s| s.seq <= cutoff);
             list.truncate(keep);
         }
     }
 
-    /// Removes everything (full rewind).
+    /// Frees every slot (full rewind).
     pub fn squash_all(&mut self) {
-        self.entries.clear();
+        self.len = 0;
         for list in &mut self.stores {
             list.clear();
         }
-    }
-
-    /// Iterates oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &LsqEntry> {
-        self.entries.iter()
     }
 }
 
@@ -294,85 +234,69 @@ impl Lsq {
 mod tests {
     use super::*;
 
-    fn store(seq: u64, copy: u8, addr: Option<u64>, size: u8, data: Option<u64>) -> LsqEntry {
-        LsqEntry {
-            seq,
-            group: seq,
-            copy,
-            is_store: true,
-            size,
-            addr,
-            data,
-            mem_value: None,
+    fn store(q: &mut Lsq, seq: u64, copy: u8, addr: Option<u64>, size: u8, data: Option<u64>) {
+        q.push_store(seq, copy, size);
+        if let Some(a) = addr {
+            q.set_store_addr(seq, copy, a);
         }
-    }
-
-    fn load(seq: u64, copy: u8) -> LsqEntry {
-        LsqEntry {
-            seq,
-            group: seq,
-            copy,
-            is_store: false,
-            size: 8,
-            addr: None,
-            data: None,
-            mem_value: None,
+        if let Some(d) = data {
+            q.set_store_data(seq, copy, d);
         }
     }
 
     #[test]
     fn forward_exact_match() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 8, Some(42)));
-        q.push(load(2, 0));
+        store(&mut q, 1, 0, Some(0x100), 8, Some(42));
+        q.push_load();
         assert_eq!(q.search_for_load(2, 0, 0x100, 8), LoadSearch::Forward(42));
     }
 
     #[test]
     fn wait_for_store_data() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 8, None));
+        store(&mut q, 1, 0, Some(0x100), 8, None);
         assert_eq!(q.search_for_load(2, 0, 0x100, 8), LoadSearch::WaitData);
     }
 
     #[test]
     fn unknown_store_address_conflicts() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, None, 8, Some(1)));
+        store(&mut q, 1, 0, None, 8, Some(1));
         assert_eq!(q.search_for_load(2, 0, 0x500, 8), LoadSearch::Conflict);
     }
 
     #[test]
     fn partial_overlap_conflicts() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 4, Some(1)));
+        store(&mut q, 1, 0, Some(0x100), 4, Some(1));
         assert_eq!(q.search_for_load(2, 0, 0x100, 8), LoadSearch::Conflict);
         // Overlap from below.
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0xfc), 8, Some(1)));
+        store(&mut q, 1, 0, Some(0xfc), 8, Some(1));
         assert_eq!(q.search_for_load(2, 0, 0x100, 8), LoadSearch::Conflict);
     }
 
     #[test]
     fn disjoint_store_goes_to_memory() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x200), 8, Some(1)));
+        store(&mut q, 1, 0, Some(0x200), 8, Some(1));
         assert_eq!(q.search_for_load(2, 0, 0x100, 8), LoadSearch::Memory);
     }
 
     #[test]
     fn youngest_older_store_wins() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 8, Some(1)));
-        q.push(store(2, 0, Some(0x100), 8, Some(2)));
+        store(&mut q, 1, 0, Some(0x100), 8, Some(1));
+        store(&mut q, 2, 0, Some(0x100), 8, Some(2));
         assert_eq!(q.search_for_load(3, 0, 0x100, 8), LoadSearch::Forward(2));
     }
 
     #[test]
     fn forwarding_is_thread_local() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 8, Some(10)));
-        q.push(store(2, 1, Some(0x100), 8, Some(20)));
+        store(&mut q, 1, 0, Some(0x100), 8, Some(10));
+        store(&mut q, 2, 1, Some(0x100), 8, Some(20));
         assert_eq!(q.search_for_load(3, 0, 0x100, 8), LoadSearch::Forward(10));
         assert_eq!(q.search_for_load(4, 1, 0x100, 8), LoadSearch::Forward(20));
     }
@@ -380,22 +304,28 @@ mod tests {
     #[test]
     fn younger_stores_ignored() {
         let mut q = Lsq::new(8);
-        q.push(load(1, 0));
-        q.push(store(2, 0, Some(0x100), 8, Some(9)));
+        q.push_load();
+        store(&mut q, 2, 0, Some(0x100), 8, Some(9));
         assert_eq!(q.search_for_load(1, 0, 0x100, 8), LoadSearch::Memory);
     }
 
     #[test]
     fn group_removal_and_squash() {
         let mut q = Lsq::new(8);
-        q.push(store(1, 0, Some(0x100), 8, Some(1)));
-        q.push(load(5, 0));
-        q.push(load(6, 0));
-        q.remove_group(1);
-        assert_eq!(q.len(), 2);
-        q.squash_after(5);
+        store(&mut q, 1, 0, Some(0x100), 8, Some(1));
+        store(&mut q, 2, 1, Some(0x100), 8, Some(1));
+        q.push_load();
+        q.push_load();
+        store(&mut q, 7, 0, Some(0x200), 8, Some(3));
+        q.remove_group(1, 2, true);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.search_for_load(8, 0, 0x100, 8), LoadSearch::Memory);
+        assert_eq!(q.search_for_load(8, 0, 0x200, 8), LoadSearch::Forward(3));
+        // Squashing the load at seq 6 and the store at seq 7 frees two
+        // slots and drops the store from the index.
+        q.squash_after(5, 2);
         assert_eq!(q.len(), 1);
-        assert!(q.get(5).is_some());
+        assert_eq!(q.search_for_load(8, 0, 0x200, 8), LoadSearch::Memory);
         q.squash_all();
         assert!(q.is_empty());
         assert_eq!(q.free(), 8);
@@ -405,7 +335,7 @@ mod tests {
     #[should_panic(expected = "LSQ overflow")]
     fn overflow_panics() {
         let mut q = Lsq::new(1);
-        q.push(load(1, 0));
-        q.push(load(2, 0));
+        q.push_load();
+        q.push_load();
     }
 }

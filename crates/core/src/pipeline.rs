@@ -16,11 +16,10 @@ use crate::ruu::Ruu;
 use crate::sched::Scheduler;
 use crate::seqhash::SeqHashMap;
 use crate::stats::SimStats;
+use crate::wheel::EventWheel;
 use ftsim_faults::{FaultFate, FaultInjector, FaultLog};
 use ftsim_isa::{ArchRegs, Program};
 use ftsim_mem::{Hierarchy, SparseMemory};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The complete microarchitectural state of one simulated processor.
@@ -50,7 +49,8 @@ pub struct Processor {
     pub(crate) fetch: FetchUnit,
     pub(crate) hierarchy: Hierarchy,
     pub(crate) fu: FuPool,
-    pub(crate) events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Scheduled completion events, one wheel slot per cycle.
+    pub(crate) events: EventWheel,
     pub(crate) injector: FaultInjector,
     pub(crate) fault_log: FaultLog,
     pub(crate) stats: SimStats,
@@ -126,7 +126,7 @@ impl Processor {
             fetch: FetchUnit::new(&config, program.entry()),
             hierarchy: Hierarchy::new(&config.hierarchy),
             fu: FuPool::new(&config.fu, config.lat),
-            events: BinaryHeap::new(),
+            events: EventWheel::new(config.max_completion_latency()),
             injector,
             fault_log: FaultLog::new(),
             stats: SimStats::default(),
@@ -289,41 +289,6 @@ impl Processor {
         }
     }
 
-    /// Dumps the oldest `n` RUU entries and LSQ state (debugging aid).
-    pub fn debug_dump_head(&self, n: usize) {
-        eprintln!(
-            "ruu={} lsq={} events={} ifq={} next_pc={:#x} busy[alu={} mul={} fadd={} fmul={}]",
-            self.ruu.len(),
-            self.lsq.len(),
-            self.events.len(),
-            self.fetch.queued(),
-            self.committed_next_pc,
-            self.fu.busy(ftsim_isa::FuClass::IntAlu, self.now),
-            self.fu.busy(ftsim_isa::FuClass::IntMul, self.now),
-            self.fu.busy(ftsim_isa::FuClass::FpAdd, self.now),
-            self.fu.busy(ftsim_isa::FuClass::FpMul, self.now),
-        );
-        eprintln!(
-            "  ruu {}/{} oldest={:?} map-live={}",
-            self.ruu.len(),
-            self.ruu.capacity(),
-            self.ruu.head().map(|e| e.seq),
-            self.map.live_mappings()
-        );
-        for e in self.ruu.iter().take(n) {
-            eprintln!(
-                "  seq={} grp={} cp={} pc={:#x} {:?} {} ops={:?} ea={:?} res={:?}",
-                e.seq, e.group, e.copy, e.pc, e.state, e.inst, e.ops, e.ea, e.result
-            );
-        }
-        for l in self.lsq.iter().take(n) {
-            eprintln!(
-                "  lsq seq={} cp={} st={} addr={:?} data={:?} mv={:?}",
-                l.seq, l.copy, l.is_store, l.addr, l.data, l.mem_value
-            );
-        }
-    }
-
     /// The degree of redundancy R.
     pub(crate) fn r(&self) -> u64 {
         u64::from(self.config.redundancy.r)
@@ -367,8 +332,10 @@ impl Processor {
         let (now, retired) = (self.now, self.stats.retired_instructions);
         let mut squashed = std::mem::take(&mut self.squash_scratch);
         self.ruu.squash_after_into(cutoff_seq, &mut squashed);
+        let mut squashed_mem = 0;
         for e in &squashed {
             self.sched.on_squash(e.seq);
+            squashed_mem += usize::from(e.inst.op.is_mem());
             if let Some((id, _)) = e.fault {
                 self.fault_log
                     .resolve(id, FaultFate::SquashedWrongPath, now, retired);
@@ -381,7 +348,7 @@ impl Processor {
         squashed.clear();
         self.squash_scratch = squashed;
         self.sched.squash_after(cutoff_seq);
-        self.lsq.squash_after(cutoff_seq);
+        self.lsq.squash_after(cutoff_seq, squashed_mem);
         let cp = self
             .checkpoints
             .get(&branch_group)
@@ -413,14 +380,8 @@ impl Processor {
         debug_assert!(self.lsq.is_empty() && self.ruu.is_empty());
         self.checkpoints.clear();
         self.map.clear();
-        // Drain-and-filter rather than `clear()`: keep any completion
-        // whose entry survives the squash. Today `squash_all` leaves the
-        // RUU empty so nothing survives, but filtering by liveness (the
-        // same `ruu.get` guard writeback applies when it pops) means a
-        // same-cycle `schedule_completion` racing a future partial-rewind
-        // variant can never resurrect a stale sequence number.
-        self.events
-            .retain(|&Reverse((_, seq))| self.ruu.get(seq).is_some());
+        // Every entry is gone, so every scheduled completion is stale.
+        self.events.clear();
         self.fu.reset();
         self.fetch.rewind(
             self.committed_next_pc,
@@ -475,17 +436,12 @@ pub struct SchedulerDepths {
     pub events: usize,
 }
 
-/// Schedules a completion event (free function to avoid borrow tangles).
-pub(crate) fn schedule(events: &mut BinaryHeap<Reverse<(u64, u64)>>, cycle: u64, seq: u64) {
-    events.push(Reverse((cycle, seq)));
-}
-
 impl Processor {
     /// Marks the entry at index handle `idx` (sequence `seq`) issued and
     /// schedules its completion event.
     pub(crate) fn schedule_completion_at(&mut self, idx: usize, seq: u64, at: u64) {
         debug_assert_eq!(self.ruu.at(idx).seq, seq, "stale index handle");
-        schedule(&mut self.events, at, seq);
+        self.events.push(self.now, at, seq);
         self.ruu.at_mut(idx).state = EntryState::Issued;
     }
 }
@@ -560,10 +516,9 @@ mod tests {
     }
 
     #[test]
-    fn completion_event_on_rewind_cycle_cannot_resurrect() {
-        // A long-latency producer keeps a completion event in flight;
-        // a full rewind landing on the same cycle the event is due must
-        // drop it (drain-and-filter) rather than let the stale sequence
+    fn completion_event_in_flight_at_full_rewind_cannot_resurrect() {
+        // A long-latency producer keeps a completion event in flight; a
+        // full rewind must drop it rather than let the stale sequence
         // resurrect, and the machine must recover cleanly by refetching
         // from the committed next-PC.
         let r1 = IntReg::new(1);
@@ -576,18 +531,16 @@ mod tests {
         let mut proc = Processor::new(MachineConfig::ss1(), &p, FaultInjector::none());
         for _ in 0..400 {
             proc.cycle();
-            if !proc.events.is_empty() {
+            if proc.events.len() > 0 {
                 break;
             }
         }
-        assert!(!proc.events.is_empty(), "a completion event is in flight");
-        // Advance to the exact cycle the earliest event is due, then force
-        // the rewind the commit stage would issue on a detected fault.
-        let due = proc.events.peek().expect("event pending").0 .0;
-        proc.now = proc.now.max(due);
+        assert!(proc.events.len() > 0, "a completion event is in flight");
+        // Force the rewind the commit stage would issue on a detected
+        // fault.
         proc.full_rewind(crate::stats::RewindCause::FaultDetected);
         assert!(
-            proc.events.is_empty(),
+            proc.events.len() == 0,
             "no event may survive a full rewind (every entry was squashed)"
         );
         for _ in 0..1_000 {

@@ -73,6 +73,7 @@ impl MapTable {
     }
 
     /// Number of registers currently mapped to in-flight producers.
+    #[cfg(test)]
     pub fn live_mappings(&self) -> usize {
         self.map.iter().filter(|m| m.is_some()).count()
     }

@@ -25,11 +25,6 @@ impl Ruu {
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -111,11 +106,6 @@ impl Ruu {
         self.position(seq).map(|i| &mut self.entries[i])
     }
 
-    /// The oldest entry.
-    pub fn head(&self) -> Option<&Entry> {
-        self.entries.front()
-    }
-
     /// The oldest replication group: all leading entries sharing the head's
     /// `group`. Empty when the RUU is empty; borrows, never allocates.
     pub fn head_group(&self) -> impl Iterator<Item = &Entry> {
@@ -151,6 +141,7 @@ impl Ruu {
     }
 
     /// Iterates over live entries oldest-first.
+    #[cfg(any(test, debug_assertions))]
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
         self.entries.iter()
     }
@@ -177,7 +168,7 @@ mod tests {
         assert!(r.get(9).is_none());
         r.pop_front(2);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.head().unwrap().seq, 2);
+        assert_eq!(r.at(0).seq, 2);
     }
 
     #[test]

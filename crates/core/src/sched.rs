@@ -19,8 +19,8 @@
 //!
 //! Squash interaction: sequence numbers are never reused, so the ready
 //! queue and pending-store list tolerate stale entries — consumers gone
-//! from the RUU are dropped when popped (the same guard the event heap
-//! has always used). Wait-lists are removed eagerly when their *producer*
+//! from the RUU are dropped when popped (the same guard writeback applies
+//! to completion events). Wait-lists are removed eagerly when their *producer*
 //! is squashed (the list dies with the entry) and lazily when a
 //! *consumer* is squashed (the wakeup walk skips it). All containers
 //! recycle their backing storage, so the steady-state cycle loop

@@ -10,6 +10,9 @@
 //!   scheduler structure is live at once — non-empty ready queue, parked
 //!   memory entries, pending stores, in-flight wakeups and completion
 //!   events — and verifies lock-step equality from there to `halt`;
+//! * a deterministic test that snapshots at every cycle of a cold first
+//!   load's flight, whose completion sits the configuration's worst-case
+//!   latency ahead on the completion wheel;
 //! * a property-style sweep (in-tree `proptest` shim) over random
 //!   workloads, machine models and snapshot cycles, restoring into a
 //!   *fresh* processor and requiring cycle-by-cycle agreement.
@@ -134,6 +137,54 @@ fn snapshot_with_every_structure_live_restores_bit_identically() {
         "restore must reproduce the scheduler occupancy exactly"
     );
     assert_lockstep_to_halt(&mut a, &mut b);
+}
+
+/// The first load of a cold machine misses the L1, the L2 and the data
+/// TLB, so its completion event lies the configuration's whole worst-case
+/// latency ahead — the far end of the completion wheel. A snapshot taken
+/// at any cycle of that flight must resume bit-identically.
+#[test]
+fn snapshot_during_cold_first_load_restores_bit_identically() {
+    let program = asm::assemble(
+        r"
+            li   r10, 0x100000
+            ld   r1, 0(r10)
+            add  r2, r1, r1
+            halt
+        ",
+    )
+    .expect("kernel assembles");
+    let config = MachineConfig::ss2();
+    let h = &config.hierarchy;
+    let full_miss = h.latency.l1_hit + h.latency.l2_hit + h.latency.memory + h.dtlb.miss_penalty;
+
+    // The cycles at which the load is in flight: it has accessed the
+    // D-cache and its consumer (the only waiter) still waits on it.
+    let mut probe = Processor::new(config.clone(), &program, FaultInjector::none());
+    let mut in_flight = Vec::new();
+    while !probe.halted() {
+        probe.cycle();
+        if probe.stats_snapshot().dl1.accesses > 0 && probe.scheduler_depths().waiters > 0 {
+            in_flight.push(probe.now());
+        }
+    }
+    assert_eq!(
+        in_flight.len() as u64,
+        full_miss,
+        "the first load pays L1 + L2 + memory + dTLB miss"
+    );
+
+    for &at in &in_flight {
+        let mut a = Processor::new(config.clone(), &program, FaultInjector::none());
+        while a.now() < at {
+            a.cycle();
+        }
+        let cp = a.snapshot();
+        let mut b = Processor::new(config.clone(), &program, FaultInjector::none());
+        b.restore(&cp);
+        assert_eq!(b.scheduler_depths(), a.scheduler_depths());
+        assert_lockstep_to_halt(&mut a, &mut b);
+    }
 }
 
 proptest! {
