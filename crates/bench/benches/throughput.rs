@@ -29,6 +29,13 @@
 //! byte-identical either way, so `sim_cycles` match and only wall time
 //! moves). Each measurement is repeated `FTSIM_REPS` times (default 3,
 //! minimum 1) and the best wall time wins, damping scheduler noise.
+//!
+//! `sim_cycles` sums every cell's full cycle count, so on the
+//! `*_checkpointed` and daemon rows `cycles_per_second` is an as-if-cold
+//! figure: it counts cycles restored from a checkpoint or served by a
+//! family baseline. Each row's `simulated_cycles` is the cycles this
+//! process actually simulated (the rise of `ftsim_sim_cycles_total`
+//! across the kept repetition; `null` while the metrics registry is off).
 //! `FTSIM_SMOKE=1` shrinks budgets and repetitions for CI.
 //!
 //! Results are printed and written to `BENCH_throughput.json` at the
@@ -37,6 +44,7 @@
 use ftsim::harness::{Experiment, RunRecord};
 use ftsim_bench::banner;
 use ftsim_core::MachineConfig;
+use ftsim_obs::metrics;
 use ftsim_stats::JsonValue;
 use ftsim_workloads::profile;
 use std::path::PathBuf;
@@ -46,6 +54,8 @@ struct GridResult {
     name: &'static str,
     cells: usize,
     sim_cycles: u64,
+    /// Cycles actually simulated; `None` while the registry is off.
+    simulated_cycles: Option<u64>,
     retired: u64,
     wall_s: f64,
 }
@@ -65,6 +75,11 @@ impl GridResult {
             ("name".into(), JsonValue::Str(self.name.into())),
             ("cells".into(), JsonValue::U64(self.cells as u64)),
             ("sim_cycles".into(), JsonValue::U64(self.sim_cycles)),
+            (
+                "simulated_cycles".into(),
+                self.simulated_cycles
+                    .map_or(JsonValue::Null, JsonValue::U64),
+            ),
             ("retired_instructions".into(), JsonValue::U64(self.retired)),
             ("wall_seconds".into(), JsonValue::F64(self.wall_s)),
             (
@@ -107,21 +122,32 @@ fn reps() -> usize {
         .max(1)
 }
 
-/// Runs `build()` `reps()` times, keeping the best wall time; simulated
-/// work totals are identical across repetitions (the grid is
-/// deterministic), so only the clock varies.
-fn measure(name: &'static str, build: impl Fn() -> Experiment) -> GridResult {
-    let mut best: Option<(f64, Vec<RunRecord>)> = None;
-    for _ in 0..reps() {
-        let grid = build();
-        let start = Instant::now();
-        let records = grid.run().expect("throughput grid is well-formed");
-        let wall = start.elapsed().as_secs_f64();
-        if best.as_ref().map_or(true, |(b, _)| wall < *b) {
-            best = Some((wall, records));
-        }
-    }
-    let (wall_s, records) = best.expect("at least one repetition");
+/// One repetition of a measurement: its wall time, its records and the
+/// cycles it actually simulated.
+type Rep = (f64, Vec<RunRecord>, Option<u64>);
+
+/// Times `run` and counts the cycles it simulates
+/// (`ftsim_sim_cycles_total`, which only counts while the registry is on).
+fn timed<T>(run: impl FnOnce() -> T) -> (f64, T, Option<u64>) {
+    let counter = metrics::counter("ftsim_sim_cycles_total", &[]);
+    let before = counter.get();
+    let start = Instant::now();
+    let out = run();
+    let wall = start.elapsed().as_secs_f64();
+    (
+        wall,
+        out,
+        metrics::enabled().then(|| counter.get() - before),
+    )
+}
+
+/// The repetition with the best wall time, as a row. Simulated work is
+/// identical across repetitions (the grid is deterministic), so only the
+/// clock varies.
+fn best_of(name: &'static str, reps: impl Iterator<Item = Rep>) -> GridResult {
+    let (wall_s, records, simulated_cycles) = reps
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one repetition");
     let failed = records.iter().filter(|r| !r.ok()).count();
     if failed > 0 {
         // Wedged cells at extreme fault rates still burn (and therefore
@@ -133,9 +159,21 @@ fn measure(name: &'static str, build: impl Fn() -> Experiment) -> GridResult {
         name,
         cells: records.len(),
         sim_cycles: records.iter().map(|r| r.cycles).sum(),
+        simulated_cycles,
         retired: records.iter().map(|r| r.retired_instructions).sum(),
         wall_s,
     }
+}
+
+/// Runs `build()` `reps()` times, keeping the best wall time.
+fn measure(name: &'static str, build: impl Fn() -> Experiment) -> GridResult {
+    best_of(
+        name,
+        (0..reps()).map(|_| {
+            let grid = build();
+            timed(|| grid.run().expect("throughput grid is well-formed"))
+        }),
+    )
 }
 
 fn fig6_grid() -> Experiment {
@@ -173,46 +211,38 @@ fn fault_free_trio() -> Experiment {
 /// of raw simulation, which the other rows measure.
 fn measure_daemon(name: &'static str) -> GridResult {
     use ftsim_daemon::{JobSpec, JobStore, ServeOptions};
-    let mut best: Option<(f64, Vec<RunRecord>)> = None;
-    for rep in 0..reps() {
-        let dir =
-            std::env::temp_dir().join(format!("ftsim-bench-daemon-{}-{rep}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = JobStore::open(&dir).expect("open bench state dir");
-        let mut spec = JobSpec::new("throughput-smoke");
-        spec.workloads = vec!["gcc".to_string()];
-        spec.models = vec!["SS-2".to_string()];
-        spec.fault_rates_pm = vec![0.0, 5_000.0];
-        spec.seeds = vec![3, 4];
-        spec.budgets = vec![budget()];
-        spec.threads = WORKER_THREADS;
-        let (id, _) = store.submit(&spec).expect("submit bench job");
-        let start = Instant::now();
-        ftsim_daemon::serve(
-            &store,
-            &ServeOptions {
-                drain: true,
-                ..Default::default()
-            },
-        )
-        .expect("drain bench job");
-        let wall = start.elapsed().as_secs_f64();
-        let job = store.job(&id).expect("bench job exists");
-        let text = std::fs::read_to_string(job.results_path()).expect("bench job finalized");
-        let records = ftsim::harness::from_csv(&text).expect("bench results parse");
-        if best.as_ref().map_or(true, |(b, _)| wall < *b) {
-            best = Some((wall, records));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    let (wall_s, records) = best.expect("at least one repetition");
-    GridResult {
+    best_of(
         name,
-        cells: records.len(),
-        sim_cycles: records.iter().map(|r| r.cycles).sum(),
-        retired: records.iter().map(|r| r.retired_instructions).sum(),
-        wall_s,
-    }
+        (0..reps()).map(|rep| {
+            let dir = std::env::temp_dir()
+                .join(format!("ftsim-bench-daemon-{}-{rep}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let store = JobStore::open(&dir).expect("open bench state dir");
+            let mut spec = JobSpec::new("throughput-smoke");
+            spec.workloads = vec!["gcc".to_string()];
+            spec.models = vec!["SS-2".to_string()];
+            spec.fault_rates_pm = vec![0.0, 5_000.0];
+            spec.seeds = vec![3, 4];
+            spec.budgets = vec![budget()];
+            spec.threads = WORKER_THREADS;
+            let (id, _) = store.submit(&spec).expect("submit bench job");
+            let (wall, (), simulated) = timed(|| {
+                ftsim_daemon::serve(
+                    &store,
+                    &ServeOptions {
+                        drain: true,
+                        ..Default::default()
+                    },
+                )
+                .expect("drain bench job")
+            });
+            let job = store.job(&id).expect("bench job exists");
+            let text = std::fs::read_to_string(job.results_path()).expect("bench job finalized");
+            let records = ftsim::harness::from_csv(&text).expect("bench results parse");
+            std::fs::remove_dir_all(&dir).ok();
+            (wall, records, simulated)
+        }),
+    )
 }
 
 fn main() {
@@ -251,11 +281,13 @@ fn main() {
     ftsim_obs::metrics::set_enabled(true);
 
     for r in &results {
+        let simulated = r.simulated_cycles.map_or("-".into(), |c| c.to_string());
         println!(
-            "{:<28} {:>3} cells  {:>12} sim cycles  {:>8.3} s  {:>12.0} cycles/s  {:>12.0} instr/s",
+            "{:<32} {:>3} cells  {:>10} sim cycles ({:>10} simulated)  {:>7.3} s  {:>10.0} cycles/s  {:>10.0} instr/s",
             r.name,
             r.cells,
             r.sim_cycles,
+            simulated,
             r.wall_s,
             r.cycles_per_sec(),
             r.instr_per_sec()

@@ -2,7 +2,8 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Bytes per memory page.
 pub const PAGE_BYTES: usize = 4096;
@@ -23,6 +24,8 @@ type Page = [u8; PAGE_BYTES];
 /// once and shared by every thread. Its pages are never written: a memory
 /// made with [`SparseMemory::from_image`] shares them copy-on-write, and
 /// its first store to a page copies that page into private storage.
+/// Cloning an image is one reference count; the clones share its pages
+/// and their digest memos.
 ///
 /// # Examples
 ///
@@ -38,15 +41,83 @@ type Page = [u8; PAGE_BYTES];
 /// assert_eq!((a.read_u8(0x2000), b.read_u8(0x2000)), (9, 3));
 /// assert_eq!(a.pages_shared_with(&b), 1, "the store peeled one page");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PageImage {
-    pages: Vec<(u64, Arc<Page>)>,
+    pages: Arc<[ImagePage]>,
+}
+
+impl Default for PageImage {
+    fn default() -> Self {
+        Self {
+            pages: Arc::new([]),
+        }
+    }
 }
 
 impl PageImage {
     /// Number of pages in the image.
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+}
+
+/// One page of a [`PageImage`] and the memo of its digest steps.
+#[derive(Debug)]
+struct ImagePage {
+    page: u64,
+    bytes: Arc<Page>,
+    /// Allocated by the first digest that reaches this page.
+    memo: OnceLock<Box<DigestMemo>>,
+}
+
+/// The FNV-1a fold of one page's byte stream, memoized by the low byte of
+/// the incoming hash.
+///
+/// A step `h' = (h ^ b)·P` changes `h`'s low byte by an amount that
+/// depends only on that byte, and the next low byte depends only on the
+/// old one. So over a fixed stream of `M` bytes,
+/// `fold(h) = fold(h & 0xff) + (h & !0xff)·P^M (mod 2^64)`: a page's whole
+/// contribution is one of 256 values plus one multiply. Slot `l` holds
+/// `fold(l)`, filled on first use; a race fills it twice with equal values.
+/// The `Release` that sets a fill bit pairs with the `Acquire` that reads
+/// it, so a reader that sees the bit sees the slot's value.
+#[derive(Debug)]
+struct DigestMemo {
+    /// `P^M`, with nine stream bytes per nonzero page byte.
+    pow: u64,
+    /// Bit `l` is set once `low[l]` holds `fold(l)`.
+    filled: [AtomicU64; 4],
+    low: [AtomicU64; 256],
+}
+
+impl DigestMemo {
+    fn new(bytes: &Page) -> Self {
+        let nonzero = bytes.iter().filter(|&&b| b != 0).count() as u32;
+        Self {
+            pow: FNV_PRIME.wrapping_pow(9 * nonzero),
+            filled: Default::default(),
+            low: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl ImagePage {
+    /// Folds this page into `hash`: [`fold_page`]'s result, from the memo.
+    fn digest(&self, hash: u64) -> u64 {
+        let memo = self
+            .memo
+            .get_or_init(|| Box::new(DigestMemo::new(&self.bytes)));
+        let l = (hash & 0xff) as usize;
+        let bit = 1u64 << (l % 64);
+        let low = if memo.filled[l / 64].load(Ordering::Acquire) & bit != 0 {
+            memo.low[l].load(Ordering::Relaxed)
+        } else {
+            let low = fold_page(self.page, &self.bytes, l as u64);
+            memo.low[l].store(low, Ordering::Relaxed);
+            memo.filled[l / 64].fetch_or(bit, Ordering::Release);
+            low
+        };
+        low.wrapping_add((hash & !0xff).wrapping_mul(memo.pow))
     }
 }
 
@@ -77,6 +148,8 @@ impl PageImage {
 /// mechanism shares a program's initial data image: [`SparseMemory::freeze`]
 /// turns a laid-out memory into a [`PageImage`], and every
 /// [`SparseMemory::from_image`] starts from its pages without copying them.
+/// Such a memory keeps a handle on its image, so an image page it still
+/// shares is digested from the image's memo.
 ///
 /// # Examples
 ///
@@ -98,6 +171,10 @@ pub struct SparseMemory {
     /// Last-translated `(page number, arena slot)`; `NO_PAGE` when cold.
     /// Interior mutability lets plain reads refresh the cache.
     last: Cell<(u64, usize)>,
+    /// The image this memory was made from, if any. Its page `i` sits in
+    /// arena slot `i` until a store peels it. Holding the image keeps its
+    /// pages shared, so a store always copies one, never writes it in place.
+    image: Option<PageImage>,
 }
 
 impl Default for SparseMemory {
@@ -106,6 +183,7 @@ impl Default for SparseMemory {
             index: BTreeMap::new(),
             pages: Vec::new(),
             last: Cell::new((NO_PAGE, 0)),
+            image: None,
         }
     }
 }
@@ -285,10 +363,12 @@ impl SparseMemory {
     /// are copied.
     pub fn freeze(self) -> PageImage {
         PageImage {
-            pages: self
-                .index
-                .iter()
-                .map(|(&page, &slot)| (page, Arc::clone(&self.pages[slot])))
+            pages: (self.index.iter())
+                .map(|(&page, &slot)| ImagePage {
+                    page,
+                    bytes: Arc::clone(&self.pages[slot]),
+                    memo: OnceLock::new(),
+                })
                 .collect(),
         }
     }
@@ -298,10 +378,11 @@ impl SparseMemory {
     pub fn from_image(image: &PageImage) -> Self {
         Self {
             index: (image.pages.iter().enumerate())
-                .map(|(slot, &(page, _))| (page, slot))
+                .map(|(slot, p)| (p.page, slot))
                 .collect(),
-            pages: image.pages.iter().map(|(_, p)| Arc::clone(p)).collect(),
+            pages: image.pages.iter().map(|p| Arc::clone(&p.bytes)).collect(),
             last: Cell::new((NO_PAGE, 0)),
+            image: Some(image.clone()),
         }
     }
 
@@ -317,24 +398,18 @@ impl SparseMemory {
     /// against its family's fault-free baseline.
     ///
     /// Per nonzero byte the stream is the byte's eight address bytes, low
-    /// byte first, then its value. Address bytes 2–7 are the same for every
-    /// byte of a page, so they are folded once per page, with each run of
-    /// zero bytes merged into a power of the FNV prime; the resulting hash
-    /// is exactly the byte-at-a-time FNV-1a one.
+    /// byte first, then its value. A page this memory still shares with
+    /// its image is folded from the image's memo (see [`PageImage`]); any
+    /// other page is folded byte by byte. Either way the hash is exactly
+    /// the byte-at-a-time FNV-1a one.
     pub fn content_digest(&self, mut hash: u64) -> u64 {
+        let image = self.image.as_ref().map_or(&[][..], |i| &i.pages[..]);
         for (&page, &slot) in &self.index {
-            let base = page * PAGE_BYTES as u64;
-            let suffix = AddrSuffix::new(base);
-            for (w, word) in self.pages[slot].chunks_exact(8).enumerate() {
-                if word == [0; 8] {
-                    continue;
-                }
-                for (i, &byte) in word.iter().enumerate() {
-                    if byte != 0 {
-                        hash = suffix.fold(hash, base + (w * 8 + i) as u64, byte);
-                    }
-                }
-            }
+            let bytes = &self.pages[slot];
+            hash = match image.get(slot) {
+                Some(shared) if Arc::ptr_eq(bytes, &shared.bytes) => shared.digest(hash),
+                _ => fold_page(page, bytes, hash),
+            };
         }
         hash
     }
@@ -384,6 +459,26 @@ impl SparseMemory {
         }
         out
     }
+}
+
+/// Folds the nonzero bytes of page number `page` into `hash`, the stream
+/// [`SparseMemory::content_digest`] defines. Address bytes 2–7 are the
+/// same for every byte of a page, so they are folded once per page, with
+/// each run of zero bytes merged into a power of the FNV prime.
+fn fold_page(page: u64, bytes: &Page, mut hash: u64) -> u64 {
+    let base = page * PAGE_BYTES as u64;
+    let suffix = AddrSuffix::new(base);
+    for (w, word) in bytes.chunks_exact(8).enumerate() {
+        if word == [0; 8] {
+            continue;
+        }
+        for (i, &byte) in word.iter().enumerate() {
+            if byte != 0 {
+                hash = suffix.fold(hash, base + (w * 8 + i) as u64, byte);
+            }
+        }
+    }
+    hash
 }
 
 /// The FNV-1a steps of a page's address bytes 2–7, with each run of zero
@@ -503,29 +598,34 @@ mod tests {
         hash
     }
 
-    #[test]
-    fn content_digest_matches_the_bytewise_reference() {
-        // Page bases chosen for their address bytes: page 0; zeros in
-        // bytes 1 and 2; nonzero bytes 3–7 (above 2^24, 2^32 and 2^56);
-        // zero runs between nonzero bytes; the last page.
-        const BASES: [u64; 9] = [
-            0,
-            0x1000,
-            0x0010_0000,
-            0x0100_0000,
-            0x0123_0000,
-            0x1_0000_0000,
-            0x0100_0000_0000_0000,
-            0x1200_3400_0056_0000,
-            u64::MAX - (PAGE_BYTES as u64 - 1),
-        ];
-        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move || {
+    /// Page bases chosen for their address bytes: page 0; zeros in bytes 1
+    /// and 2; nonzero bytes 3–7 (above 2^24, 2^32 and 2^56); zero runs
+    /// between nonzero bytes; the last page.
+    const BASES: [u64; 9] = [
+        0,
+        0x1000,
+        0x0010_0000,
+        0x0100_0000,
+        0x0123_0000,
+        0x1_0000_0000,
+        0x0100_0000_0000_0000,
+        0x1200_3400_0056_0000,
+        u64::MAX - (PAGE_BYTES as u64 - 1),
+    ];
+
+    /// A xorshift64 stream: deterministic test data without a dependency.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             x
-        };
+        }
+    }
+
+    #[test]
+    fn content_digest_matches_the_bytewise_reference() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for round in 0..16 {
             let mut m = SparseMemory::new();
             for (i, &base) in BASES.iter().enumerate() {
@@ -648,5 +748,166 @@ mod tests {
             a.write_u64(i * 8, i + 1);
         }
         assert_eq!(a.diff(&b, 3).len(), 3);
+    }
+
+    /// Plain FNV-1a over `stream`, from `hash`.
+    fn fnv(mut hash: u64, stream: &[u8]) -> u64 {
+        for &b in stream {
+            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        hash
+    }
+
+    #[test]
+    fn fnv_of_a_fixed_stream_depends_on_the_start_through_its_low_byte() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for len in [0, 1, 2, 9, 63, 1000] {
+            let stream: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let pow = FNV_PRIME.wrapping_pow(len as u32);
+            for _ in 0..64 {
+                let h = next();
+                assert_eq!(
+                    fnv(h, &stream),
+                    fnv(h & 0xff, &stream).wrapping_add((h & !0xff).wrapping_mul(pow)),
+                    "stream of {len} bytes from {h:#x}"
+                );
+            }
+        }
+    }
+
+    /// An image with one page at each of [`BASES`], cycling through dense
+    /// random, sparse and all-zero content from kind `first`.
+    fn image(next: &mut impl FnMut() -> u64, first: usize) -> PageImage {
+        let mut m = SparseMemory::new();
+        for (i, &base) in BASES.iter().enumerate() {
+            match (first + i) % 3 {
+                0 => {
+                    for off in 0..PAGE_BYTES as u64 {
+                        let v = next();
+                        m.write_u8(base + off, if v % 8 == 0 { 0 } else { v as u8 });
+                    }
+                }
+                1 => {
+                    for _ in 0..1 + next() % 8 {
+                        m.write_u8(base + next() % PAGE_BYTES as u64, next() as u8 | 1);
+                    }
+                }
+                _ => m.write_u8(base, 0), // allocated, all zero
+            }
+        }
+        m.freeze()
+    }
+
+    /// Incoming hashes covering all 256 low bytes, with random high bits.
+    fn hashes(next: &mut impl FnMut() -> u64) -> Vec<u64> {
+        (0..256).map(|l| next() << 8 | l).collect()
+    }
+
+    /// Whether `image`'s page `i` has memoized low byte `l`.
+    fn memoized(image: &PageImage, i: usize, l: u64) -> bool {
+        (image.pages[i].memo.get())
+            .is_some_and(|m| m.filled[l as usize / 64].load(Ordering::Relaxed) >> (l % 64) & 1 != 0)
+    }
+
+    #[test]
+    fn image_pages_digest_from_the_memo_like_the_reference() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        // Every address shape with every kind of content.
+        for first in 0..3 {
+            let image = image(&mut next, first);
+            assert!(
+                image.pages.iter().all(|p| p.memo.get().is_none()),
+                "building an image allocates no memo"
+            );
+            let m = SparseMemory::from_image(&image);
+            let hashes = hashes(&mut next);
+            for pass in 0..2 {
+                // The first pass fills the memo, the second reads it.
+                for &h in &hashes {
+                    let want = reference_digest(&m, h);
+                    assert_eq!(m.content_digest(h), want, "kinds from {first}, pass {pass}");
+                }
+            }
+            assert!(memoized(&image, 0, 0) && memoized(&image, 0, 255));
+        }
+    }
+
+    #[test]
+    fn a_written_image_page_bypasses_the_memo() {
+        let mut next = xorshift(0x0123_4567_89ab_cdef);
+        let image = image(&mut next, 0);
+        let pristine = SparseMemory::from_image(&image);
+        let mut m = SparseMemory::from_image(&image);
+        let (addr, peeled) = (BASES[1] + 17, 1);
+        m.write_u8(addr, m.read_u8(addr) ^ 0x5a);
+        m.write_u8(0x7000, 3); // a page the image lacks
+        let hashes = hashes(&mut next);
+        for &h in &hashes {
+            assert_eq!(m.content_digest(h), reference_digest(&m, h));
+        }
+        assert!(
+            image.pages[peeled].memo.get().is_none(),
+            "peeled page memoized"
+        );
+        assert!(image.pages[0].memo.get().is_some());
+        for &h in &hashes {
+            assert_ne!(m.content_digest(h), pristine.content_digest(h));
+        }
+        // Written back to its original bytes, the page is still private
+        // but digests like the image's.
+        m.write_u8(addr, pristine.read_u8(addr));
+        m.write_u8(0x7000, 0);
+        assert_eq!(m.pages_shared_with(&pristine), BASES.len() - 1);
+        for &h in &hashes {
+            assert_eq!(m.content_digest(h), reference_digest(&m, h));
+            assert_eq!(m.content_digest(h), pristine.content_digest(h));
+        }
+    }
+
+    #[test]
+    fn a_clone_digests_from_the_same_memo() {
+        let mut next = xorshift(0xdead_beef_cafe_f00d);
+        let image = image(&mut next, 0);
+        let m = SparseMemory::from_image(&image);
+        let mut checkpoint = m.clone();
+        let h = next();
+        assert_eq!(checkpoint.content_digest(h), m.content_digest(h));
+        assert!(memoized(&image, 0, h & 0xff));
+        checkpoint.write_u8(BASES[0], 0xff);
+        for h in hashes(&mut next) {
+            assert_eq!(
+                checkpoint.content_digest(h),
+                reference_digest(&checkpoint, h)
+            );
+            assert_eq!(m.content_digest(h), reference_digest(&m, h));
+        }
+    }
+
+    #[test]
+    fn threads_digest_memories_of_one_image_at_once() {
+        let mut next = xorshift(0x5851_f42d_4c95_7f2d);
+        let image = image(&mut next, 0);
+        let hashes = hashes(&mut next);
+        let m = SparseMemory::from_image(&image);
+        let expected: Vec<u64> = hashes.iter().map(|&h| reference_digest(&m, h)).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (image, hashes, expected, start) = (&image, &hashes, &expected, &start);
+                s.spawn(move || {
+                    let m = SparseMemory::from_image(image);
+                    start.wait(); // both fill the memo's first slots together
+                    for round in 0..4 {
+                        for (i, (&h, &want)) in hashes.iter().zip(expected).enumerate() {
+                            assert_eq!(
+                                m.content_digest(h),
+                                want,
+                                "thread {t} round {round} hash {i}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -171,7 +171,7 @@ impl Experiment {
     /// Starts an empty grid: no workloads or models yet, fault-free,
     /// [`DEFAULT_BUDGET`], seed 0, oracle off, one worker per core.
     /// Checkpoint-forking (see [`Experiment::checkpointing`]) defaults to
-    /// off unless the `FTSIM_CHECKPOINT_FORK` environment variable is set.
+    /// off.
     pub fn grid() -> Self {
         Self {
             workloads: Vec::new(),
@@ -183,7 +183,7 @@ impl Experiment {
             oracle: OracleMode::Off,
             threads: 0,
             limits: None,
-            checkpointing: std::env::var_os("FTSIM_CHECKPOINT_FORK").is_some(),
+            checkpointing: false,
             prior: Vec::new(),
         }
     }
@@ -290,7 +290,7 @@ impl Experiment {
     /// post-divergence suffix. Records are byte-identical to cold-start
     /// runs — forking changes wall-clock cost, never results.
     ///
-    /// Default: the `FTSIM_CHECKPOINT_FORK` environment variable.
+    /// Default: off.
     #[must_use]
     pub fn checkpointing(mut self, enabled: bool) -> Self {
         self.checkpointing = enabled;

@@ -6,7 +6,9 @@
 //! records, byte for byte. This test runs the workload tour plus
 //! randomized fault plans through the experiment grid and compares the
 //! CSV serialization of every record against a golden file generated
-//! with the scan-based scheduler.
+//! with the scan-based scheduler. The grids run twice, cold and with
+//! checkpoint-forking, against that one golden file: forking changes what
+//! is simulated, never a record.
 //!
 //! Regenerate the golden file (only when an *intentional* semantic change
 //! lands, never to paper over a scheduler divergence) with:
@@ -18,6 +20,7 @@
 use ftsim::harness::{to_csv, Experiment, RunRecord};
 use ftsim_core::{MachineConfig, OracleMode};
 use ftsim_faults::SiteMix;
+use ftsim_obs::metrics;
 use ftsim_workloads::spec_profiles;
 use std::path::PathBuf;
 
@@ -28,7 +31,7 @@ fn golden_path() -> PathBuf {
 /// The tour: every calibrated benchmark profile on the paper's three
 /// redundancy designs, fault-free and at a moderate random fault rate,
 /// with the oracle checking final state.
-fn tour_records() -> Vec<RunRecord> {
+fn tour_records(checkpointing: bool) -> Vec<RunRecord> {
     Experiment::grid()
         .workloads(spec_profiles())
         .models([
@@ -40,6 +43,7 @@ fn tour_records() -> Vec<RunRecord> {
         .budget(2_000)
         .seeds([9])
         .oracle(OracleMode::Final)
+        .checkpointing(checkpointing)
         .run()
         .expect("tour grid is well-formed")
 }
@@ -47,7 +51,7 @@ fn tour_records() -> Vec<RunRecord> {
 /// Randomized fault plans at a hostile rate across several seeds: lots of
 /// rewinds, elections, squashes and (deterministically) wedged cells —
 /// the paths a scheduler rewrite is most likely to perturb.
-fn fault_storm_records() -> Vec<RunRecord> {
+fn fault_storm_records(checkpointing: bool) -> Vec<RunRecord> {
     let storm: Vec<_> = ["gcc", "fpppp", "equake", "go"]
         .iter()
         .map(|n| ftsim_workloads::profile(n).unwrap_or_else(|| panic!("profile {n} exists")))
@@ -59,15 +63,15 @@ fn fault_storm_records() -> Vec<RunRecord> {
         .budget(2_000)
         .seeds([1, 2, 3])
         .oracle(OracleMode::Off)
+        .checkpointing(checkpointing)
         .run()
         .expect("storm grid is well-formed")
 }
 
 /// Weighted fault-site mixes on a few benchmarks: non-uniform mixes are
 /// a sweep axis of their own, and their cells must stay byte-identical
-/// under checkpoint forking (the CI job re-runs this whole test with
-/// `FTSIM_CHECKPOINT_FORK=1` against the same golden file).
-fn site_mix_records() -> Vec<RunRecord> {
+/// under checkpoint forking.
+fn site_mix_records(checkpointing: bool) -> Vec<RunRecord> {
     Experiment::grid()
         .workloads([
             ftsim_workloads::profile("fpppp").expect("profile exists"),
@@ -83,25 +87,23 @@ fn site_mix_records() -> Vec<RunRecord> {
         .budget(2_000)
         .seeds([5])
         .oracle(OracleMode::Final)
+        .checkpointing(checkpointing)
         .run()
         .expect("site-mix grid is well-formed")
 }
 
-#[test]
-fn scheduler_matches_golden_records() {
-    let mut records = tour_records();
-    records.extend(fault_storm_records());
-    records.extend(site_mix_records());
-    let csv = to_csv(&records);
+/// Every grid's records, in one order, cold or forked.
+fn records(checkpointing: bool) -> Vec<RunRecord> {
+    let mut records = tour_records(checkpointing);
+    records.extend(fault_storm_records(checkpointing));
+    records.extend(site_mix_records(checkpointing));
+    records
+}
 
+/// Asserts that `records` serialize byte for byte to the golden file.
+fn assert_matches_golden(records: &[RunRecord], run: &str) {
+    let csv = to_csv(records);
     let path = golden_path();
-    if std::env::var_os("FTSIM_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, &csv).expect("write golden");
-        eprintln!("blessed {} records into {}", records.len(), path.display());
-        return;
-    }
-
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden file {} missing: {e}", path.display()));
     if csv != golden {
@@ -109,16 +111,29 @@ fn scheduler_matches_golden_records() {
         for (i, (got, want)) in csv.lines().zip(golden.lines()).enumerate() {
             assert_eq!(
                 got, want,
-                "record row {i} diverged from the scan-based scheduler"
+                "{run} record row {i} diverged from the scan-based scheduler"
             );
         }
         assert_eq!(
             csv.lines().count(),
             golden.lines().count(),
-            "record count diverged from the scan-based scheduler"
+            "{run} record count diverged from the scan-based scheduler"
         );
-        panic!("records diverged from golden (trailing bytes)");
+        panic!("{run} records diverged from golden (trailing bytes)");
     }
+}
+
+#[test]
+fn scheduler_matches_golden_records() {
+    let records = records(false);
+    if std::env::var_os("FTSIM_BLESS").is_some() {
+        let path = golden_path();
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(&path, to_csv(&records)).expect("write golden");
+        eprintln!("blessed {} records into {}", records.len(), path.display());
+        return;
+    }
+    assert_matches_golden(&records, "cold");
 
     // Sanity on the golden corpus itself: it must exercise the paths that
     // matter — elections, fault rewinds, branch rewinds and squashes.
@@ -135,4 +150,19 @@ fn scheduler_matches_golden_records() {
         .iter()
         .any(|r| r.site_mix == "control-only" && r.faults_injected > 0));
     assert!(records.iter().any(|r| r.detect_events > 0));
+}
+
+#[test]
+fn forked_records_match_the_same_golden() {
+    if std::env::var_os("FTSIM_BLESS").is_some() {
+        return; // the cold run writes the golden file
+    }
+    let forked = metrics::counter("ftsim_cells_total", &[("path", "forked")]);
+    let before = forked.get();
+    assert_matches_golden(&records(true), "forked");
+    // Only this test turns forking on, so the counter moved for it.
+    assert!(
+        !metrics::enabled() || forked.get() > before,
+        "the forked run forked no cell"
+    );
 }
