@@ -1,33 +1,20 @@
 //! Whole-machine snapshot and restore.
 //!
-//! A [`Checkpoint`] captures every piece of microarchitectural and
-//! architectural state a [`Processor`] evolves during a run — the RUU
-//! (whose entries carry load values), the LSQ's slot count and store
-//! index, the event-driven scheduler
-//! (wait-lists, ready queue, deferred/parked entries, pending stores), the
-//! rename map and its per-branch checkpoints, committed registers and
-//! copy-on-write memory, the committed next-PC register, the whole front
-//! end (fetch queue, predictor/BTB/RAS training state, stall clock), cache
-//! and TLB contents, functional-unit busy clocks, the completion-event
-//! wheel, the fault ledger, and the statistics counters.
+//! A [`Processor`] keeps everything it evolves during a run in one
+//! `MachineState`. A [`Checkpoint`] is a clone of it and a restore
+//! assigns the clone back, so state added to the machine is captured by
+//! construction. A restored run continues **bit-identically**; the
+//! experiment harness uses this to share a sweep's fault-free prefix:
+//! one baseline run drops periodic checkpoints, and each faulty cell
+//! forks ([`fork_point`], [`Processor::fork`]) from the newest one that
+//! precedes its first possible fault injection.
 //!
-//! Restoring a checkpoint into a processor built over the same
-//! configuration and program therefore resumes the run **bit-identically**:
-//! every subsequent cycle computes exactly what the uninterrupted run would
-//! have computed. The experiment harness leans on this to share the
-//! fault-free prefix of a sweep across grid cells: one baseline run drops
-//! periodic checkpoints, and each faulty cell forks from the newest
-//! checkpoint that precedes its first possible fault injection.
-//!
-//! What a checkpoint deliberately does **not** capture:
-//!
-//! * the **fault injector** — a fork's whole point is to continue under a
-//!   *different* injector than the baseline's; the caller pairs a restore
-//!   with [`ftsim_faults::FaultInjector::fast_forward_fault_free`] so the
-//!   injector's draw stream stays aligned with the restored draw count
-//!   (one draw per dispatched entry, i.e. [`Checkpoint::draws`]);
-//! * the reusable scratch buffers — they are empty between cycles and
-//!   carry no machine state.
+//! Outside `MachineState`, and so outside every checkpoint, are the
+//! configuration and program (a checkpoint keeps them only as an
+//! identity guard), the **fault injector** (a fork continues under a
+//! different injector than the baseline's, fast-forwarded over
+//! [`Checkpoint::draws`]), the scratch buffers (empty between cycles),
+//! and the `plant` feature's defect counter, left out on purpose.
 //!
 //! Cost: cloning the caches/TLB tag arrays dominates (a few hundred KB for
 //! the default Table 1 hierarchy); memory pages are shared copy-on-write
@@ -50,68 +37,110 @@ use ftsim_isa::{ArchRegs, Program};
 use ftsim_mem::{Hierarchy, SparseMemory};
 use std::sync::Arc;
 
+/// Everything a [`Processor`] evolves during a run, and nothing else: a
+/// snapshot is `state.clone()` and a restore is an assignment.
+#[derive(Debug, Clone)]
+pub(crate) struct MachineState {
+    pub(crate) now: u64,
+    pub(crate) next_seq: u64,
+    pub(crate) next_group: u64,
+    pub(crate) ruu: Ruu,
+    pub(crate) lsq: Lsq,
+    pub(crate) map: MapTable,
+    /// Rename-map checkpoints of in-flight branches, by group.
+    pub(crate) checkpoints: SeqHashMap<u64, MapCheckpoint>,
+    pub(crate) regs: ArchRegs,
+    pub(crate) mem: SparseMemory,
+    /// The ECC-protected committed next-PC register (§3.2): "an
+    /// ECC-protected register must hold the next-PC of the last committed
+    /// instruction as part of the committed program state."
+    pub(crate) committed_next_pc: u64,
+    pub(crate) fetch: FetchUnit,
+    pub(crate) hierarchy: Hierarchy,
+    pub(crate) fu: FuPool,
+    /// Scheduled completion events, one wheel slot per cycle.
+    pub(crate) events: EventWheel,
+    pub(crate) fault_log: FaultLog,
+    pub(crate) stats: SimStats,
+    pub(crate) halted: bool,
+    pub(crate) pending_rewind_start: Option<u64>,
+    pub(crate) last_commit_cycle: u64,
+    /// Event-driven scheduler state: wakeup wait-lists, the ready queue
+    /// and the pending-store list.
+    pub(crate) sched: Scheduler,
+}
+
+impl MachineState {
+    /// The reset state of a machine over `config` and `program`; memory
+    /// is a copy-on-write view of the data image, so no bytes are copied.
+    pub(crate) fn new(config: &MachineConfig, program: &Program) -> Self {
+        Self {
+            now: 0,
+            next_seq: 0,
+            next_group: 0,
+            ruu: Ruu::new(config.ruu_size),
+            lsq: Lsq::new(config.lsq_size),
+            map: MapTable::new(),
+            checkpoints: SeqHashMap::default(),
+            regs: ArchRegs::new(),
+            mem: program.initial_memory(),
+            committed_next_pc: program.entry(),
+            fetch: FetchUnit::new(config, program.entry()),
+            hierarchy: Hierarchy::new(&config.hierarchy),
+            fu: FuPool::new(&config.fu, config.lat),
+            events: EventWheel::new(config.max_completion_latency()),
+            fault_log: FaultLog::new(),
+            stats: SimStats::default(),
+            halted: false,
+            pending_rewind_start: None,
+            last_commit_cycle: 0,
+            sched: Scheduler::default(),
+        }
+    }
+}
+
 /// A complete, restorable snapshot of one [`Processor`] between cycles.
 ///
 /// Obtain via [`Processor::snapshot`] (or
 /// [`Simulator::run_with_checkpoints`](crate::Simulator::run_with_checkpoints)),
-/// restore via [`Processor::restore`]. The snapshot records the identity of
-/// the machine it was taken from (configuration and program) and refuses to
-/// restore into a mismatched processor.
+/// restore via [`Processor::restore`] or [`Processor::fork`]. The snapshot
+/// records the identity of the machine it was taken from (configuration
+/// and program) and refuses to restore into a mismatched processor.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Identity guard: configuration of the source machine.
     config: MachineConfig,
-    /// Identity guard + restore source: the shared program image.
+    /// Identity guard: the shared program image.
     program: Arc<Program>,
-    now: u64,
-    next_seq: u64,
-    next_group: u64,
-    ruu: Ruu,
-    lsq: Lsq,
-    map: MapTable,
-    map_checkpoints: SeqHashMap<u64, MapCheckpoint>,
-    regs: ArchRegs,
-    mem: SparseMemory,
-    committed_next_pc: u64,
-    fetch: FetchUnit,
-    hierarchy: Hierarchy,
-    fu: FuPool,
-    events: EventWheel,
-    fault_log: FaultLog,
-    stats: SimStats,
-    halted: bool,
-    pending_rewind_start: Option<u64>,
-    last_commit_cycle: u64,
-    sched: Scheduler,
+    state: MachineState,
 }
 
 impl Checkpoint {
     /// The cycle at which the snapshot was taken; a restored machine's
     /// next [`Processor::cycle`] executes this cycle.
     pub fn cycle(&self) -> u64 {
-        self.now
+        self.state.now
     }
 
     /// Number of fault-injector draws the machine had made when the
     /// snapshot was taken (exactly one draw per dispatched RUU entry).
     ///
-    /// A fork pairs [`Processor::restore`] with
-    /// [`ftsim_faults::FaultInjector::fast_forward_fault_free`] over this
-    /// many draws, and is sound only when the forked cell's first possible
-    /// injection lies at or beyond this draw index.
+    /// [`Processor::fork`] fast-forwards the injector over this many
+    /// draws, which is sound only when the forked cell's first possible
+    /// injection lies at or beyond this draw index ([`fork_point`]).
     pub fn draws(&self) -> u64 {
-        self.next_seq
+        self.state.next_seq
     }
 
     /// Architectural instructions retired at snapshot time.
     pub fn retired_instructions(&self) -> u64 {
-        self.stats.retired_instructions
+        self.state.stats.retired_instructions
     }
 
     /// Whether the snapshot was taken from a machine whose `halt` had
     /// already committed.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.state.halted
     }
 
     /// Rough retained size of this snapshot in bytes, for observability
@@ -130,12 +159,25 @@ impl Checkpoint {
         };
         let h = &self.config.hierarchy;
         let caches = cache(&h.il1) + cache(&h.dl1) + cache(&h.l2);
-        let pages = self.mem.page_count() as u64 * ftsim_mem::PAGE_BYTES as u64;
+        let pages = self.state.mem.page_count() as u64 * ftsim_mem::PAGE_BYTES as u64;
         // An RUU entry carries operands, results and per-copy check
         // state; ~256 bytes each. LSQ entries are lighter.
-        let queues = self.ruu.len() as u64 * 256 + self.lsq.len() as u64 * 128;
+        let queues = self.state.ruu.len() as u64 * 256 + self.state.lsq.len() as u64 * 128;
         caches + pages + queues + 4096
     }
+}
+
+/// The checkpoint a cell whose first possible fault injection is draw
+/// `bound` ([`ftsim_faults::FaultInjector::first_possible_fire`]) forks
+/// from: the newest of `checkpoints` taken at or before that draw, since
+/// a fault at or before a checkpoint's draw count would already have
+/// diverged the machine. `None` when that is the cycle-0 state.
+pub fn fork_point(checkpoints: &[Checkpoint], bound: u64) -> Option<&Checkpoint> {
+    checkpoints
+        .iter()
+        .rev()
+        .find(|cp| cp.draws() <= bound)
+        .filter(|cp| cp.cycle() > 0)
 }
 
 impl Processor {
@@ -148,26 +190,7 @@ impl Processor {
         Checkpoint {
             config: self.config.clone(),
             program: Arc::clone(&self.program),
-            now: self.now,
-            next_seq: self.next_seq,
-            next_group: self.next_group,
-            ruu: self.ruu.clone(),
-            lsq: self.lsq.clone(),
-            map: self.map.clone(),
-            map_checkpoints: self.checkpoints.clone(),
-            regs: self.regs.clone(),
-            mem: self.mem.clone(),
-            committed_next_pc: self.committed_next_pc,
-            fetch: self.fetch.clone(),
-            hierarchy: self.hierarchy.clone(),
-            fu: self.fu.clone(),
-            events: self.events.clone(),
-            fault_log: self.fault_log.clone(),
-            stats: self.stats.clone(),
-            halted: self.halted,
-            pending_rewind_start: self.pending_rewind_start,
-            last_commit_cycle: self.last_commit_cycle,
-            sched: self.sched.clone(),
+            state: self.state.clone(),
         }
     }
 
@@ -190,7 +213,7 @@ impl Processor {
 
     /// As [`Processor::restore`], consuming the checkpoint — the state
     /// moves in without a second copy. Prefer this when the checkpoint was
-    /// already cloned out of shared storage (the forked-cell path).
+    /// already cloned out of shared storage.
     ///
     /// # Panics
     ///
@@ -206,26 +229,21 @@ impl Processor {
             Arc::ptr_eq(&self.program, &cp.program) || *self.program == *cp.program,
             "checkpoint was taken over a different program"
         );
-        self.now = cp.now;
-        self.next_seq = cp.next_seq;
-        self.next_group = cp.next_group;
-        self.ruu = cp.ruu;
-        self.lsq = cp.lsq;
-        self.map = cp.map;
-        self.checkpoints = cp.map_checkpoints;
-        self.regs = cp.regs;
-        self.mem = cp.mem;
-        self.committed_next_pc = cp.committed_next_pc;
-        self.fetch = cp.fetch;
-        self.hierarchy = cp.hierarchy;
-        self.fu = cp.fu;
-        self.events = cp.events;
-        self.fault_log = cp.fault_log;
-        self.stats = cp.stats;
-        self.halted = cp.halted;
-        self.pending_rewind_start = cp.pending_rewind_start;
-        self.last_commit_cycle = cp.last_commit_cycle;
-        self.sched = cp.sched;
+        self.state = cp.state;
+    }
+
+    /// Forks a sweep cell from `cp`, chosen by [`fork_point`]: restores it
+    /// and fast-forwards this processor's fault injector over the
+    /// checkpoint's [`Checkpoint::draws`], so the draw stream continues
+    /// where a cold run of the cell would be.
+    ///
+    /// # Panics
+    ///
+    /// As [`Processor::restore`].
+    pub fn fork(&mut self, cp: Checkpoint) {
+        let draws = cp.draws();
+        self.restore_owned(cp);
+        self.injector.fast_forward_fault_free(draws);
     }
 }
 
@@ -294,9 +312,65 @@ mod tests {
         }
         let cp = proc.snapshot();
         assert!(
-            cp.mem.pages_shared_with(proc.mem()) == proc.mem().page_count(),
+            cp.state.mem.pages_shared_with(proc.mem()) == proc.mem().page_count(),
             "snapshot must not deep-copy pages"
         );
+    }
+
+    /// Runs `proc` to halt, snapshotting every 10 cycles.
+    fn run_with_snapshots(proc: &mut Processor) -> Vec<Checkpoint> {
+        let mut cps = Vec::new();
+        while !proc.halted() {
+            if proc.now() % 10 == 0 {
+                cps.push(proc.snapshot());
+            }
+            proc.cycle();
+        }
+        cps
+    }
+
+    #[test]
+    fn fork_point_takes_the_newest_checkpoint_at_or_before_the_bound() {
+        let p = busy_program();
+        let mut proc = Processor::new(MachineConfig::ss2(), &p, FaultInjector::none());
+        let cps = run_with_snapshots(&mut proc);
+        assert_eq!(cps[0].cycle(), 0);
+        let pick = |bound| fork_point(&cps, bound).map(Checkpoint::cycle);
+        let mid = cps[cps.len() / 2].draws();
+        let newest_at_mid = cps.iter().rev().find(|cp| cp.draws() == mid).unwrap();
+        assert_eq!(pick(mid), Some(newest_at_mid.cycle()));
+        assert_eq!(pick(u64::MAX), cps.last().map(Checkpoint::cycle));
+        assert!(
+            fork_point(&cps[..1], u64::MAX).is_none(),
+            "cycle 0 never forks"
+        );
+    }
+
+    #[test]
+    fn fork_continues_a_faulty_run_exactly_where_its_cold_run_is() {
+        let p = busy_program();
+        let injector = || FaultInjector::random(0.004, 11);
+        let bound = injector()
+            .first_possible_fire(1 << 20)
+            .expect("a fault fires");
+        let mut baseline = Processor::new(MachineConfig::ss2(), &p, FaultInjector::none());
+        let cp = fork_point(&run_with_snapshots(&mut baseline), bound)
+            .expect("a checkpoint precedes the first fire")
+            .clone();
+        assert!(cp.draws() > 0, "the fork skips a prefix of draws");
+
+        let mut cold = Processor::new(MachineConfig::ss2(), &p, injector());
+        let mut forked = Processor::new(MachineConfig::ss2(), &p, injector());
+        forked.fork(cp);
+        for proc in [&mut cold, &mut forked] {
+            while !proc.halted() {
+                proc.cycle();
+            }
+        }
+        let (c, f) = (cold.stats_snapshot(), forked.stats_snapshot());
+        assert!(c.faults.injected > 0, "the suffix injects faults");
+        assert_eq!(format!("{c:?}"), format!("{f:?}"));
+        assert_eq!(cold.state_digest(), forked.state_digest());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! majority election, the control-flow check, and rewind recovery.
 
 use crate::check::{check_group, GroupDecision};
+use crate::checkpoint::MachineState;
 use crate::entry::{Entry, EntryState};
 use crate::pipeline::Processor;
 use crate::stats::RewindCause;
@@ -25,28 +26,19 @@ impl Processor {
         while budget >= r {
             // Inspect in place: only a group whose copies are all done is
             // worth copying out.
-            if self.ruu.is_empty() || !self.ruu.head_group().all(|e| e.state == EntryState::Done) {
+            let ruu = &self.state.ruu;
+            if ruu.is_empty() || !ruu.head_group().all(|e| e.state == EntryState::Done) {
                 break;
             }
             group.clear();
-            group.extend(self.ruu.head_group().cloned());
+            group.extend(self.state.ruu.head_group().cloned());
             debug_assert_eq!(group.len(), r, "replication groups dispatch atomically");
 
             // Control-flow check against the ECC-protected committed
             // next-PC register: "every retiring instruction's PC must be
             // checked against the last committed next-PC" (§3.2).
-            if group[0].pc != self.committed_next_pc {
-                for e in &group {
-                    if let Some((id, _)) = e.fault {
-                        let fate = if e.fault_effective {
-                            FaultFate::Detected
-                        } else {
-                            FaultFate::Masked
-                        };
-                        self.fault_log
-                            .resolve(id, fate, self.now, self.stats.retired_instructions);
-                    }
-                }
+            if group[0].pc != self.state.committed_next_pc {
+                self.state.resolve_detected(&group);
                 self.full_rewind(RewindCause::ControlFlowCheck);
                 break;
             }
@@ -61,21 +53,7 @@ impl Processor {
                 GroupDecision::Rewind => {
                     // Detection: attribute attached faults, then recover by
                     // rewinding to the committed state (§3.2 Recovery).
-                    for e in &group {
-                        if let Some((id, _)) = e.fault {
-                            let fate = if e.fault_effective {
-                                FaultFate::Detected
-                            } else {
-                                FaultFate::Masked
-                            };
-                            self.fault_log.resolve(
-                                id,
-                                fate,
-                                self.now,
-                                self.stats.retired_instructions,
-                            );
-                        }
-                    }
+                    self.state.resolve_detected(&group);
                     self.full_rewind(RewindCause::FaultDetected);
                     break;
                 }
@@ -105,18 +83,20 @@ impl Processor {
                     // Stores write committed memory only now, after the
                     // cross-check passed — and need an L1D port.
                     if rep.inst.op.is_store() {
-                        if !self.hierarchy.try_data_port() {
-                            self.stats.store_port_stalls += 1;
+                        if !self.state.hierarchy.try_data_port() {
+                            self.state.stats.store_port_stalls += 1;
                             break;
                         }
                         let ea = rep.ea.expect("store has an address");
                         let data = rep.store_data.expect("store has a datum");
-                        self.hierarchy.data_access(ea, AccessKind::Write);
-                        self.mem.write_sized(ea, data, rep.inst.op.mem_bytes());
+                        self.state.hierarchy.data_access(ea, AccessKind::Write);
+                        self.state
+                            .mem
+                            .write_sized(ea, data, rep.inst.op.mem_bytes());
                     }
 
                     if !outcome.unanimous {
-                        self.stats.majority_elections += 1;
+                        self.state.stats.majority_elections += 1;
                     }
                     for (idx, e) in group.iter().enumerate() {
                         let Some((id, _)) = e.fault else { continue };
@@ -135,14 +115,13 @@ impl Processor {
                         } else {
                             FaultFate::Masked
                         };
-                        self.fault_log
-                            .resolve(id, fate, self.now, self.stats.retired_instructions);
+                        self.state.resolve_fault(id, fate);
                     }
 
                     self.retire_group(rep);
                     budget -= r;
                     committed_any = true;
-                    if self.halted {
+                    if self.state.halted {
                         break;
                     }
                 }
@@ -153,68 +132,88 @@ impl Processor {
         self.commit_scratch = group;
 
         if committed_any {
-            self.stats.commit_active_cycles += 1;
-            self.last_commit_cycle = self.now;
+            self.state.stats.commit_active_cycles += 1;
+            self.state.last_commit_cycle = self.state.now;
         }
     }
 
     /// Applies one group's architectural effects and frees its resources.
     fn retire_group(&mut self, rep: &Entry) {
+        let r = self.r() as usize;
+        let state = &mut self.state;
         // First commit after a full rewind closes the recovery-penalty
         // measurement (the W of §4.2/§5.3). This runs before the group is
         // counted so same-cycle commits preceding a rewind can't zero it.
-        if let Some(start) = self.pending_rewind_start.take() {
-            let penalty = self.now - start;
-            self.stats.rewind_penalty_cycles += penalty;
-            self.stats.rewind_penalty_events += 1;
-            self.stats.rewind_penalty_max = self.stats.rewind_penalty_max.max(penalty);
+        if let Some(start) = state.pending_rewind_start.take() {
+            let penalty = state.now - start;
+            state.stats.rewind_penalty_cycles += penalty;
+            state.stats.rewind_penalty_events += 1;
+            state.stats.rewind_penalty_max = state.stats.rewind_penalty_max.max(penalty);
         }
-        let r = self.r() as usize;
         let inst = rep.inst;
         let copy0_seq = rep.seq - u64::from(rep.copy);
 
         if let (Some(rd), Some(v)) = (inst.effective_rd(), rep.result) {
-            self.regs.write(rd, v);
+            state.regs.write(rd, v);
         }
 
         if inst.op.is_cond_branch() {
             let taken = rep.taken.expect("resolved branch");
-            self.stats.branches += 1;
+            state.stats.branches += 1;
             let pred = rep.pred.expect("branch carries prediction");
             if rep.computed_next_pc() != pred.next_pc {
-                self.stats.branch_mispredicts += 1;
+                state.stats.branch_mispredicts += 1;
             }
-            self.fetch.predictor_mut().update(rep.pc, taken);
+            state.fetch.predictor_mut().update(rep.pc, taken);
             if taken {
-                self.fetch
+                state
+                    .fetch
                     .btb_mut()
                     .update(rep.pc, rep.target.expect("taken branch has target"));
             }
         } else if inst.op.is_indirect_jump() {
-            self.fetch
+            state
+                .fetch
                 .btb_mut()
                 .update(rep.pc, rep.target.expect("jump has target"));
         }
 
-        self.committed_next_pc = rep.computed_next_pc();
+        state.committed_next_pc = rep.computed_next_pc();
 
         if let Some(rd) = inst.effective_rd() {
-            self.map.retire(rd, copy0_seq);
+            state.map.retire(rd, copy0_seq);
         }
-        self.checkpoints.remove(&rep.group);
+        state.checkpoints.remove(&rep.group);
         if inst.op.is_mem() {
-            self.lsq.remove_group(copy0_seq, r, inst.op.is_store());
+            state.lsq.remove_group(copy0_seq, r, inst.op.is_store());
         }
 
-        self.stats.retired_instructions += 1;
-        self.stats.retired_entries += r as u64;
-        self.stats.inflight_latency_sum += self.now.saturating_sub(rep.dispatched_at);
-        self.stats.count_mix(inst.op.mix_class());
+        state.stats.retired_instructions += 1;
+        state.stats.retired_entries += r as u64;
+        state.stats.inflight_latency_sum += state.now.saturating_sub(rep.dispatched_at);
+        state.stats.count_mix(inst.op.mix_class());
 
-        self.ruu.pop_front(r);
+        state.ruu.pop_front(r);
 
         if rep.halt {
-            self.halted = true;
+            state.halted = true;
+        }
+    }
+}
+
+impl MachineState {
+    /// Attributes the faults of a group that failed a check: detected
+    /// where the corruption reached a checked value, masked otherwise.
+    fn resolve_detected(&mut self, group: &[Entry]) {
+        for e in group {
+            if let Some((id, _)) = e.fault {
+                let fate = if e.fault_effective {
+                    FaultFate::Detected
+                } else {
+                    FaultFate::Masked
+                };
+                self.resolve_fault(id, fate);
+            }
         }
     }
 }

@@ -6,6 +6,7 @@
 //! renaming links copy *k*'s sources to copy *k* of the producer group, so
 //! the copies form data-independent threads sharing one map table.
 
+use crate::checkpoint::MachineState;
 use crate::entry::Entry;
 use crate::pipeline::Processor;
 use ftsim_faults::InjectionPoint;
@@ -47,79 +48,82 @@ impl Processor {
         let mut budget = self.config.dispatch_width as usize;
 
         while budget >= r {
-            let Some(fetched) = self.fetch.peek().copied() else {
+            let Some(fetched) = self.state.fetch.peek().copied() else {
                 break;
             };
-            if self.ruu.free() < r {
-                self.stats.dispatch_stalls[0] += 1;
+            if self.state.ruu.free() < r {
+                self.state.stats.dispatch_stalls[0] += 1;
                 break;
             }
-            if fetched.inst.op.is_mem() && self.lsq.free() < r {
-                self.stats.dispatch_stalls[1] += 1;
+            if fetched.inst.op.is_mem() && self.state.lsq.free() < r {
+                self.state.stats.dispatch_stalls[1] += 1;
                 break;
             }
-            self.fetch.pop();
+            self.state.fetch.pop();
 
-            let group = self.next_group;
-            self.next_group += 1;
-            self.stats.dispatched_groups += 1;
-            let copy0_seq = self.next_seq;
+            let group = self.state.next_group;
+            self.state.next_group += 1;
+            self.state.stats.dispatched_groups += 1;
+            let copy0_seq = self.state.next_seq;
             let inst = fetched.inst;
 
             for copy in 0..r as u8 {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let mut e = Entry::new(seq, group, copy, fetched.pc, inst, self.now);
+                let seq = self.state.next_seq;
+                self.state.next_seq += 1;
+                let mut e = Entry::new(seq, group, copy, fetched.pc, inst, self.state.now);
                 e.pred = fetched.pred;
                 e.halt = inst.op == Opcode::Halt;
-                e.ops[0] = self.rename_operand(inst.rs1(), copy);
-                e.ops[1] = self.rename_operand(inst.rs2(), copy);
+                e.ops[0] = self.state.rename_operand(inst.rs1(), copy);
+                e.ops[1] = self.state.rename_operand(inst.rs2(), copy);
                 // Register with each awaited producer's wait-list, so the
                 // producer's completion wakes exactly this entry.
                 for op in e.ops {
                     if let crate::entry::Operand::Wait(producer) = op {
-                        self.sched.add_waiter(producer, seq);
+                        self.state.sched.add_waiter(producer, seq);
                     }
                 }
                 e.refresh_readiness();
                 if e.state == crate::entry::EntryState::Ready {
-                    self.sched.push_ready(seq);
+                    self.state.sched.push_ready(seq);
                 }
 
                 if let Some(event) = self.injector.draw(group, copy, applicable_points(&inst)) {
-                    let id = self.fault_log.record(
+                    let id = self.state.fault_log.record(
                         group,
                         copy,
                         event,
-                        self.now,
-                        self.stats.retired_instructions,
+                        self.state.now,
+                        self.state.stats.retired_instructions,
                     );
                     e.fault = Some((id, event));
                 }
 
                 if inst.op.is_store() {
-                    self.lsq.push_store(seq, copy, inst.op.mem_bytes());
+                    self.state.lsq.push_store(seq, copy, inst.op.mem_bytes());
                 } else if inst.op.is_load() {
-                    self.lsq.push_load();
+                    self.state.lsq.push_load();
                 }
-                self.ruu.push(e);
-                self.stats.dispatched_entries += 1;
+                self.state.ruu.push(e);
+                self.state.stats.dispatched_entries += 1;
             }
 
             // Rename the destination once per group: the map records copy 0;
             // copy k's producer is derived by the +k offset rule.
             if let Some(rd) = inst.effective_rd() {
-                self.map.define(rd, copy0_seq);
+                self.state.map.define(rd, copy0_seq);
             }
             // Control instructions checkpoint the map (taken after the
             // group's own definitions, e.g. jal's link register).
             if inst.op.is_control() {
-                self.checkpoints.insert(group, self.map.checkpoint());
+                let cp = self.state.map.checkpoint();
+                self.state.checkpoints.insert(group, cp);
             }
             budget -= r;
         }
     }
+}
 
+impl MachineState {
     /// Resolves one source operand for copy `copy`.
     fn rename_operand(&self, reg: Option<RegRef>, copy: u8) -> crate::entry::Operand {
         use crate::entry::{EntryState, Operand};
@@ -186,7 +190,7 @@ mod tests {
     fn copies_occupy_consecutive_entries() {
         let proc = machine_after_dispatch(2);
         proc.assert_group_invariants();
-        let entries: Vec<_> = proc.ruu.iter().collect();
+        let entries: Vec<_> = proc.state.ruu.iter().collect();
         assert!(entries.len() >= 4);
         assert_eq!(entries[0].group, entries[1].group);
         assert_eq!(entries[0].copy, 0);
@@ -197,7 +201,7 @@ mod tests {
     #[test]
     fn renaming_links_copy_k_to_copy_k() {
         let proc = machine_after_dispatch(2);
-        let entries: Vec<_> = proc.ruu.iter().collect();
+        let entries: Vec<_> = proc.state.ruu.iter().collect();
         // entries[2], entries[3] are the two copies of `add r1, r1, r1`.
         let producer0 = entries[0].seq;
         let producer1 = entries[1].seq;
@@ -217,7 +221,7 @@ mod tests {
     fn r1_dispatch_has_single_copies() {
         let proc = machine_after_dispatch(1);
         proc.assert_group_invariants();
-        let entries: Vec<_> = proc.ruu.iter().collect();
+        let entries: Vec<_> = proc.state.ruu.iter().collect();
         assert!(entries.iter().all(|e| e.copy == 0));
     }
 

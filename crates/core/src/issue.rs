@@ -8,6 +8,7 @@
 //! finds copy 0's value `copy` slots back in its group, and the LSQ is
 //! consulted only for its per-copy store index (the dependence search).
 
+use crate::checkpoint::MachineState;
 use crate::entry::EntryState;
 use crate::lsq::LoadSearch;
 use crate::pipeline::Processor;
@@ -39,8 +40,8 @@ impl Processor {
     /// A memory attempt in a cycle whose data ports are exhausted is
     /// *provably* fruitless and side-effect-free once its address is
     /// generated (every failure path returns before mutating anything —
-    /// except the opt-in `FTSIM_PLANT` defect counter the fuzz harness's
-    /// self-test plants here, see `Processor::plant_counter`),
+    /// except the defect counter the fuzz harness's self-test plants
+    /// here under the `plant` feature, see `Processor::plant_counter`),
     /// so parked entries are then skipped wholesale and newly-ready
     /// memory entries only run first-touch address generation before
     /// parking — this is what turns the mem-bound steady state from
@@ -51,12 +52,12 @@ impl Processor {
     /// reused).
     pub(crate) fn stage_issue(&mut self) {
         let mut budget = self.config.issue_width;
-        let (parked, mut keep) = self.sched.take_parked_mem();
+        let (parked, mut keep) = self.state.sched.take_parked_mem();
         let mut pi = 0;
 
         while budget > 0 {
             // Merge step: the smaller head of the two ascending sources.
-            let from_parked = match (parked.get(pi), self.sched.peek_ready()) {
+            let from_parked = match (parked.get(pi), self.state.sched.peek_ready()) {
                 (Some(&p), Some(r)) => p < r,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -71,52 +72,54 @@ impl Processor {
                 // while parked may thus survive one extra port-starved
                 // cycle in the list; it is dropped at the next visit that
                 // has a port — parked contents are not observable state.)
-                if self.hierarchy.data_ports_available() == 0 {
+                if self.state.hierarchy.data_ports_available() == 0 {
                     keep.push(seq);
                     continue;
                 }
-                let Some(idx) = self.ruu.position(seq) else {
+                let Some(idx) = self.state.ruu.position(seq) else {
                     continue; // squashed while parked
                 };
-                debug_assert_eq!(self.ruu.at(idx).state, EntryState::Ready);
+                debug_assert_eq!(self.state.ruu.at(idx).state, EntryState::Ready);
                 if self.try_issue_mem(seq, idx) {
                     budget -= 1;
                 } else {
                     keep.push(seq);
                 }
             } else {
-                let seq = self.sched.pop_ready().expect("peeked non-empty");
-                let Some(idx) = self.ruu.position(seq) else {
+                let seq = self.state.sched.pop_ready().expect("peeked non-empty");
+                let Some(idx) = self.state.ruu.position(seq) else {
                     continue; // squashed while queued
                 };
-                debug_assert_eq!(self.ruu.at(idx).state, EntryState::Ready);
-                if self.ruu.at(idx).inst.op.is_mem() {
-                    if self.hierarchy.data_ports_available() == 0 {
+                debug_assert_eq!(self.state.ruu.at(idx).state, EntryState::Ready);
+                if self.state.ruu.at(idx).inst.op.is_mem() {
+                    if self.state.hierarchy.data_ports_available() == 0 {
                         // The seed still generated the address on a
                         // port-starved first attempt; everything after
                         // that is failure-path and effect-free.
-                        self.ensure_mem_addr(seq, idx);
+                        self.state.ensure_mem_addr(seq, idx);
                         keep.push(seq);
                     } else if self.try_issue_mem(seq, idx) {
                         budget -= 1;
                     } else {
                         keep.push(seq);
                     }
-                } else if self.try_issue_fu(seq, idx) {
+                } else if self.state.try_issue_fu(seq, idx) {
                     budget -= 1;
                 } else {
-                    self.sched.defer_ready(seq);
+                    self.state.sched.defer_ready(seq);
                 }
             }
         }
         // Whatever the walk did not reach stays parked, still in order
         // (every remaining parked seq is younger than every visited one).
         keep.extend_from_slice(&parked[pi..]);
-        self.sched.put_parked_mem(parked, keep);
-        self.sched.flush_deferred();
-        self.merge_store_data();
+        self.state.sched.put_parked_mem(parked, keep);
+        self.state.sched.flush_deferred();
+        self.state.merge_store_data();
     }
+}
 
+impl MachineState {
     /// First-touch effective-address generation for a memory entry,
     /// including the operand/address fault injections that ride on it.
     /// This is the *only* seed-visible side effect of a memory issue
@@ -222,19 +225,21 @@ impl Processor {
         self.schedule_completion_at(idx, seq, self.now + latency);
         true
     }
+}
 
+impl Processor {
     /// Issues a memory instruction: address generation, disambiguation,
     /// forwarding, and (for copy 0) the single shared cache access. A
     /// load's raw value lands in its entry's `mem_value`, where writeback
     /// extends it and sibling copies read copy 0's.
     fn try_issue_mem(&mut self, seq: u64, idx: usize) -> bool {
         let (inst, copy) = {
-            let e = self.ruu.at(idx);
+            let e = self.state.ruu.at(idx);
             (e.inst, e.copy)
         };
 
         // Address generation (once).
-        let ea = self.ensure_mem_addr(seq, idx);
+        let ea = self.state.ensure_mem_addr(seq, idx);
 
         if inst.op.is_store() {
             // The store's address phase occupies a memory port for its
@@ -243,12 +248,12 @@ impl Processor {
             // unchanged ("the overall processor design must remain
             // balanced", §3.2), so redundant address computations compete
             // for the same two ports.
-            if !self.hierarchy.try_data_port() {
+            if !self.state.hierarchy.try_data_port() {
                 return false;
             }
             // Address phase complete; the datum merges off the issue path.
-            self.ruu.at_mut(idx).state = EntryState::Issued;
-            self.sched.add_pending_store(seq);
+            self.state.ruu.at_mut(idx).state = EntryState::Issued;
+            self.state.sched.add_pending_store(seq);
             return true;
         }
 
@@ -257,49 +262,52 @@ impl Processor {
         // calculation + data delivery), but only copy 0 actually touches
         // the cache: "the memory addresses are computed redundantly, but
         // only one memory access is performed" (§5.1.2).
-        let size = inst.op.mem_bytes();
-        match self.lsq.search_for_load(seq, copy, ea, size) {
+        let (size, now) = (inst.op.mem_bytes(), self.state.now);
+        match self.state.lsq.search_for_load(seq, copy, ea, size) {
             LoadSearch::Forward(raw) => {
-                if !self.hierarchy.try_data_port() {
+                if !self.state.hierarchy.try_data_port() {
                     return false;
                 }
-                self.ruu.at_mut(idx).mem_value = Some(raw);
-                self.schedule_completion_at(idx, seq, self.now + self.config.lat.forward);
-                self.stats.load_forwards += 1;
+                self.state.ruu.at_mut(idx).mem_value = Some(raw);
+                self.state
+                    .schedule_completion_at(idx, seq, now + self.config.lat.forward);
+                self.state.stats.load_forwards += 1;
                 true
             }
             LoadSearch::WaitData | LoadSearch::Conflict => {
-                if self.plant_enabled {
-                    // Planted defect (FTSIM_PLANT only): a stat bump on a
-                    // failure return, outside checkpoint state. See
-                    // `Processor::plant_counter`.
-                    self.plant_counter += 1;
+                // Planted defect (`plant` feature, once armed): a stat
+                // bump on a failure return, outside checkpoint state. See
+                // `Processor::plant_counter`.
+                #[cfg(feature = "plant")]
+                if let Some(count) = &mut self.plant_counter {
+                    *count += 1;
                 }
                 false
             }
             LoadSearch::Memory => {
                 if copy == 0 {
-                    if !self.hierarchy.try_data_port() {
+                    if !self.state.hierarchy.try_data_port() {
                         return false;
                     }
-                    let access = self.hierarchy.data_access(ea, AccessKind::Read);
-                    let raw = self.mem.read_sized(ea, size);
-                    self.ruu.at_mut(idx).mem_value = Some(raw);
-                    self.schedule_completion_at(idx, seq, self.now + access.latency);
-                    self.stats.load_accesses += 1;
+                    let access = self.state.hierarchy.data_access(ea, AccessKind::Read);
+                    let raw = self.state.mem.read_sized(ea, size);
+                    self.state.ruu.at_mut(idx).mem_value = Some(raw);
+                    self.state
+                        .schedule_completion_at(idx, seq, now + access.latency);
+                    self.state.stats.load_accesses += 1;
                     true
                 } else {
                     // Redundant copies take the shared access's value
                     // from copy 0, `copy` slots back in the group.
-                    let copy0 = self.ruu.at(idx - usize::from(copy));
+                    let copy0 = self.state.ruu.at(idx - usize::from(copy));
                     debug_assert_eq!(copy0.seq, seq - u64::from(copy), "group not contiguous");
                     match copy0.mem_value {
                         Some(raw) => {
-                            if !self.hierarchy.try_data_port() {
+                            if !self.state.hierarchy.try_data_port() {
                                 return false;
                             }
-                            self.ruu.at_mut(idx).mem_value = Some(raw);
-                            self.schedule_completion_at(idx, seq, self.now + 1);
+                            self.state.ruu.at_mut(idx).mem_value = Some(raw);
+                            self.state.schedule_completion_at(idx, seq, now + 1);
                             true
                         }
                         None => false, // copy 0 hasn't accessed yet
@@ -308,7 +316,9 @@ impl Processor {
             }
         }
     }
+}
 
+impl MachineState {
     /// Merges store data into the LSQ as it becomes available (does not
     /// consume issue bandwidth) and schedules the store's completion.
     ///

@@ -88,9 +88,11 @@ mod writeback;
 
 pub use build::{BuildError, SimBuilder};
 pub use check::{majority_vote, CheckOutcome, GroupDecision};
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{fork_point, Checkpoint};
 pub use config::{ConfigError, FuConfig, MachineConfig, OpLatencies, RedundancyConfig, Scale};
 pub use entry::{EntryState, Prediction};
+#[cfg(feature = "plant")]
+pub use pipeline::arm_plant;
 pub use pipeline::{Processor, SchedulerDepths};
 pub use profile::StageProfile;
 pub use sim::{OracleMode, RunLimits, SimError, SimResult, Simulator};

@@ -1,28 +1,24 @@
 //! The processor: pipeline state and the per-cycle stage driver.
 //!
 //! Stage methods live in sibling modules (`commit`, `writeback`, `issue`,
-//! `dispatch`) as `impl Processor` blocks; this module owns the shared
-//! state and the cross-cutting mechanics (branch rewind, full rewind,
-//! wakeup).
+//! `dispatch`) as `impl Processor` blocks, or as `impl MachineState`
+//! blocks where they need neither the injector nor the scratch buffers;
+//! this module owns the processor and the cross-cutting mechanics
+//! (branch rewind, full rewind, wakeup).
 
+use crate::checkpoint::MachineState;
 use crate::config::MachineConfig;
 use crate::entry::{Entry, EntryState, Operand};
-use crate::fetch::FetchUnit;
-use crate::fu::FuPool;
-use crate::lsq::Lsq;
 use crate::profile::{NoProbe, SampledProbe, StageProbe};
-use crate::rename::{MapCheckpoint, MapTable};
-use crate::ruu::Ruu;
-use crate::sched::Scheduler;
-use crate::seqhash::SeqHashMap;
 use crate::stats::SimStats;
-use crate::wheel::EventWheel;
-use ftsim_faults::{FaultFate, FaultInjector, FaultLog};
+use ftsim_faults::{FaultFate, FaultId, FaultInjector, FaultLog};
 use ftsim_isa::{ArchRegs, Program};
-use ftsim_mem::{Hierarchy, SparseMemory};
+use ftsim_mem::SparseMemory;
 use std::sync::Arc;
 
-/// The complete microarchitectural state of one simulated processor.
+/// One simulated processor: its `MachineState` plus the parts that are
+/// not state — the configuration and program it runs, the fault
+/// injector, and per-cycle scratch buffers.
 ///
 /// Prefer the [`Simulator`](crate::Simulator) facade for running programs;
 /// `Processor` is exposed for tests and tools that need to single-step
@@ -33,54 +29,34 @@ pub struct Processor {
     /// The immutable program image, shared (not deep-copied) between the
     /// processor, the simulator facade and every sibling grid cell.
     pub(crate) program: Arc<Program>,
-    pub(crate) now: u64,
-    pub(crate) next_seq: u64,
-    pub(crate) next_group: u64,
-    pub(crate) ruu: Ruu,
-    pub(crate) lsq: Lsq,
-    pub(crate) map: MapTable,
-    pub(crate) checkpoints: SeqHashMap<u64, MapCheckpoint>,
-    pub(crate) regs: ArchRegs,
-    pub(crate) mem: SparseMemory,
-    /// The ECC-protected committed next-PC register (§3.2): "an
-    /// ECC-protected register must hold the next-PC of the last committed
-    /// instruction as part of the committed program state."
-    pub(crate) committed_next_pc: u64,
-    pub(crate) fetch: FetchUnit,
-    pub(crate) hierarchy: Hierarchy,
-    pub(crate) fu: FuPool,
-    /// Scheduled completion events, one wheel slot per cycle.
-    pub(crate) events: EventWheel,
+    /// Everything that evolves during a run; a [`crate::Checkpoint`] is a
+    /// clone of it.
+    pub(crate) state: MachineState,
     pub(crate) injector: FaultInjector,
-    pub(crate) fault_log: FaultLog,
-    pub(crate) stats: SimStats,
-    pub(crate) halted: bool,
-    pub(crate) pending_rewind_start: Option<u64>,
-    pub(crate) last_commit_cycle: u64,
-    /// Event-driven scheduler state: wakeup wait-lists, the ready queue
-    /// and the pending-store list.
-    pub(crate) sched: Scheduler,
     /// Reused buffer for squashed entries (branch and full rewinds).
     pub(crate) squash_scratch: Vec<Entry>,
     /// Reused buffer for the commit stage's head-group snapshot.
     pub(crate) commit_scratch: Vec<Entry>,
-    /// **Deliberately planted defect, off unless `FTSIM_PLANT` is set.**
-    ///
-    /// Counts load issue attempts that failed on a store-set dependence
-    /// (wait-for-data or address conflict). The defect is that this
-    /// counter is *not* part of [`Checkpoint`](crate::Checkpoint) state
-    /// but *is* folded into the `load_forwards` statistic by
-    /// [`Processor::stats_snapshot`]: a run forked from a checkpoint
-    /// restores into a fresh processor whose counter restarts at zero, so
-    /// its records under-count relative to an identical cold run. The
-    /// `ftsim-fuzz` acceptance tests flip `FTSIM_PLANT` on to prove the
-    /// forked-vs-cold identity invariant actually catches (and shrinks)
-    /// this class of bug; production runs never set the variable, and the
-    /// counter then stays zero and unobservable.
-    pub(crate) plant_counter: u64,
-    /// Whether `FTSIM_PLANT` was set when this processor was built (the
-    /// planted defect above is active).
-    pub(crate) plant_enabled: bool,
+    /// **Deliberately planted defect** (the `plant` feature; `None` until
+    /// [`arm_plant`]): failed load issue attempts on a store-set
+    /// dependence, left out of `MachineState` yet folded into
+    /// `load_forwards` by [`Processor::stats_snapshot`]. A forked run's
+    /// counter restarts at zero, so its records under-count against an
+    /// identical cold run — the bug class the fuzzer's planted suite must
+    /// catch and shrink.
+    #[cfg(feature = "plant")]
+    pub(crate) plant_counter: Option<u64>,
+}
+
+#[cfg(feature = "plant")]
+static PLANT_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// Arms the planted defect (see [`Processor`]'s `plant_counter`) in every
+/// processor this process builds from now on. The feature alone leaves
+/// it inert, so test builds that unify the feature stay defect-free.
+#[cfg(feature = "plant")]
+pub fn arm_plant() {
+    PLANT_ARMED.store(true, std::sync::atomic::Ordering::Relaxed);
 }
 
 impl Processor {
@@ -96,9 +72,8 @@ impl Processor {
 
     /// Builds a processor over an already-shared program. This is what the
     /// builder and the experiment grid use: one `Arc` per distinct
-    /// program, cloned by reference count into every cell. Committed
-    /// memory starts as a copy-on-write view of the program's data image
-    /// ([`Program::initial_memory`]), so a build copies no data bytes.
+    /// program, cloned by reference count into every cell. A build copies
+    /// no data bytes ([`Program::initial_memory`]).
     ///
     /// # Panics
     ///
@@ -113,31 +88,14 @@ impl Processor {
             .validate()
             .expect("invalid machine configuration (use SimBuilder to surface this as an error)");
         Self {
-            now: 0,
-            next_seq: 0,
-            next_group: 0,
-            ruu: Ruu::new(config.ruu_size),
-            lsq: Lsq::new(config.lsq_size),
-            map: MapTable::new(),
-            checkpoints: SeqHashMap::default(),
-            regs: ArchRegs::new(),
-            mem: program.initial_memory(),
-            committed_next_pc: program.entry(),
-            fetch: FetchUnit::new(&config, program.entry()),
-            hierarchy: Hierarchy::new(&config.hierarchy),
-            fu: FuPool::new(&config.fu, config.lat),
-            events: EventWheel::new(config.max_completion_latency()),
+            state: MachineState::new(&config, &program),
             injector,
-            fault_log: FaultLog::new(),
-            stats: SimStats::default(),
-            halted: false,
-            pending_rewind_start: None,
-            last_commit_cycle: 0,
-            sched: Scheduler::default(),
             squash_scratch: Vec::new(),
             commit_scratch: Vec::new(),
-            plant_counter: 0,
-            plant_enabled: std::env::var_os("FTSIM_PLANT").is_some(),
+            #[cfg(feature = "plant")]
+            plant_counter: PLANT_ARMED
+                .load(std::sync::atomic::Ordering::Relaxed)
+                .then_some(0),
             program,
             config,
         }
@@ -150,7 +108,7 @@ impl Processor {
     /// with correct single-cycle timing.
     pub fn cycle(&mut self) {
         if crate::profile::enabled() {
-            self.cycle_with(SampledProbe::new(self.now));
+            self.cycle_with(SampledProbe::new(self.state.now));
         } else {
             self.cycle_with(NoProbe);
         }
@@ -160,44 +118,47 @@ impl Processor {
     /// [`crate::profile`]) and never touches machine state, so the
     /// machine evolves identically under either probe.
     fn cycle_with<P: StageProbe>(&mut self, mut probe: P) {
-        self.hierarchy.begin_cycle();
+        self.state.hierarchy.begin_cycle();
         probe.stage(0, || self.stage_commit());
-        if !self.halted {
+        if !self.state.halted {
             probe.stage(1, || self.stage_writeback());
             probe.stage(2, || self.stage_issue());
             probe.stage(3, || self.stage_dispatch());
             probe.stage(4, || {
-                self.fetch
-                    .fetch_cycle(self.now, &self.program, &mut self.hierarchy);
+                self.state.fetch.fetch_cycle(
+                    self.state.now,
+                    &self.program,
+                    &mut self.state.hierarchy,
+                );
             });
         }
-        self.stats.ruu_occupancy_sum += self.ruu.len() as u64;
-        self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
+        self.state.stats.ruu_occupancy_sum += self.state.ruu.len() as u64;
+        self.state.stats.lsq_occupancy_sum += self.state.lsq.len() as u64;
         #[cfg(debug_assertions)]
         self.assert_group_invariants();
-        self.stats.cycles += 1;
-        self.now += 1;
+        self.state.stats.cycles += 1;
+        self.state.now += 1;
         probe.end_cycle();
     }
 
     /// Whether `halt` has committed.
     pub fn halted(&self) -> bool {
-        self.halted
+        self.state.halted
     }
 
     /// Current cycle.
     pub fn now(&self) -> u64 {
-        self.now
+        self.state.now
     }
 
     /// Committed architectural registers.
     pub fn regs(&self) -> &ArchRegs {
-        &self.regs
+        &self.state.regs
     }
 
     /// Committed memory.
     pub fn mem(&self) -> &SparseMemory {
-        &self.mem
+        &self.state.mem
     }
 
     /// A synchronized snapshot of the statistics gathered so far: the
@@ -205,22 +166,23 @@ impl Processor {
     /// in their own units, folded in at read time. Needs only `&self` —
     /// inspection never mutates the machine.
     pub fn stats_snapshot(&self) -> SimStats {
-        let mut stats = self.stats.clone();
-        let (il1, dl1, l2) = self.hierarchy.cache_stats();
+        let mut stats = self.state.stats.clone();
+        let (il1, dl1, l2) = self.state.hierarchy.cache_stats();
         stats.il1 = il1;
         stats.dl1 = dl1;
         stats.l2 = l2;
-        let f = self.fetch.stats();
+        let f = self.state.fetch.stats();
         stats.fetched = f.fetched;
         stats.fetch_stall_cycles = f.stall_cycles;
         stats.icache_stall_cycles = f.icache_stall_cycles;
-        stats.faults = self.fault_log.counts();
-        stats.fault_sites = self.fault_log.per_site();
-        stats.fault_latency = self.fault_log.latency();
-        if self.plant_enabled {
-            // Deliberately wrong when FTSIM_PLANT is set — see the
-            // `plant_counter` field docs.
-            stats.load_forwards += self.plant_counter;
+        stats.faults = self.state.fault_log.counts();
+        stats.fault_sites = self.state.fault_log.per_site();
+        stats.fault_latency = self.state.fault_log.latency();
+        #[cfg(feature = "plant")]
+        {
+            // Deliberately wrong once armed — see the `plant_counter`
+            // field docs.
+            stats.load_forwards += self.plant_counter.unwrap_or(0);
         }
         stats
     }
@@ -244,12 +206,12 @@ impl Processor {
                 h = (h ^ u64::from(b)).wrapping_mul(PRIME);
             }
         };
-        for (_, value) in self.regs.iter() {
+        for (_, value) in self.state.regs.iter() {
             fold(value);
         }
-        fold(self.committed_next_pc);
-        fold(u64::from(self.halted));
-        self.mem.content_digest(h)
+        fold(self.state.committed_next_pc);
+        fold(u64::from(self.state.halted));
+        self.state.mem.content_digest(h)
     }
 
     /// The machine configuration.
@@ -259,33 +221,24 @@ impl Processor {
 
     /// The fault ledger.
     pub fn fault_log(&self) -> &FaultLog {
-        &self.fault_log
-    }
-
-    /// Mutable access to the fault injector.
-    ///
-    /// Forking uses this to fast-forward a freshly built cell's injector
-    /// past a restored fault-free prefix (see
-    /// [`FaultInjector::fast_forward_fault_free`]).
-    pub fn injector_mut(&mut self) -> &mut FaultInjector {
-        &mut self.injector
+        &self.state.fault_log
     }
 
     /// In-flight RUU occupancy (tests/inspection).
     pub fn ruu_len(&self) -> usize {
-        self.ruu.len()
+        self.state.ruu.len()
     }
 
     /// Occupancy of the event-driven scheduler's structures — how much
     /// genuinely in-flight state a snapshot at this boundary captures.
     pub fn scheduler_depths(&self) -> SchedulerDepths {
-        let (waiters, ready, parked_mem, pending_stores) = self.sched.depths();
+        let (waiters, ready, parked_mem, pending_stores) = self.state.sched.depths();
         SchedulerDepths {
             waiters,
             ready,
             parked_mem,
             pending_stores,
-            events: self.events.len(),
+            events: self.state.events.len(),
         }
     }
 
@@ -293,7 +246,9 @@ impl Processor {
     pub(crate) fn r(&self) -> u64 {
         u64::from(self.config.redundancy.r)
     }
+}
 
+impl MachineState {
     /// Delivers a completed producer's result to its waiting consumers.
     ///
     /// Dispatch registered every consumer on the producer's wait-list, so
@@ -324,73 +279,74 @@ impl Processor {
         }
         self.sched.recycle(list);
     }
+}
 
+impl Processor {
     /// Selective squash after a branch rewind: removes every entry younger
     /// than `cutoff_seq`, restores the branch's map checkpoint, and marks
     /// squashed faults as wrong-path.
     pub(crate) fn branch_rewind(&mut self, branch_group: u64, cutoff_seq: u64, new_target: u64) {
-        let (now, retired) = (self.now, self.stats.retired_instructions);
         let mut squashed = std::mem::take(&mut self.squash_scratch);
-        self.ruu.squash_after_into(cutoff_seq, &mut squashed);
+        self.state.ruu.squash_after_into(cutoff_seq, &mut squashed);
         let mut squashed_mem = 0;
         for e in &squashed {
-            self.sched.on_squash(e.seq);
+            self.state.sched.on_squash(e.seq);
             squashed_mem += usize::from(e.inst.op.is_mem());
             if let Some((id, _)) = e.fault {
-                self.fault_log
-                    .resolve(id, FaultFate::SquashedWrongPath, now, retired);
+                self.state.resolve_fault(id, FaultFate::SquashedWrongPath);
             }
             // Squashed younger branches' checkpoints are dead.
             if e.inst.op.is_control() && e.copy == 0 {
-                self.checkpoints.remove(&e.group);
+                self.state.checkpoints.remove(&e.group);
             }
         }
         squashed.clear();
         self.squash_scratch = squashed;
-        self.sched.squash_after(cutoff_seq);
-        self.lsq.squash_after(cutoff_seq, squashed_mem);
+        self.state.sched.squash_after(cutoff_seq);
+        self.state.lsq.squash_after(cutoff_seq, squashed_mem);
         let cp = self
+            .state
             .checkpoints
             .get(&branch_group)
             .expect("branch group has a checkpoint")
             .clone();
-        self.map.restore(&cp);
-        self.fetch
-            .redirect(new_target, self.now + 1 + self.config.lat.mispredict_extra);
-        self.stats.branch_rewinds += 1;
+        self.state.map.restore(&cp);
+        self.state.fetch.redirect(
+            new_target,
+            self.state.now + 1 + self.config.lat.mispredict_extra,
+        );
+        self.state.stats.branch_rewinds += 1;
     }
 
     /// Full rewind (§3.2 Recovery): "discard the entire ROB contents and
     /// restart execution by refetching from the committed next-PC
     /// register."
     pub(crate) fn full_rewind(&mut self, cause: crate::stats::RewindCause) {
-        let (now, retired) = (self.now, self.stats.retired_instructions);
         let mut squashed = std::mem::take(&mut self.squash_scratch);
-        self.ruu.squash_all_into(&mut squashed);
+        self.state.ruu.squash_all_into(&mut squashed);
         for e in &squashed {
             if let Some((id, _)) = e.fault {
-                self.fault_log
-                    .resolve(id, FaultFate::SquashedByRewind, now, retired);
+                self.state.resolve_fault(id, FaultFate::SquashedByRewind);
             }
         }
         squashed.clear();
         self.squash_scratch = squashed;
-        self.lsq.squash_all();
-        self.sched.clear();
-        debug_assert!(self.lsq.is_empty() && self.ruu.is_empty());
-        self.checkpoints.clear();
-        self.map.clear();
+        self.state.lsq.squash_all();
+        self.state.sched.clear();
+        debug_assert!(self.state.lsq.is_empty() && self.state.ruu.is_empty());
+        self.state.checkpoints.clear();
+        self.state.map.clear();
         // Every entry is gone, so every scheduled completion is stale.
-        self.events.clear();
-        self.fu.reset();
-        self.fetch.rewind(
-            self.committed_next_pc,
-            self.now + 1 + self.config.lat.mispredict_extra,
+        self.state.events.clear();
+        self.state.fu.reset();
+        self.state.fetch.rewind(
+            self.state.committed_next_pc,
+            self.state.now + 1 + self.config.lat.mispredict_extra,
         );
-        self.pending_rewind_start = Some(self.now);
+        self.state.pending_rewind_start = Some(self.state.now);
         match cause {
-            crate::stats::RewindCause::FaultDetected => self.stats.fault_rewinds += 1,
-            crate::stats::RewindCause::ControlFlowCheck => self.stats.pc_check_rewinds += 1,
+            crate::stats::RewindCause::FaultDetected => self.state.stats.fault_rewinds += 1,
+            crate::stats::RewindCause::ControlFlowCheck => self.state.stats.pc_check_rewinds += 1,
         }
     }
 
@@ -400,7 +356,7 @@ impl Processor {
     #[cfg(debug_assertions)]
     pub(crate) fn assert_group_invariants(&self) {
         let r = self.r();
-        let mut iter = self.ruu.iter().peekable();
+        let mut iter = self.state.ruu.iter().peekable();
         while let Some(first) = iter.next() {
             assert_eq!(first.copy, 0, "group must start at copy 0");
             for k in 1..r {
@@ -436,13 +392,20 @@ pub struct SchedulerDepths {
     pub events: usize,
 }
 
-impl Processor {
+impl MachineState {
     /// Marks the entry at index handle `idx` (sequence `seq`) issued and
     /// schedules its completion event.
     pub(crate) fn schedule_completion_at(&mut self, idx: usize, seq: u64, at: u64) {
         debug_assert_eq!(self.ruu.at(idx).seq, seq, "stale index handle");
         self.events.push(self.now, at, seq);
         self.ruu.at_mut(idx).state = EntryState::Issued;
+    }
+
+    /// Settles the fate of logged fault `id` at the current cycle and
+    /// retirement count.
+    pub(crate) fn resolve_fault(&mut self, id: FaultId, fate: FaultFate) {
+        self.fault_log
+            .resolve(id, fate, self.now, self.stats.retired_instructions);
     }
 }
 
@@ -494,12 +457,12 @@ mod tests {
     fn committed_next_pc_tracks_entry() {
         let p = tiny_program();
         let mut proc = Processor::new(MachineConfig::ss1(), &p, FaultInjector::none());
-        assert_eq!(proc.committed_next_pc, p.entry());
+        assert_eq!(proc.state.committed_next_pc, p.entry());
         while !proc.halted() {
             proc.cycle();
         }
         // After halt commits, next-PC is one past the halt.
-        assert_eq!(proc.committed_next_pc, p.entry() + 8);
+        assert_eq!(proc.state.committed_next_pc, p.entry() + 8);
     }
 
     #[test]
@@ -531,16 +494,19 @@ mod tests {
         let mut proc = Processor::new(MachineConfig::ss1(), &p, FaultInjector::none());
         for _ in 0..400 {
             proc.cycle();
-            if proc.events.len() > 0 {
+            if proc.state.events.len() > 0 {
                 break;
             }
         }
-        assert!(proc.events.len() > 0, "a completion event is in flight");
+        assert!(
+            proc.state.events.len() > 0,
+            "a completion event is in flight"
+        );
         // Force the rewind the commit stage would issue on a detected
         // fault.
         proc.full_rewind(crate::stats::RewindCause::FaultDetected);
         assert!(
-            proc.events.len() == 0,
+            proc.state.events.len() == 0,
             "no event may survive a full rewind (every entry was squashed)"
         );
         for _ in 0..1_000 {

@@ -8,8 +8,8 @@
 //! cycle in 64. The aggregate accumulates in a **thread-local**
 //! [`StageProfile`] the harness drains per cell with [`take`].
 //!
-//! Like the `FTSIM_PLANT` counter, profiling state is deliberately **not**
-//! part of [`Checkpoint`](crate::Checkpoint): it observes the machine
+//! Profiling state lives outside the machine state a
+//! [`Checkpoint`](crate::Checkpoint) clones: it observes the machine
 //! without being machine state, so records stay byte-identical whether a
 //! cell ran cold, forked, or with profiling off. Both probes run the same
 //! cycle body — same stages, same order, same conditions — and the

@@ -284,23 +284,23 @@ impl Simulator {
         mut checkpoints: Option<(u64, u64, &mut Vec<Checkpoint>)>,
     ) -> Result<(), SimError> {
         while !self.proc.halted() {
-            if self.proc.stats.retired_instructions >= limits.max_instructions {
+            if self.proc.state.stats.retired_instructions >= limits.max_instructions {
                 break;
             }
             if self.proc.now() >= limits.max_cycles {
                 return Err(SimError::CycleLimit {
                     cycles: self.proc.now(),
-                    retired: self.proc.stats.retired_instructions,
+                    retired: self.proc.state.stats.retired_instructions,
                 });
             }
-            if self.proc.now() - self.proc.last_commit_cycle > limits.watchdog {
+            if self.proc.now() - self.proc.state.last_commit_cycle > limits.watchdog {
                 return Err(SimError::Watchdog {
                     cycle: self.proc.now(),
                 });
             }
             if let Some((every, horizon, sink)) = checkpoints.as_mut() {
                 let now = self.proc.now();
-                if now > 0 && now % *every == 0 && self.proc.next_seq <= *horizon {
+                if now > 0 && now % *every == 0 && self.proc.state.next_seq <= *horizon {
                     sink.push(self.proc.snapshot());
                 }
             }
@@ -337,7 +337,7 @@ impl Simulator {
     /// [`SimError::OracleMismatch`] with a summary of divergent state, or
     /// [`SimError::Oracle`] if the emulator cannot replay the program.
     pub fn verify_against_oracle(&mut self) -> Result<(), SimError> {
-        let retired = self.proc.stats.retired_instructions;
+        let retired = self.proc.state.stats.retired_instructions;
         let mut emu = Emulator::new(&self.program);
         let executed = emu.run_steps(retired).map_err(SimError::Oracle)?;
         if executed != retired {

@@ -10,19 +10,19 @@ impl Processor {
     /// Processes every completion event due this cycle: the wheel's slot
     /// for `now`, in `(cycle, seq)` order.
     pub(crate) fn stage_writeback(&mut self) {
-        let due = self.events.take_due(self.now);
+        let due = self.state.events.take_due(self.state.now);
         for &(_, seq) in &due {
             self.complete(seq);
         }
-        self.events.put_drained(self.now, due);
+        self.state.events.put_drained(self.state.now, due);
     }
 
     /// Finalizes one entry's execution.
     fn complete(&mut self, seq: u64) {
-        let Some(idx) = self.ruu.position(seq) else {
+        let Some(idx) = self.state.ruu.position(seq) else {
             return; // squashed while in flight
         };
-        let e = self.ruu.at(idx);
+        let e = self.state.ruu.at(idx);
         if e.state != EntryState::Issued {
             return; // stale event
         }
@@ -56,13 +56,13 @@ impl Processor {
         }
 
         {
-            let e = self.ruu.at_mut(idx);
+            let e = self.state.ruu.at_mut(idx);
             e.result = result;
             e.state = EntryState::Done;
             e.fault_effective |= effective;
         }
         if let Some(v) = result {
-            self.wakeup(seq, v);
+            self.state.wakeup(seq, v);
         }
         if inst.op.is_control() {
             self.resolve_control(idx);
@@ -79,7 +79,7 @@ impl Processor {
     /// younger entries, so every sibling keeps its slot.
     fn resolve_control(&mut self, idx: usize) {
         let (seq, group, copy, actual_next, expected) = {
-            let e = self.ruu.at(idx);
+            let e = self.state.ruu.at(idx);
             let pred_next = e
                 .pred
                 .expect("control instruction carries a prediction")
@@ -105,7 +105,7 @@ impl Processor {
         // disagreement is then caught by the commit-stage cross-check.
         let copy0_idx = idx - usize::from(copy);
         for k in 0..r as usize {
-            let sib = self.ruu.at_mut(copy0_idx + k);
+            let sib = self.state.ruu.at_mut(copy0_idx + k);
             debug_assert_eq!(sib.group, group, "group not contiguous");
             sib.resteer_next = Some(actual_next);
         }
@@ -154,7 +154,12 @@ mod tests {
         let mut copy1_issued_at = None;
         for _ in 0..2_000 {
             proc.cycle();
-            let copies: Vec<_> = proc.ruu.iter().filter(|e| e.pc == victim_pc).collect();
+            let copies: Vec<_> = proc
+                .state
+                .ruu
+                .iter()
+                .filter(|e| e.pc == victim_pc)
+                .collect();
             if copies.len() != 2 {
                 continue;
             }

@@ -7,6 +7,7 @@
 //!               [--max-body BYTES] [--head-timeout-ms N] [--token-file FILE]
 //!               [--gc-interval-ms N] [--max-live-jobs N]
 //!               [--max-queued-cells N] [--max-state-bytes N]
+//!               [--cell-floor-ms N]
 //! ftsimd gc     [--state DIR] [--quarantine-retain-secs N]
 //! ftsimd jobs   [--state DIR | --remote ADDR]
 //! ftsimd status [JOB] [--state DIR | --remote ADDR]
@@ -72,6 +73,7 @@ USAGE:
                   [--max-body BYTES] [--head-timeout-ms N] [--token-file FILE]
                   [--gc-interval-ms N] [--max-live-jobs N]
                   [--max-queued-cells N] [--max-state-bytes N]
+                  [--cell-floor-ms N]
     ftsimd gc     [--state DIR] [--quarantine-retain-secs N]
     ftsimd jobs   [--state DIR | --remote ADDR]
     ftsimd status [JOB] [--state DIR | --remote ADDR]
@@ -103,7 +105,9 @@ COMMANDS:
               install a per-submitter admission quota (0 = unlimited;
               over-quota submissions get 429 + Retry-After).
               --gc-interval-ms sets the background TTL garbage
-              collection cadence (default hourly; 0 disables). Ctrl-C,
+              collection cadence (default hourly; 0 disables).
+              --cell-floor-ms sets the stuck-cell watchdog's budget for
+              a family's first cell (default 120000). Ctrl-C,
               SIGTERM or `ftsimd stop` shut down gracefully (claimed
               work is re-queued and resumes from its streamed records).
     gc        Run one garbage-collection pass now: expire terminal jobs
@@ -143,7 +147,7 @@ The state directory defaults to ./ftsimd-state, or $FTSIMD_STATE.
 
 /// Flags that take a value (`--flag VALUE`); stored as `--flag=VALUE`.
 /// The `true` entries are validated as unsigned integers at parse time.
-const VALUE_FLAGS: [(&str, bool); 16] = [
+const VALUE_FLAGS: [(&str, bool); 17] = [
     ("-n", true),
     ("--poll-ms", true),
     ("--interval", true),
@@ -156,6 +160,7 @@ const VALUE_FLAGS: [(&str, bool); 16] = [
     ("--max-queued-cells", true),
     ("--max-state-bytes", true),
     ("--quarantine-retain-secs", true),
+    ("--cell-floor-ms", true),
     ("--listen", false),
     ("--remote", false),
     ("--token-file", false),
@@ -434,6 +439,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "--max-live-jobs",
         "--max-queued-cells",
         "--max-state-bytes",
+        "--cell-floor-ms",
     ])?;
     if !args.positional.is_empty() {
         return Err("serve takes no positional arguments".to_string());
@@ -476,6 +482,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .and_then(|v| v.parse().ok())
             .map_or(defaults.gc_interval, Duration::from_millis),
         quota: serve_quota(args),
+        cell_floor: args
+            .value("--cell-floor-ms")
+            .and_then(|v| v.parse().ok())
+            .map_or(defaults.cell_floor, Duration::from_millis),
     };
     eprintln!(
         "ftsimd: serving {} ({})",

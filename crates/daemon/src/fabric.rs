@@ -184,20 +184,15 @@ impl FabricConfig {
             owner: format!("{host}:{}:{seq}", std::process::id()),
             lease,
             mode: LeaseMode::Strict,
-            cell_floor: default_cell_floor(),
+            cell_floor: DEFAULT_CELL_FLOOR,
         }
     }
 }
 
-/// The stuck-cell watchdog's no-data budget: `FTSIMD_CELL_FLOOR_MS`
-/// (tests shrink it to trigger quickly) or two minutes — comfortably
-/// above any baseline computation in the paper's budget range.
-fn default_cell_floor() -> Duration {
-    std::env::var("FTSIMD_CELL_FLOOR_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(Duration::from_secs(120), Duration::from_millis)
-}
+/// The stuck-cell watchdog's default no-data budget, which
+/// `serve --cell-floor-ms` overrides: two minutes, comfortably above any
+/// baseline computation in the paper's budget range.
+pub const DEFAULT_CELL_FLOOR: Duration = Duration::from_secs(120);
 
 impl Default for FabricConfig {
     fn default() -> Self {

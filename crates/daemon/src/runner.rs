@@ -315,6 +315,9 @@ pub struct ServeOptions {
     /// (`--max-live-jobs`/`--max-queued-cells`/`--max-state-bytes`);
     /// `None` leaves `<state>/quota.json` as it stands.
     pub quota: Option<QuotaPolicy>,
+    /// The stuck-cell watchdog's budget for a family's first cell
+    /// (`--cell-floor-ms`; see [`FabricConfig::cell_floor`]).
+    pub cell_floor: Duration,
 }
 
 impl Default for ServeOptions {
@@ -332,6 +335,7 @@ impl Default for ServeOptions {
             token: None,
             gc_interval: Duration::from_secs(3600),
             quota: None,
+            cell_floor: crate::fabric::DEFAULT_CELL_FLOOR,
         }
     }
 }
@@ -361,6 +365,7 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
     let stop = AtomicBool::new(false);
     let mut cfg = FabricConfig::new(opts.lease);
     cfg.mode = opts.lease_mode;
+    cfg.cell_floor = opts.cell_floor;
     install_observability(store, &cfg.owner);
     if let Some(quota) = &opts.quota {
         store.set_quota_policy(quota)?;

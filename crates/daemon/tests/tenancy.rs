@@ -301,9 +301,8 @@ checkpointing = true
 fn spawn_wd_serve(state: &Path, chaos: &str, floor_ms: &str) -> Child {
     ftsimd()
         .args(["serve", "--state", state.to_str().unwrap()])
-        .args(["--drain", "--workers", "1"])
+        .args(["--drain", "--workers", "1", "--cell-floor-ms", floor_ms])
         .env("FTSIM_CHAOS", chaos)
-        .env("FTSIMD_CELL_FLOOR_MS", floor_ms)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()

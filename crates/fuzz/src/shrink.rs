@@ -13,7 +13,7 @@
 use crate::harness::{
     budget_for, check_axes, check_spec, self_check, Invariant, SeedOutcome, Violation,
 };
-use ftsim_core::{SimBuilder, SimError, SimResult, Simulator};
+use ftsim_core::{fork_point, SimBuilder, SimError, SimResult, Simulator};
 use ftsim_daemon::model_by_name;
 use ftsim_faults::{per_million, FaultInjector, FaultPlan, InjectionPoint, SiteMix};
 use ftsim_workloads::{FuzzProgram, FuzzSpec};
@@ -332,20 +332,12 @@ pub fn plan_mismatch(
                 .build()
                 .ok()?
                 .run_with_checkpoints(checkpoint_interval(budget), bound);
-            let cp = checkpoints
-                .iter()
-                .rev()
-                .find(|cp| cp.draws() <= bound)
-                .filter(|cp| cp.cycle() > 0)
-                .cloned()?;
+            let cp = fork_point(&checkpoints, bound)?.clone();
             let mut sim = cell_builder(fp, model, budget)
                 .injector(FaultInjector::from_plan(plan))
                 .build()
                 .ok()?;
-            let draws = cp.draws();
-            let proc = sim.processor_mut();
-            proc.restore_owned(cp);
-            proc.injector_mut().fast_forward_fault_free(draws);
+            sim.processor_mut().fork(cp);
             let forked = fingerprint(&sim.run());
             (cold != forked).then(|| format!("cold [{cold}] != forked [{forked}]"))
         }

@@ -3,10 +3,10 @@
 //! stay invariant-clean (the harness knows a budget-limited run is not a
 //! violation).
 //!
-//! This binary never sets `FTSIM_PLANT`, so the planted defect stays
-//! inert here; the plant-specific behavior lives in `planted.rs` (its
-//! own process, because the flag is read from the environment at
-//! processor construction).
+//! This binary never calls `ftsim_core::arm_plant()`, so the planted
+//! defect stays inert here even though the `plant` feature is compiled
+//! in; the plant-specific behavior lives in `planted.rs` (its own
+//! process, because arming is process-wide).
 
 use ftsim_fuzz::check_seed;
 

@@ -1,14 +1,14 @@
 //! End-to-end validation of the catch-and-shrink loop against the
-//! deliberately planted checkpoint-state defect in `ftsim-core`
-//! (`FTSIM_PLANT`: a load-issue stall counter that is folded into
-//! `load_forwards` but deliberately left out of checkpoint state, so
-//! forked runs under-count relative to cold runs).
+//! deliberately planted checkpoint-state defect in `ftsim-core` (its
+//! `plant` feature: a load-issue stall counter that is folded into
+//! `load_forwards` but kept outside `MachineState`, so forked runs
+//! under-count relative to cold runs).
 //!
-//! Every test in this binary flips `FTSIM_PLANT` on first — the flag is
-//! read from the environment when a processor is built, so it must be
-//! set before any simulation in this process. The fault-free tier-1
-//! suites never set it, which is what keeps the plant invisible
-//! everywhere else.
+//! This crate's dev-dependencies compile the defect in, and every test
+//! in this binary arms it first with `ftsim_core::arm_plant()`. Arming
+//! is process-wide and sticks, so it must happen before any simulation
+//! in this process; every other test binary leaves the defect unarmed,
+//! which is what keeps it invisible everywhere else.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -20,7 +20,7 @@ use ftsim_fuzz::{check_seed, load_repro, replay, save_repro, shrink, Invariant, 
 const SCAN: u64 = 32;
 
 fn plant() {
-    std::env::set_var("FTSIM_PLANT", "1");
+    ftsim_core::arm_plant();
 }
 
 /// First violating outcome in the scan range, computed once per process.

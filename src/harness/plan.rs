@@ -25,7 +25,9 @@
 use crate::harness::experiment::{Experiment, ExperimentError};
 use crate::harness::record::{IdentityKey, RunRecord};
 use ftsim_core::profile::{self, StageProfile};
-use ftsim_core::{Checkpoint, MachineConfig, RunLimits, SimBuilder, SimResult, Simulator};
+use ftsim_core::{
+    fork_point, Checkpoint, MachineConfig, RunLimits, SimBuilder, SimResult, Simulator,
+};
 use ftsim_faults::{per_million, FaultInjector};
 use ftsim_isa::Program;
 use ftsim_obs::metrics;
@@ -391,12 +393,7 @@ impl SweepPlan {
             // injection (horizon-capped by the planning pass, so every
             // candidate lies in the provably fault-free region).
             let bound = self.bounds[idx].expect("live faulty cells have a bound");
-            let fork_from = checkpoints
-                .iter()
-                .rev()
-                .find(|cp| cp.draws() <= bound)
-                .filter(|cp| cp.cycle() > 0)
-                .cloned();
+            let fork_from = fork_point(checkpoints, bound).cloned();
             drop(baseline); // release the family lock before simulating
             if let Some(cp) = fork_from {
                 let builder = self
@@ -406,10 +403,7 @@ impl SweepPlan {
                 let fork_retired = cp.retired_instructions();
                 let record = match builder.build() {
                     Ok(mut sim) => {
-                        let draws = cp.draws();
-                        let proc = sim.processor_mut();
-                        proc.restore_owned(cp);
-                        proc.injector_mut().fast_forward_fault_free(draws);
+                        sim.processor_mut().fork(cp);
                         match sim.run() {
                             Ok(result) => record.fill_outcome(&result),
                             Err(e) => record.fill_error(e.to_string()),
