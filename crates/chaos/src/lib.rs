@@ -36,7 +36,7 @@ pub mod retry;
 
 use std::fmt::Debug;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -61,6 +61,16 @@ fn temp_path(path: &Path) -> PathBuf {
     path.with_extension(format!("tmp.{}.{}", std::process::id(), seq))
 }
 
+/// The bytes of the file at `path` from `offset` to its end.
+fn read_range(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = Vec::with_capacity(len.saturating_sub(offset) as usize);
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
 fn wall_clock_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -80,8 +90,9 @@ pub trait IoEnv: Send + Sync + Debug {
     /// concern; this fails on invalid UTF-8 like `fs::read_to_string`).
     fn read_to_string(&self, site: &str, path: &Path) -> io::Result<String>;
 
-    /// Reads an entire file to bytes.
-    fn read(&self, site: &str, path: &Path) -> io::Result<Vec<u8>>;
+    /// Reads a file's bytes from `offset` to its end (none when the file
+    /// is shorter); offset 0 reads the whole file.
+    fn read_from(&self, site: &str, path: &Path, offset: u64) -> io::Result<Vec<u8>>;
 
     /// Writes `data` to `path`, truncating, without durability guarantees.
     fn write_file(&self, site: &str, path: &Path, data: &[u8]) -> io::Result<()>;
@@ -148,8 +159,8 @@ impl IoEnv for RealIo {
         fs::read_to_string(path)
     }
 
-    fn read(&self, _site: &str, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
+    fn read_from(&self, _site: &str, path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+        read_range(path, offset)
     }
 
     fn write_file(&self, _site: &str, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -417,9 +428,9 @@ impl IoEnv for ChaosIo {
         fs::read_to_string(path)
     }
 
-    fn read(&self, site: &str, path: &Path) -> io::Result<Vec<u8>> {
+    fn read_from(&self, site: &str, path: &Path, offset: u64) -> io::Result<Vec<u8>> {
         self.check(site)?;
-        fs::read(path)
+        read_range(path, offset)
     }
 
     fn write_file(&self, site: &str, path: &Path, data: &[u8]) -> io::Result<()> {
@@ -632,6 +643,22 @@ mod tests {
         RealIo.write_atomic("t", &path, b"one").unwrap();
         RealIo.write_atomic("t", &path, b"two").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"two");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ranged_reads_start_at_the_offset_and_are_gated() {
+        let dir = tmp_dir("range");
+        let path = dir.join("f");
+        fs::write(&path, b"0123456789").unwrap();
+        assert_eq!(RealIo.read_from("t", &path, 0).unwrap(), b"0123456789");
+        assert_eq!(RealIo.read_from("t", &path, 4).unwrap(), b"456789");
+        assert!(RealIo.read_from("t", &path, 11).unwrap().is_empty());
+        let chaos = ChaosIo::from_spec("1:eio@a.b").unwrap();
+        assert_eq!(chaos.read_from("c.d", &path, 9).unwrap(), b"9");
+        let err = chaos.read_from("a.b", &path, 0).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(EIO));
+        assert_eq!(chaos.hits("a.b"), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

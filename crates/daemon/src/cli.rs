@@ -171,6 +171,8 @@ const VALUE_FLAGS: [(&str, bool); 17] = [
 struct Args {
     state: String,
     remote: Option<String>,
+    /// `$FTSIMD_TOKEN`, read once ([`env_token`]).
+    token: Option<String>,
     flags: Vec<String>,
     positional: Vec<String>,
 }
@@ -212,6 +214,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(Args {
         state,
         remote,
+        token: env_token(),
         flags,
         positional,
     })
@@ -310,10 +313,17 @@ fn open_store(args: &Args) -> Result<JobStore, String> {
 // ---------------------------------------------------------------------
 // Remote plumbing.
 
-/// Performs one remote request, turning non-2xx responses (which carry
-/// a JSON `{"error": ...}` body) into CLI errors.
-fn remote_call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<String, String> {
-    let (code, body) = http_request(addr, method, path, body)?;
+/// Performs one request to the daemon at `addr`, presenting the
+/// client's token when it has one, and turns non-2xx responses (which
+/// carry a JSON `{"error": ...}` body) into CLI errors.
+fn remote_call(
+    args: &Args,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<String, String> {
+    let (code, body) = http_request(addr, args.token.as_deref(), method, path, body)?;
     if (200..300).contains(&code) {
         return Ok(body);
     }
@@ -324,8 +334,8 @@ fn remote_call(addr: &str, method: &str, path: &str, body: Option<&str>) -> Resu
     Err(format!("remote {addr}: {detail} (http {code})"))
 }
 
-fn remote_json(addr: &str, path: &str) -> Result<JsonValue, String> {
-    let body = remote_call(addr, "GET", path, None)?;
+fn remote_json(args: &Args, addr: &str, path: &str) -> Result<JsonValue, String> {
+    let body = remote_call(args, addr, "GET", path, None)?;
     JsonValue::parse(&body).map_err(|e| format!("remote {addr}: bad response: {e}"))
 }
 
@@ -351,7 +361,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading spec {path}: {e}"))?;
     if let Some(addr) = args.remote() {
         // The server validates; the client only reads the file.
-        let doc = JsonValue::parse(&remote_call(addr, "POST", "/jobs", Some(&text))?)
+        let doc = JsonValue::parse(&remote_call(args, addr, "POST", "/jobs", Some(&text))?)
             .map_err(|e| format!("remote {addr}: bad response: {e}"))?;
         let id = str_of(&doc, "id");
         if doc.get("created").and_then(|v| v.as_bool()) == Some(true) {
@@ -399,10 +409,17 @@ fn serve_token(args: &Args) -> Result<Option<String>, String> {
         }
         return Ok(Some(token));
     }
-    Ok(std::env::var("FTSIMD_TOKEN")
+    Ok(args.token.clone())
+}
+
+/// `$FTSIMD_TOKEN`, trimmed, unless unset or blank: the token `serve`
+/// requires without `--token-file`, and the one the `--remote` client
+/// presents.
+fn env_token() -> Option<String> {
+    std::env::var("FTSIMD_TOKEN")
         .ok()
         .map(|t| t.trim().to_string())
-        .filter(|t| !t.is_empty()))
+        .filter(|t| !t.is_empty())
 }
 
 /// The admission quota the serve flags describe, or `None` when no
@@ -530,7 +547,7 @@ fn cmd_jobs(args: &Args) -> Result<(), String> {
         return Err("jobs takes no positional arguments".to_string());
     }
     let (doc, place) = match args.remote() {
-        Some(addr) => (remote_json(addr, "/jobs")?, format!("at {addr}")),
+        Some(addr) => (remote_json(args, addr, "/jobs")?, format!("at {addr}")),
         None => {
             let store = open_store(args)?;
             let doc = jobs_doc(&store).map_err(|e| e.to_string())?;
@@ -577,7 +594,10 @@ fn cmd_status(args: &Args) -> Result<(), String> {
         _ => return Err("status takes at most one job id".to_string()),
     };
     let (doc, dir) = match args.remote() {
-        Some(addr) => (remote_json(addr, &format!("/jobs/{id}/status"))?, None),
+        Some(addr) => (
+            remote_json(args, addr, &format!("/jobs/{id}/status"))?,
+            None,
+        ),
         None => {
             let store = open_store(args)?;
             let job = store.job(id).map_err(|e| e.to_string())?;
@@ -647,9 +667,9 @@ fn cmd_read(args: &Args, verb: Verb) -> Result<(), String> {
         };
         let path = format!("/jobs/{id}/{name}{query}");
         if watching {
-            return forward_stream(addr, &path);
+            return forward_stream(args, addr, &path);
         }
-        print!("{}", remote_call(addr, "GET", &path, None)?);
+        print!("{}", remote_call(args, addr, "GET", &path, None)?);
         return Ok(());
     }
     let store = open_store(args)?;
@@ -699,11 +719,11 @@ fn cmd_read(args: &Args, verb: Verb) -> Result<(), String> {
 /// and closes the connection when the job is terminal; the client
 /// forwards them to stdout, stopping early if the downstream pipe
 /// closes.
-fn forward_stream(addr: &str, path: &str) -> Result<(), String> {
+fn forward_stream(args: &Args, addr: &str, path: &str) -> Result<(), String> {
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let code = http_stream(addr, path, &mut |line| {
+    let code = http_stream(addr, args.token.as_deref(), path, &mut |line| {
         writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
     })?;
     if code != 200 {
@@ -726,7 +746,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         }
         print!(
             "{}",
-            remote_call(addr, "GET", &format!("/trace?n={n}"), None)?
+            remote_call(args, addr, "GET", &format!("/trace?n={n}"), None)?
         );
         return Ok(());
     }
@@ -870,12 +890,12 @@ fn cmd_stop(args: &Args) -> Result<(), String> {
     if let Some(addr) = args.remote() {
         return match args.positional.as_slice() {
             [] => {
-                remote_call(addr, "POST", "/stop", None)?;
+                remote_call(args, addr, "POST", "/stop", None)?;
                 eprintln!("ftsimd: stop requested; {addr} will finish its cell in flight and exit");
                 Ok(())
             }
             [id] => {
-                remote_call(addr, "POST", &format!("/jobs/{id}/stop"), None)?;
+                remote_call(args, addr, "POST", &format!("/jobs/{id}/stop"), None)?;
                 eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
                 Ok(())
             }

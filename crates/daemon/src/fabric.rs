@@ -68,6 +68,8 @@ struct FabricObs {
     /// Wall time from asking for a family to holding its lease,
     /// backoff included.
     lease_wait_ms: metrics::Histo,
+    /// Wall time of one scheduling pass ([`next_assignment`]).
+    sched_pass_ms: metrics::Histo,
     cells_completed: metrics::Counter,
     cells_retried: metrics::Counter,
     watchdog_kills: metrics::Counter,
@@ -85,6 +87,7 @@ fn fobs() -> &'static FabricObs {
         claims_stolen: claim("stolen"),
         claims_released: claim("released"),
         lease_wait_ms: metrics::histogram("ftsimd_lease_wait_ms", &[], 5, 40),
+        sched_pass_ms: metrics::histogram("ftsimd_sched_pass_ms", &[], 1, 40),
         cells_completed: metrics::counter("ftsimd_cells_completed_total", &[]),
         cells_retried: metrics::counter("ftsimd_cells_retried_total", &[]),
         watchdog_kills: metrics::counter("ftsimd_watchdog_kills_total", &[]),
@@ -635,6 +638,20 @@ pub(crate) fn next_assignment(
     cfg: &FabricConfig,
     only: Option<&str>,
 ) -> Result<NextWork, DaemonError> {
+    let started = Instant::now();
+    let next = scheduling_pass(store, cfg, only);
+    fobs()
+        .sched_pass_ms
+        .record(started.elapsed().as_millis() as u64);
+    next
+}
+
+/// The body of [`next_assignment`].
+fn scheduling_pass(
+    store: &JobStore,
+    cfg: &FabricConfig,
+    only: Option<&str>,
+) -> Result<NextWork, DaemonError> {
     struct Candidate {
         job: Job,
         spec: JobSpec,
@@ -1043,20 +1060,18 @@ pub(crate) fn run_family(
     sub.budgets = vec![a.family.budget];
     sub.threads = 1; // cells run on this worker thread only
 
-    let (mut writer, existing) =
-        match AppendWriter::open(a.job.cells_path(), &RunRecord::csv_header()) {
-            Ok(opened) => opened,
-            // The open itself appends (the header, or the tail repair), so a
-            // full disk can surface here just as well as on a row append.
-            Err(e) if ftsim_chaos::is_enospc(&e) => return Ok(pause_for_enospc(store, &a.job)),
-            Err(e) => {
-                return Err(io_err(format!("opening {}", a.job.cells_path().display()))(
-                    e,
-                ))
-            }
-        };
+    let path = a.job.cells_path();
+    let header = RunRecord::csv_header();
+    let trusted = log::trusted_prefix(&a.job, &a.spec)?;
+    let (mut writer, opened) = match AppendWriter::open_after(&path, &header, trusted) {
+        Ok(opened) => opened,
+        // The open itself appends (the header, or the tail repair), so a
+        // full disk can surface here just as well as on a row append.
+        Err(e) if ftsim_chaos::is_enospc(&e) => return Ok(pause_for_enospc(store, &a.job)),
+        Err(e) => return Err(io_err(format!("opening {}", path.display()))(e)),
+    };
     // Only the claimed family's records: the sub-grid has no other cells.
-    let prior = log::family_records(&a.job, &a.spec, &a.family, &existing)?;
+    let prior = log::family_records(&a.job, &a.spec, &a.family, &opened)?;
     let plan = std::sync::Arc::new(
         sub.to_experiment()?
             .resume_from(prior)

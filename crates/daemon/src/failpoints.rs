@@ -189,7 +189,7 @@ pub const CATALOG: &[Failpoint] = &[
     },
     Failpoint {
         site: FABRIC_CELLS_READ,
-        op: "cells.csv read for resume/merge",
+        op: "cells.csv read (past the index's boundary, or whole) for resume/merge",
         recovery: "retry; tolerant parser drops at most the torn trailing row, which is re-run",
     },
     Failpoint {

@@ -816,15 +816,10 @@ fn client_backoff() -> Backoff {
 }
 
 /// The `Authorization: Bearer ...\r\n` header line the client attaches
-/// when `FTSIMD_TOKEN` is set; empty otherwise. Token-gated daemons
-/// refuse mutating verbs without it (401).
-fn client_auth_header() -> String {
-    match std::env::var("FTSIMD_TOKEN") {
-        Ok(token) if !token.trim().is_empty() => {
-            format!("Authorization: Bearer {}\r\n", token.trim())
-        }
-        _ => String::new(),
-    }
+/// when it has a token; empty otherwise. Token-gated daemons refuse
+/// mutating verbs without it (401).
+fn client_auth_header(token: Option<&str>) -> String {
+    token.map_or_else(String::new, |t| format!("Authorization: Bearer {t}\r\n"))
 }
 
 /// Performs one request with retry/backoff and returns `(status, body)`.
@@ -833,13 +828,14 @@ fn client_auth_header() -> String {
 /// status is a *response* and is returned, not retried.
 pub(crate) fn http_request(
     addr: &str,
+    token: Option<&str>,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> Result<(u16, String), String> {
     let mut backoff = client_backoff();
     loop {
-        match http_request_once(addr, method, path, body) {
+        match http_request_once(addr, token, method, path, body) {
             Ok(reply) => return Ok(reply),
             Err(e) => match backoff.next_delay() {
                 Some(delay) => {
@@ -856,6 +852,7 @@ pub(crate) fn http_request(
 /// carries `Connection: close`).
 fn http_request_once(
     addr: &str,
+    token: Option<&str>,
     method: &str,
     path: &str,
     body: Option<&str>,
@@ -869,7 +866,7 @@ fn http_request_once(
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{body}",
         body.len(),
-        client_auth_header()
+        client_auth_header(token)
     );
     stream
         .write_all(request.as_bytes())
@@ -905,12 +902,13 @@ fn split_response(response: &str) -> Result<(u16, String), String> {
 /// duplicate them, so a mid-stream failure is reported instead.
 pub(crate) fn http_stream(
     addr: &str,
+    token: Option<&str>,
     path: &str,
     on_line: &mut dyn FnMut(&str) -> bool,
 ) -> Result<u16, String> {
     let mut backoff = client_backoff();
     loop {
-        match http_stream_once(addr, path, on_line) {
+        match http_stream_once(addr, token, path, on_line) {
             Ok(code) => return Ok(code),
             Err((true, e)) => return Err(e),
             Err((false, e)) => match backoff.next_delay() {
@@ -928,6 +926,7 @@ pub(crate) fn http_stream(
 /// already delivered to `on_line` (which forbids a retry).
 fn http_stream_once(
     addr: &str,
+    token: Option<&str>,
     path: &str,
     on_line: &mut dyn FnMut(&str) -> bool,
 ) -> Result<u16, (bool, String)> {
@@ -939,7 +938,7 @@ fn http_stream_once(
         TcpStream::connect(addr).map_err(|e| fresh(format!("connecting to {addr}: {e}")))?;
     let request = format!(
         "GET {path} HTTP/1.1\r\nHost: {addr}\r\n{}Connection: close\r\n\r\n",
-        client_auth_header()
+        client_auth_header(token)
     );
     stream
         .write_all(request.as_bytes())
@@ -1038,32 +1037,33 @@ mod tests {
 
             // Submit over HTTP...
             let spec = "name = \"http-rt\"\nworkloads = [\"gcc\"]\nmodels = [\"SS-1\"]\nbudgets = [1000]\n";
-            let (code, body) = http_request(&addr, "POST", "/jobs", Some(spec)).unwrap();
+            let (code, body) = http_request(&addr, None, "POST", "/jobs", Some(spec)).unwrap();
             assert_eq!(code, 200, "{body}");
             let doc = JsonValue::parse(&body).unwrap();
             let id = doc.get("id").unwrap().as_str().unwrap().to_string();
             assert_eq!(doc.get("created").unwrap().as_bool(), Some(true));
 
             // ...list and status see it...
-            let (code, body) = http_request(&addr, "GET", "/jobs", None).unwrap();
+            let (code, body) = http_request(&addr, None, "GET", "/jobs", None).unwrap();
             assert_eq!(code, 200);
             assert!(body.contains(&id));
             let (code, body) =
-                http_request(&addr, "GET", &format!("/jobs/{id}/status"), None).unwrap();
+                http_request(&addr, None, "GET", &format!("/jobs/{id}/status"), None).unwrap();
             assert_eq!(code, 200);
             let doc = JsonValue::parse(&body).unwrap();
             assert_eq!(doc.get("state").unwrap().as_str(), Some("queued"));
 
             // ...a bad spec and a bad id are client errors...
-            let (code, _) = http_request(&addr, "POST", "/jobs", Some("nope =")).unwrap();
+            let (code, _) = http_request(&addr, None, "POST", "/jobs", Some("nope =")).unwrap();
             assert_eq!(code, 400);
-            let (code, _) = http_request(&addr, "GET", "/jobs/0099-nope/status", None).unwrap();
+            let (code, _) =
+                http_request(&addr, None, "GET", "/jobs/0099-nope/status", None).unwrap();
             assert_eq!(code, 404);
-            let (code, _) = http_request(&addr, "PUT", "/jobs", None).unwrap();
+            let (code, _) = http_request(&addr, None, "PUT", "/jobs", None).unwrap();
             assert_eq!(code, 405);
 
             // ...healthz reports fabric diagnostics...
-            let (code, body) = http_request(&addr, "GET", "/healthz", None).unwrap();
+            let (code, body) = http_request(&addr, None, "GET", "/healthz", None).unwrap();
             assert_eq!(code, 200);
             let doc = JsonValue::parse(&body).unwrap();
             assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
@@ -1082,7 +1082,7 @@ mod tests {
 
             // ...an oversized body is refused with 413 before parsing...
             let big = "x".repeat(8 * 1024);
-            let (code, _) = http_request(&addr, "POST", "/jobs", Some(&big)).unwrap();
+            let (code, _) = http_request(&addr, None, "POST", "/jobs", Some(&big)).unwrap();
             assert_eq!(code, 413);
 
             // ...a malformed request line gets 400, a slow-loris client
@@ -1099,7 +1099,8 @@ mod tests {
             assert!(reply.starts_with("HTTP/1.1 408"), "{reply}");
 
             // ...and a per-job stop pauses it.
-            let (code, _) = http_request(&addr, "POST", &format!("/jobs/{id}/stop"), None).unwrap();
+            let (code, _) =
+                http_request(&addr, None, "POST", &format!("/jobs/{id}/stop"), None).unwrap();
             assert_eq!(code, 200);
             let job = store.job(&id).unwrap();
             assert!(store.job_stop_requested(&job));

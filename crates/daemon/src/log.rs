@@ -1,11 +1,13 @@
-//! A job's streamed `cells.csv`, parsed once per process.
+//! A job's streamed `cells.csv`, read and parsed once per process.
 //!
 //! Every scheduling pass, claim and finalization asks the same questions
 //! of the same growing file: which grid cells have a record, and which
 //! record? [`JobLog`] answers them from an in-memory index that each
-//! look brings up to date by parsing only the bytes appended since the
-//! previous one ([`CellsTail`]). A claim therefore costs O(new rows +
-//! family), not O(job).
+//! look brings up to date by reading and parsing only the bytes appended
+//! since the previous one ([`CellsTail`]). The claim's writer repairs
+//! only the file's tail past the index's boundary
+//! ([`trusted_prefix`]). A claim therefore costs O(new rows +
+//! family) in bytes read and parsed, not O(job).
 //!
 //! The index is an optimisation only. Any doubt about the bytes behind
 //! its boundary rebuilds it from offset 0 with a full tolerant parse:
@@ -25,6 +27,7 @@ use crate::spec::JobSpec;
 use crate::store::{DaemonError, Job};
 use ftsim::harness::{from_csv_tolerant_prefix, group_families, FamilyId, IdentityKey, RunRecord};
 use ftsim_obs::metrics;
+use ftsim_stats::csv::{file_id, Opened, TrustedPrefix};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
@@ -44,27 +47,40 @@ fn rows_parsed() -> &'static metrics::Counter {
     ROWS.get_or_init(|| metrics::counter("ftsimd_cells_rows_parsed_total", &[]))
 }
 
+/// `cells.csv` bytes read by this process: by the index, and by the
+/// writer's tail repair.
+fn bytes_read() -> &'static metrics::Counter {
+    static BYTES: OnceLock<metrics::Counter> = OnceLock::new();
+    BYTES.get_or_init(|| metrics::counter("ftsimd_cells_bytes_read_total", &[]))
+}
+
 /// A file's identity on its filesystem (device, inode), where the
 /// platform has one.
 type FileId = (u64, u64);
 
-fn file_id(path: &Path) -> Option<FileId> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt as _;
-        std::fs::metadata(path).ok().map(|m| (m.dev(), m.ino()))
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = path;
-        None
+/// The identity and length of the file at `path`, if there is one.
+fn stat(path: &Path) -> (Option<FileId>, Option<u64>) {
+    match std::fs::metadata(path) {
+        Ok(meta) => (file_id(&meta), Some(meta.len())),
+        Err(_) => (None, None),
     }
 }
 
+/// The bytes of `path` from `offset` on; a missing file reads as empty.
+fn read_from(path: &Path, offset: usize) -> io::Result<Vec<u8>> {
+    let bytes = match ftsim_chaos::io().read_from(fp::FABRIC_CELLS_READ, path, offset as u64) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    bytes_read().add(bytes.len() as u64);
+    Ok(bytes)
+}
+
 /// An incremental reader of a growing `cells.csv`: it remembers how far
-/// it has parsed and, on the next read, parses only what lies past that
-/// boundary — or the whole file again when the bytes before the
-/// boundary are not the ones it parsed.
+/// it has parsed and, on the next read, reads and parses only what lies
+/// past that boundary — or the whole file again when the bytes before
+/// the boundary are not the ones it parsed.
 #[derive(Debug, Default)]
 pub(crate) struct CellsTail {
     /// Bytes settled for good (parsed or dropped as damaged); 0 or just
@@ -74,6 +90,9 @@ pub(crate) struct CellsTail {
     file: Option<FileId>,
     /// The last (up to [`GUARD_BYTES`]) bytes before the boundary.
     guard: Vec<u8>,
+    /// Every line settled since the last parse from offset 0 parsed into
+    /// a record, so the CSV grammar accepts the whole consumed prefix.
+    clean: bool,
 }
 
 /// What one [`CellsTail::read`] found.
@@ -88,8 +107,10 @@ pub(crate) struct Tail {
 }
 
 impl CellsTail {
-    /// Reads `path` and parses what is new. A missing file reads as an
-    /// empty one.
+    /// Reads what is new in `path` and parses it: the bytes from the
+    /// guard before the boundary on, or the whole file when the file is
+    /// another one, shorter than the boundary, or no longer holds the
+    /// guard bytes there. A missing file reads as an empty one.
     ///
     /// # Errors
     ///
@@ -98,35 +119,66 @@ impl CellsTail {
     pub(crate) fn read(&mut self, path: &Path) -> io::Result<Tail> {
         // Identify the file before reading it: if it is replaced in
         // between, the next read sees a new identity and starts over.
-        let file = file_id(path);
-        let bytes = match ftsim_chaos::io().read(fp::FABRIC_CELLS_READ, path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        Ok(self.advance(file, &bytes))
+        let (file, len) = stat(path);
+        if self.consumed > 0 && file == self.file && len >= Some(self.consumed as u64) {
+            let offset = self.consumed - self.guard.len();
+            if let Some(tail) = self.advance(file, offset, &read_from(path, offset)?) {
+                return Ok(tail);
+            }
+        }
+        Ok(self.rebuild(file, &read_from(path, 0)?))
     }
 
-    /// Parses `bytes` — the whole current content of the file `file` —
-    /// from the boundary on, or from the start when the boundary cannot
-    /// be trusted.
-    fn advance(&mut self, file: Option<FileId>, bytes: &[u8]) -> Tail {
-        let from_start = self.consumed == 0
-            || file != self.file
-            || !bytes
-                .get(..self.consumed)
-                .is_some_and(|prefix| prefix.ends_with(&self.guard));
-        let start = if from_start { 0 } else { self.consumed };
-        let (records, damaged, settled) = parse_settled(&bytes[start..], start > 0);
-        self.consumed = start + settled;
+    /// Parses what lies past the boundary in `bytes` — the file `file`'s
+    /// content from byte `offset` on — when `bytes` holds the guard
+    /// bytes just before the boundary. `None`, with the tail unchanged,
+    /// when the boundary cannot be trusted.
+    fn advance(&mut self, file: Option<FileId>, offset: usize, bytes: &[u8]) -> Option<Tail> {
+        let at = self.consumed.checked_sub(offset)?;
+        let guard = at
+            .checked_sub(self.guard.len())
+            .and_then(|from| bytes.get(from..at));
+        if self.consumed == 0 || file != self.file || guard != Some(&self.guard[..]) {
+            return None;
+        }
+        Some(self.settle(file, offset, bytes, at))
+    }
+
+    /// Parses `bytes`, the whole content of the file `file`, from the
+    /// start.
+    fn rebuild(&mut self, file: Option<FileId>, bytes: &[u8]) -> Tail {
+        self.clean = true;
+        self.settle(file, 0, bytes, 0)
+    }
+
+    /// Parses `bytes[at..]` — the file `file`'s content from byte
+    /// `offset + at` on, where `offset + at` is the boundary or 0 — and
+    /// moves the boundary past the lines it settled.
+    fn settle(&mut self, file: Option<FileId>, offset: usize, bytes: &[u8], at: usize) -> Tail {
+        let from_start = offset + at == 0;
+        let (records, damaged, settled) = parse_settled(&bytes[at..], !from_start);
+        let end = at + settled;
+        self.consumed = offset + end;
         self.file = file;
-        self.guard = bytes[self.consumed.saturating_sub(GUARD_BYTES)..self.consumed].to_vec();
+        self.guard = bytes[end.saturating_sub(GUARD_BYTES)..end].to_vec();
+        self.clean &= damaged == 0;
         rows_parsed().add((records.len() + damaged) as u64);
         Tail {
             from_start,
             records,
             damaged,
         }
+    }
+
+    /// The consumed prefix, for the writer's repair to resume past: only
+    /// while every line in it parsed into a record, which makes it a
+    /// prefix the repair keeps whole.
+    fn trusted(&self) -> Option<TrustedPrefix> {
+        (self.clean && self.consumed > 0).then(|| TrustedPrefix {
+            len: self.consumed,
+            file: self.file,
+            guard: self.guard.clone(),
+        })
     }
 }
 
@@ -351,11 +403,33 @@ pub(crate) fn with_log<T>(
     Ok(f(&log))
 }
 
+/// The prefix of the job's `cells.csv` that the writer's tail repair
+/// may skip
+/// ([`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)):
+/// the index's consumed prefix, while every line in it parsed into a
+/// record. The index is not brought up to date first: the open
+/// re-checks the prefix's guard bytes and reads what follows them
+/// anyway. The prefix is a copy, so the open runs without the index's
+/// lock held.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the spec does not resolve to a grid.
+pub(crate) fn trusted_prefix(
+    job: &Job,
+    spec: &JobSpec,
+) -> Result<Option<TrustedPrefix>, DaemonError> {
+    let entry = entry(job, spec)?;
+    let log = entry.log.lock().expect("job log lock");
+    Ok(log.tail.trusted())
+}
+
 /// The records present for `family`, read after the caller's
-/// [`AppendWriter::open`](ftsim_stats::csv::AppendWriter::open) of the
-/// job's `cells.csv` returned `opened`. Should the index's own read fail,
-/// it takes `opened` instead, so a peer's rows are never re-run because
-/// the index lagged.
+/// [`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)
+/// of the job's `cells.csv` returned
+/// `opened`. Should the index's own read fail, it takes the bytes the
+/// open read instead, so a peer's rows are never re-run because the
+/// index lagged.
 ///
 /// # Errors
 ///
@@ -364,16 +438,24 @@ pub(crate) fn family_records(
     job: &Job,
     spec: &JobSpec,
     family: &FamilyId,
-    opened: &str,
+    opened: &Opened,
 ) -> Result<Vec<RunRecord>, DaemonError> {
+    bytes_read().add(opened.read as u64);
     let entry = entry(job, spec)?;
     let mut log = entry.log.lock().expect("job log lock");
     let path = job.cells_path();
     if log.refresh(&path).is_err() {
-        // `opened` is the file's content as of the open. Should it not
-        // extend what the index parsed, the tail starts over.
-        let tail = log.tail.advance(file_id(&path), opened.as_bytes());
-        log.absorb(&path, tail);
+        // `opened` is the file's content from `opened.offset` on, as of
+        // the open. Should it not extend what the index parsed, the tail
+        // starts over — when it holds the whole file.
+        let (file, _) = stat(&path);
+        let tail = match log.tail.advance(file, opened.offset, &opened.bytes) {
+            None if opened.offset == 0 => Some(log.tail.rebuild(file, &opened.bytes)),
+            tail => tail,
+        };
+        if let Some(tail) = tail {
+            log.absorb(&path, tail);
+        }
     }
     Ok(log.family_records(family))
 }
@@ -564,6 +646,79 @@ mod tests {
     }
 
     #[test]
+    fn the_writer_resumes_past_a_clean_boundary_only() {
+        let (store, job) = temp_job("trusted");
+        let path = job.cells_path();
+        let recs = records();
+        std::fs::write(&path, to_csv(&recs[..3])).unwrap();
+        let mut tail = CellsTail::default();
+        tail.read(&path).unwrap();
+        let prefix = tail.trusted().expect("a clean file is trusted");
+        assert_eq!(prefix.len, to_csv(&recs[..3]).len());
+
+        // A torn row past the boundary: the open reads only the guard and
+        // the tail, and cuts the fragment.
+        let torn = row(&recs[3]);
+        append(&path, &torn.as_bytes()[..torn.len() / 2]);
+        let header = RunRecord::csv_header();
+        let (_, opened) = AppendWriter::open_after(&path, &header, Some(prefix.clone())).unwrap();
+        assert_eq!(opened.offset, prefix.len - GUARD_BYTES);
+        assert_eq!(opened.bytes, prefix.guard);
+        assert_eq!(opened.read, GUARD_BYTES + torn.len() / 2);
+        assert_eq!(std::fs::read(&path).unwrap(), to_csv(&recs[..3]).as_bytes());
+
+        // A damaged settled line withdraws the trust until a rebuild.
+        append(&path, format!("gcc,torn\n{}", row(&recs[4])).as_bytes());
+        let next = tail.read(&path).unwrap();
+        assert_eq!((next.from_start, next.damaged), (false, 1));
+        assert!(tail.trusted().is_none());
+        std::fs::write(&path, to_csv(&recs[..2])).unwrap();
+        assert!(tail.read(&path).unwrap().from_start);
+        assert!(tail.trusted().is_some());
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn a_failed_refresh_takes_what_the_open_read() {
+        let (store, job) = temp_job("fallback");
+        let path = job.cells_path();
+        let recs = records();
+        std::fs::write(&path, to_csv(&recs[..2])).unwrap();
+        let fam = FamilyId::of_record(&recs[0]);
+        let members = |n: usize| {
+            recs[..n]
+                .iter()
+                .filter(|r| FamilyId::of_record(r) == fam)
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        let mut log = JobLog::new(&spec()).unwrap();
+        log.refresh(&path).unwrap();
+        let header = RunRecord::csv_header();
+        append(
+            &path,
+            format!("{}{}", row(&recs[2]), row(&recs[3])).as_bytes(),
+        );
+        let (_, opened) = AppendWriter::open_after(&path, &header, log.tail.trusted()).unwrap();
+        assert!(opened.offset > 0);
+
+        // The open's bytes extend the boundary: the index takes them.
+        let (file, _) = stat(&path);
+        let tail = log
+            .tail
+            .advance(file, opened.offset, &opened.bytes)
+            .unwrap();
+        log.absorb(&path, tail);
+        assert_eq!(log.family_records(&fam), members(4));
+
+        // Bytes from a later offset than the boundary's guard do not.
+        append(&path, row(&recs[4]).as_bytes());
+        let at = std::fs::metadata(&path).unwrap().len() as usize;
+        assert!(log.tail.advance(file, at, b"").is_none());
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
     fn cache_follows_the_spec_and_forgets_finished_jobs() {
         let (store, job) = temp_job("cache");
         let recs = records();
@@ -576,7 +731,15 @@ mod tests {
             .filter(|r| FamilyId::of_record(r) == fam)
             .cloned()
             .collect::<Vec<_>>();
-        assert_eq!(family_records(&job, &spec(), &fam, "").unwrap(), members);
+        let nothing = Opened {
+            offset: 0,
+            bytes: Vec::new(),
+            read: 0,
+        };
+        assert_eq!(
+            family_records(&job, &spec(), &fam, &nothing).unwrap(),
+            members
+        );
 
         // A different spec in the same directory gets a fresh index.
         let mut other = spec();

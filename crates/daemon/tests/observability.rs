@@ -191,6 +191,8 @@ fn metrics_parse_and_stay_monotonic_across_a_two_process_fabric() {
         "ftsimd_cells_completed_total",
         "ftsimd_append_bytes_total",
         "ftsimd_lease_wait_ms_count",
+        "ftsimd_sched_pass_ms_count",
+        "ftsimd_cells_bytes_read_total",
     ] {
         assert!(end.contains_key(series), "missing {series} in:\n{end:?}");
     }

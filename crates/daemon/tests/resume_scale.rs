@@ -1,16 +1,20 @@
 //! Work-counter tripwire for a daemon resuming a large, mostly finished
-//! job: each `cells.csv` row is parsed about once per process, not once
-//! per claim, scheduling pass and finalization.
+//! job: each `cells.csv` row is parsed, and each of its bytes read,
+//! about once per process, not once per claim, scheduling pass and
+//! finalization.
 //!
 //! A 2,048-cell job has 9 cells in 10 pre-filled into its `cells.csv`
 //! (from a one-shot run of the same grid); an in-process `serve --drain`
 //! runs the rest. The rows the daemon parsed, by the process counter
 //! `ftsimd_cells_rows_parsed_total`, may not exceed the pre-filled rows
-//! plus the appended rows plus one full rebuild's worth. Re-parsing the
-//! whole file per claim, per scheduling pass and per finalization would
-//! cost several times that for every one of the job's families.
+//! plus the appended rows plus one full rebuild's worth. The bytes it
+//! read, by `ftsimd_cells_bytes_read_total` (the record index's reads
+//! and the writer's tail repairs), may not exceed twice the final file.
+//! Re-reading or re-parsing the whole file per claim, per scheduling
+//! pass and per finalization would cost several times that for every
+//! one of the job's families.
 //!
-//! The test is one function in its own binary: the counter is
+//! The test is one function in its own binary: the counters are
 //! process-wide.
 
 use ftsim::harness::to_csv;
@@ -57,7 +61,8 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     std::fs::write(job.cells_path(), to_csv(&prefilled)).unwrap();
 
     let parsed = metrics::counter("ftsimd_cells_rows_parsed_total", &[]);
-    let before = parsed.get();
+    let read = metrics::counter("ftsimd_cells_bytes_read_total", &[]);
+    let (before, read_before) = (parsed.get(), read.get());
     serve(
         &store,
         &ServeOptions {
@@ -70,6 +75,7 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     )
     .unwrap();
     let rows_parsed = parsed.get() - before;
+    let bytes_read = read.get() - read_before;
 
     assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
     assert_eq!(
@@ -84,6 +90,13 @@ fn resuming_a_large_job_parses_each_row_about_once() {
         "parsed {rows_parsed} cells.csv rows resuming {} pre-filled and \
          {appended} appended rows (bound {bound})",
         prefilled.len()
+    );
+    let file_len = std::fs::metadata(job.cells_path()).unwrap().len();
+    eprintln!("parsed {rows_parsed} rows, read {bytes_read} bytes of a {file_len}-byte cells.csv");
+    assert!(
+        bytes_read <= 2 * file_len,
+        "read {bytes_read} bytes of a {file_len}-byte cells.csv (bound {})",
+        2 * file_len
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,17 +8,25 @@
 //! results to disk so a crashed run can resume from whatever rows made
 //! it out.
 
-use std::fs::{File, OpenOptions};
-use std::io::Read as _;
+use std::fs::{File, Metadata, OpenOptions};
+use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::Path;
 
-/// Quotes a single cell when it contains a comma, quote or newline.
-pub fn escape(cell: &str) -> String {
-    if cell.contains(['"', ',', '\n', '\r']) {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
+/// Appends `cell` to `out`, quoted when it contains a comma, quote or
+/// newline.
+pub fn push_escaped(out: &mut String, cell: &str) {
+    if !cell.contains(['"', ',', '\n', '\r']) {
+        out.push_str(cell);
+        return;
     }
+    out.push('"');
+    for (i, part) in cell.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
 /// Joins cells into one CSV row (no trailing newline).
@@ -27,11 +35,14 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    cells
-        .into_iter()
-        .map(|c| escape(c.as_ref()))
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_escaped(&mut out, cell.as_ref());
+    }
+    out
 }
 
 /// CSV parse failure.
@@ -182,6 +193,58 @@ pub const FP_CSV_OPEN: &str = "csv.open";
 /// Failpoint site covering each [`AppendWriter::append_row`].
 pub const FP_CSV_APPEND: &str = "csv.append";
 
+/// A prefix of an append-only file that the caller has already read and
+/// vouches for, so that [`AppendWriter::open_after`] scans only what lies
+/// past it. The caller's promise: the prefix ends just past a row-ending
+/// newline and [`is_well_formed`] accepts it. The repair's scan is in its
+/// start state at such a boundary, so the repair that resumes there cuts
+/// the file exactly where a scan from offset 0 would.
+#[derive(Debug, Clone)]
+pub struct TrustedPrefix {
+    /// Byte length of the prefix.
+    pub len: usize,
+    /// The file's identity ([`file_id`]) when the prefix was read.
+    pub file: Option<(u64, u64)>,
+    /// The prefix's last bytes, which the open re-reads and compares.
+    pub guard: Vec<u8>,
+}
+
+/// What an [`AppendWriter`] open found in its file.
+#[derive(Debug)]
+pub struct Opened {
+    /// File offset of `bytes[0]`: 0 after a scan from the start, the
+    /// start of the trusted prefix's guard bytes otherwise.
+    pub offset: usize,
+    /// The file's content from `offset` on, after the repair.
+    pub bytes: Vec<u8>,
+    /// Bytes read from the file, those the repair cut away and those of
+    /// a failed guard check included.
+    pub read: usize,
+}
+
+/// A file's identity on its filesystem (device, inode), where the
+/// platform has one.
+pub fn file_id(meta: &Metadata) -> Option<(u64, u64)> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt as _;
+        Some((meta.dev(), meta.ino()))
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = meta;
+        None
+    }
+}
+
+/// The bytes of `file` from `offset` to its end.
+fn read_from(file: &mut File, offset: usize, len: u64) -> std::io::Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(offset as u64))?;
+    let mut bytes = Vec::with_capacity(len.saturating_sub(offset as u64) as usize);
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
 impl AppendWriter {
     /// Opens `path` for appending, creating parent directories and the
     /// file as needed, and returns the writer together with the file's
@@ -195,6 +258,27 @@ impl AppendWriter {
     /// Any I/O error creating directories, opening, reading or repairing
     /// the file — including faults injected at the `csv.open` site.
     pub fn open(path: impl AsRef<Path>, header: &str) -> std::io::Result<(Self, String)> {
+        let (writer, opened) = Self::open_after(path, header, None)?;
+        // Decode lossily as a last line of defence; after the repair the
+        // surviving prefix is whole rows, which the writer only ever
+        // produced from valid UTF-8.
+        Ok((writer, String::from_utf8_lossy(&opened.bytes).into_owned()))
+    }
+
+    /// As [`AppendWriter::open`], but reads and repairs only what lies
+    /// past `trusted`. The open re-reads the prefix's guard bytes on the
+    /// handle it opened; should they differ, the file be shorter than the
+    /// prefix or be another file, it reads and scans from offset 0
+    /// instead. `None` always scans from offset 0.
+    ///
+    /// # Errors
+    ///
+    /// As [`AppendWriter::open`].
+    pub fn open_after(
+        path: impl AsRef<Path>,
+        header: &str,
+        trusted: Option<TrustedPrefix>,
+    ) -> std::io::Result<(Self, Opened)> {
         let env = ftsim_chaos::io();
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
@@ -208,22 +292,44 @@ impl AppendWriter {
             .read(true)
             .append(true)
             .open(path)?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
-        let keep = repaired_len(&raw);
-        if keep < raw.len() {
-            file.set_len(keep as u64)?;
-            raw.truncate(keep);
+        let meta = file.metadata()?;
+        let mut read = 0;
+        let mut resumed = None;
+        if let Some(t) = trusted.filter(|t| {
+            t.guard.len() <= t.len && t.len as u64 <= meta.len() && t.file == file_id(&meta)
+        }) {
+            let offset = t.len - t.guard.len();
+            let bytes = read_from(&mut file, offset, meta.len())?;
+            read += bytes.len();
+            if bytes.starts_with(&t.guard) {
+                resumed = Some((offset, bytes, t.guard.len()));
+            }
         }
-        // Decode lossily as a last line of defence; after the repair the
-        // surviving prefix is whole rows, which the writer only ever
-        // produced from valid UTF-8.
-        let existing = String::from_utf8_lossy(&raw).into_owned();
+        let (offset, mut bytes, scan_from) = match resumed {
+            Some(resumed) => resumed,
+            None => {
+                let bytes = read_from(&mut file, 0, meta.len())?;
+                read += bytes.len();
+                (0, bytes, 0)
+            }
+        };
+        let keep = scan_from + repaired_len(&bytes[scan_from..]);
+        if keep < bytes.len() {
+            file.set_len((offset + keep) as u64)?;
+            bytes.truncate(keep);
+        }
         let mut writer = Self { file };
-        if existing.is_empty() {
+        if offset + bytes.len() == 0 {
             writer.write_line(header)?;
         }
-        Ok((writer, existing))
+        Ok((
+            writer,
+            Opened {
+                offset,
+                bytes,
+                read,
+            },
+        ))
     }
 
     /// Appends one row (no trailing newline in `row`; quoting is the
@@ -322,15 +428,15 @@ mod tests {
 
     #[test]
     fn plain_cells_untouched() {
-        assert_eq!(escape("gcc"), "gcc");
+        assert_eq!(join_row(["gcc"]), "gcc");
         assert_eq!(join_row(["a", "b", "c"]), "a,b,c");
     }
 
     #[test]
     fn special_cells_quoted() {
-        assert_eq!(escape("a,b"), "\"a,b\"");
-        assert_eq!(escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(escape("two\nlines"), "\"two\nlines\"");
+        assert_eq!(join_row(["a,b"]), "\"a,b\"");
+        assert_eq!(join_row(["say \"hi\""]), "\"say \"\"hi\"\"\"");
+        assert_eq!(join_row(["two\nlines"]), "\"two\nlines\"");
     }
 
     #[test]

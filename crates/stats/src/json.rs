@@ -8,7 +8,7 @@
 //! written with Rust's shortest-round-trip float formatting so a
 //! render→parse cycle reproduces values bit-exactly.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,23 +119,14 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(x) => out.push_str(&x.to_string()),
-            JsonValue::I64(x) => out.push_str(&x.to_string()),
-            JsonValue::F64(x) => {
-                if x.is_finite() {
-                    // `{}` on f64 is the shortest representation that
-                    // parses back to the identical bits.
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    // Keep floats recognizable as floats on re-parse.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
+            JsonValue::U64(x) => {
+                let _ = write!(out, "{x}");
             }
-            JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::I64(x) => {
+                let _ = write!(out, "{x}");
+            }
+            JsonValue::F64(x) => write_f64(out, *x),
+            JsonValue::Str(s) => write_str(out, s),
             JsonValue::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
                     items[i].write(out, indent, d);
@@ -143,7 +134,7 @@ impl JsonValue {
             }
             JsonValue::Obj(pairs) => {
                 write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i, d| {
-                    write_escaped(out, &pairs[i].0);
+                    write_str(out, &pairs[i].0);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -189,33 +180,64 @@ fn write_seq(
             out.push(',');
         }
         if let Some(n) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(n * (depth + 1)));
+            write_newline(out, n * (depth + 1));
         }
         item(out, i, depth + 1);
     }
     if len > 0 {
         if let Some(n) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(n * depth));
+            write_newline(out, n * depth);
         }
     }
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Appends a newline and `spaces` spaces of indentation.
+fn write_newline(out: &mut String, spaces: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat(' ').take(spaces));
+}
+
+/// Appends `x` as [`JsonValue::F64`] renders it: the shortest text that
+/// parses back to the identical bits, with `.0` appended to a whole
+/// number so it re-parses as a float; `null` when `x` is not finite.
+pub fn write_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
     }
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8 text and copy as they are.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -532,6 +554,87 @@ mod tests {
         assert!(JsonValue::parse("\"unterminated").is_err());
         let err = JsonValue::parse("nope").unwrap_err();
         assert!(err.to_string().contains("byte 0"));
+    }
+
+    /// Numbers and strings as the writer first rendered them, through a
+    /// `String` per number and per escape.
+    fn reference_scalar(v: &JsonValue) -> String {
+        match v {
+            JsonValue::U64(x) => x.to_string(),
+            JsonValue::I64(x) => x.to_string(),
+            JsonValue::F64(x) if x.is_finite() => {
+                let s = format!("{x}");
+                if s.contains(['.', 'e', 'E']) {
+                    s
+                } else {
+                    format!("{s}.0")
+                }
+            }
+            JsonValue::F64(_) => "null".to_string(),
+            JsonValue::Str(s) => {
+                let mut out = String::from('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+                out
+            }
+            other => unreachable!("{other:?} is not a scalar"),
+        }
+    }
+
+    #[test]
+    fn scalars_render_as_first_written() {
+        let floats = [
+            0.0,
+            -0.0,
+            2.0,
+            -1.5,
+            1e21,
+            1e-7,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1 + 0.2,
+        ];
+        let mut scalars: Vec<JsonValue> = floats.into_iter().map(JsonValue::F64).collect();
+        scalars.extend([0, 7, u64::MAX].map(JsonValue::U64));
+        scalars.extend([i64::MIN, -1].map(JsonValue::I64));
+        scalars.extend(
+            [
+                "",
+                "plain",
+                "q\"b\\",
+                "\n\r\t",
+                "\u{1}\u{1f}",
+                "ünï 日本 😀",
+            ]
+            .map(|s| JsonValue::Str(s.to_string())),
+        );
+        for v in &scalars {
+            assert_eq!(v.render(), reference_scalar(v), "{v:?}");
+        }
+        // Indentation: one level per depth, `indent` spaces each.
+        let nested = JsonValue::Arr(vec![JsonValue::obj([(
+            "k".to_string(),
+            JsonValue::Arr(vec![JsonValue::U64(1)]),
+        )])]);
+        assert_eq!(
+            nested.render_pretty(3),
+            "[\n   {\n      \"k\": [\n         1\n      ]\n   }\n]"
+        );
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! file holds only whole rows and fresh appends start on a clean
 //! boundary. The repair judges prefixes with
 //! [`ftsim_stats::csv::is_well_formed`], which must accept exactly the
-//! documents [`ftsim_stats::csv::parse`] accepts.
+//! documents [`ftsim_stats::csv::parse`] accepts. An open that resumes
+//! past a trusted prefix ([`ftsim_stats::csv::AppendWriter::open_after`])
+//! must repair to the same length and hand back the same bytes as one
+//! that scans from offset 0, and must fall back to that scan when the
+//! prefix's guard bytes do not match.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ftsim_stats::csv::{is_well_formed, join_row, parse, AppendWriter};
+use ftsim_stats::csv::{file_id, is_well_formed, join_row, parse, AppendWriter, TrustedPrefix};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -176,6 +180,70 @@ proptest! {
             "fresh row merged into the torn tail"
         );
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_trusted_prefix_repairs_like_a_scan_from_the_start(
+        rows in rows_strategy(),
+        damage in prop::collection::vec(fragment_strategy(), 0..4),
+        draw in any::<u64>(),
+        kraw in any::<u64>(),
+        guard_len in 1usize..64,
+    ) {
+        // A written document, damaged at a row boundary (a torn fragment
+        // a peer's rows were appended behind), then cut at any byte.
+        let mut written = format!("{HEADER}\n");
+        let mut row_ends = Vec::new();
+        for row in &rows {
+            written.push_str(row);
+            written.push('\n');
+            row_ends.push(written.len());
+        }
+        let at = row_ends[(draw % row_ends.len() as u64) as usize];
+        written.insert_str(at, &damage.concat());
+        let doc = &written.as_bytes()[..(kraw % (written.len() as u64 + 1)) as usize];
+
+        let (dir, path) = scratch_file();
+        std::fs::write(&path, doc).unwrap();
+        let (_, full) = AppendWriter::open_after(&path, HEADER, None).unwrap();
+        prop_assert_eq!(full.offset, 0);
+        // The repaired file: the bytes the open returned, or a fresh
+        // header when nothing survived.
+        let repaired = std::fs::read(&path).unwrap();
+        prop_assert!(full.bytes == repaired || full.bytes.is_empty());
+
+        let open_trusting = |len: usize, guard: &[u8]| {
+            std::fs::write(&path, doc).unwrap();
+            let file = file_id(&std::fs::metadata(&path).unwrap());
+            let trusted = TrustedPrefix { len, file, guard: guard.to_vec() };
+            let (_, opened) = AppendWriter::open_after(&path, HEADER, Some(trusted)).unwrap();
+            (opened, std::fs::read(&path).unwrap())
+        };
+        // Every clean row boundary: the prefix ends in a row-ending
+        // newline and the grammar accepts it.
+        let boundaries: Vec<usize> = (1..=doc.len())
+            .filter(|&p| doc[p - 1] == b'\n' && is_well_formed(&doc[..p]))
+            .collect();
+        for &p in &boundaries {
+            let guard = &doc[p.saturating_sub(guard_len)..p];
+            let (opened, file) = open_trusting(p, guard);
+            prop_assert_eq!(&file, &repaired, "repair past {} differs", p);
+            prop_assert_eq!(opened.offset, p - guard.len());
+            prop_assert_eq!(&opened.bytes[..], &full.bytes[opened.offset..]);
+            prop_assert_eq!(opened.read, doc.len() - opened.offset);
+
+            // Guard bytes that are not the file's: a scan from offset 0.
+            let mut wrong = guard.to_vec();
+            wrong[0] ^= 0x20;
+            let (opened, file) = open_trusting(p, &wrong);
+            prop_assert_eq!(&file, &repaired);
+            prop_assert_eq!(opened.offset, 0);
+            prop_assert_eq!(&opened.bytes, &full.bytes);
+        }
+        // A prefix longer than the file: a scan from offset 0.
+        let (opened, file) = open_trusting(doc.len() + 1, b"\n");
+        prop_assert_eq!((opened.offset, &file), (0, &repaired));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

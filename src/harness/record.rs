@@ -2,8 +2,8 @@
 
 use ftsim_core::{MachineConfig, SimResult};
 use ftsim_isa::MixClass;
-use ftsim_stats::{csv, JsonValue};
-use std::fmt;
+use ftsim_stats::{csv, json, JsonValue};
+use std::fmt::{self, Write as _};
 
 /// Record (de)serialization failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,19 +51,33 @@ impl fmt::Display for RecordError {
 impl std::error::Error for RecordError {}
 
 /// A field that can cross the CSV/JSON boundary losslessly.
-trait Field: Sized {
-    fn to_cell(&self) -> String;
+///
+/// A field's CSV cell is its `Display` text, quoted where needed; the
+/// writers append it (and the JSON value) straight into the output.
+trait Field: Sized + fmt::Display {
+    /// Appends this field's CSV cell.
+    fn write_cell(&self, out: &mut String) {
+        // Numbers and booleans never need quoting.
+        let _ = write!(out, "{self}");
+    }
     fn from_cell(cell: &str) -> Result<Self, String>;
+    /// Appends this field as [`Field::to_json`] renders.
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
     fn to_json(&self) -> JsonValue;
     fn from_json(v: &JsonValue) -> Result<Self, String>;
 }
 
 impl Field for String {
-    fn to_cell(&self) -> String {
-        self.clone()
+    fn write_cell(&self, out: &mut String) {
+        csv::push_escaped(out, self);
     }
     fn from_cell(cell: &str) -> Result<Self, String> {
         Ok(cell.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
     }
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.clone())
@@ -76,9 +90,6 @@ impl Field for String {
 }
 
 impl Field for bool {
-    fn to_cell(&self) -> String {
-        self.to_string()
-    }
     fn from_cell(cell: &str) -> Result<Self, String> {
         cell.parse().map_err(|_| format!("bad bool `{cell}`"))
     }
@@ -91,9 +102,6 @@ impl Field for bool {
 }
 
 impl Field for u8 {
-    fn to_cell(&self) -> String {
-        self.to_string()
-    }
     fn from_cell(cell: &str) -> Result<Self, String> {
         cell.parse().map_err(|_| format!("bad u8 `{cell}`"))
     }
@@ -108,9 +116,6 @@ impl Field for u8 {
 }
 
 impl Field for u64 {
-    fn to_cell(&self) -> String {
-        self.to_string()
-    }
     fn from_cell(cell: &str) -> Result<Self, String> {
         cell.parse().map_err(|_| format!("bad u64 `{cell}`"))
     }
@@ -123,12 +128,13 @@ impl Field for u64 {
 }
 
 impl Field for f64 {
-    fn to_cell(&self) -> String {
-        // Shortest representation that parses back to identical bits.
-        format!("{self}")
-    }
+    // `Display` on f64 is the shortest text that parses back to the
+    // identical bits.
     fn from_cell(cell: &str) -> Result<Self, String> {
         cell.parse().map_err(|_| format!("bad f64 `{cell}`"))
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(out, *self);
     }
     fn to_json(&self) -> JsonValue {
         JsonValue::F64(*self)
@@ -312,7 +318,19 @@ macro_rules! impl_record_serde {
 
             /// This record as one CSV row (no trailing newline).
             pub fn to_csv_row(&self) -> String {
-                csv::join_row(vec![$(Field::to_cell(&self.$field)),+])
+                let mut out = String::with_capacity(512);
+                self.write_csv_row(&mut out);
+                out
+            }
+
+            /// Appends this record's CSV row (no trailing newline).
+            fn write_csv_row(&self, out: &mut String) {
+                let mut sep = "";
+                $(
+                    out.push_str(sep);
+                    sep = ",";
+                    Field::write_cell(&self.$field, out);
+                )+
             }
 
             /// Parses one parsed-CSV row (cells in header order).
@@ -320,7 +338,7 @@ macro_rules! impl_record_serde {
             /// # Errors
             ///
             /// [`RecordError::WrongWidth`] or [`RecordError::BadField`].
-            pub fn from_cells(cells: &[String]) -> Result<Self, RecordError> {
+            pub fn from_cells<S: AsRef<str>>(cells: &[S]) -> Result<Self, RecordError> {
                 if cells.len() != Self::WIDTH {
                     return Err(RecordError::WrongWidth {
                         found: cells.len(),
@@ -329,12 +347,27 @@ macro_rules! impl_record_serde {
                 }
                 let mut iter = cells.iter();
                 Ok(Self {
-                    $($field: Field::from_cell(iter.next().expect("width checked"))
+                    $($field: Field::from_cell(iter.next().expect("width checked").as_ref())
                         .map_err(|message| RecordError::BadField {
                             field: stringify!($field),
                             message,
                         })?,)+
                 })
+            }
+
+            /// Appends this record as the object [`to_json`] renders at
+            /// array depth 1: what [`RunRecord::to_json_value`] renders
+            /// pretty with an indent of 2.
+            fn write_json_object(&self, out: &mut String) {
+                out.push('{');
+                let mut sep = "";
+                $(
+                    out.push_str(sep);
+                    sep = ",";
+                    out.push_str(concat!("\n    \"", stringify!($field), "\": "));
+                    Field::write_json(&self.$field, out);
+                )+
+                out.push_str("\n  }");
             }
 
             /// This record as a JSON object.
@@ -601,7 +634,7 @@ pub fn to_csv(records: &[RunRecord]) -> String {
     let mut out = RunRecord::csv_header();
     out.push('\n');
     for r in records {
-        out.push_str(&r.to_csv_row());
+        r.write_csv_row(&mut out);
         out.push('\n');
     }
     out
@@ -662,12 +695,22 @@ fn tolerant_parse(text: &str) -> (Vec<RunRecord>, usize, usize) {
     if text.trim().is_empty() {
         return (Vec::new(), 0, 0);
     }
-    // Fast path: an undamaged, newline-terminated document.
-    if text.ends_with('\n') {
+    let by_line = parse_lines(text);
+    // An undamaged, newline-terminated document parses line by line to
+    // the records the whole-document parse gives. Any other document
+    // that the whole-document parse accepts (a quoted header, say)
+    // keeps its records.
+    if text.ends_with('\n') && by_line.1 > 0 {
         if let Ok(records) = from_csv(text) {
             return (records, 0, text.len());
         }
     }
+    by_line
+}
+
+/// [`tolerant_parse`] line by line: every intact record, the damaged
+/// lines and the consumed prefix's byte length.
+fn parse_lines(text: &str) -> (Vec<RunRecord>, usize, usize) {
     // Header first: without it nothing below is trustworthy.
     let Some(first_nl) = text.find('\n') else {
         return (Vec::new(), 1, 0); // unterminated header fragment
@@ -679,6 +722,7 @@ fn tolerant_parse(text: &str) -> (Vec<RunRecord>, usize, usize) {
     let mut dropped = 0usize;
     let mut pos = first_nl + 1;
     let mut consumed = pos;
+    let mut cells: Vec<&str> = Vec::with_capacity(RunRecord::WIDTH);
     while pos < text.len() {
         let Some(end) = logical_row_end(&text[pos..]) else {
             // Unterminated tail — in flight or torn, not consumed either
@@ -689,17 +733,29 @@ fn tolerant_parse(text: &str) -> (Vec<RunRecord>, usize, usize) {
         let line = &text[pos..pos + end];
         pos += end + 1;
         consumed = pos;
-        if let Ok(rows) = csv::parse(line) {
-            if let [row] = rows.as_slice() {
-                if let Ok(rec) = RunRecord::from_cells(row) {
-                    records.push(rec);
-                    continue;
-                }
-            }
+        if let Some(rec) = parse_line(line, &mut cells) {
+            records.push(rec);
+        } else {
+            dropped += 1;
         }
-        dropped += 1;
     }
     (records, dropped, consumed)
+}
+
+/// The record on one logical CSV line (no newline), if it holds exactly
+/// one. A line without quotes or carriage returns is split on its commas
+/// in place, which is how [`csv::parse`] would split it; any other line
+/// goes through [`csv::parse`]. `cells` is scratch space.
+fn parse_line<'a>(line: &'a str, cells: &mut Vec<&'a str>) -> Option<RunRecord> {
+    if !line.contains(['"', '\r']) {
+        cells.clear();
+        cells.extend(line.split(','));
+        return RunRecord::from_cells(cells).ok();
+    }
+    match csv::parse(line).ok()?.as_slice() {
+        [row] => RunRecord::from_cells(row).ok(),
+        _ => None,
+    }
 }
 
 /// Index of the newline ending the logical CSV row starting at `s[0]`,
@@ -717,9 +773,22 @@ fn logical_row_end(s: &str) -> Option<usize> {
     None
 }
 
-/// Serializes records to a pretty-printed JSON array.
+/// Serializes records to a pretty-printed JSON array: the array of
+/// [`RunRecord::to_json_value`] objects rendered with an indent of 2.
 pub fn to_json(records: &[RunRecord]) -> String {
-    JsonValue::Arr(records.iter().map(RunRecord::to_json_value).collect()).render_pretty(2)
+    let mut out = String::from("[");
+    for (i, r) in records.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n  ");
+        r.write_json_object(&mut out);
+    }
+    if !records.is_empty() {
+        out.push('\n');
+    }
+    out.push(']');
+    out
 }
 
 /// Parses a JSON document produced by [`to_json`].
@@ -932,6 +1001,165 @@ mod tests {
         let (back, dropped) = from_csv_tolerant(&text);
         assert_eq!(back, vec![failed]);
         assert_eq!(dropped, 1);
+    }
+
+    macro_rules! reference_row {
+        ($($field:ident),+ $(,)?) => {
+            /// The CSV row as first composed: every field's `Display`
+            /// text, quoted and joined by [`csv::join_row`].
+            fn reference_row(r: &RunRecord) -> String {
+                csv::join_row(vec![$(r.$field.to_string()),+])
+            }
+        };
+    }
+    with_fields!(reference_row);
+
+    fn reference_csv(records: &[RunRecord]) -> String {
+        let mut out = format!("{}\n", RunRecord::csv_header());
+        for r in records {
+            out.push_str(&reference_row(r));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The JSON document as first composed: the tree of
+    /// [`RunRecord::to_json_value`] objects, rendered pretty.
+    fn reference_json(records: &[RunRecord]) -> String {
+        JsonValue::Arr(records.iter().map(RunRecord::to_json_value).collect()).render_pretty(2)
+    }
+
+    /// Records whose strings carry every byte CSV quoting reacts to plus
+    /// non-ASCII text, and whose floats include NaN, ±inf, −0.0 and
+    /// subnormals.
+    fn awkward_records() -> Vec<RunRecord> {
+        const STRINGS: &[&str] = &[
+            "",
+            "plain",
+            "a,b",
+            "say \"hi\"",
+            "\"",
+            "two\nlines",
+            "cr\ronly",
+            "crlf\r\n",
+            "café ünï 日本 😀",
+            "tab\tand\u{1}ctl\\",
+            ",\",\n\r",
+        ];
+        const FLOATS: &[f64] = &[
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            1e21,
+            0.1 + 0.2,
+            1.0 / 3.0,
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut records = vec![sample(), RunRecord::default()];
+        for _ in 0..64 {
+            let mut r = sample();
+            let mut s = || STRINGS[(next() % STRINGS.len() as u64) as usize].to_string();
+            r.workload = s();
+            r.suite = s();
+            r.error = s();
+            r.site_fates = s();
+            r.oracle = s();
+            let mut f = || FLOATS[(next() % FLOATS.len() as u64) as usize];
+            r.fault_rate_pm = f();
+            r.ipc = f();
+            r.mean_rewind_penalty = f();
+            r.l2_miss_rate = f();
+            r.mix_fp_div = f();
+            r.cycles = next();
+            r.r = next() as u8;
+            r.majority = next() % 2 == 0;
+            records.push(r);
+        }
+        records
+    }
+
+    #[test]
+    fn writers_match_the_reference_compositions_byte_for_byte() {
+        let records = awkward_records();
+        for r in &records {
+            assert_eq!(r.to_csv_row(), reference_row(r));
+        }
+        assert_eq!(to_csv(&records), reference_csv(&records));
+        assert_eq!(to_csv(&[]), reference_csv(&[]));
+        assert_eq!(to_json(&records), reference_json(&records));
+        assert_eq!(to_json(&records[..1]), reference_json(&records[..1]));
+        assert_eq!(to_json(&[]), reference_json(&[]));
+    }
+
+    /// How [`parse_line`] judged a line before its comma split: through
+    /// [`csv::parse`] and owned cells, always.
+    fn reference_line(line: &str) -> Option<String> {
+        match csv::parse(line).ok()?.as_slice() {
+            [row] => RunRecord::from_cells(row).ok().map(|r| r.to_csv_row()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn line_split_accepts_exactly_what_the_parser_accepts() {
+        // Mutations keep to logical lines: no newline outside quotes.
+        const INSERTS: &[&str] = &[",", "\"", "\"\"", "\r", "x", "7", ".", "-", "é", ""];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut accepted = 0;
+        for r in awkward_records() {
+            let row = r.to_csv_row();
+            for _ in 0..64 {
+                let mut chars: Vec<char> = row.chars().collect();
+                for _ in 0..=next() % 3 {
+                    let at = (next() % (chars.len() as u64 + 1)) as usize;
+                    match next() % 3 {
+                        0 if at < chars.len() => {
+                            chars.remove(at);
+                        }
+                        1 if at < chars.len() => {
+                            chars[at] = ',';
+                        }
+                        _ => {
+                            let ins = INSERTS[(next() % INSERTS.len() as u64) as usize];
+                            chars.splice(at..at, ins.chars());
+                        }
+                    }
+                }
+                let line: String = chars.into_iter().collect();
+                if line.contains('\n') && !line.contains('"') {
+                    continue; // not a logical line
+                }
+                let want = reference_line(&line);
+                accepted += usize::from(want.is_some());
+                assert_eq!(
+                    parse_line(&line, &mut Vec::new()).map(|r| r.to_csv_row()),
+                    want,
+                    "{line:?}"
+                );
+            }
+            let back = parse_line(&row, &mut Vec::new()).map(|r| r.to_csv_row());
+            assert_eq!(back, Some(row));
+        }
+        assert!(accepted > 0, "no mutated line parsed: the check is vacuous");
     }
 
     #[test]
