@@ -36,29 +36,36 @@
 //! sensitivity with Wilson intervals, detection-latency distributions,
 //! and MTTF extrapolation — `--json` renders it as a JSON document.
 //!
-//! **One read path.** `jobs`, `status`, `results` and `report` — and the
-//! `--watch` forms — get their data from the daemon's read side (the
-//! `feed` module): one canonical record read, one follow loop, and the
-//! listing and status documents. This module only renders what it
-//! returns, as the HTTP handlers do, so a verb prints the same bytes
-//! locally and over `--remote`. `status` without a job id is `jobs`.
+//! **One implementation per verb.** `submit`, `jobs`, `status`,
+//! `results`, `report`, `trace` and `stop` — and the `--watch` forms —
+//! get their documents from the daemon's `feed` module: one canonical
+//! record read, one follow loop, one journal tail, and the listing,
+//! status, submit and stop documents. This module only renders what it
+//! returns, as the HTTP handlers do, and touches neither the store's
+//! sentinels nor the trace journals itself. `status` without a job id
+//! is `jobs`.
 //!
-//! **Remote mode.** Every verb except `serve` also speaks to a running
-//! `ftsimd serve --listen <addr>` over its HTTP API when given
-//! `--remote <addr>` (or `FTSIMD_REMOTE`): the client touches no state
-//! directory at all — submissions, listings, streamed results and
-//! reports all travel over the socket, and differ from a local run only
-//! in that transport (plus the local-only `dir:` line of `status <job>`
-//! and the stderr summaries). `stop` with a job id pauses that job;
-//! without one it shuts the serving daemon down.
+//! **Remote mode.** Every verb except `serve`, `gc` and `profile` also
+//! speaks to a running `ftsimd serve --listen <addr>` over its HTTP API
+//! when given `--remote <addr>` (or `FTSIMD_REMOTE`): the client touches
+//! no state directory at all. Each verb gets the same document either
+//! from the `feed` function (locally) or from the socket (remotely) and
+//! renders it with one code path, so its stdout is the same bytes either
+//! way, bar the local-only `dir:` line of `status <job>`. The stderr
+//! summaries name the daemon's address instead of the state directory.
+//! `trace --follow` tails the journals on disk and is local-only. `stop`
+//! with a job id pauses that job; without one it shuts the serving
+//! daemon down.
 
 use crate::fabric::LeaseMode;
-use crate::feed::{jobs_doc, read_job, render, status_doc, watch, Verb};
+use crate::feed::{
+    jobs_doc, read_job, render, render_events, status_doc, stop_doc, submit_doc, trace_doc, watch,
+    JournalTail, Verb,
+};
 use crate::gc::{gc_pass, GcOptions};
 use crate::http::{http_request, http_stream};
 use crate::runner::{install_signal_handlers, serve, ServeOptions};
-use crate::spec::JobSpec;
-use crate::store::{JobState, JobStore, QuotaPolicy};
+use crate::store::{DaemonError, JobState, JobStore, QuotaPolicy};
 use ftsim_stats::JsonValue;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
@@ -231,6 +238,16 @@ impl Args {
             .find_map(|f| f.strip_prefix(name)?.strip_prefix('='))
     }
 
+    /// A numeric flag's value (checked at parse time).
+    fn num(&self, name: &str) -> Option<u64> {
+        self.value(name).and_then(|v| v.parse().ok())
+    }
+
+    /// A millisecond flag's value as a duration, or `default`.
+    fn ms(&self, name: &str, default: Duration) -> Duration {
+        self.num(name).map_or(default, Duration::from_millis)
+    }
+
     /// Rejects any flag the current command does not define — a typo
     /// must fail loudly, not silently change behavior (`--drian` running
     /// a drain-mode invocation as a forever-polling daemon, say).
@@ -245,17 +262,14 @@ impl Args {
     }
 
     fn poll(&self) -> Duration {
-        self.value("--poll-ms")
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_millis(500), Duration::from_millis)
+        self.ms("--poll-ms", Duration::from_millis(500))
     }
 
     /// The watch poll cadence: `--interval MS`, falling back to
     /// `--poll-ms` for symmetry with serve, then 500 ms.
     fn interval_ms(&self) -> u64 {
-        self.value("--interval")
-            .or_else(|| self.value("--poll-ms"))
-            .and_then(|v| v.parse().ok())
+        self.num("--interval")
+            .or_else(|| self.num("--poll-ms"))
             .unwrap_or(500)
     }
 
@@ -334,9 +348,21 @@ fn remote_call(
     Err(format!("remote {addr}: {detail} (http {code})"))
 }
 
-fn remote_json(args: &Args, addr: &str, path: &str) -> Result<JsonValue, String> {
-    let body = remote_call(args, addr, "GET", path, None)?;
-    JsonValue::parse(&body).map_err(|e| format!("remote {addr}: bad response: {e}"))
+/// A verb's JSON document: what `local` returns for the state
+/// directory, or — with `--remote` — the daemon's answer to
+/// `method path` (which serves the same document).
+fn document(
+    args: &Args,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    local: impl FnOnce(&JobStore) -> Result<JsonValue, DaemonError>,
+) -> Result<JsonValue, String> {
+    match args.remote() {
+        Some(addr) => JsonValue::parse(&remote_call(args, addr, method, path, body)?)
+            .map_err(|e| format!("remote {addr}: bad response: {e}")),
+        None => local(&open_store(args)?).map_err(|e| e.to_string()),
+    }
 }
 
 fn str_of(doc: &JsonValue, key: &str) -> String {
@@ -358,43 +384,25 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let [path] = args.positional.as_slice() else {
         return Err("submit takes exactly one spec file".to_string());
     };
+    // The client only reads the file; whoever submits validates it.
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading spec {path}: {e}"))?;
-    if let Some(addr) = args.remote() {
-        // The server validates; the client only reads the file.
-        let doc = JsonValue::parse(&remote_call(args, addr, "POST", "/jobs", Some(&text))?)
-            .map_err(|e| format!("remote {addr}: bad response: {e}"))?;
-        let id = str_of(&doc, "id");
-        if doc.get("created").and_then(|v| v.as_bool()) == Some(true) {
-            eprintln!(
-                "ftsimd: submitted job {id} ({} cells) to {addr}",
-                u64_of(&doc, "cells_total")
-            );
-        } else {
-            eprintln!("ftsimd: identical spec already submitted as {id}; attaching");
-        }
-        println!("{id}");
-        return Ok(());
-    }
-    let spec = JobSpec::parse(&text).map_err(|e| e.to_string())?;
-    let store = open_store(args)?;
-    let (id, created) = store.submit(&spec).map_err(|e| e.to_string())?;
-    if created {
+    let doc = document(args, "POST", "/jobs", Some(&text), |store| {
+        submit_doc(store, &text)
+    })?;
+    let id = str_of(&doc, "id");
+    if doc.get("created").and_then(|v| v.as_bool()) == Some(true) {
+        let to = args
+            .remote()
+            .map_or_else(String::new, |addr| format!(" to {addr}"));
         eprintln!(
-            "ftsimd: submitted job {id} ({} cells)",
-            cells_of(&store, &id)
+            "ftsimd: submitted job {id} ({} cells){to}",
+            u64_of(&doc, "cells_total")
         );
     } else {
         eprintln!("ftsimd: identical spec already submitted as {id}; attaching");
     }
     println!("{id}");
     Ok(())
-}
-
-fn cells_of(store: &JobStore, id: &str) -> String {
-    store
-        .job(id)
-        .and_then(|job| store.load_status(&job))
-        .map_or_else(|_| "?".to_string(), |s| s.cells_total.to_string())
 }
 
 /// `--token-file FILE` (trimmed file contents) or `$FTSIMD_TOKEN`;
@@ -425,11 +433,10 @@ fn env_token() -> Option<String> {
 /// The admission quota the serve flags describe, or `None` when no
 /// quota flag was given (leaving `<state>/quota.json` untouched).
 fn serve_quota(args: &Args) -> Option<QuotaPolicy> {
-    let get = |name: &str| args.value(name).and_then(|v| v.parse().ok());
     let (live, cells, bytes) = (
-        get("--max-live-jobs"),
-        get("--max-queued-cells"),
-        get("--max-state-bytes"),
+        args.num("--max-live-jobs"),
+        args.num("--max-queued-cells"),
+        args.num("--max-state-bytes"),
     );
     if live.is_none() && cells.is_none() && bytes.is_none() {
         return None;
@@ -475,34 +482,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let opts = ServeOptions {
         drain: args.flag("--drain"),
         poll: args.poll(),
-        lease: args
-            .value("--lease-ms")
-            .and_then(|v| v.parse().ok())
-            .map_or(Duration::from_secs(30), Duration::from_millis),
+        lease: args.ms("--lease-ms", defaults.lease),
         workers: args
-            .value("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
+            .num("--workers")
+            .map_or(defaults.workers, |n| n as usize),
         listen: args.value("--listen").map(String::from),
         max_body: args
-            .value("--max-body")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(defaults.max_body),
-        head_timeout: args
-            .value("--head-timeout-ms")
-            .and_then(|v| v.parse().ok())
-            .map_or(defaults.head_timeout, Duration::from_millis),
+            .num("--max-body")
+            .map_or(defaults.max_body, |n| n as usize),
+        head_timeout: args.ms("--head-timeout-ms", defaults.head_timeout),
         lease_mode,
         token: serve_token(args)?,
-        gc_interval: args
-            .value("--gc-interval-ms")
-            .and_then(|v| v.parse().ok())
-            .map_or(defaults.gc_interval, Duration::from_millis),
+        gc_interval: args.ms("--gc-interval-ms", defaults.gc_interval),
         quota: serve_quota(args),
-        cell_floor: args
-            .value("--cell-floor-ms")
-            .and_then(|v| v.parse().ok())
-            .map_or(defaults.cell_floor, Duration::from_millis),
+        cell_floor: args.ms("--cell-floor-ms", defaults.cell_floor),
     };
     eprintln!(
         "ftsimd: serving {} ({})",
@@ -526,10 +519,7 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
     }
     let store = open_store(args)?;
     let mut opts = GcOptions::default();
-    if let Some(secs) = args
-        .value("--quarantine-retain-secs")
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(secs) = args.num("--quarantine-retain-secs") {
         opts.quarantine_retain = Duration::from_secs(secs);
     }
     let report = gc_pass(&store, &opts).map_err(|e| e.to_string())?;
@@ -546,13 +536,10 @@ fn cmd_jobs(args: &Args) -> Result<(), String> {
     if !args.positional.is_empty() {
         return Err("jobs takes no positional arguments".to_string());
     }
-    let (doc, place) = match args.remote() {
-        Some(addr) => (remote_json(args, addr, "/jobs")?, format!("at {addr}")),
-        None => {
-            let store = open_store(args)?;
-            let doc = jobs_doc(&store).map_err(|e| e.to_string())?;
-            (doc, format!("in {}", store.root().display()))
-        }
+    let doc = document(args, "GET", "/jobs", None, jobs_doc)?;
+    let place = match args.remote() {
+        Some(addr) => format!("at {addr}"),
+        None => format!("in {}", args.state),
     };
     let entries = doc
         .get("jobs")
@@ -593,17 +580,12 @@ fn cmd_status(args: &Args) -> Result<(), String> {
         [id] => id,
         _ => return Err("status takes at most one job id".to_string()),
     };
-    let (doc, dir) = match args.remote() {
-        Some(addr) => (
-            remote_json(args, addr, &format!("/jobs/{id}/status"))?,
-            None,
-        ),
-        None => {
-            let store = open_store(args)?;
-            let job = store.job(id).map_err(|e| e.to_string())?;
-            (status_doc(&store, &job), Some(job.dir().to_path_buf()))
-        }
-    };
+    let mut dir = None;
+    let doc = document(args, "GET", &format!("/jobs/{id}/status"), None, |store| {
+        let job = store.job(id)?;
+        dir = Some(job.dir().to_path_buf());
+        Ok(status_doc(store, &job))
+    })?;
     let Some(state) = doc.get("state").and_then(|v| v.as_str()) else {
         return Err(str_of(&doc, "error"));
     };
@@ -737,77 +719,43 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     if !args.positional.is_empty() {
         return Err("trace takes no positional arguments".to_string());
     }
-    let n: usize = args.value("-n").and_then(|v| v.parse().ok()).unwrap_or(50);
-    if let Some(addr) = args.remote() {
-        if args.flag("--follow") {
+    let n = args.num("-n").map_or(50, |n| n as usize);
+    let follow = args.flag("--follow");
+    let (text, tail) = match args.remote() {
+        Some(_) if follow => {
             return Err(
                 "--follow tails local journals; use plain `trace` over --remote".to_string(),
             );
         }
-        print!(
-            "{}",
-            remote_call(args, addr, "GET", &format!("/trace?n={n}"), None)?
-        );
-        return Ok(());
-    }
-    let store = open_store(args)?;
-    let dir = store.trace_dir();
+        Some(addr) => (
+            remote_call(args, addr, "GET", &format!("/trace?n={n}"), None)?,
+            None,
+        ),
+        None => {
+            let mut tail = JournalTail::new(open_store(args)?.trace_dir());
+            (trace_doc(&mut tail, n), Some(tail))
+        }
+    };
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let events = crate::http::read_trace_journals(&dir);
-    let skip = events.len().saturating_sub(n);
-    for e in &events[skip..] {
-        if writeln!(out, "{}", e.render_line()).is_err() {
-            return Ok(());
-        }
-    }
-    if out.flush().is_err() || !args.flag("--follow") {
+    let mut emit = |text: &str| {
+        out.write_all(text.as_bytes())
+            .and_then(|()| out.flush())
+            .is_ok()
+    };
+    if !emit(&text) {
         return Ok(());
     }
-    // Follow mode: tail each journal incrementally from its current
-    // length, interleaving new events by timestamp, until interrupted
-    // (or stdout closes). Only whole lines are consumed, so an append
-    // caught mid-write is picked up complete on the next poll.
-    let mut consumed: std::collections::HashMap<std::path::PathBuf, usize> =
-        std::collections::HashMap::new();
-    for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-        if let Ok(meta) = entry.metadata() {
-            consumed.insert(entry.path(), meta.len() as usize);
-        }
-    }
+    // Follow mode: later polls of the same tail print each new event
+    // once, until interrupted or stdout closes.
+    let Some(mut tail) = tail.filter(|_| follow) else {
+        return Ok(());
+    };
     let poll = Duration::from_millis(args.interval_ms());
     loop {
         std::thread::sleep(poll);
-        let mut fresh = Vec::new();
-        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-            let path = entry.path();
-            let name = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
-            if !name.contains(".ndjson") {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let at = consumed.entry(path).or_insert(0);
-            if text.len() < *at {
-                *at = 0; // the journal rotated under us: restart it
-            }
-            let upto = text[*at..].rfind('\n').map_or(*at, |i| *at + i + 1);
-            fresh.extend(
-                text[*at..upto]
-                    .lines()
-                    .filter_map(ftsim_obs::trace::TraceEvent::parse_line),
-            );
-            *at = upto;
-        }
-        fresh.sort_by_key(|e| e.ts_ms);
-        for e in &fresh {
-            if writeln!(out, "{}", e.render_line()).is_err() {
-                return Ok(());
-            }
-        }
-        if out.flush().is_err() {
+        if !emit(&render_events(&tail.poll())) {
             return Ok(());
         }
     }
@@ -887,41 +835,27 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 
 fn cmd_stop(args: &Args) -> Result<(), String> {
     args.ensure_flags(&[])?;
-    if let Some(addr) = args.remote() {
-        return match args.positional.as_slice() {
-            [] => {
-                remote_call(args, addr, "POST", "/stop", None)?;
-                eprintln!("ftsimd: stop requested; {addr} will finish its cell in flight and exit");
-                Ok(())
-            }
-            [id] => {
-                remote_call(args, addr, "POST", &format!("/jobs/{id}/stop"), None)?;
-                eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
-                Ok(())
-            }
-            _ => Err("stop takes at most one job id".to_string()),
-        };
+    let id = match args.positional.as_slice() {
+        [] => None,
+        [id] => Some(id.as_str()),
+        _ => return Err("stop takes at most one job id".to_string()),
+    };
+    let path = id.map_or_else(|| "/stop".to_string(), |id| format!("/jobs/{id}/stop"));
+    document(args, "POST", &path, None, |store| stop_doc(store, id))?;
+    match id {
+        Some(id) => eprintln!("ftsimd: job {id} paused; resubmit its spec to resume"),
+        None => eprintln!(
+            "ftsimd: stop requested; {} will finish its cell in flight and exit",
+            args.remote().unwrap_or("the daemon")
+        ),
     }
-    let store = open_store(args)?;
-    match args.positional.as_slice() {
-        [] => {
-            store.request_stop().map_err(|e| e.to_string())?;
-            eprintln!("ftsimd: stop requested; the daemon will finish its cell in flight and exit");
-            Ok(())
-        }
-        [id] => {
-            let job = store.job(id).map_err(|e| e.to_string())?;
-            store.request_job_stop(&job).map_err(|e| e.to_string())?;
-            eprintln!("ftsimd: job {id} paused; resubmit its spec to resume");
-            Ok(())
-        }
-        _ => Err("stop takes at most one job id".to_string()),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::JobSpec;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -995,7 +929,8 @@ mod tests {
         spec.fault_rates_pm = vec![0.0, 5_000.0];
         spec.site_mixes = vec!["uniform".to_string(), "addr-heavy".to_string()];
         spec.budgets = vec![1_200];
-        let (id, _) = store.submit(&spec).unwrap();
+        let doc = submit_doc(&store, &spec.to_json()).unwrap();
+        let id = str_of(&doc, "id");
         let job = store.job(&id).unwrap();
         crate::runner::run_job(&store, &job, &std::sync::atomic::AtomicBool::new(false)).unwrap();
 
@@ -1019,7 +954,8 @@ mod tests {
         // per-family progress lines.
         assert_eq!(run(&strs(&["jobs", "--state", &state])), 0);
         assert_eq!(run(&strs(&["status", &id, "--state", &state])), 0);
-        let families = crate::fabric::family_progress(&store, &job).unwrap();
+        let spec = store.load_spec(&job).unwrap();
+        let families = crate::fabric::family_progress(&job, &spec, true).unwrap();
         assert_eq!(families.len(), 1, "one (workload, budget, model) shard");
         assert_eq!(families[0].family.workload, "gcc");
         assert_eq!(families[0].family.model, "SS-2");

@@ -513,38 +513,42 @@ fn quarantine_debris(job: &Job, path: &Path, reason: &str) {
     }
 }
 
-/// Live (unexpired) claims held on a job, by any owner.
-pub(crate) fn live_claims(job: &Job) -> usize {
-    let Ok(entries) = ftsim_chaos::io().list_dir(fp::FABRIC_CLAIMS_LIST, &job.claims_dir()) else {
-        return 0;
-    };
-    let now = now_ms();
-    entries
-        .iter()
-        .filter(|p| p.extension().is_some_and(|x| x == "lease"))
-        .filter(|p| read_lease(p).is_some_and(|l| l.expires_unix_ms > now))
-        .count()
+/// The live (unexpired) claims on a job, from one scan of its claims
+/// directory.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LiveClaims {
+    /// Live claims held on the job, by any owner.
+    pub count: usize,
+    /// Age in milliseconds of the oldest live claim, or 0 when none
+    /// carries a creation stamp — `/healthz` surfaces the fabric-wide
+    /// maximum as a wedged-family indicator (a claim alive far past the
+    /// typical family runtime is being renewed but not finishing).
+    /// Leases written by pre-stamp daemons lack `created_unix_ms` and
+    /// are skipped rather than misreported.
+    pub oldest_age_ms: u64,
 }
 
-/// Age in milliseconds of the oldest live (unexpired) claim on a job,
-/// or 0 when none carries a creation stamp — `/healthz` surfaces the
-/// fabric-wide maximum as a wedged-family indicator (a claim alive far
-/// past the typical family runtime is being renewed but not finishing).
-/// Leases written by pre-stamp daemons lack `created_unix_ms` and are
-/// skipped rather than misreported.
-pub(crate) fn oldest_live_claim_age_ms(job: &Job) -> u64 {
+/// Scans a job's claims directory once for its [`LiveClaims`].
+pub(crate) fn live_claims(job: &Job) -> LiveClaims {
+    let mut live = LiveClaims::default();
     let Ok(entries) = ftsim_chaos::io().list_dir(fp::FABRIC_CLAIMS_LIST, &job.claims_dir()) else {
-        return 0;
+        return live;
     };
     let now = now_ms();
-    entries
+    for lease in entries
         .iter()
         .filter(|p| p.extension().is_some_and(|x| x == "lease"))
         .filter_map(|p| read_lease(p))
-        .filter(|l| l.expires_unix_ms > now && l.created_unix_ms > 0)
-        .map(|l| now.saturating_sub(l.created_unix_ms))
-        .max()
-        .unwrap_or(0)
+        .filter(|l| l.expires_unix_ms > now)
+    {
+        live.count += 1;
+        if lease.created_unix_ms > 0 {
+            live.oldest_age_ms = live
+                .oldest_age_ms
+                .max(now.saturating_sub(lease.created_unix_ms));
+        }
+    }
+    live
 }
 
 /// One family's progress within a job.
@@ -558,19 +562,16 @@ pub(crate) struct FamilyProgress {
     pub total: usize,
 }
 
-/// Per-family cells-done counts for a job: its grid identities grouped
-/// by family, each matched against the streamed `cells.csv`. A done
-/// job counts every cell even if some were never streamed
-/// (resume-matched cells are not re-appended), and needs no read.
+/// Per-family cells-done counts for a job with `spec`: its grid
+/// identities grouped by family, each matched against the streamed
+/// `cells.csv`. A done job (`done_job`) counts every cell even if some
+/// were never streamed (resume-matched cells are not re-appended), and
+/// needs no read.
 pub(crate) fn family_progress(
-    store: &JobStore,
     job: &Job,
+    spec: &JobSpec,
+    done_job: bool,
 ) -> Result<Vec<FamilyProgress>, DaemonError> {
-    let spec = store.load_spec(job)?;
-    let done_job = store
-        .load_status(job)
-        .map(|s| s.state == JobState::Done)
-        .unwrap_or(false);
     let progress = |log: &log::JobLog| {
         log.families()
             .map(|(family, done, total)| FamilyProgress {
@@ -581,9 +582,9 @@ pub(crate) fn family_progress(
             .collect()
     };
     if done_job {
-        Ok(progress(&log::JobLog::new(&spec)?))
+        Ok(progress(&log::JobLog::new(spec)?))
     } else {
-        log::with_log(job, &spec, progress)
+        log::with_log(job, spec, progress)
     }
 }
 
@@ -718,7 +719,7 @@ fn scheduling_pass(
             }
         };
         incomplete += 1;
-        let claims = live_claims(&job);
+        let claims = live_claims(&job).count;
         if spec.threads > 0 && claims >= spec.threads {
             continue; // at its fabric-wide concurrency cap
         }
@@ -798,6 +799,7 @@ fn scheduling_pass(
 fn rebuild_status(store: &JobStore, job: &Job) -> Result<JobStatus, DaemonError> {
     let spec = store.load_spec(job)?;
     let (records, total) = merged_records(job, &spec)?;
+    // The prior status is gone, so the TTL clock restarts now.
     let status = JobStatus {
         state: if records.len() == total {
             // Every cell streamed: stays Running so the next scan's
@@ -806,13 +808,8 @@ fn rebuild_status(store: &JobStore, job: &Job) -> Result<JobStatus, DaemonError>
         } else {
             JobState::Queued
         },
-        cells_total: total,
         cells_done: records.len(),
-        error: String::new(),
-        // write_status inherits the real submit timestamp from the prior
-        // status when one survives; 0 means genuinely unknown.
-        created_unix_ms: 0,
-        finished_unix_ms: 0,
+        ..JobStatus::queued(total)
     };
     store.write_status(job, &status)?;
     eprintln!(
@@ -877,37 +874,27 @@ fn note_job_error(store: &JobStore, job: &Job, err: DaemonError, incomplete: &mu
 pub(crate) fn mark_failed(store: &JobStore, job: &Job, err: &DaemonError) {
     eprintln!("ftsimd: job {} failed: {err}", job.id);
     log::forget(job);
-    let mut status = store.load_status(job).unwrap_or(JobStatus {
-        state: JobState::Failed,
-        cells_total: 0,
-        cells_done: 0,
-        error: String::new(),
-        created_unix_ms: 0,
-        finished_unix_ms: 0,
+    let _ = store.update_status(job, |prior| {
+        Some(JobStatus {
+            state: JobState::Failed,
+            error: err.to_string(),
+            ..prior.unwrap_or_else(|| JobStatus::queued(0))
+        })
     });
-    status.state = JobState::Failed;
-    status.error = err.to_string();
-    let _ = store.write_status(job, &status);
 }
 
 /// Best-effort status bump that never regresses a finalized job.
 pub(crate) fn bump_status(store: &JobStore, job: &Job, state: JobState, done: usize, total: usize) {
-    if let Ok(s) = store.load_status(job) {
-        if s.state == JobState::Done {
-            return;
+    let _ = store.update_status(job, |prior| {
+        if prior.is_some_and(|s| s.state == JobState::Done) {
+            return None;
         }
-    }
-    let _ = store.write_status(
-        job,
-        &JobStatus {
+        Some(JobStatus {
             state,
-            cells_total: total,
             cells_done: done.min(total),
-            error: String::new(),
-            created_unix_ms: 0,
-            finished_unix_ms: 0,
-        },
-    );
+            ..JobStatus::queued(total)
+        })
+    });
 }
 
 /// How a [`run_family`] call ended.
@@ -1188,14 +1175,13 @@ fn pause_for_enospc(store: &JobStore, job: &Job) -> FamilyOutcome {
         job.id
     );
     let _ = store.request_job_stop(job);
-    if let Ok(mut status) = store.load_status(job) {
-        if status.state != JobState::Done {
-            status.error = "paused: no space left on device while appending cells.csv; \
-                 free space and re-submit the spec to resume"
-                .to_string();
-            let _ = store.write_status(job, &status);
-        }
-    }
+    let _ = store.update_status(job, |prior| {
+        let mut status = prior.filter(|s| s.state != JobState::Done)?;
+        status.error = "paused: no space left on device while appending cells.csv; \
+             free space and re-submit the spec to resume"
+            .to_string();
+        Some(status)
+    });
     FamilyOutcome::Paused
 }
 
@@ -1300,17 +1286,13 @@ pub(crate) fn try_finalize(
         &job.results_json_path(),
         to_json(&records).as_bytes(),
     )?;
-    store.write_status(
-        job,
-        &JobStatus {
+    store.update_status(job, |_| {
+        Some(JobStatus {
             state: JobState::Done,
-            cells_total: total,
             cells_done: total,
-            error: String::new(),
-            created_unix_ms: 0,
-            finished_unix_ms: 0,
-        },
-    )?;
+            ..JobStatus::queued(total)
+        })
+    })?;
     // Claims are scaffolding; a straggler holding one re-runs a cell to
     // a byte-identical row at worst.
     ftsim_chaos::io()
@@ -1333,20 +1315,22 @@ pub(crate) fn try_finalize(
 /// nobody is running them).
 pub(crate) fn requeue_unclaimed(store: &JobStore) -> Result<(), DaemonError> {
     for job in store.jobs()? {
-        let Ok(status) = store.load_status(&job) else {
-            continue;
-        };
-        if status.state == JobState::Running && live_claims(&job) == 0 {
-            store.write_status(
-                &job,
-                &JobStatus {
-                    state: JobState::Queued,
-                    ..status
-                },
-            )?;
-        }
+        requeue_if_unclaimed(store, &job)?;
     }
     Ok(())
+}
+
+/// [`requeue_unclaimed`] for one job: `running` with no live claim
+/// becomes `queued`.
+pub(crate) fn requeue_if_unclaimed(store: &JobStore, job: &Job) -> Result<(), DaemonError> {
+    store.update_status(job, |prior| {
+        let status =
+            prior.filter(|s| s.state == JobState::Running && live_claims(job).count == 0)?;
+        Some(JobStatus {
+            state: JobState::Queued,
+            ..status
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1383,9 +1367,9 @@ mod tests {
 
         let held = try_claim(&job, &family(), &cfg_a).unwrap().unwrap();
         assert!(try_claim(&job, &family(), &cfg_b).unwrap().is_none());
-        assert_eq!(live_claims(&job), 1);
+        assert_eq!(live_claims(&job).count, 1);
         drop(held);
-        assert_eq!(live_claims(&job), 0, "drop releases");
+        assert_eq!(live_claims(&job).count, 0, "drop releases");
         assert!(try_claim(&job, &family(), &cfg_b).unwrap().is_some());
         std::fs::remove_dir_all(store.root()).ok();
     }
@@ -1405,7 +1389,7 @@ mod tests {
         assert!(!dying.renew().unwrap());
         // ...and its drop must not release the thief's claim.
         drop(dying);
-        assert_eq!(live_claims(&job), 1);
+        assert_eq!(live_claims(&job).count, 1);
         std::fs::remove_dir_all(store.root()).ok();
     }
 

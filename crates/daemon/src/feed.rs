@@ -1,8 +1,9 @@
-//! The read side of `ftsimd`: every verb that shows a job — `jobs`,
-//! `status`, `results`, `report` and their `--watch` forms — reads it
-//! through this module. The local CLI and the HTTP handlers only render
-//! what it returns, so `ftsimd --remote` differs from a local run in
-//! transport alone.
+//! One implementation per `ftsimd` verb: every verb that shows a job —
+//! `jobs`, `status`, `results`, `report` and their `--watch` forms —
+//! and every verb that changes the store or reads the fabric's trace —
+//! `submit`, `stop` and `trace` — goes through this module. The local
+//! CLI and the HTTP handlers only render what it returns, so
+//! `ftsimd --remote` differs from a local run in transport alone.
 //!
 //! * [`read_job`] is the canonical read: a done job's records come from
 //!   its sealed `results.csv`, anything else's from the streamed
@@ -11,15 +12,23 @@
 //!   (stdout, or the socket after the response head).
 //! * [`jobs_doc`] and [`status_doc`] are the listing and per-job status
 //!   documents `GET /jobs` serves and the CLI prints.
+//! * [`submit_doc`] and [`stop_doc`] are the answers of `POST /jobs`,
+//!   `POST /stop` and `POST /jobs/<id>/stop`.
+//! * [`JournalTail`] reads the trace journals: its first poll is the
+//!   merged read [`trace_doc`] serves as `GET /trace`, and later polls
+//!   are `trace --follow`.
 
 use crate::fabric::{family_progress, merged_records};
 use crate::log::CellsTail;
+use crate::spec::JobSpec;
 use crate::store::{io_err, DaemonError, Job, JobState, JobStatus, JobStore};
 use ftsim::harness::{from_csv, to_csv, to_json, RunRecord};
 use ftsim_chaos::retry::Backoff;
+use ftsim_obs::trace::{self, TraceEvent};
 use ftsim_stats::JsonValue;
-use std::collections::HashSet;
-use std::io::Write;
+use std::collections::{HashMap, HashSet};
+use std::io::{Read, Seek, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -287,16 +296,21 @@ pub(crate) fn watch(
     }
 }
 
-/// One job's listing entry: status plus the spec's submitter and
-/// priority. An unreadable status leaves `state` out and puts the read
-/// error under `error`.
-fn job_entry(store: &JobStore, job: &Job) -> Vec<(String, JsonValue)> {
-    let (submitter, priority) = store
-        .load_spec(job)
-        .map(|s| (s.submitter, s.priority))
+/// One job's listing entry from the `spec` and `status` the caller read:
+/// the status plus the spec's submitter and priority. An unreadable
+/// status leaves `state` out and puts the read error under `error`.
+fn job_entry(
+    store: &JobStore,
+    job: &Job,
+    spec: &Result<JobSpec, DaemonError>,
+    status: &Result<JobStatus, DaemonError>,
+) -> Vec<(String, JsonValue)> {
+    let (submitter, priority) = spec
+        .as_ref()
+        .map(|s| (s.submitter.clone(), s.priority))
         .unwrap_or_default();
     let mut pairs = vec![("id".to_string(), JsonValue::Str(job.id.clone()))];
-    match store.load_status(job) {
+    match status {
         Ok(s) => pairs.extend([
             ("state".to_string(), JsonValue::Str(s.state.to_string())),
             (
@@ -307,7 +321,7 @@ fn job_entry(store: &JobStore, job: &Job) -> Vec<(String, JsonValue)> {
                 "cells_total".to_string(),
                 JsonValue::U64(s.cells_total as u64),
             ),
-            ("error".to_string(), JsonValue::Str(s.error)),
+            ("error".to_string(), JsonValue::Str(s.error.clone())),
         ]),
         Err(e) => pairs.push(("error".to_string(), JsonValue::Str(e.to_string()))),
     }
@@ -331,7 +345,10 @@ pub(crate) fn jobs_doc(store: &JobStore) -> Result<JsonValue, DaemonError> {
     let entries = store
         .jobs()?
         .iter()
-        .map(|job| JsonValue::Obj(job_entry(store, job)))
+        .map(|job| {
+            let (spec, status) = (store.load_spec(job), store.load_status(job));
+            JsonValue::Obj(job_entry(store, job, &spec, &status))
+        })
         .collect();
     Ok(JsonValue::obj([(
         "jobs".to_string(),
@@ -341,10 +358,14 @@ pub(crate) fn jobs_doc(store: &JobStore) -> Result<JsonValue, DaemonError> {
 
 /// One job's status document: its listing entry plus per-family
 /// progress, which is best-effort decoration — an old job whose spec no
-/// longer resolves still shows its totals, without `families`.
+/// longer resolves still shows its totals, without `families`. The spec
+/// and the status are read once for both.
 pub(crate) fn status_doc(store: &JobStore, job: &Job) -> JsonValue {
-    let mut doc = job_entry(store, job);
-    if let Ok(families) = family_progress(store, job) {
+    let (spec, status) = (store.load_spec(job), store.load_status(job));
+    let mut doc = job_entry(store, job, &spec, &status);
+    let done = status.is_ok_and(|s| s.state == JobState::Done);
+    let families = spec.and_then(|spec| family_progress(job, &spec, done));
+    if let Ok(families) = families {
         doc.push((
             "families".to_string(),
             JsonValue::Arr(
@@ -367,4 +388,198 @@ pub(crate) fn status_doc(store: &JobStore, job: &Job) -> JsonValue {
         ));
     }
     JsonValue::Obj(doc)
+}
+
+/// Submits (or attaches to) the job `text` specifies: the
+/// `{"id", "created", "cells_total"}` document `POST /jobs` answers and
+/// `ftsimd submit` prints the id of.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the spec does not parse or resolve, the
+/// submitter is over quota, or the store does not write.
+pub(crate) fn submit_doc(store: &JobStore, text: &str) -> Result<JsonValue, DaemonError> {
+    let (id, created) = store.submit(&JobSpec::parse(text)?)?;
+    let cells = store
+        .job(&id)
+        .and_then(|job| store.load_status(&job))
+        .map_or(0, |s| s.cells_total as u64);
+    Ok(JsonValue::obj([
+        ("id".to_string(), JsonValue::Str(id)),
+        ("created".to_string(), JsonValue::Bool(created)),
+        ("cells_total".to_string(), JsonValue::U64(cells)),
+    ]))
+}
+
+/// Pauses job `id`, or — with no id — asks the fabric's serving
+/// daemons to shut down: `{"paused": id}` or `{"stopping": true}`, as
+/// `POST /jobs/<id>/stop` and `POST /stop` answer.
+///
+/// # Errors
+///
+/// [`DaemonError::NoSuchJob`] for an unknown id, [`DaemonError::Io`]
+/// when the sentinel does not write.
+pub(crate) fn stop_doc(store: &JobStore, id: Option<&str>) -> Result<JsonValue, DaemonError> {
+    Ok(match id {
+        None => {
+            store.request_stop()?;
+            JsonValue::obj([("stopping".to_string(), JsonValue::Bool(true))])
+        }
+        Some(id) => {
+            let job = store.job(id)?;
+            store.request_job_stop(&job)?;
+            JsonValue::obj([("paused".to_string(), JsonValue::Str(job.id))])
+        }
+    })
+}
+
+/// A journal's identity: its device and inode, or its path where the
+/// platform has no file ids. A rotation renames `X.ndjson` to
+/// `X.ndjson.1`, so a path would name a different file after it.
+type JournalId = Result<(u64, u64), PathBuf>;
+
+/// Where a reader stands in every NDJSON trace journal under a
+/// directory (`<state>/trace/`, the rotated `.ndjson.1` generations
+/// included). Offsets are keyed by file identity, so a journal renamed
+/// aside is read on from where it was left, not again from its start.
+pub(crate) struct JournalTail {
+    dir: PathBuf,
+    consumed: HashMap<JournalId, u64>,
+}
+
+impl JournalTail {
+    /// A tail over `dir` that has read nothing yet.
+    pub(crate) fn new(dir: PathBuf) -> Self {
+        Self {
+            dir,
+            consumed: HashMap::new(),
+        }
+    }
+
+    /// The events appended since the last poll — on the first poll,
+    /// every event — merged across journals by timestamp. Only whole
+    /// lines are consumed, so an append caught mid-write is read whole
+    /// by the next poll. Damaged lines, like the torn tail of a crashed
+    /// process's journal, are skipped, not errors. A journal that
+    /// shrank is read again from its start.
+    pub(crate) fn poll(&mut self) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        let mut seen = HashMap::new();
+        for entry in std::fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !name.contains(".ndjson") {
+                continue;
+            }
+            let Ok(mut file) = std::fs::File::open(&path) else {
+                continue;
+            };
+            let Ok(meta) = file.metadata() else { continue };
+            let id = ftsim_stats::csv::file_id(&meta).ok_or_else(|| path.clone());
+            let known = self.consumed.get(&id).copied();
+            let at = known.filter(|&at| at <= meta.len()).unwrap_or(0);
+            let mut bytes = Vec::new();
+            let _ = file
+                .seek(std::io::SeekFrom::Start(at))
+                .and_then(|_| file.read_to_end(&mut bytes));
+            let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            events.extend(
+                String::from_utf8_lossy(&bytes[..whole])
+                    .lines()
+                    .filter_map(TraceEvent::parse_line),
+            );
+            seen.insert(id, at + whole as u64);
+        }
+        // Journals gone from the directory are forgotten, so a recycled
+        // inode starts from zero.
+        self.consumed = seen;
+        events.sort_by_key(|e| e.ts_ms);
+        events
+    }
+}
+
+/// NDJSON lines, one per event, as `GET /trace` and `ftsimd trace`
+/// print them.
+pub(crate) fn render_events(events: &[TraceEvent]) -> String {
+    events
+        .iter()
+        .map(|e| format!("{}\n", e.render_line()))
+        .collect()
+}
+
+/// The `n` most recent span events across the whole fabric from
+/// `tail`'s first poll — or, when no journal exists yet, this process's
+/// in-memory ring — one JSON object per line, oldest first.
+pub(crate) fn trace_doc(tail: &mut JournalTail, n: usize) -> String {
+    let mut events = tail.poll();
+    if events.is_empty() {
+        events = trace::recent(n);
+    }
+    render_events(&events[events.len().saturating_sub(n)..])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn event(ts_ms: u64, detail: &str) -> TraceEvent {
+        TraceEvent {
+            ts_ms,
+            ..TraceEvent::new("cell", "job", "label", detail)
+        }
+    }
+
+    fn append(path: &std::path::Path, events: &[TraceEvent]) {
+        let mut f = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap();
+        f.write_all(render_events(events).as_bytes()).unwrap();
+    }
+
+    fn details(events: &[TraceEvent]) -> Vec<&str> {
+        events.iter().map(|e| e.detail.as_str()).collect()
+    }
+
+    /// The sink rotates `X.ndjson` to `X.ndjson.1` and starts a fresh
+    /// `X.ndjson`: a follow prints every new event exactly once, and
+    /// nothing from before it started.
+    #[test]
+    fn journal_tail_reads_each_event_once_across_rotations() {
+        let dir = std::env::temp_dir().join(format!("ftsimd-feed-tail-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let live = dir.join("owner.ndjson");
+        let rotated = dir.join("owner.ndjson.1");
+        let other = dir.join("peer.ndjson");
+        append(&live, &[event(1, "a1"), event(3, "a3")]);
+        append(&other, &[event(2, "b2")]);
+
+        let mut tail = JournalTail::new(dir.clone());
+        // The first poll is the merged read.
+        assert_eq!(details(&tail.poll()), ["a1", "b2", "a3"]);
+        assert!(tail.poll().is_empty(), "nothing new");
+
+        // An append, a rotation, a fresh journal; a torn line waits.
+        append(&live, &[event(4, "a4")]);
+        std::fs::rename(&live, &rotated).unwrap();
+        append(&live, &[event(6, "a6")]);
+        append(&other, &[event(5, "b5")]);
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&other)
+            .unwrap()
+            .write_all(b"{\"ts_ms\": 7")
+            .unwrap();
+        assert_eq!(details(&tail.poll()), ["a4", "b5", "a6"]);
+
+        // A second rotation replaces the old generation.
+        append(&live, &[event(8, "a8")]);
+        std::fs::rename(&live, &rotated).unwrap();
+        append(&live, &[event(9, "a9")]);
+        assert_eq!(details(&tail.poll()), ["a8", "a9"]);
+        assert!(tail.poll().is_empty(), "nothing new");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

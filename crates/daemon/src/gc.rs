@@ -247,7 +247,7 @@ mod tests {
         if status.terminal() {
             status.finished_unix_ms = 1_000;
         }
-        // Bypass write_status: its stamp inheritance is exactly what a
+        // Bypass update_status: its stamp carry-over is exactly what a
         // backdating test must avoid.
         std::fs::write(job.status_path(), status_json(&status)).unwrap();
     }
@@ -306,9 +306,14 @@ mod tests {
         let job = store.job(&id).unwrap();
 
         // Terminal but freshly finished: retention has not elapsed.
-        let mut status = store.load_status(&job).unwrap();
-        status.state = JobState::Failed;
-        store.write_status(&job, &status).unwrap();
+        store
+            .update_status(&job, |prior| {
+                let mut next = prior.unwrap();
+                next.state = JobState::Failed;
+                Some(next)
+            })
+            .unwrap();
+        assert!(store.load_status(&job).unwrap().finished_unix_ms > 0);
         let report = gc_pass(&store, &GcOptions::default()).unwrap();
         assert_eq!(report.expired_jobs, 0);
         assert!(store.job(&id).is_ok());

@@ -14,11 +14,14 @@
 //! | `GET /jobs/<id>/report`     | analysis report (JSON; `?format=text`) |
 //! | `POST /jobs/<id>/stop`      | pause one job                      |
 //! | `POST /stop`                | stop the serving daemon            |
+//! | `GET /trace`                | recent span events (`?n=`, NDJSON) |
+//! | `GET /healthz`              | fabric diagnostics (JSON)          |
+//! | `GET /metrics`              | Prometheus text exposition         |
 //!
-//! The read routes (`/jobs`, `status`, `results`, `report`) render what
-//! the `feed` module returns — the same data the local CLI prints — and
-//! every `?watch` stream is that module's one follow loop writing into
-//! the socket.
+//! The verb routes render what the `feed` module returns — the same
+//! documents the local CLI prints — and every `?watch` stream is that
+//! module's one follow loop writing into the socket. `/healthz` and
+//! `/metrics` read one [`Census`] of the fabric.
 //!
 //! Responses carry `Connection: close` and either a `Content-Length`
 //! or — for `?watch` streams — no length at all: the client reads to
@@ -28,11 +31,13 @@
 //! is discoverable.
 
 use crate::failpoints as fp;
-use crate::feed::{jobs_doc, read_job, render, status_doc, watch, Verb};
-use crate::spec::JobSpec;
+use crate::feed::{
+    jobs_doc, read_job, render, status_doc, stop_doc, submit_doc, trace_doc, watch, JournalTail,
+    Verb,
+};
 use crate::store::{io_err, write_atomic, DaemonError, Job, JobState, JobStore};
 use ftsim_chaos::retry::Backoff;
-use ftsim_obs::{metrics, trace};
+use ftsim_obs::metrics;
 use ftsim_stats::JsonValue;
 use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -422,29 +427,27 @@ fn handle(
     }
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => post_job(store, &mut stream, &req),
-        ("GET", ["jobs"]) => list_jobs(store, &mut stream),
-        ("GET", ["jobs", id, "status"]) => job_status(store, &mut stream, id),
+        ("POST", ["jobs"]) => respond_doc(&mut stream, submit_doc(store, &req.body), 400),
+        ("GET", ["jobs"]) => respond_doc(&mut stream, jobs_doc(store), 500),
+        ("GET", ["jobs", id, "status"]) => {
+            let doc = store.job(id).map(|job| status_doc(store, &job));
+            respond_doc(&mut stream, doc, 500);
+        }
         ("GET", ["jobs", id, "results"]) => {
             job_read(store, &mut stream, id, &req, Verb::Results, stopped);
         }
         ("GET", ["jobs", id, "report"]) => {
             job_read(store, &mut stream, id, &req, Verb::Report, stopped);
         }
-        ("POST", ["jobs", id, "stop"]) => job_stop(store, &mut stream, id),
-        ("POST", ["stop"]) => {
-            match store.request_stop() {
-                Ok(()) => respond_json(
-                    &mut stream,
-                    200,
-                    &JsonValue::obj([("stopping".to_string(), JsonValue::Bool(true))]),
-                ),
-                Err(e) => respond_json(&mut stream, 500, &error_json(e.to_string())),
-            };
-        }
+        ("POST", ["jobs", id, "stop"]) => respond_doc(&mut stream, stop_doc(store, Some(id)), 500),
+        ("POST", ["stop"]) => respond_doc(&mut stream, stop_doc(store, None), 500),
         ("GET", ["healthz"]) => healthz(store, &mut stream, started),
         ("GET", ["metrics"]) => metrics_endpoint(store, &mut stream),
-        ("GET", ["trace"]) => trace_endpoint(store, &mut stream, &req),
+        ("GET", ["trace"]) => {
+            let n = req.query("n").and_then(|v| v.parse().ok()).unwrap_or(100);
+            let body = trace_doc(&mut JournalTail::new(store.trace_dir()), n);
+            respond(&mut stream, 200, "application/x-ndjson", &body);
+        }
         (method, _) if method != "GET" && method != "POST" => {
             respond_json(&mut stream, 405, &error_json("use GET or POST"));
         }
@@ -456,41 +459,13 @@ fn handle(
     }
 }
 
-fn lookup(store: &JobStore, stream: &mut TcpStream, id: &str) -> Option<Job> {
-    match store.job(id) {
-        Ok(job) => Some(job),
-        Err(e) => {
-            respond_json(stream, 404, &error_json(e.to_string()));
-            None
-        }
-    }
-}
-
-fn post_job(store: &JobStore, stream: &mut TcpStream, req: &Request) {
-    let spec = match JobSpec::parse(&req.body) {
-        Ok(spec) => spec,
-        Err(e) => {
-            respond_json(stream, 400, &error_json(e.to_string()));
-            return;
-        }
-    };
-    match store.submit(&spec) {
-        Ok((id, created)) => {
-            let cells = store
-                .job(&id)
-                .and_then(|job| store.load_status(&job))
-                .map(|s| s.cells_total as u64)
-                .unwrap_or(0);
-            respond_json(
-                stream,
-                200,
-                &JsonValue::obj([
-                    ("id".to_string(), JsonValue::Str(id)),
-                    ("created".to_string(), JsonValue::Bool(created)),
-                    ("cells_total".to_string(), JsonValue::U64(cells)),
-                ]),
-            );
-        }
+/// Answers with a verb's document, or with its error as
+/// `{"error": ...}`: `404` for an unknown job, `429` with `Retry-After`
+/// for an over-quota submission, `failed` for anything else.
+fn respond_doc(stream: &mut TcpStream, doc: Result<JsonValue, DaemonError>, failed: u16) {
+    match doc {
+        Ok(doc) => respond_json(stream, 200, &doc),
+        Err(e @ DaemonError::NoSuchJob(_)) => respond_json(stream, 404, &error_json(e.to_string())),
         Err(
             e @ DaemonError::QuotaExceeded {
                 retry_after_secs, ..
@@ -513,20 +488,7 @@ fn post_job(store: &JobStore, stream: &mut TcpStream, req: &Request) {
                 &[format!("Retry-After: {retry_after_secs}")],
             );
         }
-        Err(e) => respond_json(stream, 400, &error_json(e.to_string())),
-    }
-}
-
-fn list_jobs(store: &JobStore, stream: &mut TcpStream) {
-    match jobs_doc(store) {
-        Ok(doc) => respond_json(stream, 200, &doc),
-        Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
-    }
-}
-
-fn job_status(store: &JobStore, stream: &mut TcpStream, id: &str) {
-    if let Some(job) = lookup(store, stream, id) {
-        respond_json(stream, 200, &status_doc(store, &job));
+        Err(e) => respond_json(stream, failed, &error_json(e.to_string())),
     }
 }
 
@@ -541,8 +503,9 @@ fn job_read(
     verb: Verb,
     stopped: &AtomicBool,
 ) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
+    let job = match store.job(id) {
+        Ok(job) => job,
+        Err(e) => return respond_doc(stream, Err(e), 500),
     };
     if req.query("watch").is_some() {
         let interval = req
@@ -599,78 +562,104 @@ fn stream_watch(
     }
 }
 
+/// One pass over the fabric's jobs: what `/healthz` and `/metrics`
+/// report about the queue, from each job's status (read once) and its
+/// live claims (scanned once).
+struct Census {
+    /// Jobs in the store.
+    jobs: u64,
+    /// Jobs whose status reads, by state.
+    by_state: [(JobState, u64); 4],
+    /// Cells not yet done across non-terminal jobs.
+    queued_cells: u64,
+    /// Live claims across every job.
+    live_claims: u64,
+    /// Age of the oldest live claim that carries a creation stamp.
+    oldest_claim_ms: u64,
+    /// Live claims per submitter, sorted by submitter.
+    by_submitter: Vec<(String, u64)>,
+    /// `(job id, {state, cells_done, cells_total})` per readable status.
+    progress: Vec<(String, JsonValue)>,
+}
+
+/// Takes the [`Census`] of `store`.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the jobs directory does not list.
+fn census(store: &JobStore) -> Result<Census, DaemonError> {
+    let jobs = store.jobs()?;
+    let mut c = Census {
+        jobs: jobs.len() as u64,
+        by_state: [
+            (JobState::Queued, 0),
+            (JobState::Running, 0),
+            (JobState::Done, 0),
+            (JobState::Failed, 0),
+        ],
+        queued_cells: 0,
+        live_claims: 0,
+        oldest_claim_ms: 0,
+        by_submitter: Vec::new(),
+        progress: Vec::new(),
+    };
+    for job in &jobs {
+        if let Ok(s) = store.load_status(job) {
+            if let Some(slot) = c.by_state.iter_mut().find(|(st, _)| *st == s.state) {
+                slot.1 += 1;
+            }
+            if !s.terminal() {
+                c.queued_cells += s.cells_total.saturating_sub(s.cells_done) as u64;
+            }
+            c.progress.push((
+                job.id.clone(),
+                JsonValue::obj([
+                    ("state".to_string(), JsonValue::Str(s.state.to_string())),
+                    (
+                        "cells_done".to_string(),
+                        JsonValue::U64(s.cells_done as u64),
+                    ),
+                    (
+                        "cells_total".to_string(),
+                        JsonValue::U64(s.cells_total as u64),
+                    ),
+                ]),
+            ));
+        }
+        let live = crate::fabric::live_claims(job);
+        if live.count == 0 {
+            continue;
+        }
+        let claims = live.count as u64;
+        c.live_claims += claims;
+        c.oldest_claim_ms = c.oldest_claim_ms.max(live.oldest_age_ms);
+        let submitter = store
+            .load_spec(job)
+            .map(|s| s.submitter)
+            .unwrap_or_default();
+        match c.by_submitter.iter_mut().find(|(who, _)| *who == submitter) {
+            Some((_, n)) => *n += claims,
+            None => c.by_submitter.push((submitter, claims)),
+        }
+    }
+    c.by_submitter.sort();
+    Ok(c)
+}
+
 /// `GET /metrics`: the Prometheus text exposition of every registered
 /// metric, preceded by a scrape-time refresh of the store-derived gauges
 /// (queue depth in cells, jobs by state, quarantine size) so one
 /// process's scrape reflects fabric-wide state, not just its own
 /// counters.
 fn metrics_endpoint(store: &JobStore, stream: &mut TcpStream) {
-    if let Ok(jobs) = store.jobs() {
-        let mut queued_cells = 0u64;
-        let mut by_state = [
-            (JobState::Queued, 0u64),
-            (JobState::Running, 0),
-            (JobState::Done, 0),
-            (JobState::Failed, 0),
-        ];
-        for job in &jobs {
-            if let Ok(s) = store.load_status(job) {
-                if let Some(slot) = by_state.iter_mut().find(|(st, _)| *st == s.state) {
-                    slot.1 += 1;
-                }
-                if !matches!(s.state, JobState::Done | JobState::Failed) {
-                    queued_cells += s.cells_total.saturating_sub(s.cells_done) as u64;
-                }
-            }
-        }
-        metrics::gauge("ftsimd_queued_cells", &[]).set(queued_cells);
-        for (state, n) in &by_state {
+    if let Ok(c) = census(store) {
+        metrics::gauge("ftsimd_queued_cells", &[]).set(c.queued_cells);
+        for (state, n) in &c.by_state {
             metrics::gauge("ftsimd_jobs", &[("state", &state.to_string())]).set(*n);
         }
     }
     metrics::gauge("ftsimd_quarantined_files", &[]).set(store.quarantined_count() as u64);
     respond(stream, 200, "text/plain; version=0.0.4", &metrics::render());
-}
-
-/// Reads and timestamp-merges every NDJSON trace journal (including the
-/// rotated `.ndjson.1` generation) under `dir`. Damaged lines — the torn
-/// tail of a crashed process's journal — are skipped, not errors.
-pub(crate) fn read_trace_journals(dir: &std::path::Path) -> Vec<trace::TraceEvent> {
-    let mut events = Vec::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return events;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !name.contains(".ndjson") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        events.extend(text.lines().filter_map(trace::TraceEvent::parse_line));
-    }
-    events.sort_by_key(|e| e.ts_ms);
-    events
-}
-
-/// `GET /trace?n=<count>`: the most recent span events across the whole
-/// fabric, merged by timestamp from every process's journal under
-/// `<state>/trace/` (falling back to this process's in-memory ring when
-/// no journal exists yet), one JSON object per line, oldest first.
-fn trace_endpoint(store: &JobStore, stream: &mut TcpStream, req: &Request) {
-    let n: usize = req.query("n").and_then(|v| v.parse().ok()).unwrap_or(100);
-    let mut events = read_trace_journals(&store.trace_dir());
-    if events.is_empty() {
-        events = trace::recent(n);
-    }
-    let skip = events.len().saturating_sub(n);
-    let body: String = events[skip..]
-        .iter()
-        .map(|e| format!("{}\n", e.render_line()))
-        .collect();
-    respond(stream, 200, "application/x-ndjson", &body);
 }
 
 /// `GET /healthz`: fabric diagnostics for dashboards and smoke tests —
@@ -682,58 +671,8 @@ fn trace_endpoint(store: &JobStore, stream: &mut TcpStream, req: &Request) {
 /// killed, how many corrupt files sit in quarantine, and when the
 /// scheduler last completed a pass (0 until the first one).
 fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant) {
-    let (jobs, live, by_submitter, queued_cells, oldest_claim_ms, progress) = match store.jobs() {
-        Ok(jobs) => {
-            let mut live = 0u64;
-            let mut by_submitter: Vec<(String, u64)> = Vec::new();
-            let mut queued_cells = 0u64;
-            let mut oldest_claim_ms = 0u64;
-            let mut progress: Vec<(String, JsonValue)> = Vec::new();
-            for job in &jobs {
-                if let Ok(s) = store.load_status(job) {
-                    if !matches!(s.state, JobState::Done | JobState::Failed) {
-                        queued_cells += s.cells_total.saturating_sub(s.cells_done) as u64;
-                    }
-                    progress.push((
-                        job.id.clone(),
-                        JsonValue::obj([
-                            ("state".to_string(), JsonValue::Str(s.state.to_string())),
-                            (
-                                "cells_done".to_string(),
-                                JsonValue::U64(s.cells_done as u64),
-                            ),
-                            (
-                                "cells_total".to_string(),
-                                JsonValue::U64(s.cells_total as u64),
-                            ),
-                        ]),
-                    ));
-                }
-                let claims = crate::fabric::live_claims(job) as u64;
-                if claims == 0 {
-                    continue;
-                }
-                live += claims;
-                oldest_claim_ms = oldest_claim_ms.max(crate::fabric::oldest_live_claim_age_ms(job));
-                let submitter = store
-                    .load_spec(job)
-                    .map(|s| s.submitter)
-                    .unwrap_or_default();
-                match by_submitter.iter_mut().find(|(who, _)| *who == submitter) {
-                    Some((_, n)) => *n += claims,
-                    None => by_submitter.push((submitter, claims)),
-                }
-            }
-            by_submitter.sort();
-            (
-                jobs.len() as u64,
-                live,
-                by_submitter,
-                queued_cells,
-                oldest_claim_ms,
-                progress,
-            )
-        }
+    let c = match census(store) {
+        Ok(c) => c,
         Err(e) => {
             respond_json(stream, 500, &error_json(e.to_string()));
             return;
@@ -752,18 +691,18 @@ fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant
                 "uptime_ms".to_string(),
                 JsonValue::U64(started.elapsed().as_millis() as u64),
             ),
-            ("jobs".to_string(), JsonValue::U64(jobs)),
-            ("live_claims".to_string(), JsonValue::U64(live)),
-            ("queued_cells".to_string(), JsonValue::U64(queued_cells)),
+            ("jobs".to_string(), JsonValue::U64(c.jobs)),
+            ("live_claims".to_string(), JsonValue::U64(c.live_claims)),
+            ("queued_cells".to_string(), JsonValue::U64(c.queued_cells)),
             (
                 "oldest_live_claim_age_ms".to_string(),
-                JsonValue::U64(oldest_claim_ms),
+                JsonValue::U64(c.oldest_claim_ms),
             ),
-            ("job_progress".to_string(), JsonValue::Obj(progress)),
+            ("job_progress".to_string(), JsonValue::Obj(c.progress)),
             (
                 "live_claims_by_submitter".to_string(),
                 JsonValue::Obj(
-                    by_submitter
+                    c.by_submitter
                         .into_iter()
                         .map(|(who, n)| (who, JsonValue::U64(n)))
                         .collect(),
@@ -787,20 +726,6 @@ fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant
             ),
         ]),
     );
-}
-
-fn job_stop(store: &JobStore, stream: &mut TcpStream, id: &str) {
-    let Some(job) = lookup(store, stream, id) else {
-        return;
-    };
-    match store.request_job_stop(&job) {
-        Ok(()) => respond_json(
-            stream,
-            200,
-            &JsonValue::obj([("paused".to_string(), JsonValue::Str(job.id))]),
-        ),
-        Err(e) => respond_json(stream, 500, &error_json(e.to_string())),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -833,11 +758,18 @@ pub(crate) fn http_request(
     path: &str,
     body: Option<&str>,
 ) -> Result<(u16, String), String> {
+    with_retries(|| http_request_once(addr, token, method, path, body).map_err(|e| (false, e)))
+}
+
+/// Runs `attempt` until it succeeds, fails for good (`(true, _)`), or
+/// [`client_backoff`] runs out.
+fn with_retries<T>(mut attempt: impl FnMut() -> Result<T, (bool, String)>) -> Result<T, String> {
     let mut backoff = client_backoff();
     loop {
-        match http_request_once(addr, token, method, path, body) {
+        match attempt() {
             Ok(reply) => return Ok(reply),
-            Err(e) => match backoff.next_delay() {
+            Err((true, e)) => return Err(e),
+            Err((false, e)) => match backoff.next_delay() {
                 Some(delay) => {
                     eprintln!("ftsimd: {e}; retrying");
                     std::thread::sleep(delay);
@@ -848,20 +780,19 @@ pub(crate) fn http_request(
     }
 }
 
-/// One request attempt. The body is read to EOF (every server response
-/// carries `Connection: close`).
-fn http_request_once(
+/// Connects to `addr` and sends one request, presenting `token` when
+/// there is one; the returned stream is ready for the response.
+fn send_request(
     addr: &str,
     token: Option<&str>,
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> Result<(u16, String), String> {
+) -> Result<TcpStream, String> {
     ftsim_chaos::io()
         .gate(fp::HTTP_CLIENT_SEND)
         .map_err(|e| format!("sending request: {e}"))?;
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
     let body = body.unwrap_or("");
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{body}",
@@ -874,6 +805,20 @@ fn http_request_once(
     ftsim_chaos::io()
         .gate(fp::HTTP_CLIENT_RECV)
         .map_err(|e| format!("reading response: {e}"))?;
+    Ok(stream)
+}
+
+/// One request attempt. The body is read to EOF (every server response
+/// carries `Connection: close`).
+fn http_request_once(
+    addr: &str,
+    token: Option<&str>,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<(u16, String), String> {
+    let mut stream = send_request(addr, token, method, path, body)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
     let mut response = String::new();
     stream
         .read_to_string(&mut response)
@@ -906,20 +851,7 @@ pub(crate) fn http_stream(
     path: &str,
     on_line: &mut dyn FnMut(&str) -> bool,
 ) -> Result<u16, String> {
-    let mut backoff = client_backoff();
-    loop {
-        match http_stream_once(addr, token, path, on_line) {
-            Ok(code) => return Ok(code),
-            Err((true, e)) => return Err(e),
-            Err((false, e)) => match backoff.next_delay() {
-                Some(delay) => {
-                    eprintln!("ftsimd: {e}; retrying");
-                    std::thread::sleep(delay);
-                }
-                None => return Err(format!("{e} (after {} attempts)", backoff.attempts())),
-            },
-        }
-    }
+    with_retries(|| http_stream_once(addr, token, path, on_line))
 }
 
 /// One streaming attempt; failures carry whether any body line was
@@ -931,22 +863,7 @@ fn http_stream_once(
     on_line: &mut dyn FnMut(&str) -> bool,
 ) -> Result<u16, (bool, String)> {
     let fresh = |e: String| (false, e);
-    ftsim_chaos::io()
-        .gate(fp::HTTP_CLIENT_SEND)
-        .map_err(|e| fresh(format!("sending request: {e}")))?;
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| fresh(format!("connecting to {addr}: {e}")))?;
-    let request = format!(
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\n{}Connection: close\r\n\r\n",
-        client_auth_header(token)
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| fresh(format!("sending request: {e}")))?;
-    ftsim_chaos::io()
-        .gate(fp::HTTP_CLIENT_RECV)
-        .map_err(|e| fresh(format!("reading response: {e}")))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(send_request(addr, token, "GET", path, None).map_err(fresh)?);
     // Head: read header lines until the blank one.
     let mut line = String::new();
     reader

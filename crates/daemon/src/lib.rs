@@ -29,9 +29,10 @@
 //! * an HTTP API (`serve --listen`) and its `--remote` client — every
 //!   daemon verb over a hand-rolled `std::net` server, no filesystem
 //!   access required of submitters; mutating verbs can be gated behind
-//!   a bearer token (`serve --token-file`); the read verbs (`jobs`,
-//!   `status`, `results`, `report`, watched or not) have one
-//!   implementation that the CLI and the HTTP handlers both render;
+//!   a bearer token (`serve --token-file`); every verb the CLI and the
+//!   API share (`submit`, `jobs`, `status`, `results`, `report`,
+//!   `trace`, `stop`, watched or not) has one implementation that the
+//!   CLI and the HTTP handlers both render;
 //! * **tenancy hardening** — per-submitter admission quotas
 //!   ([`QuotaPolicy`], rejected work gets a structured
 //!   429-with-retry-after), job TTLs with a garbage-collection pass

@@ -23,12 +23,13 @@
 //! serialize, which the daemon integration tests assert.
 
 use crate::fabric::{
-    bump_status, next_assignment, requeue_unclaimed, run_family, try_finalize, FabricConfig,
-    FamilyOutcome, LeaseMode, NextWork,
+    bump_status, next_assignment, requeue_if_unclaimed, requeue_unclaimed, run_family,
+    try_finalize, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
 };
 use crate::failpoints as fp;
 use crate::gc::{gc_pass, GcOptions};
 use crate::store::{DaemonError, Job, JobState, JobStore, QuotaPolicy};
+use ftsim::harness::FamilyId;
 use ftsim_obs::{metrics, trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -144,6 +145,66 @@ fn worker_count(threads: usize) -> usize {
     }
 }
 
+/// What one [`work_step`] did.
+enum Step {
+    /// Nothing was claimable; see [`NextWork::Idle`].
+    Idle {
+        /// Non-terminal, un-paused jobs left in the store.
+        incomplete: usize,
+    },
+    /// A family was claimed and run.
+    Ran(Box<Ran>),
+}
+
+/// A family of `job` that a [`work_step`] claimed and ran.
+struct Ran {
+    job: Job,
+    family: FamilyId,
+    /// How the family ended (`Err`: the run broke).
+    outcome: Result<FamilyOutcome, DaemonError>,
+    /// What [`try_finalize`] returned for a finished family
+    /// (`Ok(true)`: this step sealed the job); `Ok(false)` otherwise.
+    finalized: Result<bool, DaemonError>,
+}
+
+/// One worker step, the same for [`run_job`] and [`serve`]: claim the
+/// next family (of job `only`, or of any job), mark its job running,
+/// run the family, and finalize the job when the family finished.
+///
+/// # Errors
+///
+/// [`DaemonError`] only when the store itself does not read.
+fn work_step(
+    store: &JobStore,
+    cfg: &FabricConfig,
+    only: Option<&str>,
+    should_stop: &dyn Fn() -> bool,
+) -> Result<Step, DaemonError> {
+    let mut a = match next_assignment(store, cfg, only)? {
+        NextWork::Work(a) => a,
+        NextWork::Idle { incomplete } => return Ok(Step::Idle { incomplete }),
+    };
+    bump_status(store, &a.job, JobState::Running, a.job_done, a.job_total);
+    let outcome = run_family(store, &mut a, cfg, should_stop);
+    let finalized = match outcome {
+        Ok(FamilyOutcome::Finished) => try_finalize(store, &a.job, &a.spec),
+        _ => Ok(false),
+    };
+    Ok(Step::Ran(Box::new(Ran {
+        job: a.job,
+        family: a.family,
+        outcome,
+        finalized,
+    })))
+}
+
+/// Keeps the first error any worker hit in `slot` and raises `stop`, so
+/// the other workers wind down.
+fn fail(slot: &Mutex<Option<DaemonError>>, stop: &AtomicBool, e: DaemonError) {
+    slot.lock().expect("failure lock").get_or_insert(e);
+    stop.store(true, Ordering::SeqCst);
+}
+
 /// Runs one job until this process can make no more progress on it,
 /// streaming records. This is the fabric restricted to a single job id:
 /// workers claim its families one by one and run them; if another
@@ -162,20 +223,6 @@ fn worker_count(threads: usize) -> usize {
 /// [`DaemonError`] for unrunnable jobs (bad spec/grid — the job is
 /// marked `failed`) or state-directory I/O trouble.
 pub fn run_job(store: &JobStore, job: &Job, stop: &AtomicBool) -> Result<JobOutcome, DaemonError> {
-    run_job_with(store, job, stop, &FabricConfig::default())
-}
-
-/// [`run_job`] with an explicit fabric identity/lease policy.
-///
-/// # Errors
-///
-/// As [`run_job`].
-pub fn run_job_with(
-    store: &JobStore,
-    job: &Job,
-    stop: &AtomicBool,
-    cfg: &FabricConfig,
-) -> Result<JobOutcome, DaemonError> {
     // Surface unrunnable jobs now (marked failed by the scheduler scan),
     // and learn the worker width from the spec.
     let threads = match store.load_spec(job) {
@@ -185,94 +232,43 @@ pub fn run_job_with(
             return Err(e);
         }
     };
-    let workers = worker_count(threads);
+    let cfg = FabricConfig::default();
     let should_stop = || stop.load(Ordering::SeqCst) || signalled() || store.stop_requested();
-    let failure: Mutex<Option<DaemonError>> = Mutex::new(None);
-    let fail = |e: DaemonError| {
-        let mut slot = failure.lock().expect("failure lock");
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        stop.store(true, Ordering::SeqCst);
-    };
+    let failure = Mutex::new(None);
 
+    // Fail fast: the first error stops every worker; idle means done here.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if should_stop() {
-                    break;
-                }
-                match next_assignment(store, cfg, Some(&job.id)) {
-                    Ok(NextWork::Work(mut a)) => {
-                        bump_status(store, &a.job, JobState::Running, a.job_done, a.job_total);
-                        match run_family(store, &mut a, cfg, &should_stop) {
-                            Ok(FamilyOutcome::Finished) => {
-                                if let Err(e) = try_finalize(store, &a.job, &a.spec) {
-                                    fail(e);
-                                }
+        for _ in 0..worker_count(threads) {
+            scope.spawn(|| {
+                while !should_stop() {
+                    match work_step(store, &cfg, Some(&job.id), &should_stop) {
+                        Ok(Step::Idle { .. }) => break,
+                        Ok(Step::Ran(ran)) => {
+                            if let Err(e) = ran.outcome.and(ran.finalized) {
+                                fail(&failure, stop, e);
                             }
-                            Ok(
-                                FamilyOutcome::Interrupted
-                                | FamilyOutcome::Lost
-                                | FamilyOutcome::Paused
-                                | FamilyOutcome::Stuck,
-                            ) => {}
-                            Err(e) => fail(e),
                         }
-                    }
-                    Ok(NextWork::Idle { .. }) => break,
-                    Err(e) => {
-                        fail(e);
-                        break;
+                        Err(e) => fail(&failure, stop, e),
                     }
                 }
             });
         }
     });
 
-    let status = store.load_status(job)?;
+    // Whatever stopped the workers, a job nobody holds a claim on is not
+    // running: an interrupted or broken run leaves it queued, its log
+    // consistent up to the last streamed cell; foreign claims (or a
+    // pause) may hold the rest.
+    let requeued = requeue_if_unclaimed(store, job);
     if let Some(e) = failure.into_inner().expect("failure lock") {
-        // Streaming broke: the job stays queued (its log is still
-        // consistent up to the failure) and the error propagates —
-        // unless the scheduler already parked it as failed.
-        if status.state == JobState::Running {
-            bump_status(
-                store,
-                job,
-                JobState::Queued,
-                status.cells_done,
-                status.cells_total,
-            );
-        }
         return Err(e);
     }
-    match status.state {
-        JobState::Done => Ok(JobOutcome::Completed),
-        _ if should_stop() => {
-            bump_status(
-                store,
-                job,
-                JobState::Queued,
-                status.cells_done,
-                status.cells_total,
-            );
-            Ok(JobOutcome::Interrupted)
-        }
-        _ => {
-            // No claimable work left here, but the job is not done:
-            // foreign claims (or a pause) hold the rest.
-            if status.state == JobState::Running && crate::fabric::live_claims(job) == 0 {
-                bump_status(
-                    store,
-                    job,
-                    JobState::Queued,
-                    status.cells_done,
-                    status.cells_total,
-                );
-            }
-            Ok(JobOutcome::Yielded)
-        }
-    }
+    requeued?;
+    Ok(match store.load_status(job)?.state {
+        JobState::Done => JobOutcome::Completed,
+        _ if should_stop() => JobOutcome::Interrupted,
+        _ => JobOutcome::Yielded,
+    })
 }
 
 /// Serve-loop options.
@@ -371,7 +367,7 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
         store.set_quota_policy(quota)?;
     }
     let should_stop = || stop.load(Ordering::SeqCst) || signalled() || store.stop_requested();
-    let failure: Mutex<Option<DaemonError>> = Mutex::new(None);
+    let failure = Mutex::new(None);
     // Set when a drain-mode worker finds the queue empty; it also flips
     // `stop` so the HTTP and GC threads join instead of polling forever.
     let drained = AtomicBool::new(false);
@@ -423,72 +419,26 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
             });
         }
         for _ in 0..worker_count(opts.workers) {
-            scope.spawn(|| loop {
-                if should_stop() {
-                    break;
-                }
-                match next_assignment(store, &cfg, None) {
-                    Ok(NextWork::Work(mut a)) => {
-                        bump_status(store, &a.job, JobState::Running, a.job_done, a.job_total);
-                        match run_family(store, &mut a, &cfg, &should_stop) {
-                            Ok(FamilyOutcome::Finished) => {
-                                match try_finalize(store, &a.job, &a.spec) {
-                                    Ok(true) => println!("ftsimd: job {} done", a.job.id),
-                                    Ok(false) => {}
-                                    Err(e) => {
-                                        eprintln!("ftsimd: finalizing {}: {e}", a.job.id);
-                                    }
-                                }
+            scope.spawn(|| {
+                while !should_stop() {
+                    match work_step(store, &cfg, None, &should_stop) {
+                        Ok(Step::Ran(ran)) => announce(*ran, opts.poll),
+                        Ok(Step::Idle { incomplete }) => {
+                            if incomplete == 0 && opts.drain {
+                                drained.store(true, Ordering::SeqCst);
+                                stop.store(true, Ordering::SeqCst);
+                                break;
                             }
-                            Ok(FamilyOutcome::Interrupted) => {
-                                println!("ftsimd: job {} interrupted, re-queued", a.job.id);
-                            }
-                            Ok(FamilyOutcome::Lost) => {
-                                eprintln!(
-                                    "ftsimd: lost claim on {} ({}); peer took over",
-                                    a.job.id, a.family
-                                );
-                            }
-                            Ok(FamilyOutcome::Paused) => {
-                                eprintln!(
-                                    "ftsimd: job {} paused (disk full); resubmit its spec \
-                                     to resume once space is freed",
-                                    a.job.id
-                                );
-                            }
-                            Ok(FamilyOutcome::Stuck) => {
-                                // Already reported and strike-counted by
-                                // the watchdog; the claim releases on drop
-                                // and the cell re-queues.
-                            }
-                            Err(e) => {
-                                // Per-job trouble (bad sub-grid, broken
-                                // stream): report and move on; the job is
-                                // either parked failed or stays queued.
-                                eprintln!("ftsimd: job {} failed: {e}", a.job.id);
-                                std::thread::sleep(opts.poll);
-                            }
+                            // Idle with incomplete jobs in drain mode means
+                            // live foreign claims: wait for progress or for
+                            // their leases to expire, then steal.
+                            std::thread::sleep(opts.poll);
                         }
-                    }
-                    Ok(NextWork::Idle { incomplete }) => {
-                        if incomplete == 0 && opts.drain {
-                            drained.store(true, Ordering::SeqCst);
-                            stop.store(true, Ordering::SeqCst);
+                        Err(e) => {
+                            // The store itself is unreadable: fatal.
+                            fail(&failure, &stop, e);
                             break;
                         }
-                        // Idle with incomplete jobs in drain mode means
-                        // live foreign claims: wait for progress or for
-                        // their leases to expire, then steal.
-                        std::thread::sleep(opts.poll);
-                    }
-                    Err(e) => {
-                        // The store itself is unreadable: fatal.
-                        let mut slot = failure.lock().expect("failure lock");
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        stop.store(true, Ordering::SeqCst);
-                        break;
                     }
                 }
             });
@@ -507,6 +457,36 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
     requeue_unclaimed(store)?;
     store.clear_stop()?;
     Ok(())
+}
+
+/// How `serve` reports one family's run: a job failing does not stop
+/// the daemon, so every outcome is a line on stdout or stderr, and a
+/// broken run waits one `poll` before the worker claims again.
+fn announce(ran: Ran, poll: Duration) {
+    let (id, family) = (&ran.job.id, &ran.family);
+    match ran.outcome {
+        Ok(FamilyOutcome::Finished) => match ran.finalized {
+            Ok(true) => println!("ftsimd: job {id} done"),
+            Ok(false) => {}
+            Err(e) => eprintln!("ftsimd: finalizing {id}: {e}"),
+        },
+        Ok(FamilyOutcome::Interrupted) => println!("ftsimd: job {id} interrupted, re-queued"),
+        Ok(FamilyOutcome::Lost) => {
+            eprintln!("ftsimd: lost claim on {id} ({family}); peer took over");
+        }
+        Ok(FamilyOutcome::Paused) => eprintln!(
+            "ftsimd: job {id} paused (disk full); resubmit its spec to resume once space is freed"
+        ),
+        // Already reported and strike-counted by the watchdog; the claim
+        // released on drop and the cell re-queues.
+        Ok(FamilyOutcome::Stuck) => {}
+        Err(e) => {
+            // Per-job trouble (bad sub-grid, broken stream): the job is
+            // either parked failed or stays queued.
+            eprintln!("ftsimd: job {id} failed: {e}");
+            std::thread::sleep(poll);
+        }
+    }
 }
 
 #[cfg(test)]

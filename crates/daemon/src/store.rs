@@ -192,7 +192,8 @@ pub struct JobStatus {
 }
 
 impl JobStatus {
-    fn queued(cells_total: usize) -> Self {
+    /// A freshly submitted job of `cells_total` cells, created now.
+    pub(crate) fn queued(cells_total: usize) -> Self {
         Self {
             state: JobState::Queued,
             cells_total,
@@ -683,35 +684,51 @@ impl JobStore {
         JobStatus::from_json(&text).map_err(|message| DaemonError::Corrupt { path, message })
     }
 
-    /// Replaces a job's status document atomically (write temp, rename).
+    /// Moves a job's status from one state to the next: reads it once,
+    /// lets `f` derive the next status from it, and writes that once.
+    /// `f` sees `None` when the status does not read (missing, corrupt, a
+    /// failed read) and returns `None` to leave the file as it is.
     ///
-    /// Lifecycle timestamps are maintained here so no caller can forget
-    /// them: a zero `created_unix_ms` inherits the previous status's
-    /// stamp (rebuilds must not reset the TTL clock), and the first
-    /// transition into a terminal state stamps `finished_unix_ms`.
+    /// Lifecycle timestamps are kept here, not by `f`: `created_unix_ms`
+    /// carries over from the prior status (a rebuild must not reset the
+    /// TTL clock), and `finished_unix_ms` is stamped on the first
+    /// transition into a terminal state and is zero while the job lives.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::Io`] when the next status does not write.
+    pub(crate) fn update_status(
+        &self,
+        job: &Job,
+        f: impl FnOnce(Option<JobStatus>) -> Option<JobStatus>,
+    ) -> Result<(), DaemonError> {
+        let prior = self.load_status(job).ok();
+        let (created, finished) = prior
+            .as_ref()
+            .map_or((0, 0), |p| (p.created_unix_ms, p.finished_unix_ms));
+        let Some(mut next) = f(prior) else {
+            return Ok(());
+        };
+        let stamp = |ms: u64| {
+            if ms == 0 {
+                ftsim_chaos::io().now_ms()
+            } else {
+                ms
+            }
+        };
+        next.created_unix_ms = stamp(created);
+        next.finished_unix_ms = if next.terminal() { stamp(finished) } else { 0 };
+        self.write_status(job, &next)
+    }
+
+    /// Replaces a job's status document atomically (write temp, rename),
+    /// as given. Only a submit and a rebuild write a status from nothing;
+    /// every transition goes through [`update_status`](Self::update_status).
     ///
     /// # Errors
     ///
     /// [`DaemonError::Io`].
-    pub fn write_status(&self, job: &Job, status: &JobStatus) -> Result<(), DaemonError> {
-        let mut status = status.clone();
-        if status.created_unix_ms == 0 || (status.terminal() && status.finished_unix_ms == 0) {
-            let prior = self.load_status(job).ok();
-            if status.created_unix_ms == 0 {
-                status.created_unix_ms = prior
-                    .as_ref()
-                    .map(|p| p.created_unix_ms)
-                    .filter(|&ms| ms != 0)
-                    .unwrap_or_else(|| ftsim_chaos::io().now_ms());
-            }
-            if status.terminal() && status.finished_unix_ms == 0 {
-                status.finished_unix_ms = prior
-                    .as_ref()
-                    .map(|p| p.finished_unix_ms)
-                    .filter(|&ms| ms != 0)
-                    .unwrap_or_else(|| ftsim_chaos::io().now_ms());
-            }
-        }
+    pub(crate) fn write_status(&self, job: &Job, status: &JobStatus) -> Result<(), DaemonError> {
         write_atomic(
             fp::STORE_WRITE_STATUS,
             &job.status_path(),
@@ -726,13 +743,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`].
     pub fn request_stop(&self) -> Result<(), DaemonError> {
-        ftsim_chaos::io()
-            .write_file(
-                fp::STORE_SENTINEL_WRITE,
-                &self.stop_path(),
-                b"stop requested\n",
-            )
-            .map_err(io_err(format!("writing {}", self.stop_path().display())))
+        write_sentinel(&self.stop_path(), b"stop requested\n")
     }
 
     /// Whether a graceful shutdown has been requested.
@@ -748,13 +759,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`] (a missing sentinel is fine).
     pub fn clear_stop(&self) -> Result<(), DaemonError> {
-        match ftsim_chaos::io().remove_file(fp::STORE_SENTINEL_CLEAR, &self.stop_path()) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(format!("removing {}", self.stop_path().display()))(
-                e,
-            )),
-        }
+        clear_sentinel(&self.stop_path())
     }
 
     /// Pauses one job: the fabric stops claiming its families (cells in
@@ -765,9 +770,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`].
     pub fn request_job_stop(&self, job: &Job) -> Result<(), DaemonError> {
-        ftsim_chaos::io()
-            .write_file(fp::STORE_SENTINEL_WRITE, &job.stop_path(), b"paused\n")
-            .map_err(io_err(format!("writing {}", job.stop_path().display())))
+        write_sentinel(&job.stop_path(), b"paused\n")
     }
 
     /// Whether a job is paused.
@@ -781,11 +784,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`] (a missing sentinel is fine).
     pub fn clear_job_stop(&self, job: &Job) -> Result<(), DaemonError> {
-        match ftsim_chaos::io().remove_file(fp::STORE_SENTINEL_CLEAR, &job.stop_path()) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(format!("removing {}", job.stop_path().display()))(e)),
-        }
+        clear_sentinel(&job.stop_path())
     }
 
     /// The directory corrupt state files are moved into.
@@ -864,6 +863,23 @@ impl JobStore {
                     .count()
             })
             .unwrap_or(0)
+    }
+}
+
+/// Writes a stop or pause sentinel.
+fn write_sentinel(path: &Path, text: &[u8]) -> Result<(), DaemonError> {
+    ftsim_chaos::io()
+        .write_file(fp::STORE_SENTINEL_WRITE, path, text)
+        .map_err(io_err(format!("writing {}", path.display())))
+}
+
+/// Removes a stop or pause sentinel; a missing one is fine.
+fn clear_sentinel(path: &Path) -> Result<(), DaemonError> {
+    match ftsim_chaos::io().remove_file(fp::STORE_SENTINEL_CLEAR, path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => {
+            Err(io_err(format!("removing {}", path.display()))(e))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -991,39 +1007,49 @@ mod tests {
         let store = temp_store("status");
         let (id, _) = store.submit(&small_spec("s")).unwrap();
         let job = store.job(&id).unwrap();
-        let status = JobStatus {
-            state: JobState::Running,
-            cells_total: 8,
-            cells_done: 3,
-            error: String::new(),
-            created_unix_ms: 0,
-            finished_unix_ms: 0,
-        };
-        store.write_status(&job, &status).unwrap();
+        let submitted = store.load_status(&job).unwrap();
+        store
+            .update_status(&job, |prior| {
+                let mut next = prior.unwrap();
+                next.state = JobState::Running;
+                next.cells_total = 8;
+                next.cells_done = 3;
+                // A transition cannot move the TTL clock.
+                next.created_unix_ms = 1;
+                next.finished_unix_ms = 1;
+                Some(next)
+            })
+            .unwrap();
         let loaded = store.load_status(&job).unwrap();
-        assert_eq!(loaded.state, status.state);
-        assert_eq!(loaded.cells_total, status.cells_total);
-        assert_eq!(loaded.cells_done, status.cells_done);
-        // write_status inherits the submit-time creation stamp rather
-        // than letting a caller's zero reset the TTL clock...
-        assert!(loaded.created_unix_ms > 0, "created stamp must survive");
+        assert_eq!(loaded.state, JobState::Running);
+        assert_eq!(loaded.cells_total, 8);
+        assert_eq!(loaded.cells_done, 3);
+        // The submit-time creation stamp carries over...
+        assert!(submitted.created_unix_ms > 0);
+        assert_eq!(loaded.created_unix_ms, submitted.created_unix_ms);
         // ...and a live job has no finished stamp yet.
         assert_eq!(loaded.finished_unix_ms, 0);
         assert!(!loaded.terminal());
 
         // First terminal transition stamps finished_unix_ms exactly once.
-        let mut done = loaded.clone();
-        done.state = JobState::Done;
-        store.write_status(&job, &done).unwrap();
+        let to_done = |prior: Option<JobStatus>| {
+            let mut next = prior.unwrap();
+            next.state = JobState::Done;
+            Some(next)
+        };
+        store.update_status(&job, to_done).unwrap();
         let sealed = store.load_status(&job).unwrap();
         assert!(sealed.terminal());
         assert!(sealed.finished_unix_ms >= sealed.created_unix_ms);
-        store.write_status(&job, &sealed).unwrap();
+        store.update_status(&job, to_done).unwrap();
         assert_eq!(
             store.load_status(&job).unwrap().finished_unix_ms,
             sealed.finished_unix_ms,
             "finished stamp must not move on rewrite"
         );
+        // Declining leaves the file as it is.
+        store.update_status(&job, |_| None).unwrap();
+        assert_eq!(store.load_status(&job).unwrap(), sealed);
 
         assert!(!store.stop_requested());
         store.request_stop().unwrap();

@@ -1,11 +1,19 @@
-//! Local/remote differential: every read verb — `jobs`, `status`,
-//! `results` and `report`, with and without `--json` and `--watch` —
-//! must print byte-identical stdout whether it reads the state
-//! directory itself or asks a `serve --listen` daemon over HTTP. The
-//! state holds a plain done job and a done job whose `cells.csv` GC has
-//! compacted away, the case where a watch can only backfill from the
-//! sealed `results.csv`.
+//! Local/remote differential: every verb must do the same thing, and
+//! print byte-identical stdout, whether it works on the state directory
+//! itself or asks a `serve --listen` daemon over HTTP.
+//!
+//! * The read verbs — `jobs`, `status`, `results` and `report`, with and
+//!   without `--json` and `--watch` — run over a plain done job and a
+//!   done job whose `cells.csv` GC has compacted away, the case where a
+//!   watch can only backfill from the sealed `results.csv`.
+//! * `submit` prints the same id either way and re-submits attach to
+//!   it, `stop <job>` pauses the job either way, `trace` prints the same
+//!   journal lines once the fabric is idle, and a remote `stop` shuts
+//!   the daemon down.
 
+use ftsim_stats::JsonValue;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -58,14 +66,53 @@ fn remote(addr: &str, args: &[&str]) -> String {
     stdout_ok(out, &format!("ftsimd {args:?} --remote"))
 }
 
-fn submit_and_drain(state: &Path, name: &str) -> String {
+/// Writes the spec file of a job called `name` and returns its path.
+fn spec_file(state: &Path, name: &str) -> String {
     let spec_path = state.join(format!("{name}.toml"));
     std::fs::write(&spec_path, format!("name = \"{name}\"\n{SPEC}")).unwrap();
-    let id = local(state, &["submit", spec_path.to_str().unwrap()])
+    spec_path.to_str().unwrap().to_string()
+}
+
+fn submit_and_drain(state: &Path, name: &str) -> String {
+    let id = local(state, &["submit", &spec_file(state, name)])
         .trim()
         .to_string();
     local(state, &["serve", "--drain"]);
     id
+}
+
+/// The body of a `GET path` answered `200`.
+fn http_get(addr: &str, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
+    stream
+        .write_all(format!("GET {path} HTTP/1.1\r\nHost: ftsimd\r\n\r\n").as_bytes())
+        .expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(
+        response.starts_with("HTTP/1.1 200"),
+        "GET {path}: {response}"
+    );
+    response
+        .split_once("\r\n\r\n")
+        .map(|(_, body)| body.to_string())
+        .unwrap_or_default()
+}
+
+/// The `paused` field of each job `GET /jobs` lists, by id.
+fn paused(addr: &str) -> Vec<(String, bool)> {
+    let doc = JsonValue::parse(&http_get(addr, "/jobs")).expect("GET /jobs is JSON");
+    let jobs = doc
+        .get("jobs")
+        .and_then(|j| j.as_arr())
+        .expect("jobs array");
+    jobs.iter()
+        .map(|j| {
+            let id = j.get("id").and_then(|v| v.as_str()).unwrap_or("?");
+            let paused = j.get("paused").and_then(|v| v.as_bool());
+            (id.to_string(), paused.expect("paused field"))
+        })
+        .collect()
 }
 
 /// Stops the listening daemon even when an assertion fails first.
@@ -172,4 +219,63 @@ fn report_watch_survives_failing_status_reads() {
         .lines()
         .last()
         .is_some_and(|l| l.contains("\"state\":\"done\"")));
+}
+
+#[test]
+fn submit_stop_and_trace_agree_locally_and_over_http() {
+    let state = state_dir("mutate");
+    // A drained job leaves trace journals behind.
+    let drained = submit_and_drain(&state, "lr-drained");
+    let (mut daemon, addr) = listen(&state);
+
+    // submit: one id either way, and a re-submit attaches to it.
+    let spec = spec_file(&state, "lr-drained");
+    assert_eq!(remote(&addr, &["submit", &spec]).trim(), drained);
+    let fresh = spec_file(&state, "lr-fresh");
+    let created = remote(&addr, &["submit", &fresh]);
+    assert_ne!(created.trim(), drained);
+    assert_eq!(local(&state, &["submit", &fresh]), created);
+    let created = created.trim().to_string();
+
+    // stop <job>: the sentinel either way, and GET /jobs says paused.
+    local(&state, &["stop", &drained]);
+    remote(&addr, &["stop", &created]);
+    for id in [&drained, &created] {
+        assert!(state.join("jobs").join(id).join("stop").exists(), "{id}");
+    }
+    assert_eq!(
+        paused(&addr),
+        [(drained.clone(), true), (created.clone(), true)]
+    );
+
+    // trace: once no claim is live and the journals are still, the
+    // same lines either way.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let trace = loop {
+        let health = JsonValue::parse(&http_get(&addr, "/healthz")).expect("healthz is JSON");
+        if health.get("live_claims").and_then(|v| v.as_u64()) == Some(0) {
+            let before = local(&state, &["trace", "-n", "500"]);
+            std::thread::sleep(Duration::from_millis(300));
+            let after = local(&state, &["trace", "-n", "500"]);
+            if before == after {
+                break after;
+            }
+        }
+        assert!(Instant::now() < deadline, "the fabric never went idle");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        trace.lines().count() > 4,
+        "journals hold the drain:\n{trace}"
+    );
+    assert_eq!(trace, remote(&addr, &["trace", "-n", "500"]));
+
+    // stop: a remote stop shuts the serving daemon down.
+    remote(&addr, &["stop"]);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while daemon.0.try_wait().expect("poll daemon").is_none() {
+        assert!(Instant::now() < deadline, "daemon ignored the stop");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    std::fs::remove_dir_all(&state).ok();
 }
