@@ -954,8 +954,13 @@ mod tests {
         // per-family progress lines.
         assert_eq!(run(&strs(&["jobs", "--state", &state])), 0);
         assert_eq!(run(&strs(&["status", &id, "--state", &state])), 0);
-        let spec = store.load_spec(&job).unwrap();
-        let families = crate::fabric::family_progress(&job, &spec, true).unwrap();
+        let (spec, status) = (
+            store.load_spec(&job).unwrap(),
+            store.load_status(&job).unwrap(),
+        );
+        let progress = crate::fabric::progress(&job, Some(&spec), Some(&status), true);
+        assert_eq!(progress.done, 4);
+        let families = progress.families.unwrap();
         assert_eq!(families.len(), 1, "one (workload, budget, model) shard");
         assert_eq!(families[0].family.workload, "gcc");
         assert_eq!(families[0].family.model, "SS-2");

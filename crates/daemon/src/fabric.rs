@@ -441,8 +441,9 @@ fn try_claim_once(
     // speaks for itself; an unparseable one (a writer caught between
     // create and write, or torn by a crash) is presumed live until its
     // mtime is two leases old.
-    let parseable = read_lease(&path).is_some();
-    let stealable = match read_lease(&path) {
+    let lease = read_lease(&path);
+    let parseable = lease.is_some();
+    let stealable = match lease {
         Some(l) => l.expires_unix_ms <= now_ms(),
         None => match std::fs::metadata(&path).and_then(|m| m.modified()) {
             Ok(mtime) => mtime
@@ -562,30 +563,53 @@ pub(crate) struct FamilyProgress {
     pub total: usize,
 }
 
-/// Per-family cells-done counts for a job with `spec`: its grid
-/// identities grouped by family, each matched against the streamed
-/// `cells.csv`. A done job (`done_job`) counts every cell even if some
-/// were never streamed (resume-matched cells are not re-appended), and
-/// needs no read.
-pub(crate) fn family_progress(
+/// A job's progress, as every reader shows it.
+#[derive(Debug)]
+pub(crate) struct Progress {
+    /// Cells with a streamed (or final) record.
+    pub done: usize,
+    /// Each family's progress in grid order, when asked for and the
+    /// spec resolves.
+    pub families: Option<Vec<FamilyProgress>>,
+}
+
+/// The progress of `job`, whose spec and status read as `spec` and
+/// `status` (`None`: they did not). Progress has one source, the job's
+/// `cells.csv` index; `status.json` carries no count. A done job counts
+/// every cell even if some were never streamed (resume-matched cells
+/// are not re-appended), and reads nothing. Any other job counts the
+/// cells its index holds a record for, and none when the spec does not
+/// resolve. `by_family` adds the per-family counts.
+pub(crate) fn progress(
     job: &Job,
-    spec: &JobSpec,
-    done_job: bool,
-) -> Result<Vec<FamilyProgress>, DaemonError> {
-    let progress = |log: &log::JobLog| {
-        log.families()
-            .map(|(family, done, total)| FamilyProgress {
-                family: family.clone(),
-                done: if done_job { total } else { done },
-                total,
-            })
-            .collect()
+    spec: Option<&JobSpec>,
+    status: Option<&JobStatus>,
+    by_family: bool,
+) -> Progress {
+    let done_total = status
+        .filter(|s| s.state == JobState::Done)
+        .map(|s| s.cells_total);
+    let tally = |log: &log::JobLog| Progress {
+        done: done_total.unwrap_or_else(|| log.done()),
+        families: by_family.then(|| {
+            log.families()
+                .map(|(family, done, total)| FamilyProgress {
+                    family: family.clone(),
+                    done: if done_total.is_some() { total } else { done },
+                    total,
+                })
+                .collect()
+        }),
     };
-    if done_job {
-        Ok(progress(&log::JobLog::new(spec)?))
-    } else {
-        log::with_log(job, spec, progress)
-    }
+    let indexed = match spec {
+        Some(spec) if done_total.is_none() => log::with_log(job, spec, tally).ok(),
+        Some(spec) if by_family => log::JobLog::new(spec).ok().map(|log| tally(&log)),
+        _ => None,
+    };
+    indexed.unwrap_or(Progress {
+        done: done_total.unwrap_or(0),
+        families: None,
+    })
 }
 
 /// A claimed unit of work: one family of one job.
@@ -599,12 +623,6 @@ pub(crate) struct Assignment {
     pub family: FamilyId,
     /// The held lease.
     pub claim: ClaimGuard,
-    /// Job-level cells-done count at claim time (this worker's view —
-    /// peers advance it concurrently; stale counts are corrected by the
-    /// next status bump or finalization).
-    pub job_done: usize,
-    /// Job-level cell total.
-    pub job_total: usize,
 }
 
 /// What [`next_assignment`] found.
@@ -742,14 +760,12 @@ fn scheduling_pass(
 
     for c in candidates {
         let scanned = log::with_log(&c.job, &c.spec, |log| {
-            let missing: Vec<FamilyId> = log
-                .families()
+            log.families()
                 .filter(|&(_, done, total)| done < total)
                 .map(|(family, _, _)| family.clone())
-                .collect();
-            (log.done(), log.total(), missing)
+                .collect::<Vec<_>>()
         });
-        let (job_done, job_total, missing) = match scanned {
+        let missing = match scanned {
             Ok(scanned) => scanned,
             Err(e) => {
                 mark_failed(store, &c.job, &e);
@@ -776,8 +792,6 @@ fn scheduling_pass(
                     spec: c.spec,
                     family,
                     claim,
-                    job_done,
-                    job_total,
                 })));
             }
         }
@@ -786,35 +800,23 @@ fn scheduling_pass(
     Ok(NextWork::Idle { incomplete })
 }
 
-/// Recomputes a job's status document from first principles — the
-/// spec's grid size and the streamed `cells.csv` — after the persisted
-/// status was found missing or corrupt, and persists the rebuilt
-/// document so dashboards see the recovery. Finalization (results
-/// files, `Done`) is re-derived by the normal scheduler path once the
-/// rebuilt job is scanned again.
+/// Recomputes a job's status document from the spec's grid size after
+/// the persisted status was found missing or corrupt, and persists the
+/// rebuilt document so dashboards see the recovery. The job is queued
+/// again even if every cell has a record: the scan that follows finds
+/// no family missing a cell and finalizes it (results files, `Done`).
+/// The prior status is gone, so the TTL clock restarts now.
 ///
 /// # Errors
 ///
 /// [`DaemonError`] when the spec itself is unreadable or unresolvable.
 fn rebuild_status(store: &JobStore, job: &Job) -> Result<JobStatus, DaemonError> {
     let spec = store.load_spec(job)?;
-    let (records, total) = merged_records(job, &spec)?;
-    // The prior status is gone, so the TTL clock restarts now.
-    let status = JobStatus {
-        state: if records.len() == total {
-            // Every cell streamed: stays Running so the next scan's
-            // finalize path writes the results files and flips to Done.
-            JobState::Running
-        } else {
-            JobState::Queued
-        },
-        cells_done: records.len(),
-        ..JobStatus::queued(total)
-    };
+    let status = JobStatus::queued(log::with_log(job, &spec, log::JobLog::total)?);
     store.write_status(job, &status)?;
     eprintln!(
-        "ftsimd: job {}: rebuilt status.json from cells.csv ({}/{} cells)",
-        job.id, status.cells_done, status.cells_total
+        "ftsimd: job {}: rebuilt status.json ({} cells)",
+        job.id, status.cells_total
     );
     Ok(status)
 }
@@ -883,16 +885,20 @@ pub(crate) fn mark_failed(store: &JobStore, job: &Job, err: &DaemonError) {
     });
 }
 
-/// Best-effort status bump that never regresses a finalized job.
-pub(crate) fn bump_status(store: &JobStore, job: &Job, state: JobState, done: usize, total: usize) {
+/// Marks a claimed job running (best-effort): the first claim moves it
+/// out of `queued`, and a claim after a pause clears the pause message.
+/// Any other claim leaves `status.json` as it is, so a running job's
+/// status is written once, not per claim or per cell, and a job that
+/// turned done or failed meanwhile stays so.
+pub(crate) fn mark_running(store: &JobStore, job: &Job) {
     let _ = store.update_status(job, |prior| {
-        if prior.is_some_and(|s| s.state == JobState::Done) {
-            return None;
-        }
+        let status = prior.filter(|s| {
+            s.state == JobState::Queued || (s.state == JobState::Running && !s.error.is_empty())
+        })?;
         Some(JobStatus {
-            state,
-            cells_done: done.min(total),
-            ..JobStatus::queued(total)
+            state: JobState::Running,
+            error: String::new(),
+            ..status
         })
     });
 }
@@ -1090,7 +1096,6 @@ pub(crate) fn run_family(
     }
 
     let mut observed_max = Duration::ZERO;
-    let mut done = a.job_done;
     for idx in 0..plan.len() {
         if plan.prior(idx).is_some() {
             continue; // already recorded (this pass resumed it)
@@ -1154,13 +1159,7 @@ pub(crate) fn run_family(
             &format!("bytes={}", row.len() + 1),
         ));
         append_profile_row(&a.job, &label, path, &stage_profile);
-        done += 1;
-        // Keep `status` live for dashboards. The count is this worker's
-        // view — concurrent peers make it momentarily stale, and the
-        // next bump or finalization corrects it.
-        bump_status(store, &a.job, JobState::Running, done, a.job_total);
     }
-    a.job_done = done;
     Ok(FamilyOutcome::Finished)
 }
 
@@ -1239,21 +1238,6 @@ fn append_profile_row(job: &Job, label: &str, path: CellPath, prof: &StageProfil
     let _ = writeln!(f, "{row}");
 }
 
-/// Merges a job's streamed records into grid order (newest row per
-/// cell), returning them with the grid's total cell count. An in-flight
-/// job yields fewer records than the total; a finalizable one yields
-/// exactly as many.
-///
-/// # Errors
-///
-/// [`DaemonError`] when the spec does not resolve to a grid.
-pub(crate) fn merged_records(
-    job: &Job,
-    spec: &JobSpec,
-) -> Result<(Vec<RunRecord>, usize), DaemonError> {
-    log::with_log(job, spec, |log| (log.records(), log.total()))
-}
-
 /// Finalizes a job if — and only if — every grid cell has a streamed
 /// record: assembles the records in grid order (newest row per cell)
 /// and writes `results.csv`/`results.json` atomically, then marks the
@@ -1289,7 +1273,6 @@ pub(crate) fn try_finalize(
     store.update_status(job, |_| {
         Some(JobStatus {
             state: JobState::Done,
-            cells_done: total,
             ..JobStatus::queued(total)
         })
     })?;
@@ -1336,6 +1319,7 @@ pub(crate) fn requeue_if_unclaimed(store: &JobStore, job: &Job) -> Result<(), Da
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftsim_stats::csv::file_id;
 
     fn temp_job(tag: &str) -> (JobStore, Job) {
         let dir = std::env::temp_dir().join(format!("ftsimd-fabric-{tag}-{}", std::process::id()));
@@ -1476,8 +1460,61 @@ mod tests {
         assert_eq!(store.quarantined_count(), 1, "evidence must be preserved");
         let rebuilt = store.load_status(&job).unwrap();
         assert_eq!(rebuilt.cells_total, 1);
-        assert_eq!(rebuilt.cells_done, 0);
+        let spec = store.load_spec(&job).unwrap();
+        assert_eq!(progress(&job, Some(&spec), Some(&rebuilt), false).done, 0);
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// `status.json` is a lifecycle record: once the first claim has
+    /// marked the job running, running a family leaves the file byte for
+    /// byte as it was, and the served documents count from the index.
+    #[test]
+    fn running_a_family_leaves_status_untouched() {
+        let dir =
+            std::env::temp_dir().join(format!("ftsimd-fabric-lifecycle-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = JobStore::open(&dir).unwrap();
+        let mut spec = JobSpec::new("lifecycle");
+        spec.workloads = vec!["gcc".to_string()];
+        spec.models = vec!["SS-1".to_string(), "SS-2".to_string()];
+        spec.fault_rates_pm = vec![0.0, 4_000.0];
+        spec.budgets = vec![1_000];
+        let (id, _) = store.submit(&spec).unwrap();
+        let job = store.job(&id).unwrap();
+        let cfg = FabricConfig::new(Duration::from_secs(30));
+        // `cells_done` as `status` and `jobs` serve it.
+        let served = || {
+            let listing = crate::feed::jobs_doc(&store).unwrap();
+            let listed = &listing.get("jobs").and_then(JsonValue::as_arr).unwrap()[0];
+            [&crate::feed::status_doc(&store, &job), listed]
+                .map(|doc| doc.get("cells_done").and_then(JsonValue::as_u64).unwrap() as usize)
+        };
+        assert_eq!(served(), [0, 0]);
+
+        let mut first_family_status = None;
+        for round in 1..=2 {
+            let NextWork::Work(mut a) = next_assignment(&store, &cfg, None).unwrap() else {
+                panic!("family {round} must be claimable");
+            };
+            mark_running(&store, &a.job);
+            let outcome = run_family(&store, &mut a, &cfg, &|| false).unwrap();
+            assert_eq!(outcome, FamilyOutcome::Finished);
+            drop(a);
+            // The bytes, and the file: an atomic rewrite is a new inode.
+            let meta = std::fs::metadata(job.status_path()).unwrap();
+            let file = (std::fs::read(job.status_path()).unwrap(), file_id(&meta));
+            match &first_family_status {
+                None => first_family_status = Some(file),
+                Some(first) => assert_eq!(&file, first, "a family's run rewrote status.json"),
+            }
+            let done = log::with_log(&job, &spec, log::JobLog::done).unwrap();
+            assert_eq!(done, 2 * round);
+            assert_eq!(served(), [done, done]);
+        }
+        let text = String::from_utf8(first_family_status.unwrap().0).unwrap();
+        assert!(!text.contains("cells_done"), "{text}");
+        assert_eq!(store.load_status(&job).unwrap().state, JobState::Running);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   merged read [`trace_doc`] serves as `GET /trace`, and later polls
 //!   are `trace --follow`.
 
-use crate::fabric::{family_progress, merged_records};
-use crate::log::CellsTail;
+use crate::fabric::progress;
+use crate::log::{self, CellsTail};
 use crate::spec::JobSpec;
 use crate::store::{io_err, DaemonError, Job, JobState, JobStatus, JobStore};
 use ftsim::harness::{from_csv, to_csv, to_json, RunRecord};
@@ -67,7 +67,9 @@ fn canonical_records(
     state: JobState,
 ) -> Result<(Vec<RunRecord>, usize), DaemonError> {
     if state != JobState::Done {
-        return merged_records(job, &store.load_spec(job)?);
+        // The streamed records, newest row per cell, in grid order.
+        let spec = store.load_spec(job)?;
+        return log::with_log(job, &spec, |log| (log.records(), log.total()));
     }
     // A finished job's artifact is canonical — byte-identical to what
     // the one-shot Experiment would serialize, and the only record set
@@ -296,32 +298,30 @@ pub(crate) fn watch(
     }
 }
 
-/// One job's listing entry from the `spec` and `status` the caller read:
-/// the status plus the spec's submitter and priority. An unreadable
-/// status leaves `state` out and puts the read error under `error`.
-fn job_entry(
-    store: &JobStore,
-    job: &Job,
-    spec: &Result<JobSpec, DaemonError>,
-    status: &Result<JobStatus, DaemonError>,
-) -> Vec<(String, JsonValue)> {
-    let (submitter, priority) = spec
-        .as_ref()
-        .map(|s| (s.submitter.clone(), s.priority))
-        .unwrap_or_default();
+/// One job's listing entry: its status with the cells-done count from
+/// [`progress`], plus the spec's submitter and priority; with
+/// `by_family`, also the per-family progress, which is best-effort
+/// decoration — an old job whose spec no longer resolves still shows
+/// its totals, without `families`. The spec and the status are read
+/// once. An unreadable status leaves `state` out and puts the read
+/// error under `error`.
+fn job_entry(store: &JobStore, job: &Job, by_family: bool) -> JsonValue {
+    let (spec, status) = (store.load_spec(job).ok(), store.load_status(job));
+    let progress = progress(job, spec.as_ref(), status.as_ref().ok(), by_family);
+    let (submitter, priority) = spec.map(|s| (s.submitter, s.priority)).unwrap_or_default();
     let mut pairs = vec![("id".to_string(), JsonValue::Str(job.id.clone()))];
     match status {
         Ok(s) => pairs.extend([
             ("state".to_string(), JsonValue::Str(s.state.to_string())),
             (
                 "cells_done".to_string(),
-                JsonValue::U64(s.cells_done as u64),
+                JsonValue::U64(progress.done as u64),
             ),
             (
                 "cells_total".to_string(),
                 JsonValue::U64(s.cells_total as u64),
             ),
-            ("error".to_string(), JsonValue::Str(s.error.clone())),
+            ("error".to_string(), JsonValue::Str(s.error)),
         ]),
         Err(e) => pairs.push(("error".to_string(), JsonValue::Str(e.to_string()))),
     }
@@ -333,40 +333,8 @@ fn job_entry(
             JsonValue::Bool(store.job_stop_requested(job)),
         ),
     ]);
-    pairs
-}
-
-/// The job listing: `{"jobs": [entry, ...]}` in submission order.
-///
-/// # Errors
-///
-/// [`DaemonError`] when the jobs directory does not list.
-pub(crate) fn jobs_doc(store: &JobStore) -> Result<JsonValue, DaemonError> {
-    let entries = store
-        .jobs()?
-        .iter()
-        .map(|job| {
-            let (spec, status) = (store.load_spec(job), store.load_status(job));
-            JsonValue::Obj(job_entry(store, job, &spec, &status))
-        })
-        .collect();
-    Ok(JsonValue::obj([(
-        "jobs".to_string(),
-        JsonValue::Arr(entries),
-    )]))
-}
-
-/// One job's status document: its listing entry plus per-family
-/// progress, which is best-effort decoration — an old job whose spec no
-/// longer resolves still shows its totals, without `families`. The spec
-/// and the status are read once for both.
-pub(crate) fn status_doc(store: &JobStore, job: &Job) -> JsonValue {
-    let (spec, status) = (store.load_spec(job), store.load_status(job));
-    let mut doc = job_entry(store, job, &spec, &status);
-    let done = status.is_ok_and(|s| s.state == JobState::Done);
-    let families = spec.and_then(|spec| family_progress(job, &spec, done));
-    if let Ok(families) = families {
-        doc.push((
+    if let Some(families) = progress.families {
+        pairs.push((
             "families".to_string(),
             JsonValue::Arr(
                 families
@@ -387,7 +355,30 @@ pub(crate) fn status_doc(store: &JobStore, job: &Job) -> JsonValue {
             ),
         ));
     }
-    JsonValue::Obj(doc)
+    JsonValue::Obj(pairs)
+}
+
+/// The job listing: `{"jobs": [entry, ...]}` in submission order.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the jobs directory does not list.
+pub(crate) fn jobs_doc(store: &JobStore) -> Result<JsonValue, DaemonError> {
+    let entries = store
+        .jobs()?
+        .iter()
+        .map(|job| job_entry(store, job, false))
+        .collect();
+    Ok(JsonValue::obj([(
+        "jobs".to_string(),
+        JsonValue::Arr(entries),
+    )]))
+}
+
+/// One job's status document: its listing entry plus per-family
+/// progress.
+pub(crate) fn status_doc(store: &JobStore, job: &Job) -> JsonValue {
+    job_entry(store, job, true)
 }
 
 /// Submits (or attaches to) the job `text` specifies: the

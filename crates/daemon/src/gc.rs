@@ -254,7 +254,7 @@ mod tests {
 
     fn status_json(status: &JobStatus) -> String {
         format!(
-            "{{\"state\": \"{}\", \"cells_total\": {}, \"cells_done\": {}, \"error\": \"\", \
+            "{{\"state\": \"{}\", \"cells_total\": {}, \"error\": \"\", \
              \"created_unix_ms\": {}, \"finished_unix_ms\": {}}}",
             match status.state {
                 JobState::Queued => "queued",
@@ -263,7 +263,6 @@ mod tests {
                 JobState::Failed => "failed",
             },
             status.cells_total,
-            status.cells_done,
             status.created_unix_ms,
             status.finished_unix_ms
         )
@@ -345,7 +344,6 @@ mod tests {
         let mut status = store.load_status(&job).unwrap();
         status.state = JobState::Done;
         status.cells_total = 2;
-        status.cells_done = 2;
         store.write_status(&job, &status).unwrap();
 
         let report = gc_pass(&store, &GcOptions::default()).unwrap();

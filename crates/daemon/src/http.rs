@@ -563,8 +563,9 @@ fn stream_watch(
 }
 
 /// One pass over the fabric's jobs: what `/healthz` and `/metrics`
-/// report about the queue, from each job's status (read once) and its
-/// live claims (scanned once).
+/// report about the queue, from each job's status (read once), its
+/// progress ([`progress`](crate::fabric::progress)) and its live claims
+/// (scanned once).
 struct Census {
     /// Jobs in the store.
     jobs: u64,
@@ -604,21 +605,26 @@ fn census(store: &JobStore) -> Result<Census, DaemonError> {
         progress: Vec::new(),
     };
     for job in &jobs {
-        if let Ok(s) = store.load_status(job) {
+        let status = store.load_status(job).ok();
+        let live = crate::fabric::live_claims(job);
+        // A done job's progress needs no spec, and it has no claims.
+        let spec = match &status {
+            Some(s) if s.state == JobState::Done && live.count == 0 => None,
+            _ => store.load_spec(job).ok(),
+        };
+        if let Some(s) = &status {
             if let Some(slot) = c.by_state.iter_mut().find(|(st, _)| *st == s.state) {
                 slot.1 += 1;
             }
+            let done = crate::fabric::progress(job, spec.as_ref(), Some(s), false).done;
             if !s.terminal() {
-                c.queued_cells += s.cells_total.saturating_sub(s.cells_done) as u64;
+                c.queued_cells += s.cells_total.saturating_sub(done) as u64;
             }
             c.progress.push((
                 job.id.clone(),
                 JsonValue::obj([
                     ("state".to_string(), JsonValue::Str(s.state.to_string())),
-                    (
-                        "cells_done".to_string(),
-                        JsonValue::U64(s.cells_done as u64),
-                    ),
+                    ("cells_done".to_string(), JsonValue::U64(done as u64)),
                     (
                         "cells_total".to_string(),
                         JsonValue::U64(s.cells_total as u64),
@@ -626,17 +632,13 @@ fn census(store: &JobStore) -> Result<Census, DaemonError> {
                 ]),
             ));
         }
-        let live = crate::fabric::live_claims(job);
         if live.count == 0 {
             continue;
         }
         let claims = live.count as u64;
         c.live_claims += claims;
         c.oldest_claim_ms = c.oldest_claim_ms.max(live.oldest_age_ms);
-        let submitter = store
-            .load_spec(job)
-            .map(|s| s.submitter)
-            .unwrap_or_default();
+        let submitter = spec.map(|s| s.submitter).unwrap_or_default();
         match c.by_submitter.iter_mut().find(|(who, _)| *who == submitter) {
             Some((_, n)) => *n += claims,
             None => c.by_submitter.push((submitter, claims)),

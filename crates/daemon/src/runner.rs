@@ -23,7 +23,7 @@
 //! serialize, which the daemon integration tests assert.
 
 use crate::fabric::{
-    bump_status, next_assignment, requeue_if_unclaimed, requeue_unclaimed, run_family,
+    mark_running, next_assignment, requeue_if_unclaimed, requeue_unclaimed, run_family,
     try_finalize, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
 };
 use crate::failpoints as fp;
@@ -31,6 +31,8 @@ use crate::gc::{gc_pass, GcOptions};
 use crate::store::{DaemonError, Job, JobState, JobStore, QuotaPolicy};
 use ftsim::harness::FamilyId;
 use ftsim_obs::{metrics, trace};
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -65,14 +67,7 @@ pub(crate) fn install_observability(store: &JobStore, owner: &str) {
                 let _ = std::fs::rename(&path, path.with_extension("ndjson.1"));
             }
         }
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        {
-            use std::io::Write as _;
-            let _ = writeln!(f, "{}", event.render_line());
-        }
+        let _ = append_journal_line(&path, &event.render_line());
     }));
     // Chaos injections become visible fabric vitals. The re-entrancy
     // guard matters: emitting the trace event runs the sink, whose own
@@ -90,6 +85,18 @@ pub(crate) fn install_observability(store: &JobStore, owner: &str) {
         trace::emit(trace::TraceEvent::new("chaos", "", "", site));
         IN_OBSERVER.with(|g| g.set(false));
     });
+}
+
+/// Appends `line` and its newline to the journal at `path` in one
+/// `write` of an `O_APPEND` file, so lines that worker threads of one
+/// process append at once land whole, one after another, never
+/// interleaved.
+fn append_journal_line(path: &Path, line: &str) -> std::io::Result<()> {
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?
+        .write_all(format!("{line}\n").as_bytes())
 }
 
 /// How a [`run_job`] call ended.
@@ -184,7 +191,7 @@ fn work_step(
         NextWork::Work(a) => a,
         NextWork::Idle { incomplete } => return Ok(Step::Idle { incomplete }),
     };
-    bump_status(store, &a.job, JobState::Running, a.job_done, a.job_total);
+    mark_running(store, &a.job);
     let outcome = run_family(store, &mut a, cfg, should_stop);
     let finalized = match outcome {
         Ok(FamilyOutcome::Finished) => try_finalize(store, &a.job, &a.spec),
@@ -211,12 +218,12 @@ fn fail(slot: &Mutex<Option<DaemonError>>, stop: &AtomicBool, e: DaemonError) {
 /// process holds some families, the call returns
 /// [`JobOutcome::Yielded`] instead of waiting.
 ///
-/// Progress is visible throughout: `status.json` moves to `running`
-/// with a live `cells_done` count, and `cells.csv` grows one synced row
-/// per completed cell. `stop` is polled between cells (alongside the
-/// store's stop sentinel and the process [`signalled`] flag); on
-/// interruption the job goes back to `queued` and the next `serve`
-/// resumes it.
+/// Progress is visible throughout: `status.json` moves to `running` at
+/// the first claim, and `cells.csv` grows one synced row per completed
+/// cell, which is where every reader's `cells_done` count comes from.
+/// `stop` is polled between cells (alongside the store's stop sentinel
+/// and the process [`signalled`] flag); on interruption the job goes
+/// back to `queued` and the next `serve` resumes it.
 ///
 /// # Errors
 ///
@@ -557,7 +564,8 @@ mod tests {
         assert_eq!(outcome, JobOutcome::Interrupted);
         let status = store.load_status(&job).unwrap();
         assert_eq!(status.state, JobState::Queued);
-        assert_eq!(status.cells_done, 0);
+        let progress = crate::fabric::progress(&job, Some(&spec()), Some(&status), false);
+        assert_eq!(progress.done, 0);
 
         // A later run completes and matches the one-shot grid.
         let outcome = run_job(&store, &job, &AtomicBool::new(false)).unwrap();
@@ -592,6 +600,41 @@ mod tests {
             let job = store.job(id).unwrap();
             assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
             assert!(job.results_path().exists());
+        }
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// Two worker threads journal at once: every line of the file is a
+    /// whole event, and none is lost.
+    #[test]
+    fn concurrent_journal_appends_stay_whole_lines() {
+        let store = temp_store("journal");
+        let path = store.root().join("owner.ndjson");
+        const LINES: usize = 2_000;
+        std::thread::scope(|scope| {
+            for worker in 0..2 {
+                let path = &path;
+                scope.spawn(move || {
+                    for i in 0..LINES {
+                        let event = trace::TraceEvent::new(
+                            "append",
+                            "0001-job",
+                            &format!("cell-{worker}-{i}"),
+                            "bytes=120",
+                        );
+                        append_journal_line(path, &event.render_line()).unwrap();
+                    }
+                });
+            }
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 * LINES);
+        for line in lines {
+            assert!(
+                trace::TraceEvent::parse_line(line).is_some(),
+                "unparseable journal line: {line:?}"
+            );
         }
         std::fs::remove_dir_all(store.root()).ok();
     }

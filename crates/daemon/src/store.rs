@@ -2,7 +2,8 @@
 //!
 //! Everything the daemon knows lives in one directory tree, so jobs
 //! survive restarts and crashes, and every state transition is visible
-//! to `ftsimd status` while a sweep runs:
+//! to `ftsimd status` while a sweep runs (its progress is read from
+//! `cells.csv`):
 //!
 //! ```text
 //! <state>/
@@ -12,7 +13,7 @@
 //!   jobs/
 //!     0001-fig6-mini/
 //!       spec.json             # canonical job spec (JobSpec::to_json)
-//!       status.json           # state + progress, written atomically
+//!       status.json           # lifecycle state, written atomically
 //!       cells.csv             # incremental results, append-safe
 //!       results.csv           # final records in grid order (done jobs)
 //!       results.json          # same records as JSON (done jobs)
@@ -171,15 +172,15 @@ impl fmt::Display for JobState {
     }
 }
 
-/// A job's persisted status document.
+/// A job's persisted status document: a lifecycle record, rewritten
+/// only on a transition. It carries no progress count; how many cells
+/// have a record is read from the job's `cells.csv`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobStatus {
     /// Lifecycle state.
     pub state: JobState,
     /// Total grid cells in the job.
     pub cells_total: usize,
-    /// Cells with a streamed record so far.
-    pub cells_done: usize,
     /// Failure message for [`JobState::Failed`] jobs; empty otherwise.
     pub error: String,
     /// When the job was submitted (ms since the Unix epoch, lease
@@ -197,7 +198,6 @@ impl JobStatus {
         Self {
             state: JobState::Queued,
             cells_total,
-            cells_done: 0,
             error: String::new(),
             created_unix_ms: ftsim_chaos::io().now_ms(),
             finished_unix_ms: 0,
@@ -220,10 +220,6 @@ impl JobStatus {
                 "cells_total".to_string(),
                 JsonValue::U64(self.cells_total as u64),
             ),
-            (
-                "cells_done".to_string(),
-                JsonValue::U64(self.cells_done as u64),
-            ),
             ("error".to_string(), JsonValue::Str(self.error.clone())),
             (
                 "created_unix_ms".to_string(),
@@ -244,20 +240,18 @@ impl JobStatus {
             .as_str()
             .and_then(JobState::parse)
             .ok_or("bad `state`")?;
-        let count = |name: &str| -> Result<usize, String> {
-            field(name)?
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("bad `{name}`"))
-        };
+        let cells_total = field("cells_total")?
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("bad `cells_total`")?;
         // Timestamps were added later: statuses written by older daemons
         // lack them, and must keep parsing (0 = unknown, never GC'd by
-        // the retention clock alone).
+        // the retention clock alone). Older daemons also wrote a
+        // `cells_done` count, which is ignored.
         let stamp = |name: &str| doc.get(name).and_then(|v| v.as_u64()).unwrap_or(0);
         Ok(Self {
             state,
-            cells_total: count("cells_total")?,
-            cells_done: count("cells_done")?,
+            cells_total,
             error: field("error")?.as_str().unwrap_or_default().to_string(),
             created_unix_ms: stamp("created_unix_ms"),
             finished_unix_ms: stamp("finished_unix_ms"),
@@ -492,10 +486,9 @@ impl JobStore {
                 Ok(status) if status.terminal() => {}
                 Ok(status) => {
                     live_jobs += 1;
-                    queued_cells =
-                        queued_cells.saturating_add(
-                            status.cells_total.saturating_sub(status.cells_done) as u64,
-                        );
+                    let done = crate::fabric::progress(job, Some(&existing), Some(&status), false);
+                    queued_cells = queued_cells
+                        .saturating_add(status.cells_total.saturating_sub(done.done) as u64);
                 }
                 // An unreadable status is conservatively live: the
                 // scheduler will rebuild it, and under-admitting beats
@@ -694,6 +687,10 @@ impl JobStore {
     /// TTL clock), and `finished_unix_ms` is stamped on the first
     /// transition into a terminal state and is zero while the job lives.
     ///
+    /// The threads of one process take turns here, so two workers that
+    /// claim families of one queued job at once make one transition to
+    /// running, not two.
+    ///
     /// # Errors
     ///
     /// [`DaemonError::Io`] when the next status does not write.
@@ -702,6 +699,10 @@ impl JobStore {
         job: &Job,
         f: impl FnOnce(Option<JobStatus>) -> Option<JobStatus>,
     ) -> Result<(), DaemonError> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = TURN
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let prior = self.load_status(job).ok();
         let (created, finished) = prior
             .as_ref()
@@ -1005,25 +1006,36 @@ mod tests {
     #[test]
     fn status_round_trips_and_stop_sentinel_works() {
         let store = temp_store("status");
-        let (id, _) = store.submit(&small_spec("s")).unwrap();
+        let mut spec = small_spec("s");
+        spec.seeds = (1..=8).collect();
+        let (id, _) = store.submit(&spec).unwrap();
         let job = store.job(&id).unwrap();
         let submitted = store.load_status(&job).unwrap();
+        assert_eq!(submitted.cells_total, 8);
         store
             .update_status(&job, |prior| {
                 let mut next = prior.unwrap();
                 next.state = JobState::Running;
-                next.cells_total = 8;
-                next.cells_done = 3;
                 // A transition cannot move the TTL clock.
                 next.created_unix_ms = 1;
                 next.finished_unix_ms = 1;
                 Some(next)
             })
             .unwrap();
+        // Three cells stream their records; the count comes from them.
+        let identities = spec.to_experiment().unwrap().identities().unwrap();
+        std::fs::write(job.cells_path(), ftsim::harness::to_csv(&identities[..3])).unwrap();
         let loaded = store.load_status(&job).unwrap();
         assert_eq!(loaded.state, JobState::Running);
         assert_eq!(loaded.cells_total, 8);
-        assert_eq!(loaded.cells_done, 3);
+        let progress = crate::fabric::progress(&job, Some(&spec), Some(&loaded), false);
+        assert_eq!(progress.done, 3);
+        // The status is a lifecycle record: no count is written, and one
+        // an older daemon wrote is ignored.
+        let text = std::fs::read_to_string(job.status_path()).unwrap();
+        assert!(!text.contains("cells_done"), "{text}");
+        let older = text.replacen('{', "{\"cells_done\": 5,", 1);
+        assert_eq!(JobStatus::from_json(&older).unwrap(), loaded);
         // The submit-time creation stamp carries over...
         assert!(submitted.created_unix_ms > 0);
         assert_eq!(loaded.created_unix_ms, submitted.created_unix_ms);

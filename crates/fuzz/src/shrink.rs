@@ -13,6 +13,7 @@
 use crate::harness::{
     budget_for, check_axes, check_spec, self_check, Invariant, SeedOutcome, Violation,
 };
+use ftsim::harness::checkpoint_interval;
 use ftsim_core::{fork_point, SimBuilder, SimError, SimResult, Simulator};
 use ftsim_daemon::model_by_name;
 use ftsim_faults::{per_million, FaultInjector, FaultPlan, InjectionPoint, SiteMix};
@@ -56,12 +57,6 @@ pub struct Repro {
     /// Minimal fault plan, when the invariant is fault-dependent and the
     /// fired events reproduce the violation deterministically.
     pub plan: Option<Vec<PlanEvent>>,
-}
-
-/// Mirrors the experiment harness's checkpoint cadence so plan-based
-/// forks snapshot at the same cycles the real sweep would.
-fn checkpoint_interval(budget: u64) -> u64 {
-    (budget / 32).clamp(256, 8_192)
 }
 
 /// ddmin: greedily removes chunks (halving the chunk size on stagnation)

@@ -397,8 +397,8 @@ impl Experiment {
     /// [`Experiment::run`] is `plan()` followed by executing every cell
     /// across a worker pool; callers that need finer control (the
     /// `ftsimd` daemon streams each cell's record to disk as it
-    /// completes, sharding cells by family across its own workers)
-    /// execute the plan cell-by-cell instead.
+    /// completes, one claimed family at a time) execute the plan
+    /// cell-by-cell instead.
     ///
     /// # Errors
     ///

@@ -38,8 +38,8 @@ mod plan;
 mod record;
 
 pub use experiment::{Experiment, ExperimentError, Workload, DEFAULT_BUDGET};
-pub use plan::{group_families, CellPath, FamilyId, SweepPlan};
+pub use plan::{checkpoint_interval, group_families, CellPath, FamilyId, SweepPlan};
 pub use record::{
-    expect_record, from_csv, from_csv_tolerant, from_csv_tolerant_prefix, from_json,
-    load_resume_csv, record_for, save_csv, to_csv, to_json, IdentityKey, RecordError, RunRecord,
+    expect_record, from_csv, from_csv_tolerant, from_csv_tolerant_prefix, from_json, record_for,
+    to_csv, to_json, IdentityKey, RecordError, RunRecord,
 };

@@ -16,11 +16,11 @@
 //! baseline is computed lazily, at most once, the first time one of its
 //! cells needs it; callers that want baseline-level parallelism (the
 //! one-shot runner) can warm them explicitly via
-//! [`SweepPlan::prepare_family`]. Callers that want to *stream* results as
-//! cells complete (the daemon) iterate [`SweepPlan::shards`] — runnable
-//! cells grouped by family — so each worker reuses its family's
-//! checkpoints without cross-thread coordination beyond the per-family
-//! baseline lock.
+//! [`SweepPlan::prepare_family`]. The `ftsimd` daemon streams results
+//! instead: it claims one family at a time and runs a sub-plan narrowed to
+//! that family's workload, budget and model cell by cell, so its worker
+//! reuses the family's checkpoints with no coordination beyond the
+//! per-family baseline lock.
 
 use crate::harness::experiment::{Experiment, ExperimentError};
 use crate::harness::record::{IdentityKey, RunRecord};
@@ -44,8 +44,10 @@ const MIN_WORTHWHILE_FORK_DRAWS: u64 = 4_096;
 
 /// Checkpoint spacing for a family baseline, in cycles: fine enough that
 /// the skipped prefix tracks each cell's divergence point closely, coarse
-/// enough that snapshot cost stays a small fraction of the run.
-fn checkpoint_interval(budget: u64) -> u64 {
+/// enough that snapshot cost stays a small fraction of the run. Anything
+/// that forks a cell outside a sweep (the fuzzer's shrinker) takes its
+/// snapshots at these cycles too.
+pub fn checkpoint_interval(budget: u64) -> u64 {
     (budget / 32).clamp(256, 8_192)
 }
 
@@ -311,24 +313,11 @@ impl SweepPlan {
         .max(1)
     }
 
-    /// Runnable (non-resumed) cell indices grouped into **shards**: cells
-    /// of one (workload, budget, model) family land in one shard, so a
-    /// worker that executes a shard end-to-end reuses the family's
-    /// checkpointed baseline for every fork without ever contending on it.
-    /// Shards are ordered by their first cell index and cells within a
-    /// shard ascend, so shard iteration order is deterministic.
-    pub fn shards(&self) -> Vec<Vec<usize>> {
-        group_in_order(live_family_keys(&self.cells, &self.resumed))
-            .into_iter()
-            .map(|(_, shard)| shard)
-            .collect()
-    }
-
     /// Computes family `fi`'s baseline if it has not been computed yet.
     /// The one-shot runner calls this from a worker pool to get
     /// baseline-level parallelism before the cell wave; the daemon skips
     /// it and lets [`SweepPlan::run_cell`] warm baselines lazily, one per
-    /// shard.
+    /// claimed family.
     pub fn prepare_family(&self, fi: usize) {
         drop(self.baseline_guard(&self.families[fi]));
     }
@@ -611,8 +600,8 @@ impl std::fmt::Display for FamilyId {
 
 /// Groups identity records by family, preserving grid order: families
 /// appear in first-cell order and each family's member indices ascend.
-/// This is the partition both the in-process shard scheduler
-/// ([`SweepPlan::shards`]) and the multi-process claim table agree on.
+/// This is the partition the `ftsimd` claim table hands out, one family
+/// per claim.
 pub fn group_families(identities: &[RunRecord]) -> Vec<(FamilyId, Vec<usize>)> {
     group_in_order(
         identities

@@ -583,52 +583,6 @@ pub fn expect_record<'a>(records: &'a [RunRecord], workload: &str, model: &str) 
     cell
 }
 
-/// Loads prior records for [`Experiment::resume_from`](crate::harness::Experiment::resume_from)
-/// from a CSV written by [`save_csv`]. Fail-soft by design: `fresh`
-/// requests, a missing file, or a corrupt/truncated document (e.g. a
-/// run killed mid-write) all yield an empty list — the grid then simply
-/// re-simulates — with a warning on stderr for the corrupt case.
-pub fn load_resume_csv(path: impl AsRef<std::path::Path>, fresh: bool) -> Vec<RunRecord> {
-    let path = path.as_ref();
-    if fresh {
-        return Vec::new();
-    }
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    match from_csv(&text) {
-        Ok(records) => {
-            println!(
-                "resuming from {} ({} prior records; pass --fresh to re-simulate)",
-                path.display(),
-                records.len()
-            );
-            records
-        }
-        Err(e) => {
-            eprintln!(
-                "warning: ignoring unreadable resume file {} ({e}); re-simulating",
-                path.display()
-            );
-            Vec::new()
-        }
-    }
-}
-
-/// Writes records as a resumable CSV at `path`, creating parent
-/// directories; the counterpart of [`load_resume_csv`].
-///
-/// # Errors
-///
-/// Any I/O error creating the directories or writing the file.
-pub fn save_csv(path: impl AsRef<std::path::Path>, records: &[RunRecord]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, to_csv(records))
-}
-
 /// Serializes records to a CSV document (header + one row per record).
 pub fn to_csv(records: &[RunRecord]) -> String {
     let mut out = RunRecord::csv_header();
