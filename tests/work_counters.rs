@@ -11,13 +11,19 @@
 //! registry counts this grid and nothing else. The metric pins are
 //! skipped when the registry is off (`FTSIM_OBS=0`). A change that
 //! alters this work on purpose updates the literals and says why.
+//!
+//! Stage profiling is switched on for the whole binary, so every cell
+//! also returns the exact number of calls of each pipeline stage. Their
+//! sums pin the cycle loop's work: a change to the scheduler's data
+//! structures alone must leave them unchanged.
 
 use ftsim::harness::{CellPath, Experiment};
-use ftsim_core::{MachineConfig, OracleMode};
+use ftsim_core::{profile, MachineConfig, OracleMode, StageProfile};
 use ftsim_obs::metrics;
 
 #[test]
 fn checkpointing_grid_does_the_pinned_work() {
+    profile::set_enabled(true);
     let plan = Experiment::grid()
         .workloads([ftsim_workloads::profile("fpppp").expect("profile exists")])
         .models([MachineConfig::ss2(), MachineConfig::ss3_majority()])
@@ -31,8 +37,10 @@ fn checkpointing_grid_does_the_pinned_work() {
         .expect("grid is well-formed");
 
     let mut paths = [0u64; 4];
+    let mut stages = StageProfile::default();
     for idx in 0..plan.len() {
-        let (record, path, _) = plan.run_cell_observed(idx);
+        let (record, path, cell_profile) = plan.run_cell_observed(idx);
+        stages.accumulate(&cell_profile);
         assert!(
             record.error.is_empty(),
             "cell {idx} failed: {}",
@@ -51,6 +59,18 @@ fn checkpointing_grid_does_the_pinned_work() {
         by_path,
         [("resumed", 0), ("baseline", 4), ("forked", 3), ("cold", 5)],
         "cells by path"
+    );
+    let calls: Vec<(&str, u64)> = profile::STAGE_NAMES.into_iter().zip(stages.calls).collect();
+    assert_eq!(
+        calls,
+        [
+            ("commit", 20_091),
+            ("writeback", 20_091),
+            ("issue", 20_091),
+            ("dispatch", 20_091),
+            ("fetch", 20_091),
+        ],
+        "stage calls"
     );
 
     if !metrics::enabled() {
