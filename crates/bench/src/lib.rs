@@ -23,7 +23,6 @@
 
 use ftsim::harness::{to_csv, to_json, RunRecord};
 use ftsim_core::{MachineConfig, OracleMode, SimError, SimResult, Simulator};
-use ftsim_faults::FaultInjector;
 use ftsim_workloads::WorkloadProfile;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -62,28 +61,6 @@ pub fn try_run_workload(
     Simulator::builder()
         .config(config)
         .program_shared(Arc::new(program))
-        .oracle(OracleMode::Off)
-        .budget(n)
-        .run()
-}
-
-/// As [`try_run_workload`] with a fault injector.
-///
-/// Returns `Err` when the machine wedges or overruns its cycle budget —
-/// which legitimately happens at extreme fault rates when an *identical*
-/// corruption strikes every copy of a control instruction (the paper's
-/// §2.2 indiscernible-error case) and garbage control flow commits.
-pub fn try_run_workload_with_faults(
-    profile: &WorkloadProfile,
-    config: MachineConfig,
-    n: u64,
-    injector: FaultInjector,
-) -> Result<SimResult, SimError> {
-    let program = profile.program_for_instructions(n);
-    Simulator::builder()
-        .config(config)
-        .program_shared(Arc::new(program))
-        .injector(injector)
         .oracle(OracleMode::Off)
         .budget(n)
         .run()

@@ -611,11 +611,6 @@ pub fn io() -> &'static dyn IoEnv {
         .as_ref()
 }
 
-/// True when the process-wide environment is injecting faults.
-pub fn chaos_active() -> bool {
-    std::env::var("FTSIM_CHAOS").map(|s| !s.trim().is_empty()) == Ok(true)
-}
-
 /// Returns true if `error` is a disk-full condition (`ENOSPC`), injected
 /// or real.
 pub fn is_enospc(error: &io::Error) -> bool {

@@ -26,10 +26,9 @@ use crate::fetch::FetchUnit;
 use crate::fu::FuPool;
 use crate::lsq::Lsq;
 use crate::pipeline::Processor;
-use crate::rename::{MapCheckpoint, MapTable};
+use crate::rename::{BranchMaps, MapTable};
 use crate::ruu::Ruu;
 use crate::sched::Scheduler;
-use crate::seqhash::SeqHashMap;
 use crate::stats::SimStats;
 use crate::wheel::EventWheel;
 use ftsim_faults::FaultLog;
@@ -47,8 +46,8 @@ pub(crate) struct MachineState {
     pub(crate) ruu: Ruu,
     pub(crate) lsq: Lsq,
     pub(crate) map: MapTable,
-    /// Rename-map checkpoints of in-flight branches, by group.
-    pub(crate) checkpoints: SeqHashMap<u64, MapCheckpoint>,
+    /// Rename-map checkpoints of in-flight branches, oldest first.
+    pub(crate) checkpoints: BranchMaps,
     pub(crate) regs: ArchRegs,
     pub(crate) mem: SparseMemory,
     /// The ECC-protected committed next-PC register (§3.2): "an
@@ -65,8 +64,8 @@ pub(crate) struct MachineState {
     pub(crate) halted: bool,
     pub(crate) pending_rewind_start: Option<u64>,
     pub(crate) last_commit_cycle: u64,
-    /// Event-driven scheduler state: wakeup wait-lists, the ready queue
-    /// and the pending-store list.
+    /// Event-driven scheduler state, keyed by RUU slot: wakeup
+    /// wait-lists and the ready, parked-memory and pending-store sets.
     pub(crate) sched: Scheduler,
 }
 
@@ -79,9 +78,13 @@ impl MachineState {
             next_seq: 0,
             next_group: 0,
             ruu: Ruu::new(config.ruu_size),
-            lsq: Lsq::new(config.lsq_size),
+            lsq: Lsq::new(
+                config.lsq_size,
+                config.ruu_size,
+                usize::from(config.redundancy.r),
+            ),
             map: MapTable::new(),
-            checkpoints: SeqHashMap::default(),
+            checkpoints: BranchMaps::default(),
             regs: ArchRegs::new(),
             mem: program.initial_memory(),
             committed_next_pc: program.entry(),
@@ -94,7 +97,7 @@ impl MachineState {
             halted: false,
             pending_rewind_start: None,
             last_commit_cycle: 0,
-            sched: Scheduler::default(),
+            sched: Scheduler::new(config.ruu_size),
         }
     }
 }

@@ -75,8 +75,10 @@ impl Processor {
                             .or(rep.pred.map(|p| p.next_pc))
                             .expect("control instruction carries a prediction");
                         if steered != elected_next {
-                            let last_seq = rep.seq - u64::from(rep.copy) + self.r() - 1;
-                            self.branch_rewind(rep.group, last_seq, elected_next);
+                            // The head group fills the first R slots.
+                            let ruu = &self.state.ruu;
+                            let last_slot = ruu.slot_after(ruu.head_slot(), r - 1);
+                            self.branch_rewind(rep.group, last_slot, elected_next);
                         }
                     }
 
@@ -183,9 +185,12 @@ impl Processor {
         if let Some(rd) = inst.effective_rd() {
             state.map.retire(rd, copy0_seq);
         }
-        state.checkpoints.remove(&rep.group);
+        state.checkpoints.retire(rep.group);
         if inst.op.is_mem() {
-            state.lsq.remove_group(copy0_seq, r, inst.op.is_store());
+            let head = state.ruu.head_slot();
+            state
+                .lsq
+                .remove_group(&state.ruu, head, r, inst.op.is_store());
         }
 
         state.stats.retired_instructions += 1;

@@ -7,7 +7,7 @@
 //! the copies form data-independent threads sharing one map table.
 
 use crate::checkpoint::MachineState;
-use crate::entry::Entry;
+use crate::entry::{Entry, EntryState, Operand};
 use crate::pipeline::Processor;
 use ftsim_faults::InjectionPoint;
 use ftsim_isa::{Inst, Opcode, RegRef};
@@ -67,24 +67,28 @@ impl Processor {
             let copy0_seq = self.state.next_seq;
             let inst = fetched.inst;
 
+            let copy0_slot = self.state.ruu.tail_slot();
             for copy in 0..r as u8 {
                 let seq = self.state.next_seq;
                 self.state.next_seq += 1;
+                let slot = self.state.ruu.tail_slot();
+                self.state.sched.on_dispatch(slot);
                 let mut e = Entry::new(seq, group, copy, fetched.pc, inst, self.state.now);
                 e.pred = fetched.pred;
                 e.halt = inst.op == Opcode::Halt;
                 e.ops[0] = self.state.rename_operand(inst.rs1(), copy);
                 e.ops[1] = self.state.rename_operand(inst.rs2(), copy);
-                // Register with each awaited producer's wait-list, so the
-                // producer's completion wakes exactly this entry.
-                for op in e.ops {
-                    if let crate::entry::Operand::Wait(producer) = op {
-                        self.state.sched.add_waiter(producer, seq);
+                // Link each waiting operand into its producer slot's
+                // wait-list, so the producer's completion wakes exactly
+                // this entry.
+                for (k, op) in e.ops.iter().enumerate() {
+                    if let Operand::Wait(producer) = *op {
+                        self.state.sched.add_waiter(producer, slot, k);
                     }
                 }
                 e.refresh_readiness();
-                if e.state == crate::entry::EntryState::Ready {
-                    self.state.sched.push_ready(seq);
+                if e.state == EntryState::Ready {
+                    self.state.sched.set_ready(slot);
                 }
 
                 if let Some(event) = self.injector.draw(group, copy, applicable_points(&inst)) {
@@ -99,7 +103,7 @@ impl Processor {
                 }
 
                 if inst.op.is_store() {
-                    self.state.lsq.push_store(seq, copy, inst.op.mem_bytes());
+                    self.state.lsq.push_store(slot, copy);
                 } else if inst.op.is_load() {
                     self.state.lsq.push_load();
                 }
@@ -110,13 +114,13 @@ impl Processor {
             // Rename the destination once per group: the map records copy 0;
             // copy k's producer is derived by the +k offset rule.
             if let Some(rd) = inst.effective_rd() {
-                self.state.map.define(rd, copy0_seq);
+                self.state.map.define(rd, copy0_seq, copy0_slot);
             }
             // Control instructions checkpoint the map (taken after the
             // group's own definitions, e.g. jal's link register).
             if inst.op.is_control() {
                 let cp = self.state.map.checkpoint();
-                self.state.checkpoints.insert(group, cp);
+                self.state.checkpoints.push(group, cp);
             }
             budget -= r;
         }
@@ -125,8 +129,7 @@ impl Processor {
 
 impl MachineState {
     /// Resolves one source operand for copy `copy`.
-    fn rename_operand(&self, reg: Option<RegRef>, copy: u8) -> crate::entry::Operand {
-        use crate::entry::{EntryState, Operand};
+    fn rename_operand(&self, reg: Option<RegRef>, copy: u8) -> Operand {
         let Some(reg) = reg else {
             return Operand::Unused;
         };
@@ -135,13 +138,13 @@ impl MachineState {
         }
         match self.map.lookup(reg) {
             None => Operand::Value(self.regs.read(reg)),
-            Some(copy0_seq) => {
-                let producer = copy0_seq + u64::from(copy);
-                match self.ruu.get(producer) {
+            Some((copy0_seq, copy0_slot)) => {
+                let slot = self.ruu.slot_after(copy0_slot, usize::from(copy));
+                match self.ruu.resolve(slot, copy0_seq + u64::from(copy)) {
                     Some(p) if p.state == EntryState::Done => {
                         Operand::Value(p.result.expect("done producer has a result"))
                     }
-                    Some(_) => Operand::Wait(producer),
+                    Some(_) => Operand::Wait(slot),
                     // The mapped producer already committed. This happens
                     // after a commit-time front-end repair restores a map
                     // checkpoint containing since-retired producers; the
@@ -157,7 +160,6 @@ impl MachineState {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use crate::entry::Operand;
     use ftsim_faults::FaultInjector;
     use ftsim_isa::{IntReg, ProgramBuilder};
 
@@ -202,9 +204,9 @@ mod tests {
     fn renaming_links_copy_k_to_copy_k() {
         let proc = machine_after_dispatch(2);
         let entries: Vec<_> = proc.state.ruu.iter().collect();
-        // entries[2], entries[3] are the two copies of `add r1, r1, r1`.
-        let producer0 = entries[0].seq;
-        let producer1 = entries[1].seq;
+        // entries[2], entries[3] are the two copies of `add r1, r1, r1`;
+        // the producer's two copies sit in slots 0 and 1.
+        let (producer0, producer1) = (0, 1);
         for (i, consumer) in [entries[2], entries[3]].iter().enumerate() {
             let want = if i == 0 { producer0 } else { producer1 };
             for op in &consumer.ops {

@@ -23,8 +23,8 @@ pub enum Operand {
     Unused,
     /// Value available (read from committed state or forwarded).
     Value(u64),
-    /// Waiting for the RUU entry with this sequence number to complete.
-    Wait(u64),
+    /// Waiting for the producer in this RUU slot to complete.
+    Wait(usize),
 }
 
 impl Operand {
@@ -39,7 +39,7 @@ impl Operand {
         match self {
             Operand::Unused => 0,
             Operand::Value(v) => *v,
-            Operand::Wait(seq) => panic!("operand still waiting on seq {seq}"),
+            Operand::Wait(slot) => panic!("operand still waiting on slot {slot}"),
         }
     }
 

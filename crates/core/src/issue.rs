@@ -2,11 +2,11 @@
 //! memory scheduling — including the application of injected faults at
 //! their microarchitectural points.
 //!
-//! Each candidate's RUU slot is resolved once and every step works
-//! through that index: a memory entry's effective address, store datum
-//! and raw load value live in the entry itself, a redundant load copy
-//! finds copy 0's value `copy` slots back in its group, and the LSQ is
-//! consulted only for its per-copy store index (the dependence search).
+//! Candidates are RUU slots and every step works through the slot: a
+//! memory entry's effective address, store datum and raw load value live
+//! in the entry itself, a redundant load copy finds copy 0's value `copy`
+//! slots back in its group, and the LSQ is consulted only for its
+//! per-copy store index (the dependence search).
 
 use crate::checkpoint::MachineState;
 use crate::entry::EntryState;
@@ -26,95 +26,63 @@ fn outcomes_differ(a: &ExecOutcome, b: &ExecOutcome) -> bool {
 impl Processor {
     /// Runs the issue stage for one cycle.
     ///
-    /// Candidates come from two sequence-ordered sources merged on the
-    /// fly, reproducing the seed's oldest-first full-RUU scan order
-    /// without the scan:
-    ///
-    /// * the scheduler's **ready queue** — entries that became
-    ///   issue-eligible at dispatch or wakeup;
-    /// * the scheduler's **parked-memory list** — memory entries that
-    ///   already failed an issue attempt (port lost, dependence conflict,
-    ///   shared access not ready) and retry while this cycle's L1D ports
-    ///   last.
+    /// Candidates are the slots in the scheduler's **ready** set (entries
+    /// that became issue-eligible at dispatch or wakeup) and its
+    /// **parked** set (memory entries that already failed an issue
+    /// attempt: port lost, dependence conflict, shared access not ready).
+    /// The walk visits them in circular slot order from the RUU head,
+    /// which is ascending sequence order — the seed's oldest-first
+    /// full-RUU scan, without the scan — and stops when the issue width
+    /// is spent.
     ///
     /// A memory attempt in a cycle whose data ports are exhausted is
     /// *provably* fruitless and side-effect-free once its address is
     /// generated (every failure path returns before mutating anything —
     /// except the defect counter the fuzz harness's self-test plants
-    /// here under the `plant` feature, see `Processor::plant_counter`),
-    /// so parked entries are then skipped wholesale and newly-ready
-    /// memory entries only run first-touch address generation before
-    /// parking — this is what turns the mem-bound steady state from
-    /// O(occupancy) retries into O(ports) work per cycle. Non-memory
-    /// entries that lose their functional unit are deferred back onto
-    /// the ready queue for the next cycle. Sequence numbers squashed
-    /// since they were queued are dropped when visited (seqs are never
-    /// reused).
+    /// here under the `plant` feature, see `Processor::plant_counter`).
+    /// So once the ports are gone the walk scans the ready set alone,
+    /// skipping parked entries a word at a time, and a newly ready
+    /// memory entry only runs first-touch address generation before it
+    /// parks — this is what turns the mem-bound steady state from
+    /// O(occupancy) retries into O(ports) work per cycle. A non-memory
+    /// entry that loses its functional unit keeps its ready bit and
+    /// retries next cycle.
     pub(crate) fn stage_issue(&mut self) {
         let mut budget = self.config.issue_width;
-        let (parked, mut keep) = self.state.sched.take_parked_mem();
-        let mut pi = 0;
-
-        while budget > 0 {
-            // Merge step: the smaller head of the two ascending sources.
-            let from_parked = match (parked.get(pi), self.state.sched.peek_ready()) {
-                (Some(&p), Some(r)) => p < r,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if from_parked {
-                let seq = parked[pi];
-                pi += 1;
-                // Port check first: once the cycle's L1D ports are gone a
-                // parked attempt cannot succeed, so the entry is re-parked
-                // without even resolving its RUU slot. (A seq squashed
-                // while parked may thus survive one extra port-starved
-                // cycle in the list; it is dropped at the next visit that
-                // has a port — parked contents are not observable state.)
-                if self.state.hierarchy.data_ports_available() == 0 {
-                    keep.push(seq);
-                    continue;
-                }
-                let Some(idx) = self.state.ruu.position(seq) else {
-                    continue; // squashed while parked
+        for range in self.state.ruu.live_ranges() {
+            let mut from = range.start;
+            while budget > 0 {
+                let ports = self.state.hierarchy.data_ports_available() > 0;
+                let Some(slot) = self.state.sched.next_candidate(from..range.end, ports) else {
+                    break;
                 };
-                debug_assert_eq!(self.state.ruu.at(idx).state, EntryState::Ready);
-                if self.try_issue_mem(seq, idx) {
-                    budget -= 1;
-                } else {
-                    keep.push(seq);
-                }
-            } else {
-                let seq = self.state.sched.pop_ready().expect("peeked non-empty");
-                let Some(idx) = self.state.ruu.position(seq) else {
-                    continue; // squashed while queued
-                };
-                debug_assert_eq!(self.state.ruu.at(idx).state, EntryState::Ready);
-                if self.state.ruu.at(idx).inst.op.is_mem() {
-                    if self.state.hierarchy.data_ports_available() == 0 {
+                from = slot + 1;
+                debug_assert_eq!(self.state.ruu.entry(slot).state, EntryState::Ready);
+                let issued = if self.state.sched.is_parked(slot) {
+                    self.try_issue_mem(slot)
+                } else if self.state.ruu.entry(slot).inst.op.is_mem() {
+                    if !ports {
                         // The seed still generated the address on a
                         // port-starved first attempt; everything after
                         // that is failure-path and effect-free.
-                        self.state.ensure_mem_addr(seq, idx);
-                        keep.push(seq);
-                    } else if self.try_issue_mem(seq, idx) {
-                        budget -= 1;
+                        self.state.ensure_mem_addr(slot);
+                        false
                     } else {
-                        keep.push(seq);
+                        self.try_issue_mem(slot)
                     }
-                } else if self.state.try_issue_fu(seq, idx) {
+                } else if self.state.try_issue_fu(slot) {
+                    true
+                } else {
+                    continue; // structural hazard: stays ready
+                };
+                if issued {
+                    self.state.sched.issued(slot);
                     budget -= 1;
                 } else {
-                    self.state.sched.defer_ready(seq);
+                    self.state.sched.park(slot);
                 }
             }
         }
-        // Whatever the walk did not reach stays parked, still in order
-        // (every remaining parked seq is younger than every visited one).
-        keep.extend_from_slice(&parked[pi..]);
-        self.state.sched.put_parked_mem(parked, keep);
-        self.state.sched.flush_deferred();
         self.state.merge_store_data();
     }
 }
@@ -125,10 +93,10 @@ impl MachineState {
     /// This is the *only* seed-visible side effect of a memory issue
     /// attempt that cannot win a data port, so the port-starved fast
     /// path runs just this before parking the entry.
-    fn ensure_mem_addr(&mut self, seq: u64, idx: usize) -> u64 {
-        let (inst, pc, copy, base, fault, ea_known) = {
-            let e = self.ruu.at(idx);
-            (e.inst, e.pc, e.copy, e.ops[0].value(), e.fault, e.ea)
+    fn ensure_mem_addr(&mut self, slot: usize) -> u64 {
+        let (inst, pc, base, fault, ea_known) = {
+            let e = self.ruu.entry(slot);
+            (e.inst, e.pc, e.ops[0].value(), e.fault, e.ea)
         };
         if let Some(ea) = ea_known {
             return ea;
@@ -151,19 +119,16 @@ impl MachineState {
                 effective = true;
             }
         }
-        let e = self.ruu.at_mut(idx);
+        let e = self.ruu.entry_mut(slot);
         e.ea = Some(ea);
         e.fault_effective |= effective;
-        if inst.op.is_store() {
-            self.lsq.set_store_addr(seq, copy, ea);
-        }
         ea
     }
 
     /// Issues a non-memory instruction to its functional unit.
-    fn try_issue_fu(&mut self, seq: u64, idx: usize) -> bool {
+    fn try_issue_fu(&mut self, slot: usize) -> bool {
         let (inst, pc, mut a, mut b, fault) = {
-            let e = self.ruu.at(idx);
+            let e = self.ruu.entry(slot);
             (e.inst, e.pc, e.ops[0].value(), e.ops[1].value(), e.fault)
         };
         let Some(latency) = self.fu.try_issue(inst.op, self.now) else {
@@ -216,13 +181,13 @@ impl MachineState {
         }
 
         {
-            let e = self.ruu.at_mut(idx);
+            let e = self.ruu.entry_mut(slot);
             e.result = out.result;
             e.taken = out.taken;
             e.target = out.target;
             e.fault_effective |= effective;
         }
-        self.schedule_completion_at(idx, seq, self.now + latency);
+        self.schedule_completion_at(slot, self.now + latency);
         true
     }
 }
@@ -232,14 +197,14 @@ impl Processor {
     /// forwarding, and (for copy 0) the single shared cache access. A
     /// load's raw value lands in its entry's `mem_value`, where writeback
     /// extends it and sibling copies read copy 0's.
-    fn try_issue_mem(&mut self, seq: u64, idx: usize) -> bool {
+    fn try_issue_mem(&mut self, slot: usize) -> bool {
         let (inst, copy) = {
-            let e = self.state.ruu.at(idx);
+            let e = self.state.ruu.entry(slot);
             (e.inst, e.copy)
         };
 
         // Address generation (once).
-        let ea = self.state.ensure_mem_addr(seq, idx);
+        let ea = self.state.ensure_mem_addr(slot);
 
         if inst.op.is_store() {
             // The store's address phase occupies a memory port for its
@@ -252,8 +217,8 @@ impl Processor {
                 return false;
             }
             // Address phase complete; the datum merges off the issue path.
-            self.state.ruu.at_mut(idx).state = EntryState::Issued;
-            self.state.sched.add_pending_store(seq);
+            self.state.ruu.entry_mut(slot).state = EntryState::Issued;
+            self.state.sched.add_pending_store(slot);
             return true;
         }
 
@@ -263,14 +228,18 @@ impl Processor {
         // the cache: "the memory addresses are computed redundantly, but
         // only one memory access is performed" (§5.1.2).
         let (size, now) = (inst.op.mem_bytes(), self.state.now);
-        match self.state.lsq.search_for_load(seq, copy, ea, size) {
+        match self
+            .state
+            .lsq
+            .search_for_load(&self.state.ruu, slot, copy, ea, size)
+        {
             LoadSearch::Forward(raw) => {
                 if !self.state.hierarchy.try_data_port() {
                     return false;
                 }
-                self.state.ruu.at_mut(idx).mem_value = Some(raw);
+                self.state.ruu.entry_mut(slot).mem_value = Some(raw);
                 self.state
-                    .schedule_completion_at(idx, seq, now + self.config.lat.forward);
+                    .schedule_completion_at(slot, now + self.config.lat.forward);
                 self.state.stats.load_forwards += 1;
                 true
             }
@@ -291,23 +260,24 @@ impl Processor {
                     }
                     let access = self.state.hierarchy.data_access(ea, AccessKind::Read);
                     let raw = self.state.mem.read_sized(ea, size);
-                    self.state.ruu.at_mut(idx).mem_value = Some(raw);
+                    self.state.ruu.entry_mut(slot).mem_value = Some(raw);
                     self.state
-                        .schedule_completion_at(idx, seq, now + access.latency);
+                        .schedule_completion_at(slot, now + access.latency);
                     self.state.stats.load_accesses += 1;
                     true
                 } else {
                     // Redundant copies take the shared access's value
                     // from copy 0, `copy` slots back in the group.
-                    let copy0 = self.state.ruu.at(idx - usize::from(copy));
-                    debug_assert_eq!(copy0.seq, seq - u64::from(copy), "group not contiguous");
+                    let copy0_slot = self.state.ruu.slot_before(slot, usize::from(copy));
+                    let copy0 = self.state.ruu.entry(copy0_slot);
+                    debug_assert_eq!(copy0.group, self.state.ruu.entry(slot).group);
                     match copy0.mem_value {
                         Some(raw) => {
                             if !self.state.hierarchy.try_data_port() {
                                 return false;
                             }
-                            self.state.ruu.at_mut(idx).mem_value = Some(raw);
-                            self.state.schedule_completion_at(idx, seq, now + 1);
+                            self.state.ruu.entry_mut(slot).mem_value = Some(raw);
+                            self.state.schedule_completion_at(slot, now + 1);
                             true
                         }
                         None => false, // copy 0 hasn't accessed yet
@@ -319,51 +289,50 @@ impl Processor {
 }
 
 impl MachineState {
-    /// Merges store data into the LSQ as it becomes available (does not
-    /// consume issue bandwidth) and schedules the store's completion.
+    /// Merges store data into the store's entry as it becomes available
+    /// (does not consume issue bandwidth), where the LSQ's dependence
+    /// search reads it, and schedules the store's completion.
     ///
-    /// Walks only the scheduler's pending-store list — stores whose
-    /// address phase issued and whose datum has not merged — in sequence
+    /// Walks only the scheduler's pending-store set — stores whose
+    /// address phase issued and whose datum has not merged — in age
     /// order, instead of filtering the whole RUU every cycle. A store
-    /// leaves the list when its datum merges, or on squash (dropped here
-    /// when its sequence number no longer resolves, and proactively by
-    /// `Scheduler::squash_after`/`clear`).
+    /// leaves the set when its datum merges, or when a squash clears it.
     fn merge_store_data(&mut self) {
-        let mut pending = self.sched.take_pending_stores();
-        pending.retain(|&seq| {
-            let Some(idx) = self.ruu.position(seq) else {
-                return false; // squashed since its address phase issued
-            };
-            let (mut data, copy, fault) = {
-                let e = self.ruu.at(idx);
-                debug_assert!(
-                    e.inst.op.is_store() && e.state == EntryState::Issued && e.store_data.is_none()
-                );
-                if !e.ops[1].ready() {
-                    return true; // datum still in flight: stay pending
+        for range in self.ruu.live_ranges() {
+            let mut from = range.start;
+            while let Some(slot) = self.sched.next_pending_store(from..range.end) {
+                from = slot + 1;
+                let (seq, mut data, fault) = {
+                    let e = self.ruu.entry(slot);
+                    debug_assert!(
+                        e.inst.op.is_store()
+                            && e.state == EntryState::Issued
+                            && e.store_data.is_none()
+                    );
+                    if !e.ops[1].ready() {
+                        continue; // datum still in flight: stay pending
+                    }
+                    (e.seq, e.ops[1].value(), e.fault)
+                };
+                let mut effective = false;
+                if let Some((_, ev)) = fault {
+                    if matches!(
+                        ev.point,
+                        InjectionPoint::StoreData | InjectionPoint::OperandB
+                    ) {
+                        data = ev.corrupt(data);
+                        effective = true;
+                    }
                 }
-                (e.ops[1].value(), e.copy, e.fault)
-            };
-            let mut effective = false;
-            if let Some((_, ev)) = fault {
-                if matches!(
-                    ev.point,
-                    InjectionPoint::StoreData | InjectionPoint::OperandB
-                ) {
-                    data = ev.corrupt(data);
-                    effective = true;
+                {
+                    let e = self.ruu.entry_mut(slot);
+                    e.store_data = Some(data);
+                    e.fault_effective |= effective;
                 }
+                self.events.push(self.now, self.now + 1, seq, slot);
+                self.sched.store_merged(slot);
             }
-            {
-                let e = self.ruu.at_mut(idx);
-                e.store_data = Some(data);
-                e.fault_effective |= effective;
-            }
-            self.lsq.set_store_data(seq, copy, data);
-            self.events.push(self.now, self.now + 1, seq);
-            false // merged: leave the pending list
-        });
-        self.sched.put_pending_stores(pending);
+        }
     }
 }
 

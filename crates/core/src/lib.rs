@@ -80,7 +80,6 @@ pub mod profile;
 mod rename;
 mod ruu;
 mod sched;
-mod seqhash;
 mod sim;
 mod stats;
 mod wheel;

@@ -33,8 +33,6 @@ pub struct Processor {
     /// clone of it.
     pub(crate) state: MachineState,
     pub(crate) injector: FaultInjector,
-    /// Reused buffer for squashed entries (branch and full rewinds).
-    pub(crate) squash_scratch: Vec<Entry>,
     /// Reused buffer for the commit stage's head-group snapshot.
     pub(crate) commit_scratch: Vec<Entry>,
     /// **Deliberately planted defect** (the `plant` feature; `None` until
@@ -90,7 +88,6 @@ impl Processor {
         Self {
             state: MachineState::new(&config, &program),
             injector,
-            squash_scratch: Vec::new(),
             commit_scratch: Vec::new(),
             #[cfg(feature = "plant")]
             plant_counter: PLANT_ARMED
@@ -135,7 +132,10 @@ impl Processor {
         self.state.stats.ruu_occupancy_sum += self.state.ruu.len() as u64;
         self.state.stats.lsq_occupancy_sum += self.state.lsq.len() as u64;
         #[cfg(debug_assertions)]
-        self.assert_group_invariants();
+        {
+            self.assert_group_invariants();
+            self.assert_sched_invariants();
+        }
         self.state.stats.cycles += 1;
         self.state.now += 1;
         probe.end_cycle();
@@ -232,7 +232,7 @@ impl Processor {
     /// Occupancy of the event-driven scheduler's structures — how much
     /// genuinely in-flight state a snapshot at this boundary captures.
     pub fn scheduler_depths(&self) -> SchedulerDepths {
-        let (waiters, ready, parked_mem, pending_stores) = self.state.sched.depths();
+        let (waiters, ready, parked_mem, pending_stores) = self.state.sched.depths(&self.state.ruu);
         SchedulerDepths {
             waiters,
             ready,
@@ -249,104 +249,93 @@ impl Processor {
 }
 
 impl MachineState {
-    /// Delivers a completed producer's result to its waiting consumers.
+    /// Delivers the result of the producer in slot `producer` to its
+    /// waiting consumers.
     ///
-    /// Dispatch registered every consumer on the producer's wait-list, so
-    /// this touches only entries that actually wait — not the whole RUU.
-    /// Consumers squashed since registration are skipped (their sequence
-    /// numbers are never reused, so a miss is definitive).
-    pub(crate) fn wakeup(&mut self, producer_seq: u64, value: u64) {
-        let Some(list) = self.sched.take_wait_list(producer_seq) else {
-            return;
-        };
-        for &consumer in &list {
-            let Some(e) = self.ruu.get_mut(consumer) else {
-                continue; // squashed while waiting
-            };
-            let mut changed = false;
-            for op in &mut e.ops {
-                if *op == Operand::Wait(producer_seq) {
-                    *op = Operand::Value(value);
-                    changed = true;
-                }
-            }
-            if changed && e.state == EntryState::Waiting {
+    /// Dispatch linked every waiting operand into the producer slot's
+    /// wait-list, and a squash unlinks squashed consumers, so this
+    /// touches exactly the live operands that wait — not the whole RUU.
+    pub(crate) fn wakeup(&mut self, producer: usize, value: u64) {
+        let mut node = self.sched.take_wait_list(producer);
+        while let Some(n) = node {
+            let consumer = n / 2;
+            let e = self.ruu.entry_mut(consumer);
+            debug_assert_eq!(e.ops[n % 2], Operand::Wait(producer));
+            e.ops[n % 2] = Operand::Value(value);
+            if e.state == EntryState::Waiting {
                 e.refresh_readiness();
                 if e.state == EntryState::Ready {
-                    self.sched.push_ready(consumer);
+                    self.sched.set_ready(consumer);
                 }
             }
+            node = self.sched.next_waiter(n);
         }
-        self.sched.recycle(list);
     }
 }
 
 impl Processor {
     /// Selective squash after a branch rewind: removes every entry younger
-    /// than `cutoff_seq`, restores the branch's map checkpoint, and marks
-    /// squashed faults as wrong-path.
-    pub(crate) fn branch_rewind(&mut self, branch_group: u64, cutoff_seq: u64, new_target: u64) {
-        let mut squashed = std::mem::take(&mut self.squash_scratch);
-        self.state.ruu.squash_after_into(cutoff_seq, &mut squashed);
+    /// than the one in `cutoff_slot` (the branch group's last copy),
+    /// restores the branch's map checkpoint, and marks squashed faults as
+    /// wrong-path.
+    pub(crate) fn branch_rewind(&mut self, branch_group: u64, cutoff_slot: usize, new_target: u64) {
+        let state = &mut self.state;
+        let n = state.ruu.squash_after(cutoff_slot);
+        state.sched.squash(&state.ruu, n);
         let mut squashed_mem = 0;
-        for e in &squashed {
-            self.state.sched.on_squash(e.seq);
+        for (_, e) in state.ruu.squashed(n) {
             squashed_mem += usize::from(e.inst.op.is_mem());
             if let Some((id, _)) = e.fault {
-                self.state.resolve_fault(id, FaultFate::SquashedWrongPath);
-            }
-            // Squashed younger branches' checkpoints are dead.
-            if e.inst.op.is_control() && e.copy == 0 {
-                self.state.checkpoints.remove(&e.group);
+                state.fault_log.resolve(
+                    id,
+                    FaultFate::SquashedWrongPath,
+                    state.now,
+                    state.stats.retired_instructions,
+                );
             }
         }
-        squashed.clear();
-        self.squash_scratch = squashed;
-        self.state.sched.squash_after(cutoff_seq);
-        self.state.lsq.squash_after(cutoff_seq, squashed_mem);
-        let cp = self
-            .state
-            .checkpoints
-            .get(&branch_group)
-            .expect("branch group has a checkpoint")
-            .clone();
-        self.state.map.restore(&cp);
-        self.state.fetch.redirect(
-            new_target,
-            self.state.now + 1 + self.config.lat.mispredict_extra,
-        );
-        self.state.stats.branch_rewinds += 1;
+        state.lsq.squash(&state.ruu, n, squashed_mem);
+        // Squashed younger branches' checkpoints are dead.
+        let cp = state.checkpoints.rewind_to(branch_group);
+        state.map.restore(cp);
+        state
+            .fetch
+            .redirect(new_target, state.now + 1 + self.config.lat.mispredict_extra);
+        state.stats.branch_rewinds += 1;
     }
 
     /// Full rewind (§3.2 Recovery): "discard the entire ROB contents and
     /// restart execution by refetching from the committed next-PC
     /// register."
     pub(crate) fn full_rewind(&mut self, cause: crate::stats::RewindCause) {
-        let mut squashed = std::mem::take(&mut self.squash_scratch);
-        self.state.ruu.squash_all_into(&mut squashed);
-        for e in &squashed {
+        let state = &mut self.state;
+        let n = state.ruu.squash_all();
+        for (_, e) in state.ruu.squashed(n) {
             if let Some((id, _)) = e.fault {
-                self.state.resolve_fault(id, FaultFate::SquashedByRewind);
+                state.fault_log.resolve(
+                    id,
+                    FaultFate::SquashedByRewind,
+                    state.now,
+                    state.stats.retired_instructions,
+                );
             }
         }
-        squashed.clear();
-        self.squash_scratch = squashed;
-        self.state.lsq.squash_all();
-        self.state.sched.clear();
-        debug_assert!(self.state.lsq.is_empty() && self.state.ruu.is_empty());
-        self.state.checkpoints.clear();
-        self.state.map.clear();
+        state.lsq.squash_all();
+        state.sched.clear();
+        debug_assert!(state.lsq.is_empty() && state.ruu.is_empty());
+        state.checkpoints.clear();
+        state.map.clear();
         // Every entry is gone, so every scheduled completion is stale.
-        self.state.events.clear();
-        self.state.fu.reset();
-        self.state.fetch.rewind(
-            self.state.committed_next_pc,
-            self.state.now + 1 + self.config.lat.mispredict_extra,
+        state.events.clear();
+        state.fu.reset();
+        state.fetch.rewind(
+            state.committed_next_pc,
+            state.now + 1 + self.config.lat.mispredict_extra,
         );
-        self.state.pending_rewind_start = Some(self.state.now);
+        state.pending_rewind_start = Some(state.now);
         match cause {
-            crate::stats::RewindCause::FaultDetected => self.state.stats.fault_rewinds += 1,
-            crate::stats::RewindCause::ControlFlowCheck => self.state.stats.pc_check_rewinds += 1,
+            crate::stats::RewindCause::FaultDetected => state.stats.fault_rewinds += 1,
+            crate::stats::RewindCause::ControlFlowCheck => state.stats.pc_check_rewinds += 1,
         }
     }
 
@@ -373,32 +362,47 @@ impl Processor {
     #[cfg(not(debug_assertions))]
     #[allow(dead_code)]
     pub(crate) fn assert_group_invariants(&self) {}
+
+    /// Debug invariant: the scheduler's slot-keyed wait-lists and ready,
+    /// parked and pending-store sets agree with the RUU's entries (see
+    /// `Scheduler::assert_invariants`).
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_sched_invariants(&self) {
+        self.state.sched.assert_invariants(&self.state.ruu);
+    }
 }
 
 /// Scheduler-structure occupancy reported by
 /// [`Processor::scheduler_depths`] (checkpoint tests and debugging use
-/// this to prove a snapshot point carries real in-flight state).
+/// this to prove a snapshot point carries real in-flight state). Every
+/// count covers live RUU slots only: a squash removes its entries from
+/// each structure at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDepths {
-    /// Consumers registered on producer wait-lists (in-flight wakeups).
+    /// Waiting operands linked into producer slots' wait-lists (in-flight
+    /// wakeups).
     pub waiters: usize,
-    /// Issue-eligible entries (including this cycle's deferred retries).
+    /// Slots in the ready set: issue-eligible entries, including
+    /// functional-unit hazard losers that retry next cycle.
     pub ready: usize,
-    /// Memory entries parked after a failed issue attempt.
+    /// Slots in the parked set: memory entries that failed an issue
+    /// attempt.
     pub parked_mem: usize,
-    /// Stores whose address phase issued but whose datum has not merged.
+    /// Slots in the pending-store set: stores whose address phase issued
+    /// but whose datum has not merged.
     pub pending_stores: usize,
-    /// Scheduled completion events.
+    /// Scheduled completion events, including events of squashed entries
+    /// that writeback will discard.
     pub events: usize,
 }
 
 impl MachineState {
-    /// Marks the entry at index handle `idx` (sequence `seq`) issued and
-    /// schedules its completion event.
-    pub(crate) fn schedule_completion_at(&mut self, idx: usize, seq: u64, at: u64) {
-        debug_assert_eq!(self.ruu.at(idx).seq, seq, "stale index handle");
-        self.events.push(self.now, at, seq);
-        self.ruu.at_mut(idx).state = EntryState::Issued;
+    /// Marks the entry in `slot` issued and schedules its completion
+    /// event.
+    pub(crate) fn schedule_completion_at(&mut self, slot: usize, at: u64) {
+        let e = self.ruu.entry_mut(slot);
+        e.state = EntryState::Issued;
+        self.events.push(self.now, at, e.seq, slot);
     }
 
     /// Settles the fate of logged fault `id` at the current cycle and

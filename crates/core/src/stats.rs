@@ -153,15 +153,6 @@ impl SimStats {
         }
     }
 
-    /// Mean dispatch-to-commit latency of committed instructions.
-    pub fn mean_inflight_latency(&self) -> f64 {
-        if self.retired_instructions == 0 {
-            0.0
-        } else {
-            self.inflight_latency_sum as f64 / self.retired_instructions as f64
-        }
-    }
-
     /// Mean RUU occupancy per cycle.
     pub fn mean_ruu_occupancy(&self) -> f64 {
         if self.cycles == 0 {
@@ -169,11 +160,6 @@ impl SimStats {
         } else {
             self.ruu_occupancy_sum as f64 / self.cycles as f64
         }
-    }
-
-    /// Total full rewinds (fault + control-flow-check).
-    pub fn full_rewinds(&self) -> u64 {
-        self.fault_rewinds + self.pc_check_rewinds
     }
 }
 

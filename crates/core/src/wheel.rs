@@ -8,12 +8,19 @@
 //! writeback takes exactly one slot per cycle and sorts it by
 //! `(cycle, seq)` — the order a `(cycle, seq)` min-heap would pop the same
 //! events in, so runs are bit-identical to a heap-ordered event queue.
+//! Each event also carries the entry's RUU slot, so writeback reaches the
+//! entry without a search; the sequence number is the generation tag
+//! that tells the entry from a younger occupant of a reused slot.
 //!
 //! Issue runs after writeback within a cycle, so the current cycle's slot
 //! has already drained when a completion is scheduled. An event due at or
 //! before `now` therefore goes into the next cycle's slot; its smaller
 //! cycle number sorts it ahead of that cycle's own events, exactly where
 //! a heap would have popped it.
+
+/// One completion: `(cycle, seq, RUU slot)`. Sequence numbers are unique,
+/// so sorting these orders by `(cycle, seq)`.
+pub(crate) type Event = (u64, u64, u32);
 
 /// Scheduled completion events, bucketed by due cycle.
 ///
@@ -22,9 +29,8 @@
 /// same span.
 #[derive(Debug, Clone)]
 pub(crate) struct EventWheel {
-    /// `slots[c & mask]` holds the `(cycle, seq)` events that drain at
-    /// cycle `c`.
-    slots: Vec<Vec<(u64, u64)>>,
+    /// `slots[c & mask]` holds the events that drain at cycle `c`.
+    slots: Vec<Vec<Event>>,
     mask: u64,
     /// Events scheduled and not yet drained.
     len: usize,
@@ -52,36 +58,36 @@ impl EventWheel {
         self.len
     }
 
-    /// Schedules `seq` to complete at `cycle`, from within cycle `now`
-    /// after `now`'s slot has drained.
+    /// Schedules entry `seq`, in RUU slot `ruu_slot`, to complete at
+    /// `cycle`, from within cycle `now` after `now`'s slot has drained.
     ///
     /// # Panics
     ///
     /// Panics if `cycle` lies a full span or more beyond `now` (the
     /// configuration's latency bound was exceeded).
-    pub(crate) fn push(&mut self, now: u64, cycle: u64, seq: u64) {
+    pub(crate) fn push(&mut self, now: u64, cycle: u64, seq: u64, ruu_slot: usize) {
         let due = cycle.max(now + 1);
         assert!(
             due - now < self.span(),
             "completion at cycle {cycle} is beyond the wheel's {}-cycle span at cycle {now}",
             self.span()
         );
-        self.slots[(due & self.mask) as usize].push((cycle, seq));
+        self.slots[(due & self.mask) as usize].push((cycle, seq, ruu_slot as u32));
         self.len += 1;
     }
 
     /// Detaches the events that drain at `now`, sorted by `(cycle, seq)`.
     /// The caller hands the vector back via [`EventWheel::put_drained`].
-    pub(crate) fn take_due(&mut self, now: u64) -> Vec<(u64, u64)> {
+    pub(crate) fn take_due(&mut self, now: u64) -> Vec<Event> {
         let mut due = std::mem::take(&mut self.slots[(now & self.mask) as usize]);
-        debug_assert!(due.iter().all(|&(cycle, _)| cycle <= now));
+        debug_assert!(due.iter().all(|&(cycle, _, _)| cycle <= now));
         self.len -= due.len();
         due.sort_unstable();
         due
     }
 
     /// Returns `now`'s drained slot vector, keeping its storage.
-    pub(crate) fn put_drained(&mut self, now: u64, mut due: Vec<(u64, u64)>) {
+    pub(crate) fn put_drained(&mut self, now: u64, mut due: Vec<Event>) {
         due.clear();
         let slot = &mut self.slots[(now & self.mask) as usize];
         debug_assert!(
@@ -108,7 +114,7 @@ mod tests {
     /// Drains cycle `now` and returns its events in drain order.
     fn drain(w: &mut EventWheel, now: u64) -> Vec<(u64, u64)> {
         let due = w.take_due(now);
-        let out = due.clone();
+        let out = due.iter().map(|&(cycle, seq, _)| (cycle, seq)).collect();
         w.put_drained(now, due);
         out
     }
@@ -116,9 +122,9 @@ mod tests {
     #[test]
     fn same_cycle_events_drain_in_ascending_seq() {
         let mut w = EventWheel::new(10);
-        w.push(0, 5, 30);
-        w.push(0, 5, 10);
-        w.push(1, 5, 20);
+        w.push(0, 5, 30, 0);
+        w.push(0, 5, 10, 0);
+        w.push(1, 5, 20, 0);
         assert_eq!(w.len(), 3);
         for now in 1..5 {
             assert!(drain(&mut w, now).is_empty());
@@ -130,9 +136,9 @@ mod tests {
     #[test]
     fn event_due_now_drains_next_cycle_ahead_of_that_cycles_events() {
         let mut w = EventWheel::new(10);
-        w.push(7, 8, 1);
-        w.push(7, 7, 9); // due now: this cycle's slot has already drained
-        w.push(7, 8, 4);
+        w.push(7, 8, 1, 0);
+        w.push(7, 7, 9, 0); // due now: this cycle's slot has already drained
+        w.push(7, 8, 4, 0);
         assert_eq!(drain(&mut w, 8), vec![(7, 9), (8, 1), (8, 4)]);
         assert_eq!(w.len(), 0);
     }
@@ -145,8 +151,8 @@ mod tests {
         let mut w = EventWheel::new(max);
         assert_eq!(w.span(), 128);
         let now = 1_000;
-        w.push(now, now + max, 42);
-        w.push(now, now + 1, 41);
+        w.push(now, now + max, 42, 0);
+        w.push(now, now + 1, 41, 0);
         for c in now + 1..now + max {
             let expect = if c == now + 1 { vec![(c, 41)] } else { vec![] };
             assert_eq!(drain(&mut w, c), expect, "cycle {c}");
@@ -159,14 +165,14 @@ mod tests {
     #[should_panic(expected = "beyond the wheel")]
     fn push_past_the_span_panics() {
         let mut w = EventWheel::new(77);
-        w.push(0, 128, 1);
+        w.push(0, 128, 1, 0);
     }
 
     #[test]
     fn clear_drops_every_event() {
         let mut w = EventWheel::new(10);
-        w.push(3, 4, 1);
-        w.push(3, 12, 2);
+        w.push(3, 4, 1, 0);
+        w.push(3, 12, 2, 0);
         w.clear();
         assert_eq!(w.len(), 0);
         for now in 4..=20 {

@@ -11,18 +11,20 @@ impl Processor {
     /// for `now`, in `(cycle, seq)` order.
     pub(crate) fn stage_writeback(&mut self) {
         let due = self.state.events.take_due(self.state.now);
-        for &(_, seq) in &due {
-            self.complete(seq);
+        for &(_, seq, slot) in &due {
+            self.complete(seq, slot as usize);
         }
         self.state.events.put_drained(self.state.now, due);
     }
 
-    /// Finalizes one entry's execution.
-    fn complete(&mut self, seq: u64) {
-        let Some(idx) = self.state.ruu.position(seq) else {
-            return; // squashed while in flight
+    /// Finalizes the execution of entry `seq`, dispatched into `slot`.
+    fn complete(&mut self, seq: u64, slot: usize) {
+        // The sequence number is the event's generation tag: an entry
+        // squashed while in flight no longer resolves, even once a
+        // younger entry has reused its slot.
+        let Some(e) = self.state.ruu.resolve(slot, seq) else {
+            return;
         };
-        let e = self.state.ruu.at(idx);
         if e.state != EntryState::Issued {
             return; // stale event
         }
@@ -56,16 +58,16 @@ impl Processor {
         }
 
         {
-            let e = self.state.ruu.at_mut(idx);
+            let e = self.state.ruu.entry_mut(slot);
             e.result = result;
             e.state = EntryState::Done;
             e.fault_effective |= effective;
         }
         if let Some(v) = result {
-            self.state.wakeup(seq, v);
+            self.state.wakeup(slot, v);
         }
         if inst.op.is_control() {
-            self.resolve_control(idx);
+            self.resolve_control(slot);
         }
     }
 
@@ -74,18 +76,17 @@ impl Processor {
     /// target, branch rewind is triggered immediately based on this
     /// singular result" (§3.2).
     ///
-    /// `idx` is the resolving copy's RUU slot; its group's copies sit in
+    /// `slot` is the resolving copy's RUU slot; its group's copies sit in
     /// the slots just before and after it, and the rewind squashes only
     /// younger entries, so every sibling keeps its slot.
-    fn resolve_control(&mut self, idx: usize) {
-        let (seq, group, copy, actual_next, expected) = {
-            let e = self.state.ruu.at(idx);
+    fn resolve_control(&mut self, slot: usize) {
+        let (group, copy, actual_next, expected) = {
+            let e = self.state.ruu.entry(slot);
             let pred_next = e
                 .pred
                 .expect("control instruction carries a prediction")
                 .next_pc;
             (
-                e.seq,
                 e.group,
                 e.copy,
                 e.computed_next_pc(),
@@ -95,17 +96,17 @@ impl Processor {
         if actual_next == expected {
             return;
         }
-        let r = self.r();
-        let copy0_seq = seq - u64::from(copy);
-        let cutoff = copy0_seq + r - 1;
-        self.branch_rewind(group, cutoff, actual_next);
+        let r = self.r() as usize;
+        let copy0_slot = self.state.ruu.slot_before(slot, usize::from(copy));
+        let last_slot = self.state.ruu.slot_after(copy0_slot, r - 1);
+        self.branch_rewind(group, last_slot, actual_next);
         // Record the applied redirect on every sibling copy: a copy that
         // later resolves to the same next-PC must not re-trigger, while a
         // disagreeing copy (corrupted branch) still will — and the
         // disagreement is then caught by the commit-stage cross-check.
-        let copy0_idx = idx - usize::from(copy);
-        for k in 0..r as usize {
-            let sib = self.state.ruu.at_mut(copy0_idx + k);
+        for k in 0..r {
+            let sib_slot = self.state.ruu.slot_after(copy0_slot, k);
+            let sib = self.state.ruu.entry_mut(sib_slot);
             debug_assert_eq!(sib.group, group, "group not contiguous");
             sib.resteer_next = Some(actual_next);
         }

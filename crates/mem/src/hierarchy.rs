@@ -192,11 +192,6 @@ impl Hierarchy {
         (self.il1.stats(), self.dl1.stats(), self.l2.stats())
     }
 
-    /// Statistics: `(itlb, dtlb)` stats.
-    pub fn tlb_stats(&self) -> (CacheStats, CacheStats) {
-        (self.itlb.stats(), self.dtlb.stats())
-    }
-
     /// Invalidates all caches/TLBs and clears statistics.
     pub fn reset(&mut self) {
         self.il1.reset();
