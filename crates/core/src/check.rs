@@ -89,15 +89,15 @@ pub struct CheckOutcome {
 /// ```
 pub fn check_group(group: &[Entry], majority: bool, threshold: u8) -> CheckOutcome {
     assert!(!group.is_empty(), "cannot check an empty group");
-    let sigs: Vec<Signature> = group.iter().map(Signature::of).collect();
-    let first = sigs[0];
-    if sigs.iter().all(|s| *s == first) {
+    let first = Signature::of(&group[0]);
+    if group[1..].iter().all(|e| Signature::of(e) == first) {
         return CheckOutcome {
             decision: GroupDecision::Commit { representative: 0 },
             unanimous: true,
             dissenters: Vec::new(),
         };
     }
+    let sigs: Vec<Signature> = group.iter().map(Signature::of).collect();
     // Loads are special under election: the group shares copy 0's single
     // memory access, so a corrupted *address* poisons every copy's loaded
     // value identically — the corrupted data can then hold a majority while

@@ -57,7 +57,7 @@ pub(crate) struct MachineState {
     pub(crate) fetch: FetchUnit,
     pub(crate) hierarchy: Hierarchy,
     pub(crate) fu: FuPool,
-    /// Scheduled completion events, one wheel slot per cycle.
+    /// Scheduled completion events, one wheel bucket per cycle.
     pub(crate) events: EventWheel,
     pub(crate) fault_log: FaultLog,
     pub(crate) stats: SimStats,

@@ -25,14 +25,14 @@ impl Processor {
 
         while budget >= r {
             // Inspect in place: only a group whose copies are all done is
-            // worth copying out.
+            // worth copying out. Groups dispatch atomically, so the head
+            // group is the first `r` entries.
             let ruu = &self.state.ruu;
-            if ruu.is_empty() || !ruu.head_group().all(|e| e.state == EntryState::Done) {
+            if ruu.is_empty() || !ruu.head(r).all(|e| e.state == EntryState::Done) {
                 break;
             }
             group.clear();
-            group.extend(self.state.ruu.head_group().cloned());
-            debug_assert_eq!(group.len(), r, "replication groups dispatch atomically");
+            group.extend(ruu.head(r).cloned());
 
             // Control-flow check against the ECC-protected committed
             // next-PC register: "every retiring instruction's PC must be

@@ -6,7 +6,7 @@
 //! memory entry's effective address, store datum and raw load value live
 //! in the entry itself, a redundant load copy finds copy 0's value `copy`
 //! slots back in its group, and the LSQ is consulted only for its
-//! per-copy store index (the dependence search).
+//! per-copy store set (the dependence search).
 
 use crate::checkpoint::MachineState;
 use crate::entry::EntryState;

@@ -156,11 +156,10 @@ impl Ruu {
         (self.is_live(slot) && self.slots[slot].seq == seq).then(|| &self.slots[slot])
     }
 
-    /// The oldest replication group: all leading entries sharing the head's
-    /// `group`. Empty when the RUU is empty; borrows, never allocates.
-    pub fn head_group(&self) -> impl Iterator<Item = &Entry> {
-        let group = self.iter().next().map(|e| e.group);
-        self.iter().take_while(move |e| Some(e.group) == group)
+    /// The oldest `n` live entries (fewer if fewer are live), oldest
+    /// first; with `n = R`, the head replication group.
+    pub fn head(&self, n: usize) -> impl Iterator<Item = &Entry> {
+        (0..n.min(self.len)).map(|k| &self.slots[self.slot_after(self.head, k)])
     }
 
     /// Drops the oldest `n` entries (used by commit after a group
@@ -286,14 +285,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn head_group_takes_all_copies() {
-        let mut r = Ruu::new(8);
-        r.push(entry(0, 0, 0));
-        r.push(entry(1, 0, 1));
-        r.push(entry(2, 1, 0));
-        let g: Vec<_> = r.head_group().collect();
-        assert_eq!(g.len(), 2);
-        assert!(g.iter().all(|e| e.group == 0));
+    fn head_takes_the_oldest_entries_across_the_wrap() {
+        let mut r = Ruu::new(3);
+        for s in 0..3 {
+            r.push(entry(s, s / 2, (s % 2) as u8));
+        }
+        r.pop_front(2);
+        r.push(entry(3, 1, 1));
+        let g: Vec<_> = r.head(2).map(|e| (e.seq, e.group)).collect();
+        assert_eq!(g, [(2, 1), (3, 1)]);
+        assert_eq!(r.head(5).count(), 2);
     }
 
     #[test]
@@ -330,7 +331,7 @@ pub(crate) mod tests {
             [1, 0]
         );
         assert!(r.is_empty());
-        assert_eq!(r.head_group().count(), 0);
+        assert_eq!(r.head(2).count(), 0);
         assert!(!r.is_live(0));
     }
 

@@ -1,20 +1,20 @@
-//! The completion-event wheel: one slot per cycle over a span that covers
+//! The completion-event wheel: one bucket per cycle over a span that covers
 //! the machine's longest issue-to-completion latency.
 //!
 //! Every completion the issue stage schedules lands at most
 //! [`MachineConfig::max_completion_latency`](crate::MachineConfig) cycles
-//! ahead, so a ring of per-cycle slots a power of two longer than that
+//! ahead, so a ring of per-cycle buckets a power of two longer than that
 //! bound never wraps onto a live cycle. Pushing is an index and an append;
-//! writeback takes exactly one slot per cycle and sorts it by
+//! writeback takes exactly one bucket per cycle and sorts it by
 //! `(cycle, seq)` — the order a `(cycle, seq)` min-heap would pop the same
 //! events in, so runs are bit-identical to a heap-ordered event queue.
 //! Each event also carries the entry's RUU slot, so writeback reaches the
 //! entry without a search; the sequence number is the generation tag
 //! that tells the entry from a younger occupant of a reused slot.
 //!
-//! Issue runs after writeback within a cycle, so the current cycle's slot
+//! Issue runs after writeback within a cycle, so the current cycle's bucket
 //! has already drained when a completion is scheduled. An event due at or
-//! before `now` therefore goes into the next cycle's slot; its smaller
+//! before `now` therefore goes into the next cycle's bucket; its smaller
 //! cycle number sorts it ahead of that cycle's own events, exactly where
 //! a heap would have popped it.
 
@@ -24,13 +24,13 @@ pub(crate) type Event = (u64, u64, u32);
 
 /// Scheduled completion events, bucketed by due cycle.
 ///
-/// `Clone` is what checkpointing captures: the slots are plain owned
+/// `Clone` is what checkpointing captures: the buckets are plain owned
 /// data, and a restore into a machine of the same configuration has the
 /// same span.
 #[derive(Debug, Clone)]
 pub(crate) struct EventWheel {
-    /// `slots[c & mask]` holds the events that drain at cycle `c`.
-    slots: Vec<Vec<Event>>,
+    /// `buckets[c & mask]` holds the events that drain at cycle `c`.
+    buckets: Vec<Vec<Event>>,
     mask: u64,
     /// Events scheduled and not yet drained.
     len: usize,
@@ -42,13 +42,13 @@ impl EventWheel {
     pub(crate) fn new(max_latency: u64) -> Self {
         let span = (max_latency + 1).next_power_of_two();
         Self {
-            slots: vec![Vec::new(); span as usize],
+            buckets: vec![Vec::new(); span as usize],
             mask: span - 1,
             len: 0,
         }
     }
 
-    /// Number of per-cycle slots.
+    /// Number of per-cycle buckets.
     pub(crate) fn span(&self) -> u64 {
         self.mask + 1
     }
@@ -59,7 +59,7 @@ impl EventWheel {
     }
 
     /// Schedules entry `seq`, in RUU slot `ruu_slot`, to complete at
-    /// `cycle`, from within cycle `now` after `now`'s slot has drained.
+    /// `cycle`, from within cycle `now` after `now`'s bucket has drained.
     ///
     /// # Panics
     ///
@@ -72,35 +72,35 @@ impl EventWheel {
             "completion at cycle {cycle} is beyond the wheel's {}-cycle span at cycle {now}",
             self.span()
         );
-        self.slots[(due & self.mask) as usize].push((cycle, seq, ruu_slot as u32));
+        self.buckets[(due & self.mask) as usize].push((cycle, seq, ruu_slot as u32));
         self.len += 1;
     }
 
     /// Detaches the events that drain at `now`, sorted by `(cycle, seq)`.
     /// The caller hands the vector back via [`EventWheel::put_drained`].
     pub(crate) fn take_due(&mut self, now: u64) -> Vec<Event> {
-        let mut due = std::mem::take(&mut self.slots[(now & self.mask) as usize]);
+        let mut due = std::mem::take(&mut self.buckets[(now & self.mask) as usize]);
         debug_assert!(due.iter().all(|&(cycle, _, _)| cycle <= now));
         self.len -= due.len();
         due.sort_unstable();
         due
     }
 
-    /// Returns `now`'s drained slot vector, keeping its storage.
+    /// Returns `now`'s drained bucket vector, keeping its storage.
     pub(crate) fn put_drained(&mut self, now: u64, mut due: Vec<Event>) {
         due.clear();
-        let slot = &mut self.slots[(now & self.mask) as usize];
+        let bucket = &mut self.buckets[(now & self.mask) as usize];
         debug_assert!(
-            slot.is_empty(),
-            "an event was scheduled into a draining slot"
+            bucket.is_empty(),
+            "an event was scheduled into a draining bucket"
         );
-        *slot = due;
+        *bucket = due;
     }
 
     /// Drops every scheduled event (full rewind).
     pub(crate) fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
         }
         self.len = 0;
     }
@@ -137,14 +137,14 @@ mod tests {
     fn event_due_now_drains_next_cycle_ahead_of_that_cycles_events() {
         let mut w = EventWheel::new(10);
         w.push(7, 8, 1, 0);
-        w.push(7, 7, 9, 0); // due now: this cycle's slot has already drained
+        w.push(7, 7, 9, 0); // due now: this cycle's bucket has already drained
         w.push(7, 8, 4, 0);
         assert_eq!(drain(&mut w, 8), vec![(7, 9), (8, 1), (8, 4)]);
         assert_eq!(w.len(), 0);
     }
 
     #[test]
-    fn worst_case_latency_lands_in_its_own_slot() {
+    fn worst_case_latency_lands_in_its_own_bucket() {
         let config = MachineConfig::ss2();
         let max = config.max_completion_latency();
         assert_eq!(max, 1 + 6 + 40 + 30, "L1 + L2 + memory + dTLB miss");

@@ -7,7 +7,7 @@ use ftsim_faults::InjectionPoint;
 use ftsim_isa::load_extend;
 
 impl Processor {
-    /// Processes every completion event due this cycle: the wheel's slot
+    /// Processes every completion event due this cycle: the wheel's bucket
     /// for `now`, in `(cycle, seq)` order.
     pub(crate) fn stage_writeback(&mut self) {
         let due = self.state.events.take_due(self.state.now);

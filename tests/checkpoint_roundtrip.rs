@@ -7,7 +7,7 @@
 //! final statistics. Two layers of evidence here:
 //!
 //! * a deterministic test that engineers a snapshot point where **every**
-//!   scheduler structure is live at once — non-empty ready queue, parked
+//!   scheduler structure is live at once — non-empty ready set, parked
 //!   memory entries, pending stores, in-flight wakeups and completion
 //!   events — and verifies lock-step equality from there to `halt`;
 //! * a deterministic test that snapshots at every cycle of a cold first

@@ -1,9 +1,9 @@
 //! Scheduler-equivalence golden test.
 //!
-//! The event-driven scheduler (wakeup wait-lists, incremental ready queue,
-//! pending-store list) must be *observationally identical* to the seed's
-//! scan-based scheduler: same cycle counts, same fault fates, same
-//! records, byte for byte. This test runs the workload tour plus
+//! The event-driven scheduler (per-slot wakeup wait-lists; the ready,
+//! parked and pending-store bitsets) must be *observationally identical*
+//! to the seed's scan-based scheduler: same cycle counts, same fault
+//! fates, same records, byte for byte. This test runs the workload tour plus
 //! randomized fault plans through the experiment grid and compares the
 //! CSV serialization of every record against a golden file generated
 //! with the scan-based scheduler. The grids run twice, cold and with
