@@ -209,6 +209,7 @@ impl Ruu {
     }
 
     /// Iterates over live entries oldest-first.
+    #[cfg(any(test, debug_assertions))]
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
         let [a, b] = self.live_ranges();
         self.slots[a].iter().chain(&self.slots[b])

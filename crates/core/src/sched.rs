@@ -41,7 +41,7 @@ const NIL: u32 = u32::MAX;
 
 /// A set of RUU slots, one bit per slot: 2 words at the default 128
 /// entries, 64 at the 4,096 maximum.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SlotSet {
     words: Vec<u64>,
 }
@@ -140,7 +140,7 @@ fn first_set(range: Range<usize>, word: impl Fn(usize) -> u64) -> Option<usize> 
 /// `Clone` is what checkpointing leans on: every structure is plain
 /// owned data in a fixed number of allocations, so a clone captures the
 /// exact scheduling state mid-flight.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Scheduler {
     /// `wait_head[p]`: the first node of producer slot `p`'s wait-list.
     /// Node `2 * c + k` is operand `k` of the consumer in slot `c`.
