@@ -13,9 +13,14 @@ use ftsim_predict::DirectionPredictor;
 impl Processor {
     /// Retires as many whole replication groups as bandwidth and
     /// correctness allow this cycle.
-    pub(crate) fn stage_commit(&mut self) {
+    ///
+    /// Returns whether the cycle did any work: false only when the head
+    /// group was not ready to check, which leaves every later cycle the
+    /// same until a completion lands.
+    pub(crate) fn stage_commit(&mut self) -> bool {
         let r = self.r() as usize;
         let mut budget = self.config.commit_width as usize;
+        let mut worked = false;
         let mut committed_any = false;
         // Reused snapshot buffer: a head group that will be checked is
         // copied (R entries, none owning heap data) so the decision logic
@@ -31,6 +36,7 @@ impl Processor {
             if ruu.is_empty() || !ruu.head(r).all(|e| e.state == EntryState::Done) {
                 break;
             }
+            worked = true;
             group.clear();
             group.extend(ruu.head(r).cloned());
 
@@ -137,6 +143,7 @@ impl Processor {
             self.state.stats.commit_active_cycles += 1;
             self.state.last_commit_cycle = self.state.now;
         }
+        worked
     }
 
     /// Applies one group's architectural effects and frees its resources.

@@ -41,25 +41,40 @@ pub(crate) fn applicable_points(inst: &Inst) -> &'static [InjectionPoint] {
     }
 }
 
+/// What one dispatch cycle did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dispatched {
+    /// At least one group entered the RUU.
+    Groups,
+    /// Nothing entered. `Some(k)` names the `dispatch_stalls[k]` counter
+    /// the cycle bumped (a full RUU or LSQ); `None` means the fetch queue
+    /// was empty. Either way every later cycle repeats it until commit
+    /// frees room or fetch delivers.
+    Nothing(Option<usize>),
+}
+
 impl Processor {
     /// Runs the dispatch stage for one cycle.
-    pub(crate) fn stage_dispatch(&mut self) {
+    pub(crate) fn stage_dispatch(&mut self) -> Dispatched {
         let r = self.r() as usize;
         let mut budget = self.config.dispatch_width as usize;
+        let (mut dispatched, mut stall) = (false, None);
 
         while budget >= r {
             let Some(fetched) = self.state.fetch.peek().copied() else {
                 break;
             };
             if self.state.ruu.free() < r {
-                self.state.stats.dispatch_stalls[0] += 1;
-                break;
+                stall = Some(0);
+            } else if fetched.inst.op.is_mem() && self.state.lsq.free() < r {
+                stall = Some(1);
             }
-            if fetched.inst.op.is_mem() && self.state.lsq.free() < r {
-                self.state.stats.dispatch_stalls[1] += 1;
+            if let Some(k) = stall {
+                self.state.stats.dispatch_stalls[k] += 1;
                 break;
             }
             self.state.fetch.pop();
+            dispatched = true;
 
             let group = self.state.next_group;
             self.state.next_group += 1;
@@ -123,6 +138,11 @@ impl Processor {
                 self.state.checkpoints.push(group, cp);
             }
             budget -= r;
+        }
+        if dispatched {
+            Dispatched::Groups
+        } else {
+            Dispatched::Nothing(stall)
         }
     }
 }

@@ -114,23 +114,36 @@ impl FetchUnit {
         self.stats
     }
 
+    /// The cycle a pending stall (I-cache miss or redirect) ends, if that
+    /// is at or after `now`: the front end's wake source for the
+    /// quiet-cycle skip.
+    pub(crate) fn stalled_until(&self, now: u64) -> Option<u64> {
+        (self.stall_until >= now).then_some(self.stall_until)
+    }
+
+    /// Counts `cycles` stall cycles at once: the fetch cycles a quiet-cycle
+    /// skip jumps over, each of which would have stalled.
+    pub(crate) fn add_stall_cycles(&mut self, cycles: u64) {
+        self.stats.stall_cycles += cycles;
+    }
+
     /// Runs one fetch cycle: up to `fetch_width` instructions from one
     /// I-cache line, stopping at a predicted-taken control transfer or the
     /// first conditional branch (one prediction per cycle).
-    pub fn fetch_cycle(&mut self, now: u64, program: &Program, hierarchy: &mut Hierarchy) {
-        if now < self.stall_until {
-            self.stats.stall_cycles += 1;
-            return;
-        }
-        if self.ifq.len() >= self.ifq_size {
-            self.stats.stall_cycles += 1;
-            return;
-        }
-        if program.inst_at(self.pc).is_none() {
+    ///
+    /// Returns whether the cycle accessed the I-cache. A cycle that did
+    /// not only counted one stall cycle, and every later cycle repeats it
+    /// until the stall ends, dispatch drains the queue or a redirect
+    /// arrives.
+    pub fn fetch_cycle(&mut self, now: u64, program: &Program, hierarchy: &mut Hierarchy) -> bool {
+        if now < self.stall_until
+            || self.ifq.len() >= self.ifq_size
             // Off the text segment (wrong path, or straight-line past the
             // end): nothing to deliver until something redirects us.
+            || program.inst_at(self.pc).is_none()
+        {
             self.stats.stall_cycles += 1;
-            return;
+            return false;
         }
 
         // One I-cache line access per cycle.
@@ -139,7 +152,7 @@ impl FetchUnit {
             self.stall_until = now + access.latency;
             self.stats.stall_cycles += 1;
             self.stats.icache_stall_cycles += access.latency;
-            return;
+            return true;
         }
         let line_bytes = 32u64;
         let line_end = (self.pc | (line_bytes - 1)) + 1;
@@ -221,6 +234,7 @@ impl FetchUnit {
                 break;
             }
         }
+        true
     }
 }
 

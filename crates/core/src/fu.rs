@@ -117,6 +117,19 @@ impl FuPool {
         }
     }
 
+    /// The earliest cycle at or after `now` at which a unit that was busy
+    /// in the cycle before `now` becomes free, or `None` when no unit is
+    /// busy past that cycle. A functional-unit hazard loser retries every
+    /// cycle without effect until then, so this is a wake source of the
+    /// quiet-cycle skip.
+    pub fn next_release(&self, now: u64) -> Option<u64> {
+        [&self.int_alu, &self.int_mul, &self.fp_add, &self.fp_mul]
+            .into_iter()
+            .flat_map(|c| c.busy_until.iter().copied())
+            .filter(|&b| b >= now)
+            .min()
+    }
+
     /// Releases every unit (full rewind; in-flight results are discarded).
     pub fn reset(&mut self) {
         for c in [
@@ -200,6 +213,19 @@ mod tests {
         p.reset();
         assert_eq!(p.busy(FuClass::FpMul, 1), 0);
         assert!(p.try_issue(Opcode::Fdiv, 1).is_some());
+    }
+
+    #[test]
+    fn next_release_is_the_earliest_unit_still_busy() {
+        let mut p = pool();
+        assert_eq!(p.next_release(1), None);
+        p.try_issue(Opcode::Add, 0); // pipelined: free again at 1
+        p.try_issue(Opcode::Div, 0); // blocking: busy until 20
+        p.try_issue(Opcode::Fdiv, 2); // blocking: busy until 14
+        assert_eq!(p.next_release(1), Some(1));
+        assert_eq!(p.next_release(2), Some(14));
+        assert_eq!(p.next_release(15), Some(20));
+        assert_eq!(p.next_release(21), None);
     }
 
     #[test]

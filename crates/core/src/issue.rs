@@ -47,7 +47,16 @@ impl Processor {
     /// O(occupancy) retries into O(ports) work per cycle. A non-memory
     /// entry that loses its functional unit keeps its ready bit and
     /// retries next cycle.
-    pub(crate) fn stage_issue(&mut self) {
+    ///
+    /// Returns whether the cycle did any work: issued an entry, parked a
+    /// newly ready one (which generates its address) or merged a store
+    /// datum. Hazard losers and failing parked retries change nothing, so
+    /// a cycle of only those repeats until a functional unit frees or a
+    /// completion lands.
+    pub(crate) fn stage_issue(&mut self) -> bool {
+        #[cfg(feature = "plant")]
+        let plant_before = self.plant_counter;
+        let mut worked = false;
         let mut budget = self.config.issue_width;
         for range in self.state.ruu.live_ranges() {
             let mut from = range.start;
@@ -78,12 +87,21 @@ impl Processor {
                 if issued {
                     self.state.sched.issued(slot);
                     budget -= 1;
-                } else {
+                    worked = true;
+                } else if !self.state.sched.is_parked(slot) {
                     self.state.sched.park(slot);
+                    worked = true;
                 }
             }
         }
-        self.state.merge_store_data();
+        worked |= self.state.merge_store_data();
+        // The planted defect counts failing retries outside the machine
+        // state; skipping a cycle that moves it would change the count.
+        #[cfg(feature = "plant")]
+        {
+            worked |= self.plant_counter != plant_before;
+        }
+        worked
     }
 }
 
@@ -297,7 +315,9 @@ impl MachineState {
     /// address phase issued and whose datum has not merged — in age
     /// order, instead of filtering the whole RUU every cycle. A store
     /// leaves the set when its datum merges, or when a squash clears it.
-    fn merge_store_data(&mut self) {
+    /// Returns whether any datum merged.
+    fn merge_store_data(&mut self) -> bool {
+        let mut merged = false;
         for range in self.ruu.live_ranges() {
             let mut from = range.start;
             while let Some(slot) = self.sched.next_pending_store(from..range.end) {
@@ -331,8 +351,10 @@ impl MachineState {
                 }
                 self.events.push(self.now, self.now + 1, seq, slot);
                 self.sched.store_merged(slot);
+                merged = true;
             }
         }
+        merged
     }
 }
 

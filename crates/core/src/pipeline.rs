@@ -8,6 +8,7 @@
 
 use crate::checkpoint::MachineState;
 use crate::config::MachineConfig;
+use crate::dispatch::Dispatched;
 use crate::entry::{Entry, EntryState, Operand};
 use crate::profile::{NoProbe, SampledProbe, StageProbe};
 use crate::stats::SimStats;
@@ -104,30 +105,42 @@ impl Processor {
     /// (SimpleScalar's reverse traversal) so that values become visible
     /// with correct single-cycle timing.
     pub fn cycle(&mut self) {
+        self.step();
+    }
+
+    /// Advances the machine one cycle, as [`Processor::cycle`], and
+    /// returns the cycle's counter deltas when it was quiet (see
+    /// [`Processor::skip_quiet`]).
+    pub(crate) fn step(&mut self) -> Option<QuietCycle> {
         if crate::profile::enabled() {
-            self.cycle_with(SampledProbe::new(self.state.now));
+            self.cycle_with(SampledProbe::new())
         } else {
-            self.cycle_with(NoProbe);
+            self.cycle_with(NoProbe)
         }
     }
 
     /// The one cycle body. `probe` observes each stage it wraps (see
     /// [`crate::profile`]) and never touches machine state, so the
-    /// machine evolves identically under either probe.
-    fn cycle_with<P: StageProbe>(&mut self, mut probe: P) {
+    /// machine evolves identically under either probe. Each stage reports
+    /// whether it did work; a cycle in which none did is quiet.
+    fn cycle_with<P: StageProbe>(&mut self, mut probe: P) -> Option<QuietCycle> {
         self.state.hierarchy.begin_cycle();
-        probe.stage(0, || self.stage_commit());
+        let mut worked = probe.stage(0, || self.stage_commit());
+        let mut quiet = None;
         if !self.state.halted {
-            probe.stage(1, || self.stage_writeback());
-            probe.stage(2, || self.stage_issue());
-            probe.stage(3, || self.stage_dispatch());
-            probe.stage(4, || {
+            worked |= probe.stage(1, || self.stage_writeback());
+            worked |= probe.stage(2, || self.stage_issue());
+            let dispatched = probe.stage(3, || self.stage_dispatch());
+            worked |= probe.stage(4, || {
                 self.state.fetch.fetch_cycle(
                     self.state.now,
                     &self.program,
                     &mut self.state.hierarchy,
-                );
+                )
             });
+            if let (false, Dispatched::Nothing(dispatch_stall)) = (worked, dispatched) {
+                quiet = Some(QuietCycle { dispatch_stall });
+            }
         }
         self.state.stats.ruu_occupancy_sum += self.state.ruu.len() as u64;
         self.state.stats.lsq_occupancy_sum += self.state.lsq.len() as u64;
@@ -139,6 +152,60 @@ impl Processor {
         self.state.stats.cycles += 1;
         self.state.now += 1;
         probe.end_cycle();
+        quiet
+    }
+
+    /// Fast-forwards over the quiet cycles that follow a quiet one.
+    ///
+    /// `quiet` is what [`Processor::step`] returned for the cycle just
+    /// run. That cycle changed nothing but per-cycle counters, so every
+    /// following cycle repeats it until a time-triggered event: the next
+    /// completion bucket, the end of a fetch stall, a functional unit
+    /// freeing, or the caller's `deadline`. This jumps `now` to the
+    /// earliest of them and adds the quiet cycle's counter deltas once per
+    /// skipped cycle. Returns the new `now`.
+    ///
+    /// Debug builds step every skipped span one cycle at a time on a copy
+    /// of the machine and check that each cycle is quiet and that the
+    /// counters agree.
+    pub(crate) fn skip_quiet(&mut self, quiet: QuietCycle, deadline: u64) -> u64 {
+        let now = self.state.now;
+        let wake = self
+            .state
+            .next_wake(now)
+            .map_or(deadline, |w| w.min(deadline));
+        if wake > now {
+            #[cfg(debug_assertions)]
+            let before = self.state.clone();
+            self.state.replay_quiet(quiet, wake - now);
+            #[cfg(debug_assertions)]
+            self.check_quiet_span(before, quiet);
+        }
+        self.state.now
+    }
+
+    /// Debug guard of [`Processor::skip_quiet`]: steps the span from
+    /// `before` with the no-op probe (so stage-call counts match release
+    /// builds), asserting each cycle quiet, and compares the counters with
+    /// the fast-forwarded machine, which it keeps.
+    #[cfg(debug_assertions)]
+    fn check_quiet_span(&mut self, before: MachineState, quiet: QuietCycle) {
+        let skipped = std::mem::replace(&mut self.state, before);
+        while self.state.now < skipped.now {
+            let cycle = self.state.now;
+            assert_eq!(
+                self.cycle_with(NoProbe),
+                Some(quiet),
+                "cycle {cycle} of a skipped span is not quiet like the cycle before it"
+            );
+        }
+        let stepped = self.stats_snapshot();
+        self.state = skipped;
+        assert_eq!(
+            self.stats_snapshot(),
+            stepped,
+            "skipped span's counters differ from stepping it"
+        );
     }
 
     /// Whether `halt` has committed.
@@ -248,7 +315,47 @@ impl Processor {
     }
 }
 
+/// The counter deltas of a quiet cycle beyond the ones every cycle moves
+/// (`cycles`, `now`, the RUU and LSQ occupancy sums and fetch's stall
+/// count): which `dispatch_stalls` counter, if any, it bumped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct QuietCycle {
+    dispatch_stall: Option<usize>,
+}
+
 impl MachineState {
+    /// The first cycle at or after `now` at which a quiet machine can wake
+    /// by itself: its next completion bucket, the end of a fetch stall or
+    /// a functional unit freeing. `None` means no time-triggered event is
+    /// pending — only a run-loop deadline ends the quiet.
+    ///
+    /// These are all the places a stage compares `now` with stored state;
+    /// a new such comparison must add its wake source here.
+    fn next_wake(&self, now: u64) -> Option<u64> {
+        [
+            self.events.next_due(now),
+            self.fetch.stalled_until(now),
+            self.fu.next_release(now),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// Adds `cycles` repetitions of a quiet cycle's counter deltas and
+    /// moves the clock past them.
+    fn replay_quiet(&mut self, quiet: QuietCycle, cycles: u64) {
+        let stats = &mut self.stats;
+        stats.ruu_occupancy_sum += cycles * self.ruu.len() as u64;
+        stats.lsq_occupancy_sum += cycles * self.lsq.len() as u64;
+        if let Some(k) = quiet.dispatch_stall {
+            stats.dispatch_stalls[k] += cycles;
+        }
+        self.fetch.add_stall_cycles(cycles);
+        stats.cycles += cycles;
+        self.now += cycles;
+    }
+
     /// Delivers the result of the producer in slot `producer` to its
     /// waiting consumers.
     ///
@@ -480,6 +587,137 @@ mod tests {
         let s = frozen.stats_snapshot();
         assert_eq!(s.retired_instructions, 2);
         assert!(s.fetched > 0, "fetch counters are folded into snapshots");
+    }
+
+    /// Steps `proc` until a quiet cycle for which `ready` holds, and
+    /// returns that cycle's verdict.
+    fn step_until_quiet(proc: &mut Processor, ready: impl Fn(&Processor) -> bool) -> QuietCycle {
+        for _ in 0..2_000 {
+            if let Some(quiet) = proc.step() {
+                if ready(proc) {
+                    return quiet;
+                }
+            }
+        }
+        panic!("no quiet cycle of the wanted kind");
+    }
+
+    #[test]
+    fn skip_lands_on_the_end_of_an_icache_miss() {
+        let p = tiny_program();
+        let mut proc = Processor::new(MachineConfig::ss2(), &p, FaultInjector::none());
+        assert_eq!(proc.step(), None, "cycle 0 misses in the I-cache");
+        let quiet = proc.step().expect("cycle 1 waits for the line");
+        let stall_end = proc.state.fetch.stalled_until(proc.now()).unwrap();
+        assert_eq!(stall_end, proc.stats_snapshot().icache_stall_cycles);
+        assert_eq!(proc.skip_quiet(quiet, u64::MAX), stall_end);
+        assert_eq!(proc.step(), None, "the fetch at the stall's end is work");
+        assert_eq!(proc.stats_snapshot().fetched, 2);
+        assert_eq!(proc.stats_snapshot().cycles, stall_end + 1);
+    }
+
+    #[test]
+    fn skip_lands_on_a_far_completion() {
+        const ADDR: u64 = 0x10_0000;
+        let (r1, r10) = (IntReg::new(1), IntReg::new(10));
+        let mut b = ProgramBuilder::new();
+        b.data_u64(ADDR, &[5]);
+        b.li(r10, ADDR as i64);
+        b.ld(r1, r10, 0); // cold dTLB, L1 and L2: a memory-latency miss
+        b.halt();
+        let p = b.build().unwrap();
+        let mut proc = Processor::new(MachineConfig::ss2(), &p, FaultInjector::none());
+        let load_pc = p.pc_of(p.len() - 2);
+        let load_issued = |proc: &Processor| {
+            proc.state
+                .ruu
+                .iter()
+                .any(|e| e.pc == load_pc && e.state == EntryState::Issued)
+        };
+        let quiet = step_until_quiet(&mut proc, load_issued);
+        let now = proc.now();
+        let due = proc
+            .state
+            .events
+            .next_due(now)
+            .expect("the load's completion");
+        assert!(due > now + 40, "a memory-latency miss ({due} at {now})");
+        assert_eq!(proc.state.fetch.stalled_until(now), None);
+        assert_eq!(proc.state.fu.next_release(now), None);
+        assert_eq!(proc.skip_quiet(quiet, u64::MAX), due);
+        assert!(proc.step().is_none(), "the completion is work");
+        assert!(!load_issued(&proc), "the load completed at {due}");
+        while !proc.halted() {
+            proc.cycle();
+        }
+        assert_eq!(proc.regs().read_int(r1), 5);
+    }
+
+    #[test]
+    fn skip_lands_where_a_blocking_divide_frees_its_unit() {
+        let (r1, r2, r3, r4) = (
+            IntReg::new(1),
+            IntReg::new(2),
+            IntReg::new(3),
+            IntReg::new(4),
+        );
+        let mut b = ProgramBuilder::new();
+        b.addi(r1, IntReg::ZERO, 100);
+        b.addi(r2, IntReg::ZERO, 7);
+        b.div(r3, r1, r2);
+        let loser = b.here();
+        b.div(r4, r1, r2); // loses the one divider to the first
+        b.halt();
+        let p = b.build().unwrap();
+        let mut config = MachineConfig::ss1();
+        config.fu.int_mul = 1;
+        let mut proc = Processor::new(config, &p, FaultInjector::none());
+        let loser_pc = p.pc_of(loser);
+        let loser_ready = |proc: &Processor| {
+            proc.state
+                .ruu
+                .iter()
+                .any(|e| e.pc == loser_pc && e.state == EntryState::Ready)
+        };
+        let quiet = step_until_quiet(&mut proc, loser_ready);
+        let now = proc.now();
+        let release = proc
+            .state
+            .fu
+            .next_release(now)
+            .expect("the divider is busy");
+        assert!(
+            release > now + 10,
+            "a divide holds its unit ({release} at {now})"
+        );
+        // The first divide's completion is due as its unit frees; without
+        // it the unit alone still wakes the machine there.
+        let mut unit_only = proc.state.clone();
+        unit_only.events.clear();
+        assert_eq!(unit_only.next_wake(now), Some(release));
+        assert_eq!(proc.skip_quiet(quiet, u64::MAX), release);
+        assert!(proc.step().is_none(), "the loser issues");
+        assert!(!loser_ready(&proc));
+        while !proc.halted() {
+            proc.cycle();
+        }
+        assert_eq!(proc.regs().read_int(r4), 14);
+    }
+
+    #[test]
+    fn skip_stops_at_the_deadline() {
+        let p = tiny_program();
+        let mut proc = Processor::new(MachineConfig::ss1(), &p, FaultInjector::none());
+        proc.step();
+        let quiet = proc.step().expect("cycle 1 waits for the line");
+        assert_eq!(proc.skip_quiet(quiet, 9), 9);
+        assert_eq!(
+            proc.skip_quiet(quiet, 9),
+            9,
+            "a passed deadline skips nothing"
+        );
+        assert_eq!(proc.stats_snapshot().cycles, 9);
+        assert_eq!(proc.stats_snapshot().fetch_stall_cycles, 9);
     }
 
     #[test]

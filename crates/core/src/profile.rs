@@ -5,8 +5,14 @@
 //! probe is the zero-sized `NoProbe`, which compiles away; with
 //! `FTSIM_PROFILE=1` (or [`set_enabled`]) it is `SampledProbe`, which
 //! counts every stage invocation and samples per-stage wall time on one
-//! cycle in 64. The aggregate accumulates in a **thread-local**
+//! executed cycle in 64. The aggregate accumulates in a **thread-local**
 //! [`StageProfile`] the harness drains per cell with [`take`].
+//!
+//! The profile counts executed cycles. The quiet cycles a run loop
+//! fast-forwards over run no stage, so they appear in neither `calls` nor
+//! `cycles`, and the sample is drawn from the executed cycles alone: the
+//! estimate `sampled_ns * cycles / samples` stays an estimate of the time
+//! the stages actually took.
 //!
 //! Profiling state lives outside the machine state a
 //! [`Checkpoint`](crate::Checkpoint) clones: it observes the machine
@@ -42,7 +48,8 @@ pub struct StageProfile {
     pub sampled_ns: [u64; 5],
     /// Number of cycles on which wall time was sampled.
     pub samples: u64,
-    /// Total cycles this profile spans.
+    /// Cycles executed in this span. Quiet cycles a run loop skipped are
+    /// not counted: they ran no stage.
     pub cycles: u64,
 }
 
@@ -115,8 +122,8 @@ thread_local! {
 /// hands each stage to [`StageProbe::stage`] and calls
 /// [`StageProbe::end_cycle`] once the cycle is complete.
 pub(crate) trait StageProbe {
-    /// Runs stage `index` (see [`STAGE_NAMES`]).
-    fn stage(&mut self, index: usize, run: impl FnOnce());
+    /// Runs stage `index` (see [`STAGE_NAMES`]) and returns its result.
+    fn stage<R>(&mut self, index: usize, run: impl FnOnce() -> R) -> R;
     /// Closes the cycle.
     fn end_cycle(self);
 }
@@ -126,8 +133,8 @@ pub(crate) struct NoProbe;
 
 impl StageProbe for NoProbe {
     #[inline(always)]
-    fn stage(&mut self, _index: usize, run: impl FnOnce()) {
-        run();
+    fn stage<R>(&mut self, _index: usize, run: impl FnOnce() -> R) -> R {
+        run()
     }
 
     #[inline(always)]
@@ -135,7 +142,8 @@ impl StageProbe for NoProbe {
 }
 
 /// The profiling probe: counts every stage that runs, times each one on
-/// one cycle in 64, and folds the cycle into the thread-local aggregate.
+/// one executed cycle in 64, and folds the cycle into the thread-local
+/// aggregate.
 pub(crate) struct SampledProbe {
     sampled: bool,
     ran: [bool; 5],
@@ -143,10 +151,10 @@ pub(crate) struct SampledProbe {
 }
 
 impl SampledProbe {
-    /// A probe for the cycle numbered `now`.
-    pub(crate) fn new(now: u64) -> Self {
+    /// A probe for the next cycle this thread executes.
+    pub(crate) fn new() -> Self {
         Self {
-            sampled: now & 63 == 0,
+            sampled: PROFILE.with(|p| p.borrow().cycles & 63 == 0),
             ran: [false; 5],
             ns: [0; 5],
         }
@@ -154,14 +162,15 @@ impl SampledProbe {
 }
 
 impl StageProbe for SampledProbe {
-    fn stage(&mut self, index: usize, run: impl FnOnce()) {
+    fn stage<R>(&mut self, index: usize, run: impl FnOnce() -> R) -> R {
         self.ran[index] = true;
         if self.sampled {
             let t = std::time::Instant::now();
-            run();
+            let out = run();
             self.ns[index] = t.elapsed().as_nanos() as u64;
+            out
         } else {
-            run();
+            run()
         }
     }
 

@@ -278,6 +278,13 @@ impl Simulator {
     /// The shared cycle loop: halt / instruction-quota / cycle-ceiling /
     /// watchdog checks in the exact order every run mode uses, with an
     /// optional periodic checkpoint sink.
+    ///
+    /// After a quiet cycle the loop fast-forwards the clock
+    /// ([`Processor::skip_quiet`]), no further than the next cycle at
+    /// which one of its own checks could fire: the cycle ceiling, the
+    /// watchdog cycle, or the next checkpoint boundary while snapshots are
+    /// still being taken. The checks see exactly the cycles they would
+    /// have seen single-stepping.
     fn run_loop(
         &mut self,
         limits: RunLimits,
@@ -304,7 +311,22 @@ impl Simulator {
                     sink.push(self.proc.snapshot());
                 }
             }
-            self.proc.cycle();
+            if let Some(quiet) = self.proc.step() {
+                let now = self.proc.now();
+                let watchdog = self
+                    .proc
+                    .state
+                    .last_commit_cycle
+                    .saturating_add(limits.watchdog)
+                    .saturating_add(1);
+                let mut deadline = limits.max_cycles.min(watchdog);
+                if let Some((every, horizon, _)) = &checkpoints {
+                    if self.proc.state.next_seq <= *horizon {
+                        deadline = deadline.min(now.div_ceil(*every).saturating_mul(*every));
+                    }
+                }
+                self.proc.skip_quiet(quiet, deadline);
+            }
         }
         Ok(())
     }
@@ -440,6 +462,67 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SimError::CycleLimit { .. }));
+    }
+
+    /// Cycle 0 misses in the I-cache and the line takes longer than 40
+    /// cycles to arrive: a quiet span the run loop skips over, with every
+    /// one of its own deadlines inside it.
+    fn first_line_latency(p: &Program) -> u64 {
+        let mut proc = Processor::new(MachineConfig::ss2(), p, FaultInjector::none());
+        proc.cycle();
+        let latency = proc.stats_snapshot().icache_stall_cycles;
+        assert!(latency > 40, "a cold I-cache miss takes {latency} cycles");
+        latency
+    }
+
+    #[test]
+    fn skip_lands_on_the_watchdog_cycle() {
+        let p = sum_loop(10);
+        first_line_latency(&p);
+        let err = sim(MachineConfig::ss2(), &p)
+            .limits(RunLimits {
+                watchdog: 30,
+                ..RunLimits::default()
+            })
+            .run()
+            .unwrap_err();
+        assert_eq!(err, SimError::Watchdog { cycle: 31 });
+        assert_eq!(err.to_string(), "commit watchdog fired at cycle 31");
+    }
+
+    #[test]
+    fn skip_lands_on_the_cycle_ceiling() {
+        let p = sum_loop(10);
+        first_line_latency(&p);
+        let err = sim(MachineConfig::ss2(), &p)
+            .limits(RunLimits {
+                max_cycles: 40,
+                ..RunLimits::default()
+            })
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CycleLimit {
+                cycles: 40,
+                retired: 0
+            }
+        );
+    }
+
+    #[test]
+    fn skip_lands_on_every_checkpoint_boundary() {
+        let p = sum_loop(10);
+        let latency = first_line_latency(&p);
+        let (result, checkpoints) = sim(MachineConfig::ss2(), &p)
+            .build()
+            .unwrap()
+            .run_with_checkpoints(10, u64::MAX);
+        let cycles = result.unwrap().cycles;
+        let taken: Vec<u64> = checkpoints.iter().map(Checkpoint::cycle).collect();
+        let boundaries: Vec<u64> = (10..cycles).step_by(10).collect();
+        assert!(boundaries.iter().filter(|&&c| c < latency).count() >= 4);
+        assert_eq!(taken, boundaries);
     }
 
     #[test]

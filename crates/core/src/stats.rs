@@ -20,7 +20,7 @@ pub enum RewindCause {
 /// `ipc()` is the headline number of the paper's Figures 3–6: committed
 /// *architectural* instructions per cycle (redundant copies of one
 /// instruction count once, exactly as the paper reports IPC).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Elapsed cycles.
     pub cycles: u64,

@@ -17,6 +17,10 @@
 //! before `now` therefore goes into the next cycle's bucket; its smaller
 //! cycle number sorts it ahead of that cycle's own events, exactly where
 //! a heap would have popped it.
+//!
+//! A bitset marks the non-empty buckets, so [`EventWheel::next_due`] — the
+//! completion wake source of the quiet-cycle skip — is a few word
+//! operations rather than a walk over the buckets.
 
 /// One completion: `(cycle, seq, RUU slot)`. Sequence numbers are unique,
 /// so sorting these orders by `(cycle, seq)`.
@@ -31,6 +35,8 @@ pub(crate) type Event = (u64, u64, u32);
 pub(crate) struct EventWheel {
     /// `buckets[c & mask]` holds the events that drain at cycle `c`.
     buckets: Vec<Vec<Event>>,
+    /// Bit `i` is set iff `buckets[i]` holds an event.
+    occupied: Vec<u64>,
     mask: u64,
     /// Events scheduled and not yet drained.
     len: usize,
@@ -43,6 +49,7 @@ impl EventWheel {
         let span = (max_latency + 1).next_power_of_two();
         Self {
             buckets: vec![Vec::new(); span as usize],
+            occupied: vec![0; (span as usize).div_ceil(64)],
             mask: span - 1,
             len: 0,
         }
@@ -72,14 +79,18 @@ impl EventWheel {
             "completion at cycle {cycle} is beyond the wheel's {}-cycle span at cycle {now}",
             self.span()
         );
-        self.buckets[(due & self.mask) as usize].push((cycle, seq, ruu_slot as u32));
+        let bucket = (due & self.mask) as usize;
+        self.buckets[bucket].push((cycle, seq, ruu_slot as u32));
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
         self.len += 1;
     }
 
     /// Detaches the events that drain at `now`, sorted by `(cycle, seq)`.
     /// The caller hands the vector back via [`EventWheel::put_drained`].
     pub(crate) fn take_due(&mut self, now: u64) -> Vec<Event> {
-        let mut due = std::mem::take(&mut self.buckets[(now & self.mask) as usize]);
+        let bucket = (now & self.mask) as usize;
+        let mut due = std::mem::take(&mut self.buckets[bucket]);
+        self.occupied[bucket / 64] &= !(1 << (bucket % 64));
         debug_assert!(due.iter().all(|&(cycle, _, _)| cycle <= now));
         self.len -= due.len();
         due.sort_unstable();
@@ -102,7 +113,39 @@ impl EventWheel {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
+        self.occupied.fill(0);
         self.len = 0;
+    }
+
+    /// The first cycle at or after `now` whose bucket holds an event, or
+    /// `None` when nothing is scheduled. Called between cycles: `now`'s
+    /// predecessor has drained, so every event drains within one span of
+    /// `now` and the search wraps the ring at most once.
+    pub(crate) fn next_due(&self, now: u64) -> Option<u64> {
+        let span = self.span() as usize;
+        let start = (now & self.mask) as usize;
+        let offset = match self.first_occupied(start, span) {
+            Some(bucket) => bucket - start,
+            None => self.first_occupied(0, start)? + span - start,
+        };
+        Some(now + offset as u64)
+    }
+
+    /// The lowest occupied bucket in `from..to`.
+    fn first_occupied(&self, from: usize, to: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.occupied.get(word)? & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                let bucket = word * 64 + bits.trailing_zeros() as usize;
+                return (bucket < to).then_some(bucket);
+            }
+            word += 1;
+            if word * 64 >= to {
+                return None;
+            }
+            bits = self.occupied[word];
+        }
     }
 }
 
@@ -166,6 +209,36 @@ mod tests {
     fn push_past_the_span_panics() {
         let mut w = EventWheel::new(77);
         w.push(0, 128, 1, 0);
+    }
+
+    #[test]
+    fn next_due_finds_the_nearest_bucket_across_the_wrap() {
+        let mut w = EventWheel::new(77);
+        assert_eq!(w.next_due(0), None);
+        // Buckets 125 and, after the wrap, 2 (cycles 125 and 130).
+        w.push(100, 130, 1, 0);
+        w.push(100, 125, 2, 0);
+        assert_eq!(w.next_due(101), Some(125));
+        for now in 101..125 {
+            assert!(drain(&mut w, now).is_empty());
+        }
+        assert_eq!(w.next_due(125), Some(125));
+        assert_eq!(drain(&mut w, 125), vec![(125, 2)]);
+        assert_eq!(w.next_due(126), Some(130));
+        assert_eq!(drain(&mut w, 130), vec![(130, 1)]);
+        assert_eq!(w.next_due(131), None);
+    }
+
+    #[test]
+    fn next_due_covers_a_span_narrower_than_a_word() {
+        let mut w = EventWheel::new(5);
+        assert_eq!(w.span(), 8);
+        w.push(6, 9, 1, 0); // bucket 1, after the wrap
+        assert_eq!(w.next_due(7), Some(9));
+        w.push(6, 7, 2, 0);
+        assert_eq!(w.next_due(7), Some(7));
+        w.clear();
+        assert_eq!(w.next_due(7), None);
     }
 
     #[test]

@@ -8,13 +8,16 @@ use ftsim_isa::load_extend;
 
 impl Processor {
     /// Processes every completion event due this cycle: the wheel's bucket
-    /// for `now`, in `(cycle, seq)` order.
-    pub(crate) fn stage_writeback(&mut self) {
+    /// for `now`, in `(cycle, seq)` order. Returns whether the bucket held
+    /// any event.
+    pub(crate) fn stage_writeback(&mut self) -> bool {
         let due = self.state.events.take_due(self.state.now);
         for &(_, seq, slot) in &due {
             self.complete(seq, slot as usize);
         }
+        let worked = !due.is_empty();
         self.state.events.put_drained(self.state.now, due);
+        worked
     }
 
     /// Finalizes the execution of entry `seq`, dispatched into `slot`.

@@ -273,11 +273,14 @@ fn metrics_parse_and_stay_monotonic_across_a_two_process_fabric() {
 fn report_watch_streams_prefix_consistent_snapshots() {
     let state = state_dir("watch");
     let job_id = submit(&state, SPEC);
+    // Pause the job before any worker can claim it: the watch connects
+    // while no cell is done, and only its first snapshot resumes the job,
+    // so the stream holds two snapshot batches however fast the drain.
+    run_ok(&state, &["stop", &job_id]);
     let mut daemon = spawn_serve(&state, &["--listen", "127.0.0.1:0", "--workers", "1"]);
     let addr = wait_addr(&state);
 
-    // Connect before the job finishes; the server closes the stream
-    // after the terminal snapshot.
+    // The server closes the stream after the terminal snapshot.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
         .write_all(
@@ -303,9 +306,13 @@ fn report_watch_streams_prefix_consistent_snapshots() {
         let mut body_line = String::new();
         match reader.read_line(&mut body_line) {
             Ok(0) => break,
-            Ok(_) if body_line.trim().is_empty() => {}
+            Ok(_) if body_line.trim().is_empty() => continue,
             Ok(_) => snapshots.push(JsonValue::parse(body_line.trim()).expect("snapshot is JSON")),
             Err(e) => panic!("reading watch stream: {e}"),
+        }
+        if snapshots.len() == 1 {
+            // Resubmitting the identical spec un-pauses the job.
+            assert_eq!(submit(&state, SPEC), job_id);
         }
     }
     assert!(
@@ -317,6 +324,7 @@ fn report_watch_streams_prefix_consistent_snapshots() {
         .iter()
         .map(|s| s.get("cells").and_then(|v| v.as_u64()).unwrap())
         .collect();
+    assert_eq!(cells[0], 0, "the first snapshot precedes every cell");
     assert!(
         cells.windows(2).all(|w| w[0] <= w[1]),
         "snapshot cell coverage shrank: {cells:?}"
