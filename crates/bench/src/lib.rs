@@ -4,7 +4,8 @@
 //! target in this crate (`table1`, `table2`, `fig3`, `fig4`, `fig5`,
 //! `fig6`, `sensitivity`); each prints the same rows or series the paper
 //! reports, plus the paper's headline claim next to the measured value.
-//! `micro` holds micro-benchmarks of the substrates.
+//! Simulator speed is not measured here: `perfbench/` at the repository
+//! root is the speed benchmark.
 //!
 //! The sweep targets are built on [`ftsim::harness::Experiment`]: each
 //! declares its grid (workloads × machine models × fault rates ×
@@ -22,10 +23,8 @@
 #![warn(missing_docs)]
 
 use ftsim::harness::{to_csv, to_json, RunRecord};
-use ftsim_core::{MachineConfig, OracleMode, SimError, SimResult, Simulator};
-use ftsim_workloads::WorkloadProfile;
+use ftsim_core::MachineConfig;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 pub use ftsim::harness::DEFAULT_BUDGET;
 
@@ -43,27 +42,6 @@ pub fn budget() -> u64 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_BUDGET)
         .max(1_000)
-}
-
-/// Runs `profile` on `config` for `n` committed instructions, without
-/// oracle verification (performance sweeps) and without fault injection.
-///
-/// # Errors
-///
-/// The run's [`SimError`] — e.g. the watchdog or cycle ceiling on a
-/// misconfigured experiment.
-pub fn try_run_workload(
-    profile: &WorkloadProfile,
-    config: MachineConfig,
-    n: u64,
-) -> Result<SimResult, SimError> {
-    let program = profile.program_for_instructions(n);
-    Simulator::builder()
-        .config(config)
-        .program_shared(Arc::new(program))
-        .oracle(OracleMode::Off)
-        .budget(n)
-        .run()
 }
 
 /// The three machine models of Figure 5, in the paper's order.
@@ -135,26 +113,6 @@ mod tests {
     #[test]
     fn budget_floor() {
         assert!(budget() >= 1_000);
-    }
-
-    #[test]
-    fn try_run_workload_produces_ipc() {
-        let p = profile("ijpeg").unwrap();
-        let r = try_run_workload(&p, MachineConfig::ss1(), 5_000).unwrap();
-        assert!(r.ipc > 0.5);
-        // The generated program halts within ~10% of the requested budget.
-        assert!(r.retired_instructions >= 4_000);
-    }
-
-    #[test]
-    fn try_run_workload_reports_errors_instead_of_panicking() {
-        // An impossible machine: validation fails in the builder, and the
-        // Result surfaces it instead of a panic mid-sweep.
-        let mut bad = MachineConfig::ss2();
-        bad.dispatch_width = 1;
-        let p = profile("gcc").unwrap();
-        let err = try_run_workload(&p, bad, 2_000).unwrap_err();
-        assert!(matches!(err, SimError::Invalid(_)), "{err}");
     }
 
     #[test]

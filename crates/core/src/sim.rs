@@ -176,7 +176,6 @@ pub struct SimResult {
 #[derive(Debug)]
 pub struct Simulator {
     proc: Processor,
-    program: Arc<Program>,
     oracle: OracleMode,
     limits: RunLimits,
 }
@@ -204,8 +203,7 @@ impl Simulator {
         limits: RunLimits,
     ) -> Self {
         Self {
-            proc: Processor::with_shared_program(config, Arc::clone(&program), injector),
-            program,
+            proc: Processor::with_shared_program(config, program, injector),
             oracle,
             limits,
         }
@@ -360,7 +358,7 @@ impl Simulator {
     /// [`SimError::Oracle`] if the emulator cannot replay the program.
     pub fn verify_against_oracle(&mut self) -> Result<(), SimError> {
         let retired = self.proc.state.stats.retired_instructions;
-        let mut emu = Emulator::new(&self.program);
+        let mut emu = Emulator::new(&self.proc.program);
         let executed = emu.run_steps(retired).map_err(SimError::Oracle)?;
         if executed != retired {
             return Err(SimError::OracleMismatch {

@@ -60,10 +60,13 @@ use std::time::{Duration, Instant};
 /// harness registers (`ftsim_cells_total`, `ftsim_sim_cycles_total`).
 /// Like every observability surface, they live entirely outside the
 /// simulation: nothing here feeds back into scheduling or records.
-struct FabricObs {
+/// `GET /healthz` reads the steal and watchdog-kill counts from here.
+pub(crate) struct FabricObs {
     claims_acquired: metrics::Counter,
     claims_renewed: metrics::Counter,
-    claims_stolen: metrics::Counter,
+    /// Stale (expired or unparseable) leases this process has stolen or
+    /// quarantined: a flaky-peer indicator.
+    pub(crate) claims_stolen: metrics::Counter,
     claims_released: metrics::Counter,
     /// Wall time from asking for a family to holding its lease,
     /// backoff included.
@@ -72,13 +75,14 @@ struct FabricObs {
     sched_pass_ms: metrics::Histo,
     cells_completed: metrics::Counter,
     cells_retried: metrics::Counter,
-    watchdog_kills: metrics::Counter,
+    /// Cells killed by the stuck-cell watchdog in this process.
+    pub(crate) watchdog_kills: metrics::Counter,
     append_bytes: metrics::Counter,
     backoff_retries: metrics::Counter,
     jobs_finalized: metrics::Counter,
 }
 
-fn fobs() -> &'static FabricObs {
+pub(crate) fn fobs() -> &'static FabricObs {
     static HANDLES: OnceLock<FabricObs> = OnceLock::new();
     let claim = |event| metrics::counter("ftsimd_claims_total", &[("event", event)]);
     HANDLES.get_or_init(|| FabricObs {
@@ -106,18 +110,9 @@ fn now_ms() -> u64 {
     ftsim_chaos::io().now_ms()
 }
 
-/// Stale (expired or unparseable) leases this process has stolen or
-/// quarantined — surfaced by `GET /healthz` as a flaky-peer indicator.
-static STALE_LEASES_OBSERVED: AtomicU64 = AtomicU64::new(0);
-
 /// Wall-clock of this process's last completed scheduler pass
 /// ([`next_assignment`]), for `GET /healthz` liveness checks.
 static LAST_SCHED_PASS_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Stale leases this process has observed (see `GET /healthz`).
-pub(crate) fn stale_leases_observed() -> u64 {
-    STALE_LEASES_OBSERVED.load(Ordering::Relaxed)
-}
 
 /// Unix-ms timestamp of the last completed scheduler pass, 0 if none.
 pub(crate) fn last_scheduler_pass_ms() -> u64 {
@@ -470,7 +465,6 @@ fn try_claim_once(
     ));
     match env.rename(fp::FABRIC_CLAIM_STEAL, &path, &stale) {
         Ok(()) => {
-            STALE_LEASES_OBSERVED.fetch_add(1, Ordering::Relaxed);
             fobs().claims_stolen.inc();
             if parseable {
                 // Ordinary expiry of a crashed peer: debris.
@@ -932,15 +926,6 @@ pub(crate) enum FamilyOutcome {
 /// converges to a visible failure quickly.
 const WATCHDOG_MAX_STRIKES: u64 = 5;
 
-/// Cells killed by the stuck-cell watchdog in this process (see
-/// `GET /healthz`).
-static WATCHDOG_KILLS: AtomicU64 = AtomicU64::new(0);
-
-/// Watchdog kills this process has performed.
-pub(crate) fn watchdog_kills() -> u64 {
-    WATCHDOG_KILLS.load(Ordering::Relaxed)
-}
-
 /// The per-cell wall-clock budget: with no completed cell observed yet
 /// the configured floor applies (the first cell also pays for the
 /// family baseline); afterwards, a generous multiple of the family's
@@ -1001,7 +986,6 @@ fn bump_watchdog_strike(job: &Job, label: &str) -> u64 {
 /// (healthz counter, stderr, and — once the strikes cap out — a terminal
 /// failed status), and hand the family back to the scheduler.
 fn note_stuck_cell(store: &JobStore, a: &Assignment, identity: &RunRecord, budget: Duration) {
-    WATCHDOG_KILLS.fetch_add(1, Ordering::Relaxed);
     fobs().watchdog_kills.inc();
     fobs().cells_retried.inc();
     let label = identity.cell_label();
@@ -1366,8 +1350,16 @@ mod tests {
 
         let mut dying = try_claim(&job, &family(), &fast).unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(80)); // lease expires
+
+        // The steal count `/healthz` reports. Other unit tests in this
+        // process steal too, so it must rise by at least one.
+        let stolen_before = fobs().claims_stolen.get();
         let thief = try_claim(&job, &family(), &slow).unwrap();
         assert!(thief.is_some(), "an expired lease is stealable");
+        assert!(
+            fobs().claims_stolen.get() > stolen_before,
+            "the steal is counted"
+        );
         // The original holder's heartbeat sees the loss...
         std::thread::sleep(Duration::from_millis(15)); // past lease/4
         assert!(!dying.renew().unwrap());

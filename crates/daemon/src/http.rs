@@ -712,11 +712,11 @@ fn healthz(store: &JobStore, stream: &mut TcpStream, started: std::time::Instant
             ),
             (
                 "stale_leases_observed".to_string(),
-                JsonValue::U64(crate::fabric::stale_leases_observed()),
+                JsonValue::U64(crate::fabric::fobs().claims_stolen.get()),
             ),
             (
                 "watchdog_kills".to_string(),
-                JsonValue::U64(crate::fabric::watchdog_kills()),
+                JsonValue::U64(crate::fabric::fobs().watchdog_kills.get()),
             ),
             (
                 "quarantined".to_string(),

@@ -126,7 +126,7 @@ fn killed_daemon_resumes_to_byte_identical_results() {
         "status after drain:\n{status}"
     );
 
-    // The acceptance criterion: byte-identical to the equivalent
+    // The acceptance check: byte-identical to the equivalent
     // one-shot Experiment::grid() with checkpoint-forking enabled.
     let direct = JobSpec::parse(SPEC)
         .unwrap()

@@ -15,10 +15,9 @@
 //!
 //! * [`metrics`] — lock-cheap counters/gauges/histograms registered under
 //!   stable names, rendered as Prometheus text by [`metrics::render`]
-//!   (the daemon serves it at `GET /metrics`). A process-wide enable
-//!   switch (`FTSIM_OBS=0`, or [`metrics::set_enabled`]) turns every
-//!   recording path into an early return so overhead can be measured and
-//!   bounded.
+//!   (the daemon serves it at `GET /metrics`). The registry is always
+//!   on: there is no switch to turn it off, so a counter a test or a
+//!   dashboard reads always counts.
 //! * [`trace`] — a bounded ring of timestamped span events (claim →
 //!   baseline-warm → fork/cold → append → merge lifecycle, plus
 //!   chaos-injection hits) with an optional sink the daemon points at an

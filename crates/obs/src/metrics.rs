@@ -7,39 +7,13 @@
 //! once and update it lock-free thereafter. [`render`] produces the
 //! Prometheus text exposition format the daemon serves at `/metrics`.
 //!
-//! The registry is **observation only**: disabling it ([`set_enabled`],
-//! or `FTSIM_OBS=0` in the environment) turns every update into an early
-//! return without changing anything the simulation computes — the
-//! `obs_overhead` row of `BENCH_throughput.json` prices exactly this
-//! on/off difference.
+//! The registry is **observation only**: it is always on, and nothing the
+//! simulation computes ever reads it back, so records are the same
+//! whatever its values.
 
 use ftsim_stats::Histogram;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Tri-state enable flag: 0 = uninitialized (consult `FTSIM_OBS`),
-/// 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether metric updates are recorded. Defaults to on; `FTSIM_OBS=0`
-/// in the environment (read once) or [`set_enabled`]`(false)` disables.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => {
-            let on = std::env::var("FTSIM_OBS").map_or(true, |v| v.trim() != "0");
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        state => state == 2,
-    }
-}
-
-/// Overrides the enable flag for this process (benches and tests that
-/// compare metrics-on vs metrics-off throughput in one run).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -52,12 +26,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n` (no-op while the registry is disabled).
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -71,12 +43,10 @@ impl Counter {
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    /// Sets the value (no-op while the registry is disabled).
+    /// Sets the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -93,11 +63,9 @@ pub struct Histo {
 }
 
 impl Histo {
-    /// Records one observation (no-op while the registry is disabled).
+    /// Records one observation.
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.inner.lock().expect("histogram lock").record(v);
-        }
+        self.inner.lock().expect("histogram lock").record(v);
     }
 
     /// Total observations recorded.
@@ -245,8 +213,7 @@ fn label_block(labels: &[(&'static str, String)], extra: Option<(&str, &str)>) -
 /// Renders every registered metric in the Prometheus text exposition
 /// format: `# TYPE` lines once per metric name, then one sample line per
 /// label set (histograms expand to cumulative `_bucket` series plus
-/// `_sum` and `_count`). Works whether or not the registry is enabled —
-/// a disabled registry just exposes frozen values.
+/// `_sum` and `_count`).
 pub fn render() -> String {
     let reg = registry().lock().expect("metrics registry lock");
     let mut out = String::new();
@@ -325,18 +292,8 @@ pub fn render() -> String {
 mod tests {
     use super::*;
 
-    /// The enable flag is process-global, so tests that toggle it (or
-    /// depend on it staying on) serialize through this lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn counters_register_once_per_label_set() {
-        let _g = guard();
-        set_enabled(true);
         let a = counter("ftsim_test_total", &[("kind", "a")]);
         let b = counter("ftsim_test_total", &[("kind", "b")]);
         let a2 = counter("ftsim_test_total", &[("kind", "a")]);
@@ -348,24 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_freezes_values() {
-        let _g = guard();
-        set_enabled(true);
-        let c = counter("ftsim_test_disable_total", &[]);
-        c.inc();
-        set_enabled(false);
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 1, "updates are dropped while disabled");
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 2);
-    }
-
-    #[test]
     fn exposition_renders_types_values_and_buckets() {
-        let _g = guard();
-        set_enabled(true);
         let c = counter("ftsim_render_total", &[("site", "a\"b")]);
         c.add(7);
         let g = gauge("ftsim_render_gauge", &[]);
@@ -387,8 +327,6 @@ mod tests {
 
     #[test]
     fn labels_are_order_insensitive() {
-        let _g = guard();
-        set_enabled(true);
         let a = counter("ftsim_label_order_total", &[("x", "1"), ("y", "2")]);
         let b = counter("ftsim_label_order_total", &[("y", "2"), ("x", "1")]);
         a.inc();

@@ -16,7 +16,6 @@
 //! is best-effort by construction: the sink returns nothing, and a
 //! failing sink must swallow its own errors.
 
-use crate::metrics;
 use ftsim_stats::JsonValue;
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -146,12 +145,8 @@ pub fn set_sink(sink: Sink) {
 }
 
 /// Emits one event: stamps the process-wide owner (if one was set),
-/// pushes it into the bounded ring and forwards it to the sink. A
-/// disabled registry ([`metrics::enabled`]) drops events entirely.
+/// pushes it into the bounded ring and forwards it to the sink.
 pub fn emit(mut event: TraceEvent) {
-    if !metrics::enabled() {
-        return;
-    }
     if event.owner.is_empty() {
         if let Some(owner) = owner_slot().lock().expect("owner lock").as_ref() {
             event.owner = owner.clone();
@@ -223,7 +218,6 @@ mod tests {
 
     #[test]
     fn ring_keeps_recent_events_and_stays_bounded() {
-        metrics::set_enabled(true);
         for i in 0..(RING_CAP + 10) {
             emit(TraceEvent::new(
                 "cell",

@@ -8,9 +8,8 @@
 //! the cycles this process actually simulated.
 //!
 //! The binary holds exactly one `#[test]`, so the process-wide metrics
-//! registry counts this grid and nothing else. The metric pins are
-//! skipped when the registry is off (`FTSIM_OBS=0`). A change that
-//! alters this work on purpose updates the literals and says why.
+//! registry counts this grid and nothing else. A change that alters
+//! this work on purpose updates the literals and says why.
 //!
 //! Stage profiling is switched on for the whole binary, so every cell
 //! also returns the exact number of calls of each pipeline stage. Their
@@ -75,9 +74,6 @@ fn checkpointing_grid_does_the_pinned_work() {
         "stage calls"
     );
 
-    if !metrics::enabled() {
-        return;
-    }
     let counter = |name| metrics::counter(name, &[]).get();
     assert_eq!(counter("ftsim_checkpoints_taken_total"), 13);
     assert_eq!(counter("ftsim_checkpoint_bytes_total"), 11_614_464);
