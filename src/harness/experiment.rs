@@ -372,7 +372,10 @@ impl Experiment {
     /// family's fault-free prefix (see that method's docs); with
     /// [`Experiment::resume_from`] records, already-simulated cells are
     /// returned as-is. Neither changes a single byte of any record — only
-    /// how much work producing them costs.
+    /// how much work producing them costs. Workers run the grid family by
+    /// family and free each family's baseline, checkpoints included, once
+    /// its last cell has run, so about one baseline per worker is alive
+    /// at a time, however many families the grid has.
     ///
     /// A cell whose *simulation* fails (wedged machine, cycle-budget
     /// overrun — possible at extreme fault rates) produces a record with

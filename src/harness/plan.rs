@@ -14,13 +14,15 @@
 //! Execution is pull-based and thread-safe: [`SweepPlan::run_cell`] can be
 //! called for any cell index from any thread, in any order. A family's
 //! baseline is computed lazily, at most once, the first time one of its
-//! cells needs it; callers that want baseline-level parallelism (the
-//! one-shot runner) can warm them explicitly via
-//! [`SweepPlan::prepare_family`]. The `ftsimd` daemon streams results
-//! instead: it claims one family at a time and runs a sub-plan narrowed to
-//! that family's workload, budget and model cell by cell, so its worker
-//! reuses the family's checkpoints with no coordination beyond the
-//! per-family baseline lock.
+//! cells needs it (or [`SweepPlan::prepare_family`] warms it), and kept
+//! until the plan drops. The one-shot runner ([`Experiment::run`]) runs
+//! the grid family by family instead and frees each baseline after its
+//! family's last cell, so its peak memory follows its worker count, not
+//! the grid's family count. The `ftsimd` daemon streams results: it
+//! claims one family at a time and runs a sub-plan narrowed to that
+//! family's workload, budget and model cell by cell, so its worker reuses
+//! the family's checkpoints with no coordination beyond the per-family
+//! baseline lock.
 
 use crate::harness::experiment::{Experiment, ExperimentError};
 use crate::harness::record::{IdentityKey, RunRecord};
@@ -33,7 +35,6 @@ use ftsim_isa::Program;
 use ftsim_obs::metrics;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Smallest first-possible-injection draw index for which running a
@@ -157,6 +158,94 @@ struct Family {
     baseline: Mutex<Option<Baseline>>,
 }
 
+/// One step of the one-shot runner's work.
+enum Task {
+    /// Compute family `fi`'s baseline; its members wait for it.
+    Baseline(usize),
+    /// Run grid cell `idx`.
+    Cell(usize),
+}
+
+/// A family the one-shot runner has opened and not yet handed out whole.
+struct OpenFamily {
+    family: usize,
+    members: std::vec::IntoIter<usize>,
+    /// Whether the baseline exists, so a member runs without waiting.
+    ready: bool,
+}
+
+/// The one-shot runner's family-major work queue (see
+/// [`SweepPlan::run_all`]). Cells of one family run back to back, so a
+/// baseline lives from its family's opening to its last member's end.
+struct Schedule {
+    /// Units not yet opened, in order of their first cell: a family,
+    /// opened by computing its baseline, or one cell no family serves.
+    unopened: std::vec::IntoIter<Task>,
+    /// Per family: its members in grid order, until it opens.
+    members: Vec<Vec<usize>>,
+    /// Opened families with members not yet handed out, oldest first.
+    open: Vec<OpenFamily>,
+    /// Per family: members that have not finished yet.
+    unfinished: Vec<usize>,
+}
+
+impl Schedule {
+    fn new(cell_family: &[Option<usize>], families: usize) -> Self {
+        let mut unopened = Vec::new();
+        let mut members = vec![Vec::new(); families];
+        for (idx, &family) in cell_family.iter().enumerate() {
+            match family {
+                Some(fi) => {
+                    if members[fi].is_empty() {
+                        unopened.push(Task::Baseline(fi));
+                    }
+                    members[fi].push(idx);
+                }
+                None => unopened.push(Task::Cell(idx)),
+            }
+        }
+        Self {
+            unopened: unopened.into_iter(),
+            unfinished: members.iter().map(Vec::len).collect(),
+            members,
+            open: Vec::new(),
+        }
+    }
+
+    /// The next task: a member of the oldest open family whose baseline
+    /// exists; else the next unit, a family opening with its baseline;
+    /// else, with nothing left to open, a member of a family whose
+    /// baseline is still being computed, which waits for it.
+    fn next(&mut self) -> Option<Task> {
+        self.open.retain(|f| !f.members.as_slice().is_empty());
+        if let Some(f) = self.open.iter_mut().find(|f| f.ready) {
+            return f.members.next().map(Task::Cell);
+        }
+        let task = self.unopened.next();
+        if let Some(Task::Baseline(fi)) = task {
+            self.open.push(OpenFamily {
+                family: fi,
+                members: std::mem::take(&mut self.members[fi]).into_iter(),
+                ready: false,
+            });
+        }
+        task.or_else(|| self.open.first_mut()?.members.next().map(Task::Cell))
+    }
+
+    /// Marks family `fi`'s baseline computed.
+    fn ready(&mut self, fi: usize) {
+        if let Some(f) = self.open.iter_mut().find(|f| f.family == fi) {
+            f.ready = true;
+        }
+    }
+
+    /// Counts one member of family `fi` finished; true for the last one.
+    fn finish(&mut self, fi: usize) -> bool {
+        self.unfinished[fi] -= 1;
+        self.unfinished[fi] == 0
+    }
+}
+
 /// A materialized, executable sweep: the output of [`Experiment::plan`].
 ///
 /// The plan owns the validated experiment, the flattened cell list (grid
@@ -176,7 +265,7 @@ pub struct SweepPlan {
     /// Per cell: the fork bound (live faulty cells only).
     bounds: Vec<Option<u64>>,
     families: Vec<Family>,
-    /// Per cell: index into `families`, for cells a family serves.
+    /// Per cell: index into `families`, for live cells a family serves.
     cell_family: Vec<Option<usize>>,
 }
 
@@ -253,7 +342,13 @@ impl SweepPlan {
             .collect();
         let cell_family = cells
             .iter()
-            .map(|cell| family_index.get(&cell.family_key()).copied())
+            .zip(&resumed)
+            .map(|(cell, prior)| {
+                family_index
+                    .get(&cell.family_key())
+                    .copied()
+                    .filter(|_| prior.is_none())
+            })
             .collect();
 
         Ok(Self {
@@ -313,11 +408,12 @@ impl SweepPlan {
         .max(1)
     }
 
-    /// Computes family `fi`'s baseline if it has not been computed yet.
-    /// The one-shot runner calls this from a worker pool to get
-    /// baseline-level parallelism before the cell wave; the daemon skips
-    /// it and lets [`SweepPlan::run_cell`] warm baselines lazily, one per
-    /// claimed family.
+    /// Computes family `fi`'s baseline if it has not been computed yet;
+    /// it is kept until the plan drops. The one-shot runner calls this as
+    /// it opens each family, so that a worker computes one baseline while
+    /// another runs the cells of an earlier family. Callers driving cells
+    /// themselves (the daemon) may skip it: [`SweepPlan::run_cell`] warms
+    /// baselines lazily.
     pub fn prepare_family(&self, fi: usize) {
         drop(self.baseline_guard(&self.families[fi]));
     }
@@ -426,32 +522,24 @@ impl SweepPlan {
 
     /// Runs every cell across `workers()` threads and returns records in
     /// grid order — the execution behind [`Experiment::run`].
+    ///
+    /// Workers pull from one family-major [`Schedule`]: a family's
+    /// baseline is computed when the family opens, its members run once
+    /// it exists, and the worker that finishes the last member drops it,
+    /// checkpoints included. A worker with no computed baseline to serve
+    /// opens the next family rather than waiting, so about `workers()`
+    /// baselines are alive at once (one with a single worker), however
+    /// many families the grid has. Only this runner releases baselines:
+    /// [`SweepPlan::run_cell`] callers drive cells in their own order and
+    /// keep every baseline until the plan drops.
     pub(crate) fn run_all(&self) -> Vec<RunRecord> {
-        let workers = self.workers();
-        let pool = |n_tasks: usize, task: &(dyn Fn(usize) + Sync)| {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(n_tasks).max(1) {
-                    scope.spawn(|| loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_tasks {
-                            break;
-                        }
-                        task(idx);
-                    });
-                }
-            });
-        };
-
-        // Wave 1: family baselines (checkpoint producers), in parallel.
-        pool(self.families.len(), &|fi| self.prepare_family(fi));
-
-        // Wave 2: every cell, in parallel — resumed, baseline-served,
-        // forked or cold.
+        let schedule = Mutex::new(Schedule::new(&self.cell_family, self.families.len()));
         let slots: Vec<Mutex<Option<RunRecord>>> =
             self.cells.iter().map(|_| Mutex::new(None)).collect();
-        pool(self.cells.len(), &|idx| {
-            *slots[idx].lock().expect("slot lock") = Some(self.run_cell(idx));
+        std::thread::scope(|scope| {
+            for _ in 0..self.workers() {
+                scope.spawn(|| self.work(&schedule, &slots));
+            }
         });
 
         slots
@@ -462,6 +550,32 @@ impl SweepPlan {
                     .expect("every cell ran")
             })
             .collect()
+    }
+
+    /// One [`SweepPlan::run_all`] worker: runs tasks until the schedule
+    /// has none left.
+    fn work(&self, schedule: &Mutex<Schedule>, slots: &[Mutex<Option<RunRecord>>]) {
+        let schedule = || schedule.lock().expect("schedule lock");
+        loop {
+            // Bound first: a guard in the `match` scrutinee would hold the
+            // schedule lock for the whole task.
+            let task = schedule().next();
+            match task {
+                None => return,
+                Some(Task::Baseline(fi)) => {
+                    self.prepare_family(fi);
+                    schedule().ready(fi);
+                }
+                Some(Task::Cell(idx)) => {
+                    *slots[idx].lock().expect("slot lock") = Some(self.run_cell(idx));
+                    let family = self.cell_family[idx];
+                    if let Some(fi) = family.filter(|&fi| schedule().finish(fi)) {
+                        // The last member is done: nothing reads it again.
+                        *self.families[fi].baseline.lock().expect("family lock") = None;
+                    }
+                }
+            }
+        }
     }
 
     /// Locks family `f`'s baseline slot, computing the baseline first if

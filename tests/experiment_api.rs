@@ -1,11 +1,16 @@
 //! The redesigned experiment surface: builder misuse is reported (not
 //! panicked), run records round-trip through CSV and JSON, and a parallel
-//! [`Experiment::grid`] run is byte-identical to a sequential one.
+//! [`Experiment::grid`] run is byte-identical to a sequential one, with
+//! checkpoint forking and resume on or off.
 
 use ftsim::core::{BuildError, ConfigError, MachineConfig, OracleMode, SimError, Simulator};
-use ftsim::harness::{from_csv, from_json, to_csv, to_json, Experiment, ExperimentError};
+use ftsim::harness::{
+    from_csv, from_json, to_csv, to_json, CellPath, Experiment, ExperimentError, FamilyId,
+    RunRecord,
+};
 use ftsim::isa::asm;
 use ftsim::workloads::{profile, spec_profiles};
+use std::collections::HashSet;
 
 #[test]
 fn builder_reports_missing_pieces() {
@@ -138,6 +143,69 @@ fn parallel_grid_is_byte_identical_to_sequential() {
     // Byte-identical, not merely equal: the serialized forms match too.
     assert_eq!(to_csv(&sequential), to_csv(&parallel));
     assert_eq!(to_json(&sequential), to_json(&parallel));
+}
+
+#[test]
+fn checkpointed_resumed_grid_is_byte_identical_at_any_thread_count() {
+    let grid = || {
+        Experiment::grid()
+            .workloads([profile("fpppp").unwrap(), profile("gcc").unwrap()])
+            .models([MachineConfig::ss2(), MachineConfig::ss3_majority()])
+            .fault_rates([0.0, 100.0, 20_000.0])
+            .budget(3_000)
+            .seeds([1, 2])
+            .oracle(OracleMode::Final)
+    };
+    let reference = grid().threads(1).run().unwrap();
+    // Resume from fpppp SS-2's fault-free cells and one faulty gcc cell:
+    // that fpppp family keeps only faulty cells, so its baseline serves
+    // forks alone (a dedicated baseline).
+    let prior: Vec<RunRecord> = reference
+        .iter()
+        .filter(|r| {
+            (r.workload == "fpppp" && r.model == "SS-2" && r.fault_rate_pm == 0.0)
+                || (r.workload == "gcc" && r.fault_rate_pm == 100.0 && r.seed == 1)
+        })
+        .cloned()
+        .collect();
+    assert_eq!(prior.len(), 4);
+    let resumed = || grid().checkpointing(true).resume_from(prior.clone());
+
+    // The grid takes every path, and one family runs without a live
+    // fault-free cell.
+    let plan = resumed().plan().unwrap();
+    let mut paths = Vec::new();
+    for idx in 0..plan.len() {
+        let path = plan.run_cell_observed(idx).1;
+        if !paths.contains(&path) {
+            paths.push(path);
+        }
+    }
+    for path in [
+        CellPath::Resumed,
+        CellPath::Baseline,
+        CellPath::Forked,
+        CellPath::Cold,
+    ] {
+        assert!(
+            paths.contains(&path),
+            "no cell took the {} path",
+            path.name()
+        );
+    }
+    let fault_free_families: HashSet<FamilyId> = (0..plan.len())
+        .filter(|&idx| plan.prior(idx).is_none())
+        .map(|idx| plan.identity(idx))
+        .filter(|r| r.fault_rate_pm == 0.0)
+        .map(|r| FamilyId::of_record(&r))
+        .collect();
+    assert!(plan.family_count() > fault_free_families.len());
+
+    for threads in [1, 2, 8] {
+        let records = resumed().threads(threads).run().unwrap();
+        assert_eq!(to_csv(&records), to_csv(&reference), "threads {threads}");
+        assert_eq!(to_json(&records), to_json(&reference), "threads {threads}");
+    }
 }
 
 #[test]

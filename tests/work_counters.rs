@@ -8,7 +8,9 @@
 //! the cycles this process actually simulated.
 //!
 //! The binary holds exactly one `#[test]`, so the process-wide metrics
-//! registry counts this grid and nothing else. A change that alters
+//! registry counts this grid and nothing else. The grid is pulled cell by
+//! cell first, then run whole by `Experiment::run` at one and two
+//! threads; each pass must do the same work. A change that alters
 //! this work on purpose updates the literals and says why.
 //!
 //! Stage profiling is switched on for the whole binary, so every cell
@@ -25,17 +27,18 @@ use ftsim_obs::metrics;
 #[test]
 fn checkpointing_grid_does_the_pinned_work() {
     profile::set_enabled(true);
-    let plan = Experiment::grid()
-        .workloads([ftsim_workloads::profile("fpppp").expect("profile exists")])
-        .models([MachineConfig::ss2(), MachineConfig::ss3_majority()])
-        .fault_rates([0.0, 1_000.0, 10_000.0])
-        .seeds([1, 2])
-        .budget(1_500)
-        .oracle(OracleMode::Final)
-        .threads(1)
-        .checkpointing(true)
-        .plan()
-        .expect("grid is well-formed");
+    let grid = |threads| {
+        Experiment::grid()
+            .workloads([ftsim_workloads::profile("fpppp").expect("profile exists")])
+            .models([MachineConfig::ss2(), MachineConfig::ss3_majority()])
+            .fault_rates([0.0, 1_000.0, 10_000.0])
+            .seeds([1, 2])
+            .budget(1_500)
+            .oracle(OracleMode::Final)
+            .threads(threads)
+            .checkpointing(true)
+    };
+    let plan = grid(1).plan().expect("grid is well-formed");
 
     let mut paths = [0u64; 4];
     let mut stages = StageProfile::default();
@@ -78,4 +81,34 @@ fn checkpointing_grid_does_the_pinned_work() {
     assert_eq!(counter("ftsim_checkpoints_taken_total"), 13);
     assert_eq!(counter("ftsim_checkpoint_bytes_total"), 11_614_464);
     assert_eq!(counter("ftsim_sim_cycles_total"), 20_091);
+
+    // The one-shot runner frees each family's baseline after its last
+    // cell; one freed too early would be computed again, and only these
+    // counters would show it. Each run must repeat the pull pass's work.
+    // Cells by path (resumed, baseline, forked, cold), then checkpoints
+    // taken, checkpoint bytes and simulated cycles.
+    let snapshot = || -> Vec<u64> {
+        let cells = by_path
+            .iter()
+            .map(|&(name, _)| metrics::counter("ftsim_cells_total", &[("path", name)]).get());
+        let totals = [
+            "ftsim_checkpoints_taken_total",
+            "ftsim_checkpoint_bytes_total",
+            "ftsim_sim_cycles_total",
+        ]
+        .map(counter);
+        cells.chain(totals).collect()
+    };
+    for threads in [1, 2] {
+        let before = snapshot();
+        let records = grid(threads).run().expect("grid is well-formed");
+        assert!(records.iter().all(|r| r.error.is_empty()));
+        let delta: Vec<u64> = snapshot().iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            delta,
+            [0, 4, 3, 5, 13, 11_614_464, 20_091],
+            "Experiment::run at threads {threads}: cells by path, checkpoints, \
+             checkpoint bytes, simulated cycles"
+        );
+    }
 }
