@@ -14,6 +14,11 @@
 //! pass and per finalization would cost several times that for every
 //! one of the job's families.
 //!
+//! The cells the daemon ran, by `ftsimd_cells_completed_total`, must be
+//! exactly the pending ones. An index that fails to match a pre-filled
+//! row re-runs its cell and still finalizes a byte-identical
+//! `results.csv`, so only this count shows it.
+//!
 //! The test is one function in its own binary: the counters are
 //! process-wide.
 
@@ -62,7 +67,8 @@ fn resuming_a_large_job_parses_each_row_about_once() {
 
     let parsed = metrics::counter("ftsimd_cells_rows_parsed_total", &[]);
     let read = metrics::counter("ftsimd_cells_bytes_read_total", &[]);
-    let (before, read_before) = (parsed.get(), read.get());
+    let completed = metrics::counter("ftsimd_cells_completed_total", &[]);
+    let (before, read_before, completed_before) = (parsed.get(), read.get(), completed.get());
     serve(
         &store,
         &ServeOptions {
@@ -76,6 +82,7 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     .unwrap();
     let rows_parsed = parsed.get() - before;
     let bytes_read = read.get() - read_before;
+    let cells_completed = completed.get() - completed_before;
 
     assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
     assert_eq!(
@@ -84,6 +91,10 @@ fn resuming_a_large_job_parses_each_row_about_once() {
         "results.csv must be byte-identical to the one-shot run"
     );
     let appended = oneshot.len() - prefilled.len();
+    assert_eq!(
+        cells_completed, appended as u64,
+        "the daemon must run exactly the {appended} pending cells"
+    );
     let bound = prefilled.len() + appended + oneshot.len();
     assert!(
         rows_parsed <= bound as u64,

@@ -10,8 +10,10 @@
 //! The binary holds exactly one `#[test]`, so the process-wide metrics
 //! registry counts this grid and nothing else. The grid is pulled cell by
 //! cell first, then run whole by `Experiment::run` at one and two
-//! threads; each pass must do the same work. A change that alters
-//! this work on purpose updates the literals and says why.
+//! threads; each pass must do the same work. Last, it is run again at
+//! one and two threads resumed from all but three of its own records,
+//! and must simulate only those three. A change that alters this work
+//! on purpose updates the literals and says why.
 //!
 //! Stage profiling is switched on for the whole binary, so every cell
 //! also returns the exact number of calls of each pipeline stage. Their
@@ -99,15 +101,44 @@ fn checkpointing_grid_does_the_pinned_work() {
         .map(counter);
         cells.chain(totals).collect()
     };
+    let mut records = Vec::new();
     for threads in [1, 2] {
         let before = snapshot();
-        let records = grid(threads).run().expect("grid is well-formed");
+        records = grid(threads).run().expect("grid is well-formed");
         assert!(records.iter().all(|r| r.error.is_empty()));
         let delta: Vec<u64> = snapshot().iter().zip(&before).map(|(a, b)| a - b).collect();
         assert_eq!(
             delta,
             [0, 4, 3, 5, 13, 11_614_464, 20_091],
             "Experiment::run at threads {threads}: cells by path, checkpoints, \
+             checkpoint bytes, simulated cycles"
+        );
+    }
+
+    // Resumed from all but three of its own records: a fault-free cell
+    // (SS-2, seed 2), a forked one (SS-2 at 10,000 per million, seed 1)
+    // and a cold one (SS-3M at 1,000, seed 2). A matcher that misses a
+    // prior re-simulates that cell and returns the same record, so only
+    // these counters would show it.
+    const PENDING: [usize; 3] = [1, 4, 9];
+    let prior: Vec<_> = records
+        .iter()
+        .enumerate()
+        .filter(|(idx, _)| !PENDING.contains(idx))
+        .map(|(_, r)| r.clone())
+        .collect();
+    for threads in [1, 2] {
+        let before = snapshot();
+        let resumed = grid(threads)
+            .resume_from(prior.clone())
+            .run()
+            .expect("grid is well-formed");
+        assert_eq!(resumed, records, "resumed records at threads {threads}");
+        let delta: Vec<u64> = snapshot().iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            delta,
+            [9, 1, 1, 1, 1, 884_480, 6_718],
+            "resumed Experiment::run at threads {threads}: cells by path, checkpoints, \
              checkpoint bytes, simulated cycles"
         );
     }
