@@ -587,8 +587,9 @@ pub(crate) fn progress(
         done: done_total.unwrap_or_else(|| log.done()),
         families: by_family.then(|| {
             log.families()
-                .map(|(family, done, total)| FamilyProgress {
-                    family: family.clone(),
+                .enumerate()
+                .map(|(f, (done, total))| FamilyProgress {
+                    family: log.family(f),
                     done: if done_total.is_some() { total } else { done },
                     total,
                 })
@@ -615,6 +616,8 @@ pub(crate) struct Assignment {
     pub spec: JobSpec,
     /// The claimed family.
     pub family: FamilyId,
+    /// Its position in the job's family order.
+    pub family_index: usize,
     /// The held lease.
     pub claim: ClaimGuard,
 }
@@ -755,8 +758,9 @@ fn scheduling_pass(
     for c in candidates {
         let scanned = log::with_log(&c.job, &c.spec, |log| {
             log.families()
-                .filter(|&(_, done, total)| done < total)
-                .map(|(family, _, _)| family.clone())
+                .enumerate()
+                .filter(|&(_, (done, total))| done < total)
+                .map(|(f, _)| (f, log.family(f)))
                 .collect::<Vec<_>>()
         });
         let missing = match scanned {
@@ -778,13 +782,14 @@ fn scheduling_pass(
             }
             continue;
         }
-        for family in missing {
+        for (family_index, family) in missing {
             if let Some(claim) = try_claim(&c.job, &family, cfg)? {
                 LAST_SCHED_PASS_MS.store(now_ms(), Ordering::Relaxed);
                 return Ok(NextWork::Work(Box::new(Assignment {
                     job: c.job,
                     spec: c.spec,
                     family,
+                    family_index,
                     claim,
                 })));
             }
@@ -1048,7 +1053,7 @@ pub(crate) fn run_family(
         Err(e) => return Err(io_err(format!("opening {}", path.display()))(e)),
     };
     // Only the claimed family's records: the sub-grid has no other cells.
-    let prior = log::family_records(&a.job, &a.spec, &a.family, &opened)?;
+    let prior = log::family_records(&a.job, &a.spec, a.family_index, &opened)?;
     let plan = std::sync::Arc::new(
         sub.to_experiment()?
             .resume_from(prior)

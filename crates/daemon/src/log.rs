@@ -25,7 +25,7 @@
 use crate::failpoints as fp;
 use crate::spec::JobSpec;
 use crate::store::{DaemonError, Job};
-use ftsim::harness::{from_csv_tolerant_prefix, group_families, FamilyId, IdentityKey, RunRecord};
+use ftsim::harness::{from_csv_tolerant_prefix, FamilyId, Grid, RunRecord};
 use ftsim_obs::metrics;
 use ftsim_stats::csv::{file_id, Opened, TrustedPrefix};
 use std::borrow::Cow;
@@ -228,19 +228,13 @@ fn parse_settled(raw: &[u8], headless: bool) -> (Vec<RunRecord>, usize, usize) {
 /// every grid cell that has one.
 pub(crate) struct JobLog {
     tail: CellsTail,
-    /// The grid's families, each with its member cells.
-    families: Vec<(FamilyId, Vec<usize>)>,
-    /// Per cell: its family's index in `families`.
-    family_of: Vec<usize>,
-    /// Cells by identity (a repeated axis value gives one identity
-    /// several cells).
-    cells_of: HashMap<IdentityKey, Vec<usize>>,
+    /// The job's grid: which cells a record stands for (a repeated axis
+    /// value gives one record several), and the families.
+    grid: Grid,
     /// Per cell, in grid order: its newest streamed record.
     latest: Vec<Option<RunRecord>>,
     /// Per family: its cells with a record.
     family_done: Vec<usize>,
-    /// Cells with a record.
-    done: usize,
 }
 
 impl JobLog {
@@ -250,26 +244,12 @@ impl JobLog {
     ///
     /// [`DaemonError`] when the spec does not resolve to a grid.
     pub(crate) fn new(spec: &JobSpec) -> Result<Self, DaemonError> {
-        let identities = spec.to_experiment()?.identities()?;
-        let families = group_families(&identities);
-        let mut family_of = vec![0; identities.len()];
-        for (f, (_, members)) in families.iter().enumerate() {
-            for &i in members {
-                family_of[i] = f;
-            }
-        }
-        let mut cells_of: HashMap<IdentityKey, Vec<usize>> = HashMap::new();
-        for (i, id) in identities.iter().enumerate() {
-            cells_of.entry(id.identity_key()).or_default().push(i);
-        }
+        let grid = Grid::new(&spec.to_experiment()?)?;
         Ok(Self {
             tail: CellsTail::default(),
-            latest: vec![None; identities.len()],
-            family_done: vec![0; families.len()],
-            done: 0,
-            families,
-            family_of,
-            cells_of,
+            latest: vec![None; grid.cells()],
+            family_done: vec![0; grid.family_count()],
+            grid,
         })
     }
 
@@ -288,7 +268,6 @@ impl JobLog {
         if tail.from_start {
             self.latest.iter_mut().for_each(|r| *r = None);
             self.family_done.iter_mut().for_each(|n| *n = 0);
-            self.done = 0;
         }
         if tail.damaged > 0 {
             eprintln!(
@@ -298,13 +277,10 @@ impl JobLog {
             );
         }
         for record in tail.records {
-            let Some(cells) = self.cells_of.get(&record.identity_key()) else {
-                continue; // not a cell of this grid
-            };
-            for &i in cells {
+            // A record of another grid stands for no cell of this one.
+            for i in self.grid.cells_of(&record) {
                 if self.latest[i].is_none() {
-                    self.done += 1;
-                    self.family_done[self.family_of[i]] += 1;
+                    self.family_done[self.grid.family_of(i)] += 1;
                 }
                 // Later rows overwrite earlier: a cell re-run (after a
                 // failure, or by a second claimant in a lost-lease
@@ -316,7 +292,7 @@ impl JobLog {
 
     /// Cells with a record.
     pub(crate) fn done(&self) -> usize {
-        self.done
+        self.family_done.iter().sum()
     }
 
     /// Cells in the grid.
@@ -324,12 +300,16 @@ impl JobLog {
         self.latest.len()
     }
 
-    /// Each family with its cells-done count and size, in grid order.
-    pub(crate) fn families(&self) -> impl Iterator<Item = (&FamilyId, usize, usize)> {
-        self.families
-            .iter()
-            .zip(&self.family_done)
-            .map(|((family, members), &done)| (family, done, members.len()))
+    /// Each family's cells-done count and size, in grid order; a
+    /// family's position here is its index in the other family methods.
+    pub(crate) fn families(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let size = |f| self.grid.family_cells(f).len();
+        (0..self.family_done.len()).map(move |f| (self.family_done[f], size(f)))
+    }
+
+    /// Family `f`'s id.
+    pub(crate) fn family(&self, f: usize) -> FamilyId {
+        self.grid.family(f)
     }
 
     /// The records present, in grid order.
@@ -337,24 +317,12 @@ impl JobLog {
         self.latest.iter().flatten().cloned().collect()
     }
 
-    /// The records present for `family`'s cells, in grid order.
-    pub(crate) fn family_records(&self, family: &FamilyId) -> Vec<RunRecord> {
-        self.families
-            .iter()
-            .find(|(f, _)| f == family)
-            .map(|(_, members)| {
-                members
-                    .iter()
-                    .filter_map(|&i| self.latest[i].clone())
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The newest record of grid cell `idx`, if it has one.
-    #[cfg(test)]
-    fn record(&self, idx: usize) -> Option<&RunRecord> {
-        self.latest[idx].as_ref()
+    /// The records present for family `f`'s cells, in grid order.
+    pub(crate) fn family_records(&self, f: usize) -> Vec<RunRecord> {
+        self.grid
+            .family_cells(f)
+            .filter_map(|i| self.latest[i].clone())
+            .collect()
     }
 }
 
@@ -424,7 +392,7 @@ pub(crate) fn trusted_prefix(
     Ok(log.tail.trusted())
 }
 
-/// The records present for `family`, read after the caller's
+/// The records present for family `f`, read after the caller's
 /// [`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)
 /// of the job's `cells.csv` returned
 /// `opened`. Should the index's own read fail, it takes the bytes the
@@ -437,7 +405,7 @@ pub(crate) fn trusted_prefix(
 pub(crate) fn family_records(
     job: &Job,
     spec: &JobSpec,
-    family: &FamilyId,
+    f: usize,
     opened: &Opened,
 ) -> Result<Vec<RunRecord>, DaemonError> {
     bytes_read().add(opened.read as u64);
@@ -457,7 +425,7 @@ pub(crate) fn family_records(
             log.absorb(&path, tail);
         }
     }
-    Ok(log.family_records(family))
+    Ok(log.family_records(f))
 }
 
 /// Drops the job's cached index: the job reached a terminal state.
@@ -494,11 +462,31 @@ mod tests {
         (store, job)
     }
 
+    /// The newest record of grid cell `idx`, if it has one.
+    fn record(log: &JobLog, idx: usize) -> Option<&RunRecord> {
+        log.latest[idx].as_ref()
+    }
+
+    /// The identity half of every grid cell's record, in grid order.
+    fn identities() -> Vec<RunRecord> {
+        let plan = spec().to_experiment().unwrap().plan().unwrap();
+        (0..plan.len()).map(|idx| plan.identity(idx)).collect()
+    }
+
+    /// The family of a record.
+    fn family_of(r: &RunRecord) -> FamilyId {
+        FamilyId {
+            workload: r.workload.clone(),
+            budget: r.budget,
+            model: r.model.clone(),
+        }
+    }
+
     /// Distinct records for every grid cell (outcomes are made up: the
     /// index only reads identities).
     fn records() -> Vec<RunRecord> {
-        let ids = spec().to_experiment().unwrap().identities().unwrap();
-        ids.into_iter()
+        identities()
+            .into_iter()
             .enumerate()
             .map(|(i, mut r)| {
                 r.cycles = 1_000 + i as u64;
@@ -523,19 +511,14 @@ mod tests {
         log.refresh(path).unwrap();
         let text = String::from_utf8_lossy(&std::fs::read(path).unwrap_or_default()).into_owned();
         let (streamed, _) = from_csv_tolerant(&text);
-        let mut fresh: HashMap<IdentityKey, &RunRecord> = HashMap::new();
-        for r in &streamed {
-            fresh.insert(r.identity_key(), r);
-        }
         let mut done = 0;
-        let ids = spec().to_experiment().unwrap().identities().unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            let want = fresh.get(&id.identity_key()).copied();
-            assert_eq!(log.record(i), want, "cell {i}");
+        for (i, id) in identities().iter().enumerate() {
+            let want = streamed.iter().rev().find(|r| r.same_identity(id));
+            assert_eq!(record(log, i), want, "cell {i}");
             done += usize::from(want.is_some());
         }
         assert_eq!(log.done(), done);
-        let by_family: usize = log.families().map(|(_, d, _)| d).sum();
+        let by_family: usize = log.families().map(|(d, _)| d).sum();
         assert_eq!(by_family, done);
     }
 
@@ -574,7 +557,7 @@ mod tests {
             format!("{}{}", row(&recs[6]), row(&rerun)).as_bytes(),
         );
         assert_matches_fresh_parse(&mut log, &path);
-        assert_eq!(log.record(0).unwrap().cycles, 7);
+        assert_eq!(record(&log, 0).unwrap().cycles, 7);
 
         // Invalid UTF-8 in a damaged interior line shifts lossy offsets.
         append(&path, b"gcc,caf\xC3");
@@ -615,7 +598,7 @@ mod tests {
         std::fs::write(&staging, &swapped).unwrap();
         std::fs::rename(&staging, &path).unwrap();
         assert_matches_fresh_parse(&mut log, &path);
-        assert!(log.record(0).is_none() && log.record(1).is_some());
+        assert!(record(&log, 0).is_none() && record(&log, 1).is_some());
 
         // A vanished file.
         std::fs::remove_file(&path).unwrap();
@@ -684,11 +667,11 @@ mod tests {
         let path = job.cells_path();
         let recs = records();
         std::fs::write(&path, to_csv(&recs[..2])).unwrap();
-        let fam = FamilyId::of_record(&recs[0]);
+        let fam = family_of(&recs[0]);
         let members = |n: usize| {
             recs[..n]
                 .iter()
-                .filter(|r| FamilyId::of_record(r) == fam)
+                .filter(|r| family_of(r) == fam)
                 .cloned()
                 .collect::<Vec<_>>()
         };
@@ -709,7 +692,8 @@ mod tests {
             .advance(file, opened.offset, &opened.bytes)
             .unwrap();
         log.absorb(&path, tail);
-        assert_eq!(log.family_records(&fam), members(4));
+        assert_eq!(log.family(0), fam);
+        assert_eq!(log.family_records(0), members(4));
 
         // Bytes from a later offset than the boundary's guard do not.
         append(&path, row(&recs[4]).as_bytes());
@@ -725,10 +709,10 @@ mod tests {
         std::fs::write(job.cells_path(), to_csv(&recs)).unwrap();
         let complete = with_log(&job, &spec(), |log| log.done() == log.total()).unwrap();
         assert!(complete);
-        let fam = FamilyId::of_record(&recs[0]);
+        let fam = family_of(&recs[0]);
         let members = recs
             .iter()
-            .filter(|r| FamilyId::of_record(r) == fam)
+            .filter(|r| family_of(r) == fam)
             .cloned()
             .collect::<Vec<_>>();
         let nothing = Opened {
@@ -736,10 +720,7 @@ mod tests {
             bytes: Vec::new(),
             read: 0,
         };
-        assert_eq!(
-            family_records(&job, &spec(), &fam, &nothing).unwrap(),
-            members
-        );
+        assert_eq!(family_records(&job, &spec(), 0, &nothing).unwrap(), members);
 
         // A different spec in the same directory gets a fresh index.
         let mut other = spec();

@@ -816,10 +816,10 @@ mod tests {
         .unwrap();
         let exp = spec.to_experiment().unwrap();
         assert_eq!(exp.cells(), 2);
-        let ids = exp.identities().unwrap();
-        assert_eq!(ids[0].workload, "fuzz-ras-7");
-        assert_eq!(ids[0].suite, "");
-        assert_eq!(ids[1].workload, "gcc");
+        let plan = exp.plan().unwrap();
+        assert_eq!(plan.identity(0).workload, "fuzz-ras-7");
+        assert_eq!(plan.identity(0).suite, "");
+        assert_eq!(plan.identity(1).workload, "gcc");
     }
 
     #[test]

@@ -537,7 +537,7 @@ impl JobStore {
     /// discovered mid-queue), or [`DaemonError::Io`].
     pub fn submit(&self, spec: &JobSpec) -> Result<(String, bool), DaemonError> {
         // Reject unrunnable jobs now, while the submitter is watching.
-        let cells_total = spec.to_experiment()?.identities()?.len();
+        let cells_total = ftsim::harness::Grid::new(&spec.to_experiment()?)?.cells();
         let canonical = spec.to_json();
 
         let jobs = self.jobs()?;
@@ -1004,6 +1004,29 @@ mod tests {
     }
 
     #[test]
+    fn uncountable_grids_are_rejected_at_submit() {
+        // Five axes of 20,000 repeated values: 3.2e21 cells, from a spec
+        // small enough for one HTTP request.
+        let store = temp_store("uncountable");
+        let mut huge = small_spec("huge");
+        let n = 20_000;
+        huge.workloads = vec!["gcc".to_string(); n];
+        huge.models = vec!["SS-1".to_string(); n];
+        huge.fault_rates_pm = vec![0.0; n];
+        huge.budgets = vec![1_000; n];
+        huge.seeds = vec![1; n];
+        assert!(huge.to_json().len() < crate::ServeOptions::default().max_body);
+        assert!(matches!(
+            store.submit(&huge),
+            Err(DaemonError::Experiment(
+                ftsim::harness::ExperimentError::TooManyCells
+            ))
+        ));
+        assert!(store.jobs().unwrap().is_empty(), "nothing may be enqueued");
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
     fn status_round_trips_and_stop_sentinel_works() {
         let store = temp_store("status");
         let mut spec = small_spec("s");
@@ -1023,8 +1046,9 @@ mod tests {
             })
             .unwrap();
         // Three cells stream their records; the count comes from them.
-        let identities = spec.to_experiment().unwrap().identities().unwrap();
-        std::fs::write(job.cells_path(), ftsim::harness::to_csv(&identities[..3])).unwrap();
+        let plan = spec.to_experiment().unwrap().plan().unwrap();
+        let identities: Vec<_> = (0..3).map(|idx| plan.identity(idx)).collect();
+        std::fs::write(job.cells_path(), ftsim::harness::to_csv(&identities)).unwrap();
         let loaded = store.load_status(&job).unwrap();
         assert_eq!(loaded.state, JobState::Running);
         assert_eq!(loaded.cells_total, 8);

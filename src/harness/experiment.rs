@@ -94,6 +94,8 @@ pub enum ExperimentError {
     InvalidFaultRate(f64),
     /// A zero instruction budget.
     ZeroBudget,
+    /// The product of the axis lengths overflows `usize`.
+    TooManyCells,
 }
 
 impl fmt::Display for ExperimentError {
@@ -112,6 +114,7 @@ impl fmt::Display for ExperimentError {
                 "fault rate {rate} per million instructions is not in [0, 1e6]"
             ),
             ExperimentError::ZeroBudget => write!(f, "instruction budget must be nonzero"),
+            ExperimentError::TooManyCells => write!(f, "experiment grid has too many cells"),
         }
     }
 }
@@ -299,10 +302,11 @@ impl Experiment {
 
     /// Provides records from a previous run (e.g. parsed from an exported
     /// CSV with [`crate::harness::from_csv`]); cells whose identity —
-    /// workload, model, redundancy, fault rate, seed, budget, oracle
-    /// mode — matches a *successful* prior record are not re-simulated,
-    /// and the prior record is returned in the cell's grid slot instead.
-    /// Failed prior records are re-run.
+    /// workload and suite, model and redundancy, fault rate (bit-exact),
+    /// site mix, seed, budget, oracle mode — matches a *successful* prior
+    /// record are not re-simulated, and the first such prior record is
+    /// returned in the cell's grid slot instead. Failed prior records are
+    /// re-run.
     ///
     /// The oracle mode is part of the identity, so feeding records from
     /// an [`OracleMode::Off`] sweep into an [`OracleMode::Final`] grid
@@ -318,14 +322,29 @@ impl Experiment {
         self
     }
 
-    /// Number of grid cells this experiment will run.
+    /// Number of grid cells this experiment will run; `usize::MAX` for a
+    /// grid too large to count, which validation rejects.
     pub fn cells(&self) -> usize {
-        self.workloads.len()
-            * self.models.len()
-            * self.fault_rates_pm.len()
-            * self.site_mixes.len()
-            * self.budgets.len()
-            * self.seeds.len()
+        self.checked_cells().unwrap_or(usize::MAX)
+    }
+
+    /// The product of the axis lengths, unless it overflows.
+    fn checked_cells(&self) -> Option<usize> {
+        self.axis_lengths()
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// The axis lengths in grid order, outermost first.
+    pub(crate) fn axis_lengths(&self) -> [usize; 6] {
+        [
+            self.workloads.len(),
+            self.models.len(),
+            self.fault_rates_pm.len(),
+            self.site_mixes.len(),
+            self.budgets.len(),
+            self.seeds.len(),
+        ]
     }
 
     pub(crate) fn validate(&self) -> Result<(), ExperimentError> {
@@ -361,7 +380,9 @@ impl Experiment {
         if self.budgets.contains(&0) {
             return Err(ExperimentError::ZeroBudget);
         }
-        Ok(())
+        self.checked_cells()
+            .map(drop)
+            .ok_or(ExperimentError::TooManyCells)
     }
 
     /// Validates the grid and runs every cell, fanning out across worker
@@ -394,8 +415,8 @@ impl Experiment {
     }
 
     /// Validates the grid and materializes it into a [`SweepPlan`] —
-    /// cells flattened in grid order, prior records matched, fork bounds
-    /// computed and families grouped — without running anything.
+    /// prior records matched to cells, fork bounds computed and families
+    /// grouped — without running anything.
     ///
     /// [`Experiment::run`] is `plan()` followed by executing every cell
     /// across a worker pool; callers that need finer control (the
@@ -409,25 +430,6 @@ impl Experiment {
     pub fn plan(self) -> Result<SweepPlan, ExperimentError> {
         SweepPlan::new(self)
     }
-
-    /// Validates the grid and enumerates the identity half of every
-    /// cell's record, in grid order, without computing fork bounds or
-    /// running anything — the cheap way to answer "which cells does this
-    /// grid contain, and in what order?" (used by the daemon to merge
-    /// streamed results back into grid order).
-    ///
-    /// # Errors
-    ///
-    /// [`ExperimentError`] when the grid is misconfigured.
-    pub fn identities(&self) -> Result<Vec<RunRecord>, ExperimentError> {
-        self.validate()?;
-        // Grid order has exactly one definition: the planner's cell
-        // enumeration.
-        Ok(crate::harness::plan::enumerate_cells(self)
-            .iter()
-            .map(|cell| crate::harness::plan::cell_identity(self, cell))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -435,6 +437,12 @@ mod tests {
     use super::*;
     use ftsim_isa::asm;
     use ftsim_workloads::{profile, spec_profiles};
+
+    /// The identity half of every cell's record, in grid order.
+    fn identities(e: &Experiment) -> Vec<RunRecord> {
+        let plan = e.clone().plan().unwrap();
+        (0..plan.len()).map(|idx| plan.identity(idx)).collect()
+    }
 
     #[test]
     fn empty_axes_are_rejected() {
@@ -526,15 +534,14 @@ mod tests {
 
     #[test]
     fn identities_enumerate_in_run_order() {
-        // identities() and run() must agree on grid order cell-for-cell
-        // (the daemon merges streamed records back with identities()).
+        // Cell identities and run() must agree on grid order cell-for-cell.
         let e = Experiment::grid()
             .workloads([profile("gcc").unwrap(), profile("go").unwrap()])
             .models([MachineConfig::ss1(), MachineConfig::ss2()])
             .fault_rates([0.0, 100.0])
             .budget(1_000)
             .seeds([1, 2]);
-        let ids = e.identities().unwrap();
+        let ids = identities(&e);
         let records = e.clone().run().unwrap();
         assert_eq!(ids.len(), e.cells());
         assert_eq!(ids.len(), records.len());
@@ -666,7 +673,7 @@ mod tests {
                 .budget(1_500)
                 .seeds([1, 2])
         };
-        let ids = build().identities().unwrap();
+        let ids = identities(&build());
         let outcome = |i: usize, cycles: u64, error: &str| {
             let mut r = ids[i].clone();
             r.cycles = cycles;

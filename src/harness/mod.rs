@@ -34,12 +34,14 @@
 //! without any external dependency.
 
 mod experiment;
+mod grid;
 mod plan;
 mod record;
 
 pub use experiment::{Experiment, ExperimentError, Workload, DEFAULT_BUDGET};
-pub use plan::{checkpoint_interval, group_families, CellPath, FamilyId, SweepPlan};
+pub use grid::Grid;
+pub use plan::{checkpoint_interval, CellPath, FamilyId, SweepPlan};
 pub use record::{
     expect_record, from_csv, from_csv_tolerant, from_csv_tolerant_prefix, from_json, record_for,
-    to_csv, to_json, IdentityKey, RecordError, RunRecord,
+    to_csv, to_json, RecordError, RunRecord,
 };

@@ -1,15 +1,14 @@
-//! The sweep planner: cell enumeration, family grouping and the
+//! The sweep planner: resume matching, family grouping and the
 //! checkpoint/fork baseline machinery behind [`Experiment::run`].
 //!
-//! A [`SweepPlan`] is a *materialized* grid: every cell flattened in grid
-//! order, prior (resumed) records matched to their slots, fork bounds
-//! computed for live faulty cells, and cells grouped into **families** —
-//! the sets sharing a (workload, budget, model) coordinate and therefore a
-//! fault-free prefix. One-shot grids ([`Experiment::run`]) and the
-//! long-running `ftsimd` daemon both execute through this type, so the
-//! scheduling rules — which families run a checkpointed baseline, when a
-//! faulty cell may fork, why records stay byte-identical — live in exactly
-//! one place.
+//! A [`SweepPlan`] is a *materialized* grid ([`Grid`]): prior (resumed)
+//! records matched to their cells, fork bounds computed for live faulty
+//! cells, and cells grouped into **families** — the sets sharing a
+//! (workload, budget, model) coordinate and therefore a fault-free prefix.
+//! One-shot grids ([`Experiment::run`]) and the long-running `ftsimd`
+//! daemon both execute through this type, so the scheduling rules — which
+//! families run a checkpointed baseline, when a faulty cell may fork, why
+//! records stay byte-identical — live in exactly one place.
 //!
 //! Execution is pull-based and thread-safe: [`SweepPlan::run_cell`] can be
 //! called for any cell index from any thread, in any order. A family's
@@ -25,7 +24,8 @@
 //! baseline lock.
 
 use crate::harness::experiment::{Experiment, ExperimentError};
-use crate::harness::record::{IdentityKey, RunRecord};
+use crate::harness::grid::{Cell, Grid};
+use crate::harness::record::RunRecord;
 use ftsim_core::profile::{self, StageProfile};
 use ftsim_core::{
     fork_point, Checkpoint, MachineConfig, RunLimits, SimBuilder, SimResult, Simulator,
@@ -33,8 +33,6 @@ use ftsim_core::{
 use ftsim_faults::{per_million, FaultInjector};
 use ftsim_isa::Program;
 use ftsim_obs::metrics;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Smallest first-possible-injection draw index for which running a
@@ -121,35 +119,14 @@ fn obs() -> &'static ObsHandles {
     })
 }
 
-/// One flattened grid cell.
-pub(crate) struct Cell {
-    pub(crate) workload: usize,
-    pub(crate) budget_idx: usize,
-    pub(crate) model: usize,
-    pub(crate) rate_pm: f64,
-    /// Index into the experiment's site-mix axis.
-    pub(crate) mix: usize,
-    pub(crate) budget: u64,
-    pub(crate) seed: u64,
-}
-
-impl Cell {
-    /// The family axis: cells sharing a fault-free prefix.
-    fn family_key(&self) -> (usize, usize, usize) {
-        (self.workload, self.budget_idx, self.model)
-    }
-}
-
 /// A family baseline's outcome: the fault-free result (serving the
 /// family's rate-0 cells) and the periodic checkpoints (serving forks).
 type Baseline = (Result<SimResult, String>, Vec<Checkpoint>);
 
 /// A (workload, budget, model) family and its shared baseline state.
 struct Family {
-    workload: usize,
-    budget_idx: usize,
-    model: usize,
-    budget: u64,
+    /// One of its cells, for the workload, budget and model positions.
+    cell: Cell,
     /// Largest draw index any live faulty sibling can fork at (`None`
     /// when the family has no live faulty cells at all — no snapshots
     /// are taken then).
@@ -248,8 +225,8 @@ impl Schedule {
 
 /// A materialized, executable sweep: the output of [`Experiment::plan`].
 ///
-/// The plan owns the validated experiment, the flattened cell list (grid
-/// order: workload-major, seed-minor), the resumed-record matches, the
+/// The plan owns the validated experiment, its grid (cells addressed by
+/// index, workload-major, seed-minor), the resumed-record matches, the
 /// fork bounds, and the family table. It is immutable and [`Sync`]: cells
 /// can be executed from any number of threads, and results are
 /// byte-identical regardless of execution order (cells are independent
@@ -259,9 +236,9 @@ pub struct SweepPlan {
     exp: Experiment,
     /// One shared program per (workload, budget) coordinate.
     programs: Vec<Vec<Arc<Program>>>,
-    cells: Vec<Cell>,
-    /// Per cell: the prior record serving it, when resuming.
-    resumed: Vec<Option<RunRecord>>,
+    grid: Grid,
+    /// Per cell: the index in `exp.prior` of the record serving it.
+    resumed: Vec<Option<usize>>,
     /// Per cell: the fork bound (live faulty cells only).
     bounds: Vec<Option<u64>>,
     families: Vec<Family>,
@@ -272,7 +249,7 @@ pub struct SweepPlan {
 impl SweepPlan {
     /// Materializes a validated experiment into an executable plan.
     pub(crate) fn new(exp: Experiment) -> Result<Self, ExperimentError> {
-        exp.validate()?;
+        let grid = Grid::new(&exp)?;
 
         // Generate each distinct (workload, budget) program once, up
         // front, behind an `Arc`: cells share the image by reference
@@ -288,73 +265,43 @@ impl SweepPlan {
             })
             .collect();
 
-        let cells = enumerate_cells(&exp);
-
         // Cells already present in the prior records are not re-simulated.
-        // The first successful prior of each identity serves its cell.
-        let mut prior: HashMap<IdentityKey, &RunRecord> = HashMap::new();
-        for p in exp.prior.iter().filter(|p| p.ok()) {
-            prior.entry(p.identity_key()).or_insert(p);
+        // The first successful prior of each cell serves it.
+        let mut resumed = vec![None; grid.cells()];
+        for (p, prior) in exp.prior.iter().enumerate().filter(|(_, p)| p.ok()) {
+            for idx in grid.cells_of(prior) {
+                resumed[idx].get_or_insert(p);
+            }
         }
-        let resumed: Vec<Option<RunRecord>> = if prior.is_empty() {
-            cells.iter().map(|_| None).collect()
-        } else {
-            cells
-                .iter()
-                .map(|cell| {
-                    let key = cell_identity(&exp, cell).identity_key();
-                    prior.get(&key).map(|&p| p.clone())
-                })
-                .collect()
-        };
 
         // Fork bounds, computed once per live faulty cell (the scan
         // replays the injector's Bernoulli stream, so it is worth caching
         // between the planning pass and the cell run).
-        let bounds: Vec<Option<u64>> = if exp.checkpointing {
-            cells
-                .iter()
-                .zip(&resumed)
-                .map(|(cell, resumed)| {
-                    (resumed.is_none() && cell.rate_pm > 0.0).then(|| {
-                        let horizon = fork_horizon(cell.budget, &exp.models[cell.model]);
-                        // The bound depends only on the Bernoulli stream
-                        // (rate, seed) — a site mix cannot move it.
-                        cell_injector(&exp, cell)
-                            .first_possible_fire(horizon)
-                            .unwrap_or(horizon)
-                    })
+        let bounds: Vec<Option<u64>> = (0..grid.cells())
+            .map(|idx| {
+                let cell = grid.cell(idx);
+                let live_faulty = resumed[idx].is_none() && exp.fault_rates_pm[cell.rate] > 0.0;
+                (exp.checkpointing && live_faulty).then(|| {
+                    let horizon = fork_horizon(exp.budgets[cell.budget], &exp.models[cell.model]);
+                    // The bound depends only on the Bernoulli stream
+                    // (rate, seed) — a site mix cannot move it.
+                    cell_injector(&exp, &cell)
+                        .first_possible_fire(horizon)
+                        .unwrap_or(horizon)
                 })
-                .collect()
-        } else {
-            vec![None; cells.len()]
-        };
-
-        let families = if exp.checkpointing {
-            plan_families(&cells, &resumed, &bounds)
-        } else {
-            Vec::new()
-        };
-        let family_index: HashMap<(usize, usize, usize), usize> = families
-            .iter()
-            .enumerate()
-            .map(|(i, f)| ((f.workload, f.budget_idx, f.model), i))
-            .collect();
-        let cell_family = cells
-            .iter()
-            .zip(&resumed)
-            .map(|(cell, prior)| {
-                family_index
-                    .get(&cell.family_key())
-                    .copied()
-                    .filter(|_| prior.is_none())
             })
             .collect();
+
+        let (families, cell_family) = if exp.checkpointing {
+            plan_families(&exp, &grid, &resumed, &bounds)
+        } else {
+            (Vec::new(), vec![None; grid.cells()])
+        };
 
         Ok(Self {
             exp,
             programs,
-            cells,
+            grid,
             resumed,
             bounds,
             families,
@@ -364,18 +311,33 @@ impl SweepPlan {
 
     /// Number of grid cells (equal to [`Experiment::cells`]).
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.grid.cells()
     }
 
     /// Whether the grid is empty (it never is for a validated experiment,
     /// but the convention pairs with [`SweepPlan::len`]).
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.grid.cells() == 0
     }
 
-    /// The identity (configuration) half of cell `idx`'s record.
+    /// The identity half of cell `idx`'s record, outcome fields zeroed.
     pub fn identity(&self, idx: usize) -> RunRecord {
-        cell_identity(&self.exp, &self.cells[idx])
+        let (exp, cell) = (&self.exp, self.grid.cell(idx));
+        let (workload, model) = (&exp.workloads[cell.workload], &exp.models[cell.model]);
+        RunRecord {
+            workload: workload.name().to_string(),
+            suite: workload.suite().to_string(),
+            model: model.name.clone(),
+            r: model.redundancy.r,
+            majority: model.redundancy.majority,
+            threshold: model.redundancy.threshold,
+            fault_rate_pm: exp.fault_rates_pm[cell.rate],
+            site_mix: exp.site_mixes[cell.mix].name().to_string(),
+            seed: exp.seeds[cell.seed],
+            budget: exp.budgets[cell.budget],
+            oracle: exp.oracle.name().to_string(),
+            ..RunRecord::default()
+        }
     }
 
     /// The prior record serving cell `idx`, when the experiment was built
@@ -383,7 +345,7 @@ impl SweepPlan {
     /// are never re-simulated: [`SweepPlan::run_cell`] returns the prior
     /// record verbatim.
     pub fn prior(&self, idx: usize) -> Option<&RunRecord> {
-        self.resumed[idx].as_ref()
+        self.resumed[idx].map(|p| &self.exp.prior[p])
     }
 
     /// The number of cells that still need simulating (not served by a
@@ -439,7 +401,7 @@ impl SweepPlan {
     /// the family baseline, the baseline's cycles are attributed to this
     /// cell's profile.
     pub fn run_cell_observed(&self, idx: usize) -> (RunRecord, CellPath, StageProfile) {
-        if let Some(prior) = &self.resumed[idx] {
+        if let Some(prior) = self.prior(idx) {
             obs().cells[CellPath::Resumed as usize].inc();
             return (prior.clone(), CellPath::Resumed, StageProfile::default());
         }
@@ -459,14 +421,15 @@ impl SweepPlan {
     /// the baseline run counts when it executes, inside
     /// [`SweepPlan::baseline_guard`]).
     fn run_cell_inner(&self, idx: usize) -> (RunRecord, CellPath, (u64, u64)) {
-        let cell = &self.cells[idx];
-        let record = cell_identity(&self.exp, cell);
+        let cell = &self.grid.cell(idx);
+        let record = self.identity(idx);
+        let faulty = self.exp.fault_rates_pm[cell.rate] > 0.0;
 
         if let Some(fi) = self.cell_family[idx] {
             let family = &self.families[fi];
             let baseline = self.baseline_guard(family);
             let (outcome, checkpoints) = baseline.as_ref().expect("guard fills the baseline");
-            if cell.rate_pm == 0.0 {
+            if !faulty {
                 // The baseline is this cell's simulation.
                 let record = match outcome {
                     Ok(result) => record.fill_outcome(result),
@@ -482,7 +445,7 @@ impl SweepPlan {
             drop(baseline); // release the family lock before simulating
             if let Some(cp) = fork_from {
                 let builder = self
-                    .cell_builder(cell)
+                    .coordinate_builder(cell)
                     .injector(cell_injector(&self.exp, cell));
                 let fork_cycle = cp.cycle();
                 let fork_retired = cp.retired_instructions();
@@ -508,8 +471,8 @@ impl SweepPlan {
             // snapshot): fall through to a cold run.
         }
 
-        let mut builder = self.cell_builder(cell);
-        if cell.rate_pm > 0.0 {
+        let mut builder = self.coordinate_builder(cell);
+        if faulty {
             builder = builder.injector(cell_injector(&self.exp, cell));
         }
         let record = match builder.run() {
@@ -534,27 +497,22 @@ impl SweepPlan {
     /// keep every baseline until the plan drops.
     pub(crate) fn run_all(&self) -> Vec<RunRecord> {
         let schedule = Mutex::new(Schedule::new(&self.cell_family, self.families.len()));
-        let slots: Vec<Mutex<Option<RunRecord>>> =
-            self.cells.iter().map(|_| Mutex::new(None)).collect();
+        let records = Mutex::new(vec![None; self.len()]);
         std::thread::scope(|scope| {
             for _ in 0..self.workers() {
-                scope.spawn(|| self.work(&schedule, &slots));
+                scope.spawn(|| self.work(&schedule, &records));
             }
         });
-
-        slots
+        let records = records.into_inner().expect("records lock");
+        records
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every cell ran")
-            })
+            .map(|r| r.expect("every cell ran"))
             .collect()
     }
 
     /// One [`SweepPlan::run_all`] worker: runs tasks until the schedule
     /// has none left.
-    fn work(&self, schedule: &Mutex<Schedule>, slots: &[Mutex<Option<RunRecord>>]) {
+    fn work(&self, schedule: &Mutex<Schedule>, records: &Mutex<Vec<Option<RunRecord>>>) {
         let schedule = || schedule.lock().expect("schedule lock");
         loop {
             // Bound first: a guard in the `match` scrutinee would hold the
@@ -567,7 +525,8 @@ impl SweepPlan {
                     schedule().ready(fi);
                 }
                 Some(Task::Cell(idx)) => {
-                    *slots[idx].lock().expect("slot lock") = Some(self.run_cell(idx));
+                    let record = self.run_cell(idx);
+                    records.lock().expect("records lock")[idx] = Some(record);
                     let family = self.cell_family[idx];
                     if let Some(fi) = family.filter(|&fi| schedule().finish(fi)) {
                         // The last member is done: nothing reads it again.
@@ -591,13 +550,14 @@ impl SweepPlan {
 
     /// Runs one family's fault-free baseline, collecting checkpoints.
     fn run_baseline(&self, f: &Family) -> Baseline {
-        let builder = self.coordinate_builder(f.workload, f.budget_idx, f.model, f.budget);
+        let builder = self.coordinate_builder(&f.cell);
         let baseline: Baseline = match builder.build() {
             Ok(sim) => match f.snapshot_horizon {
                 // Faulty siblings exist: collect checkpoints for them.
                 Some(horizon) => {
+                    let budget = self.exp.budgets[f.cell.budget];
                     let (result, checkpoints) =
-                        sim.run_with_checkpoints(checkpoint_interval(f.budget), horizon);
+                        sim.run_with_checkpoints(checkpoint_interval(budget), horizon);
                     (result.map_err(|e| e.to_string()), checkpoints)
                 }
                 // The family is only fault-free cells: snapshots would
@@ -620,26 +580,17 @@ impl SweepPlan {
         baseline
     }
 
-    fn cell_builder(&self, cell: &Cell) -> SimBuilder {
-        self.coordinate_builder(cell.workload, cell.budget_idx, cell.model, cell.budget)
-    }
-
-    /// The builder every run of a (workload, budget, model) coordinate
-    /// starts from — config, shared program, oracle mode, and the cell's
-    /// budget with any blanket limits override adjusting ceilings but
-    /// never repealing the budgets axis. Baseline, forked and cold paths
-    /// all go through here so they cannot drift apart; callers add only
-    /// the injector.
-    fn coordinate_builder(
-        &self,
-        workload: usize,
-        budget_idx: usize,
-        model: usize,
-        budget: u64,
-    ) -> SimBuilder {
+    /// The builder every run of `cell`'s (workload, budget, model)
+    /// coordinate starts from — config, shared program, oracle mode, and
+    /// the cell's budget with any blanket limits override adjusting
+    /// ceilings but never repealing the budgets axis. Baseline, forked and
+    /// cold paths all go through here so they cannot drift apart; callers
+    /// add only the injector.
+    fn coordinate_builder(&self, cell: &Cell) -> SimBuilder {
+        let budget = self.exp.budgets[cell.budget];
         let builder = Simulator::builder()
-            .config(self.exp.models[model].clone())
-            .program_shared(Arc::clone(&self.programs[workload][budget_idx]))
+            .config(self.exp.models[cell.model].clone())
+            .program_shared(Arc::clone(&self.programs[cell.workload][cell.budget]))
             .oracle(self.exp.oracle)
             .budget(budget);
         match self.exp.limits {
@@ -657,9 +608,9 @@ impl SweepPlan {
 /// a process and of claim/lease ownership across cooperating `ftsimd`
 /// processes.
 ///
-/// A `FamilyId` is derived purely from a record's identity fields, so
-/// any two processes looking at the same grid (or the same streamed
-/// `cells.csv`) agree on the family partition without coordination.
+/// A `FamilyId` names the cells sharing a workload name, a model name
+/// and a budget. Any two processes looking at the same grid number the
+/// same families ([`crate::harness::Grid::family`]) without coordination.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FamilyId {
     /// Workload (benchmark profile) name.
@@ -671,16 +622,6 @@ pub struct FamilyId {
 }
 
 impl FamilyId {
-    /// The family of a record (identity or full — only the identity
-    /// fields are read).
-    pub fn of_record(r: &RunRecord) -> Self {
-        Self {
-            workload: r.workload.clone(),
-            budget: r.budget,
-            model: r.model.clone(),
-        }
-    }
-
     /// A filesystem-safe slug naming this family, used for per-family
     /// claim files: lowercase alphanumerics with `-` separators, e.g.
     /// `gcc-4000-ss-2`. Distinct registry names yield distinct slugs
@@ -712,109 +653,19 @@ impl std::fmt::Display for FamilyId {
     }
 }
 
-/// Groups identity records by family, preserving grid order: families
-/// appear in first-cell order and each family's member indices ascend.
-/// This is the partition the `ftsimd` claim table hands out, one family
-/// per claim.
-pub fn group_families(identities: &[RunRecord]) -> Vec<(FamilyId, Vec<usize>)> {
-    group_in_order(
-        identities
-            .iter()
-            .enumerate()
-            .map(|(idx, r)| (FamilyId::of_record(r), idx)),
-    )
-}
-
-/// Groups indices by key: groups in order of their first index, indices
-/// in the order given.
-fn group_in_order<K: Hash + Eq + Clone>(
-    keyed: impl IntoIterator<Item = (K, usize)>,
-) -> Vec<(K, Vec<usize>)> {
-    let mut groups: Vec<(K, Vec<usize>)> = Vec::new();
-    let mut slot: HashMap<K, usize> = HashMap::new();
-    for (key, idx) in keyed {
-        match slot.get(&key) {
-            Some(&g) => groups[g].1.push(idx),
-            None => {
-                slot.insert(key.clone(), groups.len());
-                groups.push((key, vec![idx]));
-            }
-        }
-    }
-    groups
-}
-
-/// The family key of every cell not served by a prior record, with its
-/// index.
-fn live_family_keys<'a>(
-    cells: &'a [Cell],
-    resumed: &'a [Option<RunRecord>],
-) -> impl Iterator<Item = ((usize, usize, usize), usize)> + 'a {
-    cells
-        .iter()
-        .enumerate()
-        .filter(|&(idx, _)| resumed[idx].is_none())
-        .map(|(idx, cell)| (cell.family_key(), idx))
-}
-
-/// The flattened cell list, in deterministic grid order (workload-major,
-/// seed-minor). This is the **single definition of grid order** — record
-/// assembly ([`SweepPlan::run_all`]) and identity enumeration
-/// ([`Experiment::identities`]) both derive from it, so they cannot
-/// drift apart.
-pub(crate) fn enumerate_cells(exp: &Experiment) -> Vec<Cell> {
-    let mut cells = Vec::with_capacity(exp.cells());
-    for (wi, _) in exp.workloads.iter().enumerate() {
-        for (mi, _) in exp.models.iter().enumerate() {
-            for &rate_pm in &exp.fault_rates_pm {
-                for (xi, _) in exp.site_mixes.iter().enumerate() {
-                    for (bi, &budget) in exp.budgets.iter().enumerate() {
-                        for &seed in &exp.seeds {
-                            cells.push(Cell {
-                                workload: wi,
-                                budget_idx: bi,
-                                model: mi,
-                                rate_pm,
-                                mix: xi,
-                                budget,
-                                seed,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// The identity half of a cell's record (used for resume matching and as
-/// the base of the final record).
-pub(crate) fn cell_identity(exp: &Experiment, cell: &Cell) -> RunRecord {
-    let workload = &exp.workloads[cell.workload];
-    RunRecord::identity(
-        workload.name(),
-        workload.suite(),
-        &exp.models[cell.model],
-        cell.rate_pm,
-        exp.site_mixes[cell.mix].name(),
-        cell.seed,
-        cell.budget,
-        exp.oracle,
-    )
-}
-
 /// The fault injector a cell runs under (fresh, before any draws).
 fn cell_injector(exp: &Experiment, cell: &Cell) -> FaultInjector {
-    debug_assert!(cell.rate_pm > 0.0);
+    let rate_pm = exp.fault_rates_pm[cell.rate];
+    debug_assert!(rate_pm > 0.0);
     FaultInjector::random_with_mix(
-        per_million(cell.rate_pm),
-        cell.seed,
+        per_million(rate_pm),
+        exp.seeds[cell.seed],
         &exp.site_mixes[cell.mix],
     )
 }
 
-/// Decides which families run a checkpointed baseline.
+/// Decides which families run a checkpointed baseline, and which one
+/// serves each live cell.
 ///
 /// A family — the cells sharing (workload, budget, model) — runs one when
 /// it contains a live fault-free cell (the baseline *is* that cell's run,
@@ -822,33 +673,42 @@ fn cell_injector(exp: &Experiment, cell: &Cell) -> FaultInjector {
 /// possible injection lies far enough in (≥ [`MIN_WORTHWHILE_FORK_DRAWS`]
 /// draws) that skipping the prefix pays for the extra baseline run.
 fn plan_families(
-    cells: &[Cell],
-    resumed: &[Option<RunRecord>],
+    exp: &Experiment,
+    grid: &Grid,
+    resumed: &[Option<usize>],
     bounds: &[Option<u64>],
-) -> Vec<Family> {
-    group_in_order(live_family_keys(cells, resumed))
-        .into_iter()
-        .filter_map(|(_, members)| {
-            let faulty_bounds = || {
-                members
-                    .iter()
-                    .filter(|&&i| cells[i].rate_pm != 0.0)
-                    .map(|&i| bounds[i].expect("live faulty cells have a bound"))
-            };
-            // A live fault-free cell's run *is* the baseline.
-            let worthwhile = members.iter().any(|&i| cells[i].rate_pm == 0.0)
-                || faulty_bounds().any(|bound| bound >= MIN_WORTHWHILE_FORK_DRAWS);
-            let first = &cells[members[0]];
-            worthwhile.then(|| Family {
-                workload: first.workload,
-                budget_idx: first.budget_idx,
-                model: first.model,
-                budget: first.budget,
-                // Snapshots are useful up to the *largest* divergence
-                // point any live faulty sibling can fork at.
-                snapshot_horizon: faulty_bounds().max(),
+) -> (Vec<Family>, Vec<Option<usize>>) {
+    let (models, budgets) = (exp.models.len(), exp.budgets.len());
+    let dense = |idx: usize| {
+        let cell = grid.cell(idx);
+        (cell.workload * models + cell.model) * budgets + cell.budget
+    };
+    // Per family: a live cell, whether one is fault-free (the only live
+    // cells without a bound), and the largest bound of its live faulty
+    // cells, up to which snapshots are useful.
+    let mut live = vec![(0, false, None); exp.workloads.len() * models * budgets];
+    for idx in (0..grid.cells()).filter(|&idx| resumed[idx].is_none()) {
+        let (member, fault_free, horizon) = &mut live[dense(idx)];
+        *member = idx;
+        match bounds[idx] {
+            None => *fault_free = true,
+            Some(bound) => *horizon = (*horizon).max(Some(bound)),
+        }
+    }
+    let mut number = vec![None; live.len()];
+    let mut families = Vec::new();
+    for (k, &(member, fault_free, snapshot_horizon)) in live.iter().enumerate() {
+        if fault_free || snapshot_horizon >= Some(MIN_WORTHWHILE_FORK_DRAWS) {
+            number[k] = Some(families.len());
+            families.push(Family {
+                cell: grid.cell(member),
+                snapshot_horizon,
                 baseline: Mutex::new(None),
-            })
-        })
-        .collect()
+            });
+        }
+    }
+    let cell_family = (0..grid.cells())
+        .map(|idx| number[dense(idx)].filter(|_| resumed[idx].is_none()))
+        .collect();
+    (families, cell_family)
 }

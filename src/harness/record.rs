@@ -1,6 +1,6 @@
 //! The flat, serializable result of one experiment cell.
 
-use ftsim_core::{MachineConfig, SimResult};
+use ftsim_core::SimResult;
 use ftsim_isa::MixClass;
 use ftsim_stats::{csv, json, JsonValue};
 use std::fmt::{self, Write as _};
@@ -402,25 +402,6 @@ macro_rules! impl_record_serde {
 
 with_fields!(impl_record_serde);
 
-/// The hashable form of [`RunRecord::same_identity`]: two records
-/// describe the same grid cell exactly when their keys are equal (the
-/// fault rate compares bit-exactly). Resume matching in the planner and
-/// the `ftsimd` record index both look records up by it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct IdentityKey {
-    workload: String,
-    suite: String,
-    model: String,
-    r: u8,
-    majority: bool,
-    threshold: u8,
-    fault_rate_bits: u64,
-    site_mix: String,
-    seed: u64,
-    budget: u64,
-    oracle: String,
-}
-
 impl RunRecord {
     /// Whether the cell simulated successfully.
     pub fn ok(&self) -> bool {
@@ -436,26 +417,18 @@ impl RunRecord {
     /// mode means records swept with [`ftsim_core::OracleMode::Off`]
     /// never satisfy a resumed grid that demands
     /// [`ftsim_core::OracleMode::Final`] verification (and vice versa) —
-    /// such cells are simply re-simulated.
+    /// such cells are simply re-simulated. A [`crate::harness::Grid`]
+    /// answers the same question for a whole grid at once.
     pub fn same_identity(&self, other: &RunRecord) -> bool {
-        self.identity_key() == other.identity_key()
-    }
-
-    /// This record's [`IdentityKey`].
-    pub fn identity_key(&self) -> IdentityKey {
-        IdentityKey {
-            workload: self.workload.clone(),
-            suite: self.suite.clone(),
-            model: self.model.clone(),
-            r: self.r,
-            majority: self.majority,
-            threshold: self.threshold,
-            fault_rate_bits: self.fault_rate_pm.to_bits(),
-            site_mix: self.site_mix.clone(),
-            seed: self.seed,
-            budget: self.budget,
-            oracle: self.oracle.clone(),
-        }
+        self.workload == other.workload
+            && self.suite == other.suite
+            && self.model == other.model
+            && (self.r, self.majority, self.threshold) == (other.r, other.majority, other.threshold)
+            && self.fault_rate_pm.to_bits() == other.fault_rate_pm.to_bits()
+            && self.site_mix == other.site_mix
+            && self.seed == other.seed
+            && self.budget == other.budget
+            && self.oracle == other.oracle
     }
 
     /// A compact, stable label for this record's grid cell, built from
@@ -469,35 +442,6 @@ impl RunRecord {
             "{}/{}/b{}/rate{}/{}/seed{}",
             self.workload, self.model, self.budget, self.fault_rate_pm, self.site_mix, self.seed
         )
-    }
-
-    /// Builds the identity (configuration) part of a record; outcome
-    /// fields start zeroed.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn identity(
-        workload: &str,
-        suite: &str,
-        config: &MachineConfig,
-        fault_rate_pm: f64,
-        site_mix: &str,
-        seed: u64,
-        budget: u64,
-        oracle: ftsim_core::OracleMode,
-    ) -> Self {
-        Self {
-            workload: workload.to_string(),
-            suite: suite.to_string(),
-            model: config.name.clone(),
-            r: config.redundancy.r,
-            majority: config.redundancy.majority,
-            threshold: config.redundancy.threshold,
-            fault_rate_pm,
-            site_mix: site_mix.to_string(),
-            seed,
-            budget,
-            oracle: oracle.name().to_string(),
-            ..Self::default()
-        }
     }
 
     /// Fills the outcome fields from a completed simulation.

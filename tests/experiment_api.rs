@@ -197,7 +197,11 @@ fn checkpointed_resumed_grid_is_byte_identical_at_any_thread_count() {
         .filter(|&idx| plan.prior(idx).is_none())
         .map(|idx| plan.identity(idx))
         .filter(|r| r.fault_rate_pm == 0.0)
-        .map(|r| FamilyId::of_record(&r))
+        .map(|r| FamilyId {
+            workload: r.workload,
+            budget: r.budget,
+            model: r.model,
+        })
         .collect();
     assert!(plan.family_count() > fault_free_families.len());
 
