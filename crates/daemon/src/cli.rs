@@ -685,13 +685,13 @@ fn cmd_read(args: &Args, verb: Verb) -> Result<(), String> {
         return Ok(());
     }
     let view = read_job(&store, &job).map_err(|e| e.to_string())?;
-    if view.status.state != JobState::Done {
+    if view.state != JobState::Done {
         let (n, total) = (view.records.len(), view.total);
         let coverage = match verb {
             Verb::Results => format!("{n} of {total} cells merged (grid order)"),
             Verb::Report => format!("report covers {n} of {total} cells"),
         };
-        eprintln!("ftsimd: job {id} is {} — {coverage}", view.status.state);
+        eprintln!("ftsimd: job {id} is {} — {coverage}", view.state);
     }
     print!("{}", render(&view.records, verb, json));
     Ok(())
@@ -932,7 +932,15 @@ mod tests {
         let doc = submit_doc(&store, &spec.to_json()).unwrap();
         let id = str_of(&doc, "id");
         let job = store.job(&id).unwrap();
-        crate::runner::run_job(&store, &job, &std::sync::atomic::AtomicBool::new(false)).unwrap();
+        serve(
+            &store,
+            &ServeOptions {
+                drain: true,
+                poll: Duration::from_millis(1),
+                ..Default::default()
+            },
+        )
+        .unwrap();
 
         let state = dir.to_string_lossy().to_string();
         // report renders the analysis sections over the job's records.

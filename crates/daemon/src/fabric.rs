@@ -192,12 +192,6 @@ impl FabricConfig {
 /// baseline computation in the paper's budget range.
 pub const DEFAULT_CELL_FLOOR: Duration = Duration::from_secs(120);
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        Self::new(Duration::from_secs(30))
-    }
-}
-
 /// A parsed claim-lease document.
 struct Lease {
     owner: String,
@@ -546,6 +540,39 @@ pub(crate) fn live_claims(job: &Job) -> LiveClaims {
     live
 }
 
+/// A job's state and error as every reader serves them.
+#[derive(Debug)]
+pub(crate) struct Served {
+    /// `running` for a non-terminal job with a live claim on it; the
+    /// persisted state otherwise.
+    pub state: JobState,
+    /// The status's error for a terminal job, the pause reason for a
+    /// paused one, empty otherwise.
+    pub error: String,
+}
+
+/// What `status`, `jobs`, `results`, `report` and `/healthz` show of a
+/// job whose status reads as `status` and whose claims scan as `live`.
+/// Liveness is not persisted: the claim leases say who is working on a
+/// job, and they expire on their own when the worker dies.
+pub(crate) fn served(store: &JobStore, job: &Job, status: &JobStatus, live: &LiveClaims) -> Served {
+    if status.terminal() {
+        return Served {
+            state: status.state,
+            error: status.error.clone(),
+        };
+    }
+    let state = if live.count > 0 {
+        JobState::Running
+    } else {
+        JobState::Queued
+    };
+    Served {
+        state,
+        error: store.pause_reason(job),
+    }
+}
+
 /// One family's progress within a job.
 #[derive(Debug)]
 pub(crate) struct FamilyProgress {
@@ -641,9 +668,7 @@ pub(crate) enum NextWork {
 /// order: priority descending, then the submitter's live-claim count
 /// ascending (fair share), then job id. Jobs whose spec no longer
 /// parses or resolves are marked failed in passing (with the error in
-/// their status) rather than wedging the queue. `only` restricts the
-/// scan to one job id — the single-job ([`run_job`](crate::run_job))
-/// special case.
+/// their status) rather than wedging the queue.
 ///
 /// # Errors
 ///
@@ -652,10 +677,9 @@ pub(crate) enum NextWork {
 pub(crate) fn next_assignment(
     store: &JobStore,
     cfg: &FabricConfig,
-    only: Option<&str>,
 ) -> Result<NextWork, DaemonError> {
     let started = Instant::now();
-    let next = scheduling_pass(store, cfg, only);
+    let next = scheduling_pass(store, cfg);
     fobs()
         .sched_pass_ms
         .record(started.elapsed().as_millis() as u64);
@@ -663,11 +687,7 @@ pub(crate) fn next_assignment(
 }
 
 /// The body of [`next_assignment`].
-fn scheduling_pass(
-    store: &JobStore,
-    cfg: &FabricConfig,
-    only: Option<&str>,
-) -> Result<NextWork, DaemonError> {
+fn scheduling_pass(store: &JobStore, cfg: &FabricConfig) -> Result<NextWork, DaemonError> {
     struct Candidate {
         job: Job,
         spec: JobSpec,
@@ -676,9 +696,6 @@ fn scheduling_pass(
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut incomplete = 0usize;
     for job in store.jobs()? {
-        if only.is_some_and(|id| id != job.id) {
-            continue;
-        }
         let status = match store.load_status(&job) {
             Ok(status) => status,
             Err(DaemonError::Corrupt { path, message }) => {
@@ -719,7 +736,7 @@ fn scheduling_pass(
                 continue;
             }
         };
-        if !matches!(status.state, JobState::Queued | JobState::Running) {
+        if status.terminal() {
             log::forget(&job); // terminal: its index is no longer needed
             continue;
         }
@@ -884,24 +901,6 @@ pub(crate) fn mark_failed(store: &JobStore, job: &Job, err: &DaemonError) {
     });
 }
 
-/// Marks a claimed job running (best-effort): the first claim moves it
-/// out of `queued`, and a claim after a pause clears the pause message.
-/// Any other claim leaves `status.json` as it is, so a running job's
-/// status is written once, not per claim or per cell, and a job that
-/// turned done or failed meanwhile stays so.
-pub(crate) fn mark_running(store: &JobStore, job: &Job) {
-    let _ = store.update_status(job, |prior| {
-        let status = prior.filter(|s| {
-            s.state == JobState::Queued || (s.state == JobState::Running && !s.error.is_empty())
-        })?;
-        Some(JobStatus {
-            state: JobState::Running,
-            error: String::new(),
-            ..status
-        })
-    });
-}
-
 /// How a [`run_family`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FamilyOutcome {
@@ -913,7 +912,7 @@ pub(crate) enum FamilyOutcome {
     /// the family now and this worker's partial rows are still valid.
     Lost,
     /// The disk filled up (ENOSPC on a cell append): the job was paused
-    /// with a visible status instead of crash-looping the worker. Every
+    /// with a visible reason instead of crash-looping the worker. Every
     /// streamed row is kept; re-submitting the spec after freeing space
     /// resumes from them.
     Paused,
@@ -1154,7 +1153,7 @@ pub(crate) fn run_family(
 
 /// Disk full while streaming cells. Losing the record is unavoidable,
 /// but crashing the worker (and retrying into the same full disk) helps
-/// nobody: pause the job with a status a human will actually see, keep
+/// nobody: pause the job with a reason a human will actually see, keep
 /// every streamed row, and let an identical re-submit resume once space
 /// exists.
 fn pause_for_enospc(store: &JobStore, job: &Job) -> FamilyOutcome {
@@ -1162,14 +1161,11 @@ fn pause_for_enospc(store: &JobStore, job: &Job) -> FamilyOutcome {
         "ftsimd: job {}: disk full appending cells.csv; pausing the job",
         job.id
     );
-    let _ = store.request_job_stop(job);
-    let _ = store.update_status(job, |prior| {
-        let mut status = prior.filter(|s| s.state != JobState::Done)?;
-        status.error = "paused: no space left on device while appending cells.csv; \
-             free space and re-submit the spec to resume"
-            .to_string();
-        Some(status)
-    });
+    let _ = store.request_job_stop(
+        job,
+        "paused: no space left on device while appending cells.csv; \
+         free space and re-submit the spec to resume",
+    );
     FamilyOutcome::Paused
 }
 
@@ -1281,30 +1277,6 @@ pub(crate) fn try_finalize(
     Ok(true)
 }
 
-/// Re-queues `running` jobs that no live claim is working — the
-/// graceful-shutdown sweep, so a stopped fabric leaves only `queued`
-/// and terminal states behind (and the status files tell the truth:
-/// nobody is running them).
-pub(crate) fn requeue_unclaimed(store: &JobStore) -> Result<(), DaemonError> {
-    for job in store.jobs()? {
-        requeue_if_unclaimed(store, &job)?;
-    }
-    Ok(())
-}
-
-/// [`requeue_unclaimed`] for one job: `running` with no live claim
-/// becomes `queued`.
-pub(crate) fn requeue_if_unclaimed(store: &JobStore, job: &Job) -> Result<(), DaemonError> {
-    store.update_status(job, |prior| {
-        let status =
-            prior.filter(|s| s.state == JobState::Running && live_claims(job).count == 0)?;
-        Some(JobStatus {
-            state: JobState::Queued,
-            ..status
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1321,6 +1293,15 @@ mod tests {
         let (id, _) = store.submit(&spec).unwrap();
         let job = store.job(&id).unwrap();
         (store, job)
+    }
+
+    /// Field `name` of the job's status document, as `status` serves it.
+    fn shown(store: &JobStore, job: &Job, name: &str) -> String {
+        let doc = crate::feed::status_doc(store, job);
+        doc.get(name)
+            .and_then(JsonValue::as_str)
+            .unwrap()
+            .to_string()
     }
 
     fn family() -> FamilyId {
@@ -1422,7 +1403,7 @@ mod tests {
         let (vip_id, _) = store.submit(&vip).unwrap();
 
         let cfg = FabricConfig::new(Duration::from_secs(30));
-        let NextWork::Work(a) = next_assignment(&store, &cfg, None).unwrap() else {
+        let NextWork::Work(a) = next_assignment(&store, &cfg).unwrap() else {
             panic!("claimable work expected");
         };
         assert_eq!(a.job.id, vip_id, "higher priority claims first");
@@ -1433,7 +1414,7 @@ mod tests {
         tie.name = "bob-second".to_string();
         tie.submitter = "bob".to_string();
         store.submit(&tie).unwrap();
-        let NextWork::Work(b) = next_assignment(&store, &cfg, None).unwrap() else {
+        let NextWork::Work(b) = next_assignment(&store, &cfg).unwrap() else {
             panic!("claimable work expected");
         };
         assert_eq!(
@@ -1449,7 +1430,7 @@ mod tests {
         let (store, job) = temp_job("corrupt-status");
         std::fs::write(job.status_path(), "{ definitely not json").unwrap();
         let cfg = FabricConfig::new(Duration::from_secs(30));
-        let NextWork::Work(a) = next_assignment(&store, &cfg, None).unwrap() else {
+        let NextWork::Work(a) = next_assignment(&store, &cfg).unwrap() else {
             panic!("job must be schedulable again after the rebuild");
         };
         assert_eq!(a.job.id, job.id);
@@ -1462,9 +1443,10 @@ mod tests {
         std::fs::remove_dir_all(store.root()).ok();
     }
 
-    /// `status.json` is a lifecycle record: once the first claim has
-    /// marked the job running, running a family leaves the file byte for
-    /// byte as it was, and the served documents count from the index.
+    /// `status.json` is a lifecycle record: from submit to finalize,
+    /// running families leaves the file byte for byte as it was. The
+    /// served documents read `running` from the live claim, and count
+    /// from the index.
     #[test]
     fn running_a_family_leaves_status_untouched() {
         let dir =
@@ -1486,32 +1468,59 @@ mod tests {
             [&crate::feed::status_doc(&store, &job), listed]
                 .map(|doc| doc.get("cells_done").and_then(JsonValue::as_u64).unwrap() as usize)
         };
+        let state = || shown(&store, &job, "state");
+        // The bytes, and the file: an atomic rewrite is a new inode.
+        let status_file = || {
+            let meta = std::fs::metadata(job.status_path()).unwrap();
+            (std::fs::read(job.status_path()).unwrap(), file_id(&meta))
+        };
+        let submitted = status_file();
         assert_eq!(served(), [0, 0]);
+        assert_eq!(state(), "queued");
 
-        let mut first_family_status = None;
         for round in 1..=2 {
-            let NextWork::Work(mut a) = next_assignment(&store, &cfg, None).unwrap() else {
+            let NextWork::Work(mut a) = next_assignment(&store, &cfg).unwrap() else {
                 panic!("family {round} must be claimable");
             };
-            mark_running(&store, &a.job);
+            assert_eq!(state(), "running", "a live claim is held");
             let outcome = run_family(&store, &mut a, &cfg, &|| false).unwrap();
             assert_eq!(outcome, FamilyOutcome::Finished);
             drop(a);
-            // The bytes, and the file: an atomic rewrite is a new inode.
-            let meta = std::fs::metadata(job.status_path()).unwrap();
-            let file = (std::fs::read(job.status_path()).unwrap(), file_id(&meta));
-            match &first_family_status {
-                None => first_family_status = Some(file),
-                Some(first) => assert_eq!(&file, first, "a family's run rewrote status.json"),
-            }
+            assert_eq!(state(), "queued", "no claim is held");
+            assert!(
+                status_file() == submitted,
+                "family {round}'s run rewrote status.json"
+            );
             let done = log::with_log(&job, &spec, log::JobLog::done).unwrap();
             assert_eq!(done, 2 * round);
             assert_eq!(served(), [done, done]);
         }
-        let text = String::from_utf8(first_family_status.unwrap().0).unwrap();
+        let text = String::from_utf8(submitted.0).unwrap();
         assert!(!text.contains("cells_done"), "{text}");
-        assert_eq!(store.load_status(&job).unwrap().state, JobState::Running);
+        assert!(try_finalize(&store, &job, &spec).unwrap());
+        assert_eq!(state(), "done");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A status an older daemon left `running` (its worker killed) is
+    /// queued work: only a live claim makes a job read `running`.
+    #[test]
+    fn a_legacy_running_status_with_no_live_claim_is_served_queued() {
+        let (store, job) = temp_job("legacy-running");
+        let text = std::fs::read_to_string(job.status_path()).unwrap();
+        let legacy = text.replace("\"queued\"", "\"running\"");
+        assert_ne!(legacy, text);
+        std::fs::write(job.status_path(), legacy).unwrap();
+        let state = || shown(&store, &job, "state");
+        assert_eq!(store.load_status(&job).unwrap().state, JobState::Queued);
+        assert_eq!(state(), "queued");
+        let held = try_claim(&job, &family(), &FabricConfig::new(Duration::from_secs(30)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(state(), "running");
+        drop(held);
+        assert_eq!(state(), "queued");
+        std::fs::remove_dir_all(store.root()).ok();
     }
 
     #[test]
@@ -1520,7 +1529,7 @@ mod tests {
         std::fs::remove_file(job.status_path()).unwrap();
         let cfg = FabricConfig::new(Duration::from_secs(30));
         assert!(matches!(
-            next_assignment(&store, &cfg, None).unwrap(),
+            next_assignment(&store, &cfg).unwrap(),
             NextWork::Work(_)
         ));
         assert!(job.status_path().exists(), "rebuilt status must persist");
@@ -1532,7 +1541,7 @@ mod tests {
         let (store, job) = temp_job("corrupt-spec");
         std::fs::write(job.spec_path(), "{{{{ not a spec").unwrap();
         let cfg = FabricConfig::new(Duration::from_secs(30));
-        match next_assignment(&store, &cfg, None).unwrap() {
+        match next_assignment(&store, &cfg).unwrap() {
             NextWork::Idle { incomplete } => {
                 assert_eq!(incomplete, 0, "a failed job must not block drain")
             }
@@ -1552,17 +1561,20 @@ mod tests {
     #[test]
     fn paused_jobs_are_skipped_and_do_not_block_drain() {
         let (store, job) = temp_job("paused");
-        store.request_job_stop(&job).unwrap();
+        store.request_job_stop(&job, "paused: disk full").unwrap();
+        let error = || shown(&store, &job, "error");
+        assert_eq!(error(), "paused: disk full", "the reason is served");
         let cfg = FabricConfig::new(Duration::from_secs(30));
-        match next_assignment(&store, &cfg, None).unwrap() {
+        match next_assignment(&store, &cfg).unwrap() {
             NextWork::Idle { incomplete } => assert_eq!(incomplete, 0),
             NextWork::Work(_) => panic!("paused jobs must not be claimed"),
         }
-        // Re-submitting the identical spec un-pauses.
+        // Re-submitting the identical spec un-pauses, and drops the reason.
         let spec = store.load_spec(&job).unwrap();
         store.submit(&spec).unwrap();
+        assert_eq!(error(), "");
         assert!(matches!(
-            next_assignment(&store, &cfg, None).unwrap(),
+            next_assignment(&store, &cfg).unwrap(),
             NextWork::Work(_)
         ));
         std::fs::remove_dir_all(store.root()).ok();

@@ -150,7 +150,7 @@ pub const CATALOG: &[Failpoint] = &[
     Failpoint {
         site: STORE_SENTINEL_WRITE,
         op: "stop/pause sentinel write",
-        recovery: "sentinel is advisory; absence means the job keeps running",
+        recovery: "sentinel is advisory; absence means the job keeps running, a torn one serves a cut pause reason",
     },
     Failpoint {
         site: STORE_SENTINEL_CLEAR,
@@ -195,7 +195,7 @@ pub const CATALOG: &[Failpoint] = &[
     Failpoint {
         site: FABRIC_FINALIZE_RESULTS_CSV,
         op: "atomic results.csv write",
-        recovery: "job stays Running with all cells done; next pass re-finalizes from cells.csv",
+        recovery: "job stays queued with all cells done; next pass re-finalizes from cells.csv",
     },
     Failpoint {
         site: FABRIC_FINALIZE_RESULTS_JSON,

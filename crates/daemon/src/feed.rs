@@ -18,7 +18,7 @@
 //!   merged read [`trace_doc`] serves as `GET /trace`, and later polls
 //!   are `trace --follow`.
 
-use crate::fabric::progress;
+use crate::fabric::{live_claims, progress, served};
 use crate::log::{self, CellsTail};
 use crate::spec::JobSpec;
 use crate::store::{io_err, DaemonError, Job, JobState, JobStatus, JobStore};
@@ -32,10 +32,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// A job's status and its records in grid order, read once.
+/// A job's served state and its records in grid order, read once.
 pub(crate) struct JobView {
-    /// The status the records were read under.
-    pub status: JobStatus,
+    /// The job's state as [`served`] serves it.
+    pub state: JobState,
     /// The canonical records, in grid order.
     pub records: Vec<RunRecord>,
     /// Cells in the job's grid.
@@ -53,7 +53,7 @@ pub(crate) fn read_job(store: &JobStore, job: &Job) -> Result<JobView, DaemonErr
     let status = store.load_status(job)?;
     let (records, total) = canonical_records(store, job, status.state)?;
     Ok(JobView {
-        status,
+        state: served(store, job, &status, &live_claims(job)).state,
         records,
         total,
     })
@@ -170,7 +170,8 @@ impl Feed {
                     return Ok(Vec::new());
                 }
                 self.last_cells = Some(records.len());
-                Ok(vec![report_snapshot(status.state, &records)])
+                let state = served(store, job, status, &live_claims(job)).state;
+                Ok(vec![report_snapshot(state, &records)])
             }
         }
     }
@@ -298,31 +299,34 @@ pub(crate) fn watch(
     }
 }
 
-/// One job's listing entry: its status with the cells-done count from
-/// [`progress`], plus the spec's submitter and priority; with
-/// `by_family`, also the per-family progress, which is best-effort
-/// decoration — an old job whose spec no longer resolves still shows
-/// its totals, without `families`. The spec and the status are read
-/// once. An unreadable status leaves `state` out and puts the read
-/// error under `error`.
+/// One job's listing entry: its [`served`] state and error, the
+/// cells-done count from [`progress`], plus the spec's submitter and
+/// priority; with `by_family`, also the per-family progress, which is
+/// best-effort decoration — an old job whose spec no longer resolves
+/// still shows its totals, without `families`. The spec and the status
+/// are read once. An unreadable status leaves `state` out and puts the
+/// read error under `error`.
 fn job_entry(store: &JobStore, job: &Job, by_family: bool) -> JsonValue {
     let (spec, status) = (store.load_spec(job).ok(), store.load_status(job));
     let progress = progress(job, spec.as_ref(), status.as_ref().ok(), by_family);
     let (submitter, priority) = spec.map(|s| (s.submitter, s.priority)).unwrap_or_default();
     let mut pairs = vec![("id".to_string(), JsonValue::Str(job.id.clone()))];
     match status {
-        Ok(s) => pairs.extend([
-            ("state".to_string(), JsonValue::Str(s.state.to_string())),
-            (
-                "cells_done".to_string(),
-                JsonValue::U64(progress.done as u64),
-            ),
-            (
-                "cells_total".to_string(),
-                JsonValue::U64(s.cells_total as u64),
-            ),
-            ("error".to_string(), JsonValue::Str(s.error)),
-        ]),
+        Ok(s) => {
+            let shown = served(store, job, &s, &live_claims(job));
+            pairs.extend([
+                ("state".to_string(), JsonValue::Str(shown.state.to_string())),
+                (
+                    "cells_done".to_string(),
+                    JsonValue::U64(progress.done as u64),
+                ),
+                (
+                    "cells_total".to_string(),
+                    JsonValue::U64(s.cells_total as u64),
+                ),
+                ("error".to_string(), JsonValue::Str(shown.error)),
+            ])
+        }
         Err(e) => pairs.push(("error".to_string(), JsonValue::Str(e.to_string()))),
     }
     pairs.extend([
@@ -418,7 +422,7 @@ pub(crate) fn stop_doc(store: &JobStore, id: Option<&str>) -> Result<JsonValue, 
         }
         Some(id) => {
             let job = store.job(id)?;
-            store.request_job_stop(&job)?;
+            store.request_job_stop(&job, "")?;
             JsonValue::obj([("paused".to_string(), JsonValue::Str(job.id))])
         }
     })

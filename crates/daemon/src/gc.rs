@@ -256,15 +256,7 @@ mod tests {
         format!(
             "{{\"state\": \"{}\", \"cells_total\": {}, \"error\": \"\", \
              \"created_unix_ms\": {}, \"finished_unix_ms\": {}}}",
-            match status.state {
-                JobState::Queued => "queued",
-                JobState::Running => "running",
-                JobState::Done => "done",
-                JobState::Failed => "failed",
-            },
-            status.cells_total,
-            status.created_unix_ms,
-            status.finished_unix_ms
+            status.state, status.cells_total, status.created_unix_ms, status.finished_unix_ms
         )
     }
 
@@ -280,7 +272,7 @@ mod tests {
 
         // Both created in 1970, but only the terminal one may be GC'd.
         backdate(&store, &doomed, JobState::Done);
-        backdate(&store, &alive, JobState::Running);
+        backdate(&store, &alive, JobState::Queued);
 
         let report = gc_pass(&store, &GcOptions::default()).unwrap();
         assert_eq!(report.expired_jobs, 1);

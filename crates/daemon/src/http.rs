@@ -565,7 +565,8 @@ fn stream_watch(
 /// One pass over the fabric's jobs: what `/healthz` and `/metrics`
 /// report about the queue, from each job's status (read once), its
 /// progress ([`progress`](crate::fabric::progress)) and its live claims
-/// (scanned once).
+/// (scanned once), which also give its
+/// [`served`](crate::fabric::served) state.
 struct Census {
     /// Jobs in the store.
     jobs: u64,
@@ -613,7 +614,8 @@ fn census(store: &JobStore) -> Result<Census, DaemonError> {
             _ => store.load_spec(job).ok(),
         };
         if let Some(s) = &status {
-            if let Some(slot) = c.by_state.iter_mut().find(|(st, _)| *st == s.state) {
+            let state = crate::fabric::served(store, job, s, &live).state;
+            if let Some(slot) = c.by_state.iter_mut().find(|(st, _)| *st == state) {
                 slot.1 += 1;
             }
             let done = crate::fabric::progress(job, spec.as_ref(), Some(s), false).done;
@@ -623,7 +625,7 @@ fn census(store: &JobStore) -> Result<Census, DaemonError> {
             c.progress.push((
                 job.id.clone(),
                 JsonValue::obj([
-                    ("state".to_string(), JsonValue::Str(s.state.to_string())),
+                    ("state".to_string(), JsonValue::Str(state.to_string())),
                     ("cells_done".to_string(), JsonValue::U64(done as u64)),
                     (
                         "cells_total".to_string(),

@@ -16,16 +16,20 @@
 //!   grids (workloads × models × fault rates × budgets × seeds, every
 //!   workload and machine referenced by name);
 //! * [`JobStore`] — the state directory: a persistent queue with
-//!   per-job directories, atomically-replaced status documents, an
-//!   append-safe incremental results log, and the graceful-shutdown
-//!   sentinel;
-//! * [`run_job`] / [`serve`] — execution: family-sharded workers,
-//!   crash-safe streaming, resume-on-restart, and the daemon loop;
+//!   per-job directories, status documents written atomically at
+//!   submit, done and failed only, an append-safe incremental results
+//!   log, and the shutdown and pause sentinels;
+//! * [`serve`] — execution, the one way to run jobs: family-sharded
+//!   workers, crash-safe streaming, resume-on-restart, and the daemon
+//!   loop;
 //! * the **fabric** ([`try_claim`], [`ClaimGuard`], [`FabricConfig`]) —
 //!   per-family claim files with lease expiry and heartbeat renewal, so
 //!   N `serve` processes on one state directory partition work, steal
 //!   from crashed peers, and schedule by priority + submitter fair
-//!   share; single-process operation is the N=1 special case;
+//!   share; single-process operation is the N=1 special case. The
+//!   claims are also the one record of who is working on a job: a job
+//!   reads `running` while a live claim is held on it, and `queued`
+//!   again once its worker's lease expires;
 //! * an HTTP API (`serve --listen`) and its `--remote` client — every
 //!   daemon verb over a hand-rolled `std::net` server, no filesystem
 //!   access required of submitters; mutating verbs can be gated behind
@@ -108,6 +112,6 @@ mod store;
 
 pub use fabric::{try_claim, ClaimGuard, FabricConfig, LeaseMode};
 pub use gc::{gc_pass, GcOptions, GcReport};
-pub use runner::{install_signal_handlers, run_job, serve, signalled, JobOutcome, ServeOptions};
+pub use runner::{install_signal_handlers, serve, signalled, ServeOptions};
 pub use spec::{model_by_name, JobSpec, SpecError};
 pub use store::{DaemonError, Job, JobState, JobStatus, JobStore, QuotaPolicy};

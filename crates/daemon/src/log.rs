@@ -277,15 +277,22 @@ impl JobLog {
             );
         }
         for record in tail.records {
-            // A record of another grid stands for no cell of this one.
-            for i in self.grid.cells_of(&record) {
+            // A record of another grid stands for no cell of this one; a
+            // repeated axis value gives it several, the last of which
+            // takes the record and the others a copy.
+            let mut cells = self.grid.cells_of(&record).peekable();
+            let mut record = Some(record);
+            while let Some(i) = cells.next() {
                 if self.latest[i].is_none() {
                     self.family_done[self.grid.family_of(i)] += 1;
                 }
                 // Later rows overwrite earlier: a cell re-run (after a
                 // failure, or by a second claimant in a lost-lease
                 // window) keeps its newest record.
-                self.latest[i] = Some(record.clone());
+                self.latest[i] = match cells.peek() {
+                    Some(_) => record.clone(),
+                    None => record.take(),
+                };
             }
         }
     }

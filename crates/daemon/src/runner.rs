@@ -23,12 +23,11 @@
 //! serialize, which the daemon integration tests assert.
 
 use crate::fabric::{
-    mark_running, next_assignment, requeue_if_unclaimed, requeue_unclaimed, run_family,
-    try_finalize, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
+    next_assignment, run_family, try_finalize, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
 };
 use crate::failpoints as fp;
 use crate::gc::{gc_pass, GcOptions};
-use crate::store::{DaemonError, Job, JobState, JobStore, QuotaPolicy};
+use crate::store::{DaemonError, Job, JobStore, QuotaPolicy};
 use ftsim::harness::FamilyId;
 use ftsim_obs::{metrics, trace};
 use std::io::Write as _;
@@ -99,20 +98,6 @@ fn append_journal_line(path: &Path, line: &str) -> std::io::Result<()> {
         .write_all(format!("{line}\n").as_bytes())
 }
 
-/// How a [`run_job`] call ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobOutcome {
-    /// Every cell has a record; final results are on disk.
-    Completed,
-    /// A shutdown request interrupted the sweep; the job is re-queued
-    /// with its streamed records intact.
-    Interrupted,
-    /// This process ran out of claimable work, but the job is not done:
-    /// its remaining families are held by other fabric processes (or
-    /// the job was paused). Whoever streams the last cell finalizes.
-    Yielded,
-}
-
 /// Process-wide graceful-shutdown flag, set by SIGINT/SIGTERM (via
 /// [`install_signal_handlers`]) and polled between cells.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -143,10 +128,10 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Worker-pool width: the spec's `threads` cap, or every available core.
-fn worker_count(threads: usize) -> usize {
-    if threads > 0 {
-        threads
+/// Worker-pool width: `workers`, or every available core when zero.
+fn worker_count(workers: usize) -> usize {
+    if workers > 0 {
+        workers
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
@@ -174,9 +159,10 @@ struct Ran {
     finalized: Result<bool, DaemonError>,
 }
 
-/// One worker step, the same for [`run_job`] and [`serve`]: claim the
-/// next family (of job `only`, or of any job), mark its job running,
-/// run the family, and finalize the job when the family finished.
+/// One worker step of [`serve`]: claim the next family of any job, run
+/// it, and finalize the job when the family finished. The claim is all
+/// that marks the job running: it is released when the step's
+/// assignment drops.
 ///
 /// # Errors
 ///
@@ -184,14 +170,12 @@ struct Ran {
 fn work_step(
     store: &JobStore,
     cfg: &FabricConfig,
-    only: Option<&str>,
     should_stop: &dyn Fn() -> bool,
 ) -> Result<Step, DaemonError> {
-    let mut a = match next_assignment(store, cfg, only)? {
+    let mut a = match next_assignment(store, cfg)? {
         NextWork::Work(a) => a,
         NextWork::Idle { incomplete } => return Ok(Step::Idle { incomplete }),
     };
-    mark_running(store, &a.job);
     let outcome = run_family(store, &mut a, cfg, should_stop);
     let finalized = match outcome {
         Ok(FamilyOutcome::Finished) => try_finalize(store, &a.job, &a.spec),
@@ -210,72 +194,6 @@ fn work_step(
 fn fail(slot: &Mutex<Option<DaemonError>>, stop: &AtomicBool, e: DaemonError) {
     slot.lock().expect("failure lock").get_or_insert(e);
     stop.store(true, Ordering::SeqCst);
-}
-
-/// Runs one job until this process can make no more progress on it,
-/// streaming records. This is the fabric restricted to a single job id:
-/// workers claim its families one by one and run them; if another
-/// process holds some families, the call returns
-/// [`JobOutcome::Yielded`] instead of waiting.
-///
-/// Progress is visible throughout: `status.json` moves to `running` at
-/// the first claim, and `cells.csv` grows one synced row per completed
-/// cell, which is where every reader's `cells_done` count comes from.
-/// `stop` is polled between cells (alongside the store's stop sentinel
-/// and the process [`signalled`] flag); on interruption the job goes
-/// back to `queued` and the next `serve` resumes it.
-///
-/// # Errors
-///
-/// [`DaemonError`] for unrunnable jobs (bad spec/grid — the job is
-/// marked `failed`) or state-directory I/O trouble.
-pub fn run_job(store: &JobStore, job: &Job, stop: &AtomicBool) -> Result<JobOutcome, DaemonError> {
-    // Surface unrunnable jobs now (marked failed by the scheduler scan),
-    // and learn the worker width from the spec.
-    let threads = match store.load_spec(job) {
-        Ok(spec) => spec.threads,
-        Err(e) => {
-            crate::fabric::mark_failed(store, job, &e);
-            return Err(e);
-        }
-    };
-    let cfg = FabricConfig::default();
-    let should_stop = || stop.load(Ordering::SeqCst) || signalled() || store.stop_requested();
-    let failure = Mutex::new(None);
-
-    // Fail fast: the first error stops every worker; idle means done here.
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(threads) {
-            scope.spawn(|| {
-                while !should_stop() {
-                    match work_step(store, &cfg, Some(&job.id), &should_stop) {
-                        Ok(Step::Idle { .. }) => break,
-                        Ok(Step::Ran(ran)) => {
-                            if let Err(e) = ran.outcome.and(ran.finalized) {
-                                fail(&failure, stop, e);
-                            }
-                        }
-                        Err(e) => fail(&failure, stop, e),
-                    }
-                }
-            });
-        }
-    });
-
-    // Whatever stopped the workers, a job nobody holds a claim on is not
-    // running: an interrupted or broken run leaves it queued, its log
-    // consistent up to the last streamed cell; foreign claims (or a
-    // pause) may hold the rest.
-    let requeued = requeue_if_unclaimed(store, job);
-    if let Some(e) = failure.into_inner().expect("failure lock") {
-        return Err(e);
-    }
-    requeued?;
-    Ok(match store.load_status(job)?.state {
-        JobState::Done => JobOutcome::Completed,
-        _ if should_stop() => JobOutcome::Interrupted,
-        _ => JobOutcome::Yielded,
-    })
 }
 
 /// Serve-loop options.
@@ -350,10 +268,12 @@ impl Default for ServeOptions {
 /// claims whatever unclaimed (or expired-lease) family the scheduler
 /// ranks first, so N cooperating processes drain one store together.
 ///
-/// A job failing ([`JobState::Failed`], e.g. its spec no longer
-/// resolves) does not stop the daemon; the error is reported on stderr
-/// and the queue moves on. On graceful shutdown (signal, `ftsimd stop`,
-/// or a drained queue) `running` jobs nobody is working are re-queued.
+/// A job failing ([`JobState::Failed`](crate::JobState::Failed), e.g.
+/// its spec no longer resolves) does not stop the daemon; the error is
+/// reported on stderr and the queue moves on. On graceful shutdown
+/// (signal, `ftsimd stop`, or a drained queue) the workers release
+/// their claims, so the jobs they were running read `queued` again;
+/// `status.json` is not touched.
 ///
 /// With [`ServeOptions::listen`] set, an HTTP thread serves the daemon
 /// API (`POST /jobs`, `GET /jobs`, status/results/report/stop) on the
@@ -428,7 +348,7 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
         for _ in 0..worker_count(opts.workers) {
             scope.spawn(|| {
                 while !should_stop() {
-                    match work_step(store, &cfg, None, &should_stop) {
+                    match work_step(store, &cfg, &should_stop) {
                         Ok(Step::Ran(ran)) => announce(*ran, opts.poll),
                         Ok(Step::Idle { incomplete }) => {
                             if incomplete == 0 && opts.drain {
@@ -461,7 +381,6 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
     } else {
         println!("ftsimd: queue drained, exiting");
     }
-    requeue_unclaimed(store)?;
     store.clear_stop()?;
     Ok(())
 }
@@ -500,6 +419,7 @@ fn announce(ran: Ran, poll: Duration) {
 mod tests {
     use super::*;
     use crate::spec::JobSpec;
+    use crate::store::JobState;
     use ftsim::harness::{to_csv, to_json};
 
     fn temp_store(tag: &str) -> JobStore {
@@ -518,13 +438,24 @@ mod tests {
         spec
     }
 
+    fn drain(store: &JobStore) {
+        serve(
+            store,
+            &ServeOptions {
+                drain: true,
+                poll: Duration::from_millis(1),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    }
+
     #[test]
     fn job_results_match_one_shot_grid() {
         let store = temp_store("match");
         let (id, _) = store.submit(&spec()).unwrap();
         let job = store.job(&id).unwrap();
-        let outcome = run_job(&store, &job, &AtomicBool::new(false)).unwrap();
-        assert_eq!(outcome, JobOutcome::Completed);
+        drain(&store);
         assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
 
         let direct = spec().to_experiment().unwrap().run().unwrap();
@@ -538,39 +469,7 @@ mod tests {
         );
 
         // Re-running a done job's store is a no-op for serve (drain).
-        serve(
-            &store,
-            &ServeOptions {
-                drain: true,
-                poll: Duration::from_millis(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(job.results_path()).unwrap(),
-            to_csv(&direct)
-        );
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
-    fn immediate_stop_requeues_with_no_progress_lost() {
-        let store = temp_store("stop");
-        let (id, _) = store.submit(&spec()).unwrap();
-        let job = store.job(&id).unwrap();
-        // A pre-set stop flag interrupts before any cell runs.
-        let outcome = run_job(&store, &job, &AtomicBool::new(true)).unwrap();
-        assert_eq!(outcome, JobOutcome::Interrupted);
-        let status = store.load_status(&job).unwrap();
-        assert_eq!(status.state, JobState::Queued);
-        let progress = crate::fabric::progress(&job, Some(&spec()), Some(&status), false);
-        assert_eq!(progress.done, 0);
-
-        // A later run completes and matches the one-shot grid.
-        let outcome = run_job(&store, &job, &AtomicBool::new(false)).unwrap();
-        assert_eq!(outcome, JobOutcome::Completed);
-        let direct = spec().to_experiment().unwrap().run().unwrap();
+        drain(&store);
         assert_eq!(
             std::fs::read_to_string(job.results_path()).unwrap(),
             to_csv(&direct)
@@ -587,15 +486,7 @@ mod tests {
         other.workloads = vec!["gcc".to_string()];
         other.fault_rates_pm = vec![0.0];
         let (b, _) = store.submit(&other).unwrap();
-        serve(
-            &store,
-            &ServeOptions {
-                drain: true,
-                poll: Duration::from_millis(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        drain(&store);
         for id in [&a, &b] {
             let job = store.job(id).unwrap();
             assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
@@ -636,37 +527,6 @@ mod tests {
                 "unparseable journal line: {line:?}"
             );
         }
-        std::fs::remove_dir_all(store.root()).ok();
-    }
-
-    #[test]
-    fn a_foreign_claim_makes_run_job_yield() {
-        let store = temp_store("yield");
-        let (id, _) = store.submit(&spec()).unwrap();
-        let job = store.job(&id).unwrap();
-        // A peer (different owner) claims one of the four families.
-        let peer = FabricConfig::new(Duration::from_secs(30));
-        let family = ftsim::harness::FamilyId {
-            workload: "gcc".to_string(),
-            budget: 1_500,
-            model: "SS-1".to_string(),
-        };
-        let held = crate::fabric::try_claim(&job, &family, &peer)
-            .unwrap()
-            .expect("fresh claim");
-
-        let outcome = run_job(&store, &job, &AtomicBool::new(false)).unwrap();
-        assert_eq!(outcome, JobOutcome::Yielded, "peer holds gcc/SS-1");
-        drop(held);
-        // With the claim released, the job completes and matches the
-        // one-shot grid.
-        let outcome = run_job(&store, &job, &AtomicBool::new(false)).unwrap();
-        assert_eq!(outcome, JobOutcome::Completed);
-        let direct = spec().to_experiment().unwrap().run().unwrap();
-        assert_eq!(
-            std::fs::read_to_string(job.results_path()).unwrap(),
-            to_csv(&direct)
-        );
         std::fs::remove_dir_all(store.root()).ok();
     }
 }

@@ -13,11 +13,11 @@
 //!   jobs/
 //!     0001-fig6-mini/
 //!       spec.json             # canonical job spec (JobSpec::to_json)
-//!       status.json           # lifecycle state, written atomically
+//!       status.json           # queued, done or failed; written atomically
 //!       cells.csv             # incremental results, append-safe
 //!       results.csv           # final records in grid order (done jobs)
 //!       results.json          # same records as JSON (done jobs)
-//!       stop                  # per-job pause sentinel (ftsimd stop JOB)
+//!       stop                  # per-job pause sentinel, holds the reason
 //!       claims/               # fabric claim leases, one per family
 //!         gcc-4000-ss-2.lease
 //! ```
@@ -132,10 +132,12 @@ pub(crate) fn io_err(context: impl Into<String>) -> impl FnOnce(io::Error) -> Da
 /// A job's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Submitted (or interrupted mid-run) and waiting for a worker.
+    /// Submitted and not terminal: waiting for a worker, or being run.
     Queued,
-    /// Being executed by a daemon right now — or by a daemon that died;
-    /// `serve` treats a `Running` job it did not start as resumable.
+    /// A queued job on which a live claim is held. This state is served,
+    /// never persisted: it is computed from the claim leases
+    /// ([`served`](crate::fabric::served)), so a dead worker's job reads
+    /// queued again once its lease expires.
     Running,
     /// Every cell has a record; `results.csv`/`results.json` are final.
     Done,
@@ -236,10 +238,13 @@ impl JobStatus {
     fn from_json(text: &str) -> Result<Self, String> {
         let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
         let field = |name: &str| doc.get(name).ok_or_else(|| format!("missing `{name}`"));
-        let state = field("state")?
-            .as_str()
-            .and_then(JobState::parse)
-            .ok_or("bad `state`")?;
+        let state = match field("state")?.as_str().and_then(JobState::parse) {
+            // Older daemons persisted `running`; who runs a job is read
+            // from its claims now.
+            Some(JobState::Running) => JobState::Queued,
+            Some(state) => state,
+            None => return Err("bad `state`".to_string()),
+        };
         let cells_total = field("cells_total")?
             .as_u64()
             .and_then(|n| usize::try_from(n).ok())
@@ -687,9 +692,8 @@ impl JobStore {
     /// TTL clock), and `finished_unix_ms` is stamped on the first
     /// transition into a terminal state and is zero while the job lives.
     ///
-    /// The threads of one process take turns here, so two workers that
-    /// claim families of one queued job at once make one transition to
-    /// running, not two.
+    /// The threads of one process take turns here, so a failure and a
+    /// finalize of one job each read the status the other wrote.
     ///
     /// # Errors
     ///
@@ -724,7 +728,8 @@ impl JobStore {
 
     /// Replaces a job's status document atomically (write temp, rename),
     /// as given. Only a submit and a rebuild write a status from nothing;
-    /// every transition goes through [`update_status`](Self::update_status).
+    /// the two transitions, to done and to failed, go through
+    /// [`update_status`](Self::update_status).
     ///
     /// # Errors
     ///
@@ -738,7 +743,7 @@ impl JobStore {
     }
 
     /// Requests a graceful shutdown: the serving daemon finishes the cell
-    /// in flight, re-queues the interrupted job, and exits.
+    /// in flight, releases its claims, and exits.
     ///
     /// # Errors
     ///
@@ -764,19 +769,28 @@ impl JobStore {
     }
 
     /// Pauses one job: the fabric stops claiming its families (cells in
-    /// flight finish and are kept). Re-submitting the identical spec
-    /// un-pauses it.
+    /// flight finish and are kept). The sentinel holds `reason`, which
+    /// readers serve as the job's error while it is paused (empty for
+    /// `ftsimd stop <JOB>`). Re-submitting the identical spec un-pauses
+    /// it, and the reason goes with the sentinel.
     ///
     /// # Errors
     ///
     /// [`DaemonError::Io`].
-    pub fn request_job_stop(&self, job: &Job) -> Result<(), DaemonError> {
-        write_sentinel(&job.stop_path(), b"paused\n")
+    pub fn request_job_stop(&self, job: &Job, reason: &str) -> Result<(), DaemonError> {
+        write_sentinel(&job.stop_path(), reason.as_bytes())
     }
 
     /// Whether a job is paused.
     pub fn job_stop_requested(&self, job: &Job) -> bool {
         job.stop_path().exists()
+    }
+
+    /// The reason a job's pause sentinel holds: empty when the job is
+    /// not paused or the sentinel does not read. Trimmed, as older
+    /// daemons wrote `paused` and a newline.
+    pub(crate) fn pause_reason(&self, job: &Job) -> String {
+        std::fs::read_to_string(job.stop_path()).map_or(String::new(), |r| r.trim().to_string())
     }
 
     /// Clears a job's pause sentinel.
@@ -1038,8 +1052,7 @@ mod tests {
         store
             .update_status(&job, |prior| {
                 let mut next = prior.unwrap();
-                next.state = JobState::Running;
-                // A transition cannot move the TTL clock.
+                // An update cannot move the TTL clock.
                 next.created_unix_ms = 1;
                 next.finished_unix_ms = 1;
                 Some(next)
@@ -1050,7 +1063,7 @@ mod tests {
         let identities: Vec<_> = (0..3).map(|idx| plan.identity(idx)).collect();
         std::fs::write(job.cells_path(), ftsim::harness::to_csv(&identities)).unwrap();
         let loaded = store.load_status(&job).unwrap();
-        assert_eq!(loaded.state, JobState::Running);
+        assert_eq!(loaded.state, JobState::Queued);
         assert_eq!(loaded.cells_total, 8);
         let progress = crate::fabric::progress(&job, Some(&spec), Some(&loaded), false);
         assert_eq!(progress.done, 3);

@@ -107,9 +107,9 @@ fn every_registered_failpoint_survives_a_kill_and_restart() {
     );
 
     // abort@<site>#1 for the whole catalog, plus deeper hits and
-    // non-abort damage at the two highest-traffic sites: a torn row
-    // append and a status rename dropped after the unlink-visible
-    // moment, both mid-sweep.
+    // non-abort damage: a torn row append mid-sweep, and the finalize's
+    // status rename (a drain's only status write) dropped after the
+    // unlink-visible moment.
     let mut plans: Vec<String> = failpoints::CATALOG
         .iter()
         .map(|f| format!("1:abort@{}#1", f.site))
@@ -117,7 +117,7 @@ fn every_registered_failpoint_survives_a_kill_and_restart() {
     plans.push(format!("1:abort@{}#3", failpoints::CSV_APPEND));
     plans.push(format!("1:torn@{}#2", failpoints::CSV_APPEND));
     plans.push(format!(
-        "1:drop-rename@{}#2",
+        "1:drop-rename@{}#1",
         failpoints::STORE_WRITE_STATUS
     ));
 

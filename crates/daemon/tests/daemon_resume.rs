@@ -116,8 +116,9 @@ fn killed_daemon_resumes_to_byte_identical_results() {
     let results = state.join("jobs").join(&job_id).join("results.csv");
     assert!(!results.exists(), "no final results before completion");
 
-    // Restart in drain mode: the job (left `running` by the dead daemon)
-    // is picked up, resumed from the streamed rows, and finished.
+    // Restart in drain mode: the job (`running` until the dead daemon's
+    // lease expires) is picked up, resumed from the streamed rows, and
+    // finished.
     run_ok(&state, &["serve", "--drain"]);
 
     let status = run_ok(&state, &["status", &job_id]);
@@ -160,7 +161,7 @@ fn stop_requeues_and_drain_finishes() {
         .to_string();
 
     // Ask for a graceful stop while the daemon sweeps: it finishes the
-    // cells in flight, re-queues the job, and exits on its own.
+    // cells in flight, releases its claims, and exits on its own.
     let mut daemon = ftsimd()
         .args(["serve", "--state", state.to_str().unwrap()])
         .stdout(Stdio::null())

@@ -106,15 +106,19 @@ fn healthz(state: &Path) -> String {
         .unwrap_or_default()
 }
 
+/// The complete record rows `cells.csv` holds.
+fn streamed_rows(cells: &Path) -> usize {
+    std::fs::read_to_string(cells)
+        .map(|text| ftsim::harness::from_csv_tolerant(&text).0.len())
+        .unwrap_or(0)
+}
+
 /// Polls until `cells.csv` holds at least `rows` complete record rows.
-fn wait_for_rows(cells: &Path, rows: usize, timeout: Duration) -> usize {
+fn wait_for_rows(cells: &Path, rows: usize, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     loop {
-        let seen = std::fs::read_to_string(cells)
-            .map(|text| ftsim::harness::from_csv_tolerant(&text).0.len())
-            .unwrap_or(0);
-        if seen >= rows {
-            return seen;
+        if streamed_rows(cells) >= rows {
+            return;
         }
         assert!(
             Instant::now() < deadline,
@@ -125,8 +129,8 @@ fn wait_for_rows(cells: &Path, rows: usize, timeout: Duration) -> usize {
     }
 }
 
-fn one_shot_csv() -> String {
-    let records = JobSpec::parse(SPEC)
+fn one_shot_csv(spec: &str) -> String {
+    let records = JobSpec::parse(spec)
         .unwrap()
         .to_experiment()
         .unwrap()
@@ -166,7 +170,7 @@ fn two_serve_processes_cooperate_to_byte_identical_results() {
     let from_cli = run_ok(&state, &["results", &job_id]);
     assert_eq!(
         from_cli,
-        one_shot_csv(),
+        one_shot_csv(SPEC),
         "cooperative results differ from one-shot grid"
     );
 
@@ -176,16 +180,20 @@ fn two_serve_processes_cooperate_to_byte_identical_results() {
 /// SIGKILL a claim-holding daemon mid-family: its lease file survives
 /// the crash, expires, and a second daemon steals the family and
 /// finishes the job — byte-identical to the one-shot grid, with no cell
-/// lost and none double-counted.
+/// lost and none double-counted. Meanwhile the job reads `running` only
+/// while the dead holder's lease is live, and `queued` once it expired:
+/// liveness is read from the claims, which no crash can leave stale.
 #[test]
 fn killed_holders_lease_expires_and_a_survivor_finishes() {
     let state = state_dir("steal");
-    let job_id = submit(&state, SPEC);
+    // Four seeds: 32 cells, so the holder is still at work when killed.
+    let spec = SPEC.replace("seeds = [3]", "seeds = [3, 4, 5, 6]");
+    let job_id = submit(&state, &spec);
     let job_dir = state.join("jobs").join(&job_id);
 
     // Short leases so the test does not wait 30s for expiry.
     let mut holder = spawn_serve(&state, &["--lease-ms", "1500", "--listen", "127.0.0.1:0"]);
-    let seen = wait_for_rows(&job_dir.join("cells.csv"), 1, Duration::from_secs(120));
+    wait_for_rows(&job_dir.join("cells.csv"), 1, Duration::from_secs(120));
 
     // With at least one cell streamed the holder owns a claim: healthz
     // must attribute it to the job's submitter (the default "" tenant).
@@ -201,8 +209,13 @@ fn killed_holders_lease_expires_and_a_survivor_finishes() {
     holder.kill().expect("SIGKILL the claim holder");
     holder.wait().expect("reap the claim holder");
     assert!(
-        seen < 8,
-        "holder finished all 8 cells before the kill; the steal would prove nothing"
+        streamed_rows(&job_dir.join("cells.csv")) < 32,
+        "holder finished all 32 cells before the kill; the steal would prove nothing"
+    );
+    let status = run_ok(&state, &["status", &job_id]);
+    assert!(
+        status.contains("state:  running"),
+        "the dead holder's lease is still live:\n{status}"
     );
 
     // The crash left its claim file(s) behind — nothing cleaned them up.
@@ -210,6 +223,22 @@ fn killed_holders_lease_expires_and_a_survivor_finishes() {
         .map(|d| d.count())
         .unwrap_or(0);
     assert!(leases > 0, "a SIGKILLed holder must leave its lease behind");
+
+    // Past the last lease's expiry (renewed at the latest at the kill),
+    // nobody is working on the job: both views read it queued.
+    std::thread::sleep(Duration::from_millis(2_000));
+    let status = run_ok(&state, &["status", &job_id]);
+    assert!(
+        status.contains("state:  queued"),
+        "the dead holder's lease has expired:\n{status}"
+    );
+    let listing = run_ok(&state, &["jobs"]);
+    assert!(
+        listing
+            .lines()
+            .any(|l| l.split_whitespace().take(2).eq([job_id.as_str(), "queued"])),
+        "the dead holder's lease has expired:\n{listing}"
+    );
 
     // The survivor must wait out the dead peer's lease, steal the
     // family, resume from the streamed rows, and drain to done.
@@ -223,7 +252,7 @@ fn killed_holders_lease_expires_and_a_survivor_finishes() {
     let from_cli = run_ok(&state, &["results", &job_id]);
     assert_eq!(
         from_cli,
-        one_shot_csv(),
+        one_shot_csv(&spec),
         "post-steal results differ from one-shot grid"
     );
 

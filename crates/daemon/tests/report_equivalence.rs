@@ -5,8 +5,7 @@
 //! functions of byte-identical record sets.
 
 use ftsim_analysis::{analyze_records, Analyze, CellOutcome};
-use ftsim_daemon::{run_job, JobSpec, JobStore};
-use std::sync::atomic::AtomicBool;
+use ftsim_daemon::{serve, JobSpec, JobStore, ServeOptions};
 
 fn spec() -> JobSpec {
     let mut spec = JobSpec::new("report-eq");
@@ -28,7 +27,11 @@ fn daemon_report_matches_one_shot_analyze() {
     let store = JobStore::open(&dir).unwrap();
     let (id, _) = store.submit(&spec()).unwrap();
     let job = store.job(&id).unwrap();
-    run_job(&store, &job, &AtomicBool::new(false)).unwrap();
+    let drain = ServeOptions {
+        drain: true,
+        ..Default::default()
+    };
+    serve(&store, &drain).unwrap();
 
     // What `ftsimd report` analyzes: the job's canonical results.csv.
     let text = std::fs::read_to_string(job.results_path()).unwrap();
