@@ -286,6 +286,11 @@ impl Processor {
         &self.config
     }
 
+    /// The fault injector, for inspection (draws made, faults produced).
+    pub fn injector(&self) -> &FaultInjector {
+        &self.injector
+    }
+
     /// The fault ledger.
     pub fn fault_log(&self) -> &FaultLog {
         &self.state.fault_log

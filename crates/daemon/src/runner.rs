@@ -30,8 +30,9 @@ use crate::gc::{gc_pass, GcOptions};
 use crate::store::{DaemonError, Job, JobStore, QuotaPolicy};
 use ftsim::harness::FamilyId;
 use ftsim_obs::{metrics, trace};
+use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -49,24 +50,23 @@ const TRACE_ROTATE_BYTES: u64 = 1024 * 1024;
 /// `chaos` trace event. Idempotent per process in effect: a second call
 /// just re-points the sink.
 ///
+/// The trace directory is created here, once; the sink never creates a
+/// directory, so an event emitted after the state directory is gone (in
+/// a process that outlives [`serve`]) leaves nothing behind.
+///
 /// Everything registered here observes the run without touching it: no
 /// RNG is consumed, no simulation or fabric decision reads any of it.
 pub(crate) fn install_observability(store: &JobStore, owner: &str) {
     trace::set_owner(owner);
     let dir = store.trace_dir();
+    let _ = std::fs::create_dir_all(&dir);
     // Owner ids are `host:pid:seq`; ':' is path-hostile on some mounts.
-    let path = dir.join(format!("{}.ndjson", owner.replace(':', "-")));
+    let journal = Journal::open(dir.join(format!("{}.ndjson", owner.replace(':', "-"))));
     trace::set_sink(Box::new(move |event| {
         if ftsim_chaos::io().gate(fp::OBS_TRACE_APPEND).is_err() {
             return;
         }
-        let _ = std::fs::create_dir_all(&dir);
-        if let Ok(meta) = std::fs::metadata(&path) {
-            if meta.len() >= TRACE_ROTATE_BYTES {
-                let _ = std::fs::rename(&path, path.with_extension("ndjson.1"));
-            }
-        }
-        let _ = append_journal_line(&path, &event.render_line());
+        let _ = journal.append(&event.render_line());
     }));
     // Chaos injections become visible fabric vitals. The re-entrancy
     // guard matters: emitting the trace event runs the sink, whose own
@@ -86,16 +86,48 @@ pub(crate) fn install_observability(store: &JobStore, owner: &str) {
     });
 }
 
-/// Appends `line` and its newline to the journal at `path` in one
-/// `write` of an `O_APPEND` file, so lines that worker threads of one
-/// process append at once land whole, one after another, never
-/// interleaved.
-fn append_journal_line(path: &Path, line: &str) -> std::io::Result<()> {
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?
-        .write_all(format!("{line}\n").as_bytes())
+/// A process's trace journal, kept open between events: an `O_APPEND`
+/// file and the bytes it holds, rotated aside (renamed to `.ndjson.1`,
+/// one generation kept) once it reaches [`TRACE_ROTATE_BYTES`].
+struct Journal {
+    path: PathBuf,
+    /// The open file and its length; `None` while it cannot be opened.
+    file: Mutex<Option<(File, u64)>>,
+}
+
+impl Journal {
+    fn open(path: PathBuf) -> Self {
+        let file = Mutex::new(Self::open_file(&path).ok());
+        Self { path, file }
+    }
+
+    /// Opens (creating, but never its directory) the file at `path`.
+    fn open_file(path: &Path) -> std::io::Result<(File, u64)> {
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let len = file.metadata()?.len();
+        Ok((file, len))
+    }
+
+    /// Appends `line` and its newline in one `write`, under the lock, so
+    /// lines that worker threads of one process append at once land
+    /// whole, one after another, never interleaved.
+    fn append(&self, line: &str) -> std::io::Result<()> {
+        // Each step leaves the slot valid, so a panicked holder's guard
+        // is taken as is.
+        let mut slot = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        if matches!(*slot, Some((_, len)) if len >= TRACE_ROTATE_BYTES) {
+            *slot = None;
+            std::fs::rename(&self.path, self.path.with_extension("ndjson.1"))?;
+        }
+        if slot.is_none() {
+            *slot = Some(Self::open_file(&self.path)?);
+        }
+        let (file, len) = slot.as_mut().expect("opened above");
+        let bytes = format!("{line}\n");
+        file.write_all(bytes.as_bytes())?;
+        *len += bytes.len() as u64;
+        Ok(())
+    }
 }
 
 /// Process-wide graceful-shutdown flag, set by SIGINT/SIGTERM (via
@@ -501,10 +533,11 @@ mod tests {
     fn concurrent_journal_appends_stay_whole_lines() {
         let store = temp_store("journal");
         let path = store.root().join("owner.ndjson");
+        let journal = Journal::open(path.clone());
         const LINES: usize = 2_000;
         std::thread::scope(|scope| {
             for worker in 0..2 {
-                let path = &path;
+                let journal = &journal;
                 scope.spawn(move || {
                     for i in 0..LINES {
                         let event = trace::TraceEvent::new(
@@ -513,7 +546,7 @@ mod tests {
                             &format!("cell-{worker}-{i}"),
                             "bytes=120",
                         );
-                        append_journal_line(path, &event.render_line()).unwrap();
+                        journal.append(&event.render_line()).unwrap();
                     }
                 });
             }
@@ -528,5 +561,42 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// A full journal is renamed aside once, before the line that would
+    /// follow the limit, and a fresh file takes the rest.
+    #[test]
+    fn journal_rotates_into_one_older_generation() {
+        let store = temp_store("rotate");
+        let path = store.root().join("owner.ndjson");
+        let journal = Journal::open(path.clone());
+        let line = "x".repeat(999); // 1,000 bytes with its newline
+        for _ in 0..1_100 {
+            journal.append(&line).unwrap();
+        }
+        let lines = |p: &Path| std::fs::read_to_string(p).unwrap().lines().count();
+        let full = TRACE_ROTATE_BYTES.div_ceil(1_000) as usize;
+        assert_eq!(lines(&path.with_extension("ndjson.1")), full);
+        assert_eq!(lines(&path), 1_100 - full);
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// In a process that outlives `serve`, an event emitted after the
+    /// state directory was removed recreates none of it.
+    #[test]
+    fn events_after_serve_leave_a_removed_state_directory_removed() {
+        let store = temp_store("removed");
+        drain(&store);
+        assert!(
+            store.trace_dir().is_dir(),
+            "serve creates the trace directory"
+        );
+        std::fs::remove_dir_all(store.root()).unwrap();
+        trace::emit(trace::TraceEvent::new("probe", "", "", ""));
+        assert!(
+            !store.root().exists(),
+            "an event recreated {}",
+            store.root().display()
+        );
     }
 }

@@ -19,6 +19,14 @@
 //! row re-runs its cell and still finalizes a byte-identical
 //! `results.csv`, so only this count shows it.
 //!
+//! The work of the drain is pinned too: the cells served from a
+//! fault-free outcome, by `ftsim_cells_total{path="baseline"}`, and the
+//! cycles simulated, by `ftsim_sim_cycles_total`. Each claimed family
+//! resumes from its recorded rows, so a recorded fault-free cell serves
+//! the family's pending fault-free cells and its faulty cells that
+//! cannot fire; a planner that stops doing so re-simulates them, and
+//! only these counts show it.
+//!
 //! The test is one function in its own binary: the counters are
 //! process-wide.
 
@@ -68,7 +76,10 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     let parsed = metrics::counter("ftsimd_cells_rows_parsed_total", &[]);
     let read = metrics::counter("ftsimd_cells_bytes_read_total", &[]);
     let completed = metrics::counter("ftsimd_cells_completed_total", &[]);
+    let served = metrics::counter("ftsim_cells_total", &[("path", "baseline")]);
+    let cycles = metrics::counter("ftsim_sim_cycles_total", &[]);
     let (before, read_before, completed_before) = (parsed.get(), read.get(), completed.get());
+    let (served_before, cycles_before) = (served.get(), cycles.get());
     serve(
         &store,
         &ServeOptions {
@@ -83,6 +94,7 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     let rows_parsed = parsed.get() - before;
     let bytes_read = read.get() - read_before;
     let cells_completed = completed.get() - completed_before;
+    let work = (served.get() - served_before, cycles.get() - cycles_before);
 
     assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
     assert_eq!(
@@ -94,6 +106,11 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     assert_eq!(
         cells_completed, appended as u64,
         "the daemon must run exactly the {appended} pending cells"
+    );
+    assert_eq!(
+        work,
+        (118, 92_334),
+        "cells served from a fault-free outcome, and cycles simulated, by the drain"
     );
     let bound = prefilled.len() + appended + oneshot.len();
     assert!(

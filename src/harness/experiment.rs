@@ -290,8 +290,12 @@ impl Experiment {
     /// restores the newest checkpoint taken at or before its injector's
     /// first possible fault
     /// ([`ftsim_faults::FaultInjector::first_possible_fire`]) and simulates only the
-    /// post-divergence suffix. Records are byte-identical to cold-start
-    /// runs — forking changes wall-clock cost, never results.
+    /// post-divergence suffix. With [`Experiment::resume_from`] records,
+    /// a family's recorded fault-free cell serves its pending fault-free
+    /// cells, and its faulty cells whose first possible fault lies past
+    /// the draws a fault-free run makes, without simulating them. Records
+    /// are byte-identical to cold-start runs — forking and serving change
+    /// wall-clock cost, never results.
     ///
     /// Default: off.
     #[must_use]

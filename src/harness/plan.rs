@@ -5,6 +5,12 @@
 //! records matched to their cells, fork bounds computed for live faulty
 //! cells, and cells grouped into **families** — the sets sharing a
 //! (workload, budget, model) coordinate and therefore a fault-free prefix.
+//! With checkpointing on, a family's recorded fault-free outcome also
+//! serves every live cell whose run it is: its fault-free cells, and
+//! faulty cells whose first possible fire lies past the draws a
+//! fault-free run makes. A cell takes one of four paths ([`CellPath`]):
+//! served from a prior record, served from a fault-free outcome (a
+//! family baseline's or a prior's), forked, or cold.
 //! One-shot grids ([`Experiment::run`]) and the long-running `ftsimd`
 //! daemon both execute through this type, so the scheduling rules — which
 //! families run a checkpointed baseline, when a faulty cell may fork, why
@@ -68,7 +74,10 @@ fn fork_horizon(budget: u64, model: &MachineConfig) -> u64 {
 pub enum CellPath {
     /// Served verbatim from a prior record (resume).
     Resumed,
-    /// Served by the family baseline's own fault-free run.
+    /// Served by a fault-free outcome: the family baseline's own run, or
+    /// a recorded fault-free cell of the family. The cell is fault-free,
+    /// or no draw of a fault-free run could fire for it, so that run is
+    /// its run. Nothing is simulated for the cell itself.
     Baseline,
     /// Forked from a family checkpoint past the fault-free prefix.
     Forked,
@@ -223,6 +232,17 @@ impl Schedule {
     }
 }
 
+/// Where a cell's record comes from without simulating it: an index in
+/// the experiment's prior records.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The cell's own prior record, returned verbatim (resume).
+    Prior(usize),
+    /// A fault-free prior of the cell's family, whose run is this cell's
+    /// run; only its outcome fields are taken.
+    FaultFree(usize),
+}
+
 /// A materialized, executable sweep: the output of [`Experiment::plan`].
 ///
 /// The plan owns the validated experiment, its grid (cells addressed by
@@ -237,8 +257,8 @@ pub struct SweepPlan {
     /// One shared program per (workload, budget) coordinate.
     programs: Vec<Vec<Arc<Program>>>,
     grid: Grid,
-    /// Per cell: the index in `exp.prior` of the record serving it.
-    resumed: Vec<Option<usize>>,
+    /// Per cell: the prior record serving it, if any.
+    served: Vec<Option<Source>>,
     /// Per cell: the fork bound (live faulty cells only).
     bounds: Vec<Option<u64>>,
     families: Vec<Family>,
@@ -266,34 +286,57 @@ impl SweepPlan {
             .collect();
 
         // Cells already present in the prior records are not re-simulated.
-        // The first successful prior of each cell serves it.
-        let mut resumed = vec![None; grid.cells()];
+        // The first successful prior of each cell serves it. Per family,
+        // the first successful prior of a fault-free cell is the family's
+        // fault-free outcome.
+        let mut served = vec![None; grid.cells()];
+        let mut fault_free = vec![None; family_slots(&exp)];
         for (p, prior) in exp.prior.iter().enumerate().filter(|(_, p)| p.ok()) {
             for idx in grid.cells_of(prior) {
-                resumed[idx].get_or_insert(p);
+                served[idx].get_or_insert(Source::Prior(p));
+                let cell = grid.cell(idx);
+                if exp.fault_rates_pm[cell.rate] <= 0.0 {
+                    fault_free[family_of(&exp, &cell)].get_or_insert(p);
+                }
             }
         }
 
         // Fork bounds, computed once per live faulty cell (the scan
         // replays the injector's Bernoulli stream, so it is worth caching
-        // between the planning pass and the cell run).
-        let bounds: Vec<Option<u64>> = (0..grid.cells())
-            .map(|idx| {
-                let cell = grid.cell(idx);
-                let live_faulty = resumed[idx].is_none() && exp.fault_rates_pm[cell.rate] > 0.0;
-                (exp.checkpointing && live_faulty).then(|| {
-                    let horizon = fork_horizon(exp.budgets[cell.budget], &exp.models[cell.model]);
-                    // The bound depends only on the Bernoulli stream
-                    // (rate, seed) — a site mix cannot move it.
-                    cell_injector(&exp, &cell)
-                        .first_possible_fire(horizon)
-                        .unwrap_or(horizon)
-                })
-            })
-            .collect();
+        // between the planning pass and the cell run). A family's
+        // fault-free outcome serves its live fault-free cells, and every
+        // faulty cell whose bound reaches the `D` draws that outcome's run
+        // made (`dispatched_entries`, one draw per dispatched entry): no
+        // draw of that run fires, so it is the cell's run, draw for draw.
+        // The scan then stops at `D`. Checkpointing off plans every live
+        // cell cold, the reference the other paths are checked against.
+        let mut bounds = vec![None; grid.cells()];
+        for idx in 0..grid.cells() {
+            if !exp.checkpointing || served[idx].is_some() {
+                continue;
+            }
+            let cell = grid.cell(idx);
+            let outcome = fault_free[family_of(&exp, &cell)];
+            if exp.fault_rates_pm[cell.rate] <= 0.0 {
+                served[idx] = outcome.map(Source::FaultFree);
+                continue;
+            }
+            let draws = outcome.map(|p| exp.prior[p].dispatched_entries);
+            let horizon = fork_horizon(exp.budgets[cell.budget], &exp.models[cell.model])
+                .min(draws.unwrap_or(u64::MAX));
+            // The bound depends only on the Bernoulli stream (rate,
+            // seed) — a site mix cannot move it.
+            let bound = cell_injector(&exp, &cell)
+                .first_possible_fire(horizon)
+                .unwrap_or(horizon);
+            match outcome.filter(|&p| bound >= exp.prior[p].dispatched_entries) {
+                Some(p) => served[idx] = Some(Source::FaultFree(p)),
+                None => bounds[idx] = Some(bound),
+            }
+        }
 
         let (families, cell_family) = if exp.checkpointing {
-            plan_families(&exp, &grid, &resumed, &bounds)
+            plan_families(&exp, &grid, &served, &bounds)
         } else {
             (Vec::new(), vec![None; grid.cells()])
         };
@@ -302,7 +345,7 @@ impl SweepPlan {
             exp,
             programs,
             grid,
-            resumed,
+            served,
             bounds,
             families,
             cell_family,
@@ -345,13 +388,16 @@ impl SweepPlan {
     /// are never re-simulated: [`SweepPlan::run_cell`] returns the prior
     /// record verbatim.
     pub fn prior(&self, idx: usize) -> Option<&RunRecord> {
-        self.resumed[idx].map(|p| &self.exp.prior[p])
+        match self.served[idx] {
+            Some(Source::Prior(p)) => Some(&self.exp.prior[p]),
+            _ => None,
+        }
     }
 
-    /// The number of cells that still need simulating (not served by a
-    /// prior record).
+    /// The number of cells that still need simulating: served by neither
+    /// their own prior record nor a recorded fault-free outcome.
     pub fn runnable(&self) -> usize {
-        self.resumed.iter().filter(|r| r.is_none()).count()
+        self.served.iter().filter(|r| r.is_none()).count()
     }
 
     /// Number of family baselines this plan will run.
@@ -380,12 +426,13 @@ impl SweepPlan {
         drop(self.baseline_guard(&self.families[fi]));
     }
 
-    /// Executes cell `idx` and returns its record: the prior record
-    /// verbatim for resumed cells, the family baseline's result for a
-    /// fault-free cell whose family ran one, a forked run for a faulty
-    /// cell with a usable checkpoint, and a cold run otherwise. All four
-    /// paths produce byte-identical records — the plan changes what a
-    /// record *costs*, never what it says.
+    /// Executes cell `idx` and returns its record through one of four
+    /// paths: the prior record verbatim for resumed cells; a fault-free
+    /// outcome for a cell whose run it is, taken from a recorded
+    /// fault-free cell of the family or from the family baseline's run; a
+    /// forked run for a faulty cell with a usable checkpoint; and a cold
+    /// run otherwise. All four paths produce byte-identical records — the
+    /// plan changes what a record *costs*, never what it says.
     pub fn run_cell(&self, idx: usize) -> RunRecord {
         self.run_cell_observed(idx).0
     }
@@ -401,10 +448,21 @@ impl SweepPlan {
     /// the family baseline, the baseline's cycles are attributed to this
     /// cell's profile.
     pub fn run_cell_observed(&self, idx: usize) -> (RunRecord, CellPath, StageProfile) {
-        if let Some(prior) = self.prior(idx) {
-            obs().cells[CellPath::Resumed as usize].inc();
-            return (prior.clone(), CellPath::Resumed, StageProfile::default());
-        }
+        let (record, path) = match self.served[idx] {
+            Some(Source::Prior(p)) => (self.exp.prior[p].clone(), CellPath::Resumed),
+            Some(Source::FaultFree(p)) => (
+                self.identity(idx).with_outcome_of(&self.exp.prior[p]),
+                CellPath::Baseline,
+            ),
+            None => return self.simulate_cell(idx),
+        };
+        obs().cells[path as usize].inc();
+        (record, path, StageProfile::default())
+    }
+
+    /// Simulates live cell `idx`, accounting its path and the work it
+    /// simulated.
+    fn simulate_cell(&self, idx: usize) -> (RunRecord, CellPath, StageProfile) {
         profile::reset();
         let (record, path, simulated) = self.run_cell_inner(idx);
         let stage_profile = profile::take();
@@ -415,8 +473,9 @@ impl SweepPlan {
         (record, path, stage_profile)
     }
 
-    /// The four-path cell execution; returns the record, the path taken
-    /// and `(cycles, instructions)` **actually simulated by this call**
+    /// A live cell's execution: baseline-served, forked or cold. Returns
+    /// the record, the path taken and `(cycles, instructions)` **actually
+    /// simulated by this call**
     /// (a fork's post-checkpoint suffix; zero for baseline-served cells —
     /// the baseline run counts when it executes, inside
     /// [`SweepPlan::baseline_guard`]).
@@ -664,30 +723,39 @@ fn cell_injector(exp: &Experiment, cell: &Cell) -> FaultInjector {
     )
 }
 
+/// The plan's number for `cell`'s family, below [`family_slots`]: one
+/// per (workload, model, budget) position triple, so a repeated axis
+/// value gives a family per position.
+fn family_of(exp: &Experiment, cell: &Cell) -> usize {
+    (cell.workload * exp.models.len() + cell.model) * exp.budgets.len() + cell.budget
+}
+
+/// How many family numbers [`family_of`] gives.
+fn family_slots(exp: &Experiment) -> usize {
+    exp.workloads.len() * exp.models.len() * exp.budgets.len()
+}
+
 /// Decides which families run a checkpointed baseline, and which one
-/// serves each live cell.
+/// serves each live cell (one no prior serves).
 ///
 /// A family — the cells sharing (workload, budget, model) — runs one when
 /// it contains a live fault-free cell (the baseline *is* that cell's run,
 /// so checkpoints come for free), or when some live faulty cell's first
 /// possible injection lies far enough in (≥ [`MIN_WORTHWHILE_FORK_DRAWS`]
-/// draws) that skipping the prefix pays for the extra baseline run.
+/// draws) that skipping the prefix pays for the extra baseline run. A
+/// family with no live cell runs none.
 fn plan_families(
     exp: &Experiment,
     grid: &Grid,
-    resumed: &[Option<usize>],
+    served: &[Option<Source>],
     bounds: &[Option<u64>],
 ) -> (Vec<Family>, Vec<Option<usize>>) {
-    let (models, budgets) = (exp.models.len(), exp.budgets.len());
-    let dense = |idx: usize| {
-        let cell = grid.cell(idx);
-        (cell.workload * models + cell.model) * budgets + cell.budget
-    };
+    let dense = |idx: usize| family_of(exp, &grid.cell(idx));
     // Per family: a live cell, whether one is fault-free (the only live
     // cells without a bound), and the largest bound of its live faulty
     // cells, up to which snapshots are useful.
-    let mut live = vec![(0, false, None); exp.workloads.len() * models * budgets];
-    for idx in (0..grid.cells()).filter(|&idx| resumed[idx].is_none()) {
+    let mut live = vec![(0, false, None); family_slots(exp)];
+    for idx in (0..grid.cells()).filter(|&idx| served[idx].is_none()) {
         let (member, fault_free, horizon) = &mut live[dense(idx)];
         *member = idx;
         match bounds[idx] {
@@ -708,7 +776,7 @@ fn plan_families(
         }
     }
     let cell_family = (0..grid.cells())
-        .map(|idx| number[dense(idx)].filter(|_| resumed[idx].is_none()))
+        .map(|idx| number[dense(idx)].filter(|_| served[idx].is_none()))
         .collect();
     (families, cell_family)
 }

@@ -491,6 +491,26 @@ impl RunRecord {
         self
     }
 
+    /// This record's identity with every outcome field of `outcome`: the
+    /// record of a cell whose run is `outcome`'s run. Only identity fields
+    /// are named, so an outcome field added later is carried too.
+    pub(crate) fn with_outcome_of(self, outcome: &RunRecord) -> Self {
+        RunRecord {
+            workload: self.workload,
+            suite: self.suite,
+            model: self.model,
+            r: self.r,
+            majority: self.majority,
+            threshold: self.threshold,
+            fault_rate_pm: self.fault_rate_pm,
+            site_mix: self.site_mix,
+            seed: self.seed,
+            budget: self.budget,
+            oracle: self.oracle,
+            ..outcome.clone()
+        }
+    }
+
     /// Marks the record failed with `message`.
     pub(crate) fn fill_error(mut self, message: String) -> Self {
         self.error = message;

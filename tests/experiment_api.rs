@@ -153,13 +153,17 @@ fn checkpointed_resumed_grid_is_byte_identical_at_any_thread_count() {
             .models([MachineConfig::ss2(), MachineConfig::ss3_majority()])
             .fault_rates([0.0, 100.0, 20_000.0])
             .budget(3_000)
-            .seeds([1, 2])
+            .seeds([1, 3])
             .oracle(OracleMode::Final)
     };
     let reference = grid().threads(1).run().unwrap();
-    // Resume from fpppp SS-2's fault-free cells and one faulty gcc cell:
-    // that fpppp family keeps only faulty cells, so its baseline serves
-    // forks alone (a dedicated baseline).
+    // Resume from fpppp SS-2's fault-free cells and one faulty gcc cell.
+    // That fpppp family keeps only faulty cells. Its fault-free run makes
+    // 6,520 injector draws. At 100 per million, seed 1 cannot fire before
+    // draw 6,865, so its run is the fault-free run: it is served from the
+    // recorded fault-free cell. Seed 3 can first fire at draw 4,398, late
+    // enough to fork, so the family runs a baseline that serves forks
+    // alone (a dedicated baseline).
     let prior: Vec<RunRecord> = reference
         .iter()
         .filter(|r| {
@@ -175,12 +179,21 @@ fn checkpointed_resumed_grid_is_byte_identical_at_any_thread_count() {
     // fault-free cell.
     let plan = resumed().plan().unwrap();
     let mut paths = Vec::new();
+    let mut served_faulty = 0;
     for idx in 0..plan.len() {
-        let path = plan.run_cell_observed(idx).1;
+        let (record, path, _) = plan.run_cell_observed(idx);
         if !paths.contains(&path) {
             paths.push(path);
         }
+        // Only a recorded fault-free outcome serves a faulty cell.
+        if path == CellPath::Baseline && record.fault_rate_pm > 0.0 {
+            served_faulty += 1;
+        }
     }
+    assert!(
+        served_faulty > 0,
+        "no cell was served from a fault-free prior"
+    );
     for path in [
         CellPath::Resumed,
         CellPath::Baseline,
