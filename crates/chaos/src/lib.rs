@@ -105,7 +105,13 @@ pub trait IoEnv: Send + Sync + Debug {
     fn write_atomic(&self, site: &str, path: &Path, data: &[u8]) -> io::Result<()>;
 
     /// Exclusively creates `path` with `data` (`O_CREAT|O_EXCL` semantics),
-    /// fsyncing on success. Returns `Ok(false)` if the path already exists.
+    /// without syncing it. Returns `Ok(false)` if the path already exists.
+    ///
+    /// The daemon creates its claim leases here. A lease is a throughput
+    /// hint, never a correctness mechanism, and only a machine crash can
+    /// lose an unsynced one. That crash kills every holder too, so the
+    /// worst it leaves is a torn lease, which peers steal once it is two
+    /// leases old instead of one.
     fn create_new(&self, site: &str, path: &Path, data: &[u8]) -> io::Result<bool>;
 
     /// Creates a single directory (fails with `AlreadyExists` if present).
@@ -126,10 +132,24 @@ pub trait IoEnv: Send + Sync + Debug {
     /// Lists the entries of a directory, sorted by path for determinism.
     fn list_dir(&self, site: &str, path: &Path) -> io::Result<Vec<PathBuf>>;
 
-    /// Appends `data` to an open file and `sync_data`s it — the fsynced
-    /// CSV-append primitive. Under chaos a `torn` clause persists a seeded
-    /// prefix of `data` before failing.
+    /// Appends `data` to an open file and `sync_data`s it: a write that
+    /// is durable when it returns. Under chaos a `torn` clause persists a
+    /// seeded prefix of `data` before failing.
+    ///
+    /// The daemon's `cells.csv` rows do not take this path: they are
+    /// written with [`IoEnv::append`] and synced once per claim with
+    /// [`IoEnv::sync`] (group commit).
     fn append_sync(&self, site: &str, file: &mut File, data: &[u8]) -> io::Result<()>;
+
+    /// Appends `data` to an open file without syncing it. The bytes reach
+    /// the page cache, so they outlive the writing process but not the
+    /// machine; a later [`IoEnv::sync`] makes them durable. Under chaos a
+    /// `torn` clause persists a seeded prefix of `data` before failing.
+    fn append(&self, site: &str, file: &mut File, data: &[u8]) -> io::Result<()>;
+
+    /// `sync_data`s an open file: every byte appended to it so far is
+    /// durable when this returns.
+    fn sync(&self, site: &str, file: &File) -> io::Result<()>;
 
     /// Bare failpoint gate for operations without a dedicated primitive
     /// (socket accept/read/write, file opens). Returns an injected error
@@ -190,7 +210,6 @@ impl IoEnv for RealIo {
             Err(e) => return Err(e),
         };
         file.write_all(data)?;
-        file.sync_data()?;
         Ok(true)
     }
 
@@ -225,6 +244,14 @@ impl IoEnv for RealIo {
 
     fn append_sync(&self, _site: &str, file: &mut File, data: &[u8]) -> io::Result<()> {
         file.write_all(data)?;
+        file.sync_data()
+    }
+
+    fn append(&self, _site: &str, file: &mut File, data: &[u8]) -> io::Result<()> {
+        file.write_all(data)
+    }
+
+    fn sync(&self, _site: &str, file: &File) -> io::Result<()> {
         file.sync_data()
     }
 
@@ -558,6 +585,23 @@ impl IoEnv for ChaosIo {
             }
             Verdict::DropRename => Err(Self::injected(EIO, site)),
         }
+    }
+
+    fn append(&self, site: &str, file: &mut File, data: &[u8]) -> io::Result<()> {
+        match self.gate(site, data.len()) {
+            Verdict::Pass => RealIo.append(site, file, data),
+            Verdict::Fail(code) => Err(Self::injected(code, site)),
+            Verdict::Tear { keep } => {
+                let _ = file.write_all(&data[..keep]);
+                Err(Self::injected(EIO, site))
+            }
+            Verdict::DropRename => Err(Self::injected(EIO, site)),
+        }
+    }
+
+    fn sync(&self, site: &str, file: &File) -> io::Result<()> {
+        self.check(site)?;
+        file.sync_data()
     }
 
     fn gate(&self, site: &str) -> io::Result<()> {

@@ -40,7 +40,7 @@ use crate::failpoints as fp;
 use crate::log;
 use crate::spec::JobSpec;
 use crate::store::{io_err, write_atomic, DaemonError, Job, JobState, JobStatus, JobStore};
-use ftsim::harness::{to_csv, to_json, CellPath, FamilyId, RunRecord};
+use ftsim::harness::{to_csv, to_json, CellPath, FamilyId, RunRecord, SweepPlan};
 use ftsim_chaos::retry::Backoff;
 use ftsim_core::profile::{StageProfile, STAGE_NAMES};
 use ftsim_obs::metrics;
@@ -51,7 +51,8 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Fabric-level metric handles, resolved once per process. These count
@@ -79,6 +80,9 @@ pub(crate) struct FabricObs {
     pub(crate) watchdog_kills: metrics::Counter,
     append_bytes: metrics::Counter,
     backoff_retries: metrics::Counter,
+    /// [`try_finalize`] calls: one per job when only the scheduling pass
+    /// that finds every cell recorded finalizes.
+    finalize_attempts: metrics::Counter,
     jobs_finalized: metrics::Counter,
 }
 
@@ -100,6 +104,7 @@ pub(crate) fn fobs() -> &'static FabricObs {
             "ftsimd_backoff_retries_total",
             &[("site", "fabric.claim")],
         ),
+        finalize_attempts: metrics::counter("ftsimd_finalize_attempts_total", &[]),
         jobs_finalized: metrics::counter("ftsimd_jobs_finalized_total", &[]),
     })
 }
@@ -406,12 +411,17 @@ fn try_claim_once(
 ) -> Result<Option<ClaimGuard>, DaemonError> {
     let env = ftsim_chaos::io();
     let dir = job.claims_dir();
-    env.create_dir_all(fp::FABRIC_CLAIM_CREATE, &dir)
-        .map_err(io_err(format!("creating {}", dir.display())))?;
     let path = dir.join(format!("{}.lease", family.slug()));
+    // The claims directory is made by a job's first claim, not every one:
+    // only a create that finds no directory makes it.
     let claim = |path: &Path| {
-        create_claim(path, &cfg.owner, cfg.lease)
-            .map_err(io_err(format!("claiming {}", path.display())))
+        let created = match create_claim(path, &cfg.owner, cfg.lease) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => env
+                .create_dir_all(fp::FABRIC_CLAIM_CREATE, &dir)
+                .and_then(|()| create_claim(path, &cfg.owner, cfg.lease)),
+            created => created,
+        };
+        created.map_err(io_err(format!("claiming {}", path.display())))
     };
     if claim(&path)? {
         if !claim_verified(&path, cfg) {
@@ -625,7 +635,9 @@ pub(crate) fn progress(
     };
     let indexed = match spec {
         Some(spec) if done_total.is_none() => log::with_log(job, spec, tally).ok(),
-        Some(spec) if by_family => log::JobLog::new(spec).ok().map(|log| tally(&log)),
+        Some(spec) if by_family => log::grid_of(spec)
+            .ok()
+            .map(|grid| tally(&log::JobLog::new(grid))),
         _ => None,
     };
     indexed.unwrap_or(Progress {
@@ -635,12 +647,11 @@ pub(crate) fn progress(
 }
 
 /// A claimed unit of work: one family of one job.
-#[derive(Debug)]
 pub(crate) struct Assignment {
     /// The job being worked.
     pub job: Job,
-    /// Its parsed spec.
-    pub spec: JobSpec,
+    /// What this process keeps of the job: spec, index and programs.
+    pub entry: Arc<log::Entry>,
     /// The claimed family.
     pub family: FamilyId,
     /// Its position in the job's family order.
@@ -650,7 +661,6 @@ pub(crate) struct Assignment {
 }
 
 /// What [`next_assignment`] found.
-#[derive(Debug)]
 pub(crate) enum NextWork {
     /// A family was claimed; run it.
     Work(Box<Assignment>),
@@ -686,17 +696,22 @@ pub(crate) fn next_assignment(
     next
 }
 
-/// The body of [`next_assignment`].
+/// The body of [`next_assignment`]. Each job's spec and status come
+/// from what this process keeps of it ([`log::job`], [`log::status`]),
+/// read again only when their files change, and its next family from the
+/// index's set of incomplete families, so a pass costs O(jobs + claims
+/// tried), not O(families). A job whose every cell has a record is
+/// finalized here, and only here.
 fn scheduling_pass(store: &JobStore, cfg: &FabricConfig) -> Result<NextWork, DaemonError> {
     struct Candidate {
         job: Job,
-        spec: JobSpec,
+        entry: Arc<log::Entry>,
         claims: usize,
     }
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut incomplete = 0usize;
     for job in store.jobs()? {
-        let status = match store.load_status(&job) {
+        let status = match log::status(store, &job) {
             Ok(status) => status,
             Err(DaemonError::Corrupt { path, message }) => {
                 // A torn or scribbled-on status must not wedge the job
@@ -737,14 +752,14 @@ fn scheduling_pass(store: &JobStore, cfg: &FabricConfig) -> Result<NextWork, Dae
             }
         };
         if status.terminal() {
-            log::forget(&job); // terminal: its index is no longer needed
+            log::forget(&job); // terminal: nothing of it is needed any more
             continue;
         }
         if store.job_stop_requested(&job) {
             continue; // paused: not claimable, not blocking drain
         }
-        let spec = match store.load_spec(&job) {
-            Ok(spec) => spec,
+        let entry = match log::entry(store, &job) {
+            Ok(entry) => entry,
             Err(e) => {
                 note_job_error(store, &job, e, &mut incomplete);
                 continue;
@@ -752,63 +767,66 @@ fn scheduling_pass(store: &JobStore, cfg: &FabricConfig) -> Result<NextWork, Dae
         };
         incomplete += 1;
         let claims = live_claims(&job).count;
-        if spec.threads > 0 && claims >= spec.threads {
+        let threads = entry.spec().threads;
+        if threads > 0 && claims >= threads {
             continue; // at its fabric-wide concurrency cap
         }
-        candidates.push(Candidate { job, spec, claims });
+        candidates.push(Candidate { job, entry, claims });
     }
 
     // Fair share: a submitter's weight is the live claims across all
     // their incomplete jobs.
     let mut by_submitter: HashMap<String, usize> = HashMap::new();
     for c in &candidates {
-        *by_submitter.entry(c.spec.submitter.clone()).or_default() += c.claims;
+        *by_submitter
+            .entry(c.entry.spec().submitter.clone())
+            .or_default() += c.claims;
     }
     candidates.sort_by(|a, b| {
-        b.spec
-            .priority
-            .cmp(&a.spec.priority)
-            .then_with(|| by_submitter[&a.spec.submitter].cmp(&by_submitter[&b.spec.submitter]))
+        let (sa, sb) = (a.entry.spec(), b.entry.spec());
+        sb.priority
+            .cmp(&sa.priority)
+            .then_with(|| by_submitter[&sa.submitter].cmp(&by_submitter[&sb.submitter]))
             .then_with(|| a.job.id.cmp(&b.job.id))
     });
 
     for c in candidates {
-        let scanned = log::with_log(&c.job, &c.spec, |log| {
-            log.families()
-                .enumerate()
-                .filter(|&(_, (done, total))| done < total)
-                .map(|(f, _)| (f, log.family(f)))
-                .collect::<Vec<_>>()
+        // One read of `cells.csv` brings the index up to date for the
+        // whole pass.
+        let first = c.entry.with_log(&c.job, |log| {
+            let f = log.next_incomplete(None)?;
+            Some((f, log.family(f)))
         });
-        let missing = match scanned {
-            Ok(scanned) => scanned,
-            Err(e) => {
-                mark_failed(store, &c.job, &e);
-                incomplete -= 1;
-                continue;
-            }
-        };
-        if missing.is_empty() {
-            // Every cell has a record — e.g. a peer was killed after its
-            // last cell but before finalizing. Finish the paperwork. A
-            // failed finalize (a flaky disk) leaves the job incomplete,
-            // and the next pass finalizes it again.
-            match try_finalize(store, &c.job, &c.spec) {
-                Ok(_) => incomplete -= 1,
+        let Some(mut next) = first else {
+            // Every cell has a record: the last family just finished, or
+            // a peer was killed after its last cell but before the
+            // paperwork. A failed finalize (a flaky disk) leaves the job
+            // incomplete, and the next pass finalizes it again.
+            match try_finalize(store, &c.job, &c.entry) {
+                Ok(true) => {
+                    incomplete -= 1;
+                    println!("ftsimd: job {} done", c.job.id);
+                }
+                Ok(false) => {}
                 Err(e) => eprintln!("ftsimd: finalizing {}: {e}", c.job.id),
             }
             continue;
-        }
-        for (family_index, family) in missing {
+        };
+        loop {
+            let (family_index, family) = next;
             if let Some(claim) = try_claim(&c.job, &family, cfg)? {
                 LAST_SCHED_PASS_MS.store(now_ms(), Ordering::Relaxed);
                 return Ok(NextWork::Work(Box::new(Assignment {
                     job: c.job,
-                    spec: c.spec,
+                    entry: c.entry,
                     family,
                     family_index,
                     claim,
                 })));
+            }
+            match c.entry.next_incomplete(family_index) {
+                Some(after) => next = after,
+                None => break,
             }
         }
     }
@@ -827,8 +845,7 @@ fn scheduling_pass(store: &JobStore, cfg: &FabricConfig) -> Result<NextWork, Dae
 ///
 /// [`DaemonError`] when the spec itself is unreadable or unresolvable.
 fn rebuild_status(store: &JobStore, job: &Job) -> Result<JobStatus, DaemonError> {
-    let spec = store.load_spec(job)?;
-    let status = JobStatus::queued(log::with_log(job, &spec, log::JobLog::total)?);
+    let status = JobStatus::queued(log::entry(store, job)?.cells());
     store.write_status(job, &status)?;
     eprintln!(
         "ftsimd: job {}: rebuilt status.json ({} cells)",
@@ -1015,15 +1032,94 @@ fn note_stuck_cell(store: &JobStore, a: &Assignment, identity: &RunRecord, budge
     }
 }
 
+/// A cell order for a [`CellThread`]: the plan, the cell's index, and
+/// the chaos gate the cell passes first.
+type CellOrder = (Arc<SweepPlan>, usize, Arc<str>);
+
+/// A cell's record, execution path and stage profile.
+type CellDone = (RunRecord, CellPath, StageProfile);
+
+/// A worker's cell thread, kept across its claims. Cells run on it so
+/// that the stuck-cell watchdog can abandon one that wedges: the worker
+/// sends each cell and waits for its record with a deadline. A thread
+/// whose cell overran (or that died) is not reused; the next cell starts
+/// a fresh one. The abandoned thread finishes the wedged cell nobody is
+/// waiting for, finds its channels closed, and exits, as an idle one
+/// does once its worker drops this.
+#[derive(Default)]
+pub(crate) struct CellThread {
+    link: Option<(mpsc::Sender<CellOrder>, mpsc::Receiver<CellDone>)>,
+}
+
+impl CellThread {
+    /// Runs cell `idx` of `plan` on the thread, behind the chaos gate at
+    /// `site`, and waits at most `budget` for it. `Ok(None)`: the cell
+    /// overran, and the thread is abandoned.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::Io`] when the thread died (a panicking cell).
+    fn run(
+        &mut self,
+        plan: &Arc<SweepPlan>,
+        idx: usize,
+        site: &Arc<str>,
+        budget: Duration,
+    ) -> Result<Option<CellDone>, DaemonError> {
+        let (orders, done) = self.link.get_or_insert_with(spawn_cell_thread);
+        let reply = match orders.send((Arc::clone(plan), idx, Arc::clone(site))) {
+            Ok(()) => done.recv_timeout(budget),
+            Err(_) => Err(RecvTimeoutError::Disconnected),
+        };
+        if reply.is_err() {
+            self.link = None;
+        }
+        match reply {
+            Ok(cell) => Ok(Some(cell)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(DaemonError::Io {
+                context: "cell worker thread died".to_string(),
+                source: io::Error::new(io::ErrorKind::BrokenPipe, "worker channel closed"),
+            }),
+        }
+    }
+}
+
+/// Starts a cell thread: it runs each order it receives until its
+/// worker hangs up.
+fn spawn_cell_thread() -> (mpsc::Sender<CellOrder>, mpsc::Receiver<CellDone>) {
+    let (order_tx, order_rx) = mpsc::channel::<CellOrder>();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        while let Ok((plan, idx, site)) = order_rx.recv() {
+            let _ = ftsim_chaos::io().gate(&site);
+            if done_tx.send(plan.run_cell_observed(idx)).is_err() {
+                return; // abandoned by the watchdog
+            }
+        }
+    });
+    (order_tx, done_rx)
+}
+
 /// Runs one claimed family to completion, streaming each record to the
 /// job's `cells.csv` and renewing the claim between cells.
 ///
-/// Execution goes through a **sub-experiment**: the job's spec narrowed
-/// to the family's single workload, model and budget (full rate, mix
-/// and seed axes). Because a record is a pure function of its cell
-/// coordinates, the narrowed grid produces exactly the rows the full
-/// grid would — same fork bounds, same baseline decisions — without
-/// paying the whole job's planning cost per claim.
+/// Execution goes through a **sub-experiment**: the job's experiment
+/// narrowed to the family's single workload, model and budget (full
+/// rate, mix and seed axes), running the program the job's entry shares
+/// between claims ([`log::Entry::family_plan`]). Because a record is a
+/// pure function of its cell coordinates, the narrowed grid produces
+/// exactly the rows the full grid would — same fork bounds, same
+/// baseline decisions — without paying the whole job's planning cost per
+/// claim.
+///
+/// Rows are written as their cells finish and synced once, when the
+/// claim ends (group commit): a killed process loses no written row,
+/// and a crashed machine loses at most this claim's rows, which a resume
+/// re-simulates to the same bytes. Cells run on the worker's
+/// [`CellThread`], and a chaos gate at `fabric.cell.<family-slug>` sits
+/// at the top of each, so plans can hang exactly this family
+/// (`delay@fabric.cell.<slug>*`) to exercise the watchdog.
 ///
 /// # Errors
 ///
@@ -1034,16 +1130,11 @@ pub(crate) fn run_family(
     a: &mut Assignment,
     cfg: &FabricConfig,
     stop: &dyn Fn() -> bool,
+    cells: &mut CellThread,
 ) -> Result<FamilyOutcome, DaemonError> {
-    let mut sub = a.spec.clone();
-    sub.workloads = vec![a.family.workload.clone()];
-    sub.models = vec![a.family.model.clone()];
-    sub.budgets = vec![a.family.budget];
-    sub.threads = 1; // cells run on this worker thread only
-
     let path = a.job.cells_path();
     let header = RunRecord::csv_header();
-    let trusted = log::trusted_prefix(&a.job, &a.spec)?;
+    let trusted = a.entry.trusted_prefix();
     let (mut writer, opened) = match AppendWriter::open_after(&path, &header, trusted) {
         Ok(opened) => opened,
         // The open itself appends (the header, or the tail repair), so a
@@ -1051,104 +1142,77 @@ pub(crate) fn run_family(
         Err(e) if ftsim_chaos::is_enospc(&e) => return Ok(pause_for_enospc(store, &a.job)),
         Err(e) => return Err(io_err(format!("opening {}", path.display()))(e)),
     };
-    // Only the claimed family's records: the sub-grid has no other cells.
-    let prior = log::family_records(&a.job, &a.spec, a.family_index, &opened)?;
-    let plan = std::sync::Arc::new(
-        sub.to_experiment()?
-            .resume_from(prior)
-            .plan()
-            .map_err(DaemonError::Experiment)?,
-    );
+    let plan = Arc::new(a.entry.family_plan(&a.job, a.family_index, &opened)?);
+    let site: Arc<str> = format!("{}{}", fp::FABRIC_CELL_PREFIX, a.family.slug()).into();
 
-    // Cells execute on a helper thread so the watchdog can abandon one
-    // that wedges: the main thread feeds indices and waits with a
-    // deadline. A chaos gate at `fabric.cell.<family-slug>` sits at the
-    // top of each cell, so plans can hang exactly this family
-    // (`delay@fabric.cell.<slug>*`) to exercise the watchdog. On every
-    // exit path the index channel drops, the helper's `recv` fails, and
-    // it unwinds on its own — including the abandonment case, where it
-    // first finishes the wedged cell nobody is waiting for.
-    let (idx_tx, idx_rx) = std::sync::mpsc::channel::<usize>();
-    let (rec_tx, rec_rx) = std::sync::mpsc::channel::<(RunRecord, CellPath, StageProfile)>();
-    {
-        let plan = std::sync::Arc::clone(&plan);
-        let site = format!("{}{}", fp::FABRIC_CELL_PREFIX, a.family.slug());
-        std::thread::spawn(move || {
-            while let Ok(idx) = idx_rx.recv() {
-                let _ = ftsim_chaos::io().gate(&site);
-                if rec_tx.send(plan.run_cell_observed(idx)).is_err() {
-                    return; // abandoned by the watchdog
-                }
+    let mut written = 0usize;
+    let mut run = || {
+        let mut observed_max = Duration::ZERO;
+        for idx in 0..plan.len() {
+            if plan.prior(idx).is_some() {
+                continue; // already recorded (this pass resumed it)
             }
-        });
-    }
-
-    let mut observed_max = Duration::ZERO;
-    for idx in 0..plan.len() {
-        if plan.prior(idx).is_some() {
-            continue; // already recorded (this pass resumed it)
-        }
-        if stop() {
-            return Ok(FamilyOutcome::Interrupted);
-        }
-        if !a.claim.renew()? {
-            return Ok(FamilyOutcome::Lost);
-        }
-        let budget = cell_budget(observed_max, cfg);
-        let started = Instant::now();
-        if idx_tx.send(idx).is_err() {
-            return Err(DaemonError::Io {
-                context: "cell worker thread died".to_string(),
-                source: io::Error::new(io::ErrorKind::BrokenPipe, "worker channel closed"),
-            });
-        }
-        let (record, path, stage_profile) = match rec_rx.recv_timeout(budget) {
-            Ok(cell) => cell,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            if stop() {
+                return Ok(FamilyOutcome::Interrupted);
+            }
+            if !a.claim.renew()? {
+                return Ok(FamilyOutcome::Lost);
+            }
+            let budget = cell_budget(observed_max, cfg);
+            let started = Instant::now();
+            let Some((record, path, stage_profile)) = cells.run(&plan, idx, &site, budget)? else {
                 note_stuck_cell(store, a, &plan.identity(idx), budget);
                 return Ok(FamilyOutcome::Stuck);
+            };
+            observed_max = observed_max.max(started.elapsed());
+            let label = record.cell_label();
+            trace::emit(TraceEvent::new(
+                path.name(),
+                &a.job.id,
+                &label,
+                &format!(
+                    "cycles={} ms={}",
+                    record.cycles,
+                    started.elapsed().as_millis()
+                ),
+            ));
+            let row = record.to_csv_row();
+            if let Err(e) = writer.write_row(&row) {
+                if ftsim_chaos::is_enospc(&e) {
+                    return Ok(pause_for_enospc(store, &a.job));
+                }
+                return Err(io_err(format!(
+                    "appending to {}",
+                    a.job.cells_path().display()
+                ))(e));
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(DaemonError::Io {
-                    context: "cell worker thread died".to_string(),
-                    source: io::Error::new(io::ErrorKind::BrokenPipe, "worker channel closed"),
-                });
-            }
-        };
-        observed_max = observed_max.max(started.elapsed());
-        let label = record.cell_label();
-        trace::emit(TraceEvent::new(
-            path.name(),
-            &a.job.id,
-            &label,
-            &format!(
-                "cycles={} ms={}",
-                record.cycles,
-                started.elapsed().as_millis()
-            ),
-        ));
-        let row = record.to_csv_row();
-        if let Err(e) = writer.append_row(&row) {
-            if ftsim_chaos::is_enospc(&e) {
-                return Ok(pause_for_enospc(store, &a.job));
-            }
-            return Err(io_err(format!(
-                "appending to {}",
-                a.job.cells_path().display()
-            ))(e));
+            written += 1;
+            let m = fobs();
+            m.cells_completed.inc();
+            m.append_bytes.add(row.len() as u64 + 1); // the row plus its newline
+            trace::emit(TraceEvent::new(
+                "append",
+                &a.job.id,
+                &label,
+                &format!("bytes={}", row.len() + 1),
+            ));
+            append_profile_row(&a.job, &label, path, &stage_profile);
         }
-        let m = fobs();
-        m.cells_completed.inc();
-        m.append_bytes.add(row.len() as u64 + 1); // the row plus its newline
-        trace::emit(TraceEvent::new(
-            "append",
-            &a.job.id,
-            &label,
-            &format!("bytes={}", row.len() + 1),
-        ));
-        append_profile_row(&a.job, &label, path, &stage_profile);
+        Ok(FamilyOutcome::Finished)
+    };
+    let outcome = run();
+    if written == 0 {
+        return outcome;
     }
-    Ok(FamilyOutcome::Finished)
+    // The claim's one sync. Should it fail, the rows are still written
+    // and the index reads them; only a machine crash before a later sync
+    // could lose them, and a resume re-simulates those cells.
+    match writer.sync(fp::FABRIC_CELLS_SYNC) {
+        Ok(()) => outcome,
+        Err(_) if outcome.is_err() => outcome,
+        Err(e) if ftsim_chaos::is_enospc(&e) => Ok(pause_for_enospc(store, &a.job)),
+        Err(e) => Err(io_err(format!("syncing {}", path.display()))(e)),
+    }
 }
 
 /// Disk full while streaming cells. Losing the record is unavoidable,
@@ -1224,7 +1288,9 @@ fn append_profile_row(job: &Job, label: &str, path: CellPath, prof: &StageProfil
 }
 
 /// Finalizes a job if — and only if — every grid cell has a streamed
-/// record: assembles the records in grid order (newest row per cell)
+/// record. The scheduling pass that finds no family missing a cell calls
+/// it, and nothing else does. It assembles the records in grid order
+/// (newest row per cell)
 /// and writes `results.csv`/`results.json` atomically, then marks the
 /// job done and clears its claims. Concurrent finalizers write
 /// byte-identical artifacts, so the last rename winning is harmless.
@@ -1236,11 +1302,10 @@ fn append_profile_row(job: &Job, label: &str, path: CellPath, prof: &StageProfil
 pub(crate) fn try_finalize(
     store: &JobStore,
     job: &Job,
-    spec: &JobSpec,
+    entry: &log::Entry,
 ) -> Result<bool, DaemonError> {
-    let complete = log::with_log(job, spec, |log| {
-        (log.done() == log.total()).then(|| log.records())
-    })?;
+    fobs().finalize_attempts.inc();
+    let complete = entry.with_log(job, |log| log.complete().then(|| log.records()));
     let Some(records) = complete else {
         return Ok(false);
     };
@@ -1483,7 +1548,8 @@ mod tests {
                 panic!("family {round} must be claimable");
             };
             assert_eq!(state(), "running", "a live claim is held");
-            let outcome = run_family(&store, &mut a, &cfg, &|| false).unwrap();
+            let outcome =
+                run_family(&store, &mut a, &cfg, &|| false, &mut CellThread::default()).unwrap();
             assert_eq!(outcome, FamilyOutcome::Finished);
             drop(a);
             assert_eq!(state(), "queued", "no claim is held");
@@ -1497,8 +1563,83 @@ mod tests {
         }
         let text = String::from_utf8(submitted.0).unwrap();
         assert!(!text.contains("cells_done"), "{text}");
-        assert!(try_finalize(&store, &job, &spec).unwrap());
+        let entry = log::entry(&store, &job).unwrap();
+        assert!(try_finalize(&store, &job, &entry).unwrap());
         assert_eq!(state(), "done");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a process keeps of a job follows its spec file. A spec
+    /// replaced under the live process is read again at the next pass,
+    /// which rebuilds the job's experiment, index and programs; a corrupt
+    /// one is quarantined and takes the job's state with the job. A job
+    /// that finalizes leaves nothing behind.
+    #[test]
+    fn job_state_follows_the_spec_file_and_goes_with_the_job() {
+        let dir = std::env::temp_dir().join(format!("ftsimd-fabric-state-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = JobStore::open(&dir).unwrap();
+        let mut spec = JobSpec::new("state");
+        spec.workloads = vec!["gcc".to_string()];
+        spec.models = vec!["SS-1".to_string(), "SS-2".to_string()];
+        spec.budgets = vec![1_000];
+        let (id, _) = store.submit(&spec).unwrap();
+        let job = store.job(&id).unwrap();
+        let cfg = FabricConfig::new(Duration::from_secs(30));
+        let mut cells = CellThread::default();
+        let mut claim = || {
+            let NextWork::Work(mut a) = next_assignment(&store, &cfg).unwrap() else {
+                panic!("claimable work expected");
+            };
+            let outcome = run_family(&store, &mut a, &cfg, &|| false, &mut cells).unwrap();
+            assert_eq!(outcome, FamilyOutcome::Finished);
+        };
+
+        // The first claim builds the (gcc, 1000) program, which the
+        // job's other family will run too.
+        claim();
+        let (first, programs) = log::kept(&job).unwrap();
+        assert_eq!((first.spec(), &programs[..]), (&spec, &[0][..]));
+
+        // Replaced: another grid under the same job directory.
+        let mut replaced = spec.clone();
+        replaced.budgets = vec![1_200];
+        let staging = job.dir().join("spec.json.new");
+        std::fs::write(&staging, replaced.to_json()).unwrap();
+        std::fs::rename(&staging, job.spec_path()).unwrap();
+        let NextWork::Work(a) = next_assignment(&store, &cfg).unwrap() else {
+            panic!("the replaced spec's families are claimable");
+        };
+        let (rebuilt, programs) = log::kept(&job).unwrap();
+        assert!(!Arc::ptr_eq(&first, &rebuilt));
+        assert_eq!(rebuilt.spec(), &replaced);
+        assert!(programs.is_empty(), "{programs:?}");
+        assert_eq!(a.family.budget, 1_200);
+        drop(a);
+
+        // Corrupt: quarantined, and the job fails with its state dropped.
+        std::fs::write(job.spec_path(), "{ not a spec").unwrap();
+        assert!(matches!(
+            next_assignment(&store, &cfg).unwrap(),
+            NextWork::Idle { incomplete: 0 }
+        ));
+        assert!(log::kept(&job).is_none());
+        assert_eq!(store.load_status(&job).unwrap().state, JobState::Failed);
+        assert_eq!(store.quarantined_count(), 1);
+
+        // Finalized: nothing is kept once the job is done.
+        spec.name = "state-done".to_string();
+        let (id, _) = store.submit(&spec).unwrap();
+        let done = store.job(&id).unwrap();
+        claim();
+        claim();
+        assert!(log::kept(&done).is_some());
+        assert!(matches!(
+            next_assignment(&store, &cfg).unwrap(),
+            NextWork::Idle { incomplete: 0 }
+        ));
+        assert_eq!(store.load_status(&done).unwrap().state, JobState::Done);
+        assert!(log::kept(&done).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -67,6 +67,9 @@ pub const FABRIC_CLAIM_STEAL: &str = "fabric.claim.steal";
 pub const FABRIC_CLAIMS_LIST: &str = "fabric.claims.list";
 /// Reading `cells.csv` for resume/merge.
 pub const FABRIC_CELLS_READ: &str = "fabric.cells.read";
+/// The group commit of a claim's `cells.csv` rows: one sync when the
+/// claim ends.
+pub const FABRIC_CELLS_SYNC: &str = "fabric.cells.sync";
 /// Atomic write of the final grid-order `results.csv`.
 pub const FABRIC_FINALIZE_RESULTS_CSV: &str = "fabric.finalize.results_csv";
 /// Atomic write of the final `results.json`.
@@ -95,7 +98,8 @@ pub const HTTP_CLIENT_RECV: &str = "http.client.recv";
 
 /// Failpoint site covering `AppendWriter::open` (lives in `ftsim-stats`).
 pub const CSV_OPEN: &str = "csv.open";
-/// Failpoint site covering each fsynced `AppendWriter::append_row`.
+/// Failpoint site covering each `cells.csv` row write
+/// (`AppendWriter::write_row`; synced at the claim's end).
 pub const CSV_APPEND: &str = "csv.append";
 
 /// Best-effort append of a cell's stage-profile row to `<job>/profile.csv`.
@@ -193,6 +197,11 @@ pub const CATALOG: &[Failpoint] = &[
         recovery: "retry; tolerant parser drops at most the torn trailing row, which is re-run",
     },
     Failpoint {
+        site: FABRIC_CELLS_SYNC,
+        op: "claim-end sync of the claim's cells.csv rows",
+        recovery: "written rows sit in the page cache and a restart resumes from them; a machine crash loses at most the claim's rows, which re-run byte-identically",
+    },
+    Failpoint {
         site: FABRIC_FINALIZE_RESULTS_CSV,
         op: "atomic results.csv write",
         recovery: "job stays queued with all cells done; next pass re-finalizes from cells.csv",
@@ -214,7 +223,7 @@ pub const CATALOG: &[Failpoint] = &[
     },
     Failpoint {
         site: CSV_APPEND,
-        op: "fsynced cells.csv row append",
+        op: "cells.csv row write (synced at the claim's end)",
         recovery: "at most the row in flight is torn; tolerant readers drop it and the cell re-runs (ENOSPC pauses the job instead)",
     },
     Failpoint {

@@ -1,4 +1,6 @@
-//! A job's streamed `cells.csv`, read and parsed once per process.
+//! What an `ftsimd` process keeps of each job between claims: its
+//! parsed spec and experiment, the index of its streamed `cells.csv`,
+//! and the programs its claims share.
 //!
 //! Every scheduling pass, claim and finalization asks the same questions
 //! of the same growing file: which grid cells have a record, and which
@@ -6,8 +8,10 @@
 //! look brings up to date by reading and parsing only the bytes appended
 //! since the previous one ([`CellsTail`]). The claim's writer repairs
 //! only the file's tail past the index's boundary
-//! ([`trusted_prefix`]). A claim therefore costs O(new rows +
-//! family) in bytes read and parsed, not O(job).
+//! ([`Entry::trusted_prefix`]), and the index takes the bytes that repair
+//! read instead of reading them again ([`Entry::family_plan`]). A claim
+//! therefore costs O(new rows + family) in bytes read and parsed, not
+//! O(job).
 //!
 //! The index is an optimisation only. Any doubt about the bytes behind
 //! its boundary rebuilds it from offset 0 with a full tolerant parse:
@@ -18,21 +22,38 @@
 //! it — and a lagging index costs at worst a byte-identical re-run of a
 //! cell, never a wrong record.
 //!
-//! Indexes live in one process-wide map shared by the worker threads of
-//! a `serve`, one entry per job, dropped when the job reaches a terminal
-//! state ([`forget`]).
+//! The rest of a job's state follows the files it came from, by their
+//! [`Stamp`] (identity, length, modification time):
+//! - `spec.json` is parsed once, and again only when its stamp changes.
+//!   A spec that then differs rebuilds the whole [`Entry`]: experiment,
+//!   index and programs.
+//! - `status.json` is read again only when its stamp changes
+//!   ([`status`]).
+//! - Each (workload, budget) program is built by the first claim that
+//!   needs it and shared by the claims after it, so the digest memos of
+//!   its data image stay warm. It is dropped once every family that runs
+//!   it is complete. Claims go in family order, so about one program per
+//!   budget is alive at a time.
+//!
+//! The state lives in one process-wide map shared by the worker threads
+//! of a `serve`, one slot per job directory, dropped when the job reaches
+//! a terminal state ([`forget`]). No state outlives its job: a new job
+//! in the same directory starts from nothing.
 
 use crate::failpoints as fp;
 use crate::spec::JobSpec;
-use crate::store::{DaemonError, Job};
-use ftsim::harness::{from_csv_tolerant_prefix, FamilyId, Grid, RunRecord};
+use crate::store::{DaemonError, Job, JobStatus, JobStore};
+use ftsim::harness::{from_csv_tolerant_prefix, Experiment, FamilyId, Grid, RunRecord, SweepPlan};
+use ftsim::isa::Program;
 use ftsim_obs::metrics;
 use ftsim_stats::csv::{file_id, Opened, TrustedPrefix};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::SystemTime;
 
 /// Bytes before the consumed boundary a [`CellsTail`] keeps to recognise
 /// the prefix it parsed: about a row's worth, so a file cut back and
@@ -58,11 +79,26 @@ fn bytes_read() -> &'static metrics::Counter {
 /// platform has one.
 type FileId = (u64, u64);
 
-/// The identity and length of the file at `path`, if there is one.
-fn stat(path: &Path) -> (Option<FileId>, Option<u64>) {
-    match std::fs::metadata(path) {
-        Ok(meta) => (file_id(&meta), Some(meta.len())),
-        Err(_) => (None, None),
+/// What tells one version of a small file from another without reading
+/// it: its identity, length and modification time. An atomic rewrite is
+/// a new inode; an in-place one moves the length or the mtime (on a
+/// filesystem whose mtimes are fine enough to tell two writes apart).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    file: Option<FileId>,
+    len: u64,
+    modified: Option<SystemTime>,
+}
+
+impl Stamp {
+    /// The stamp of the file at `path`, if there is one.
+    fn of(path: &Path) -> Option<Self> {
+        let meta = std::fs::metadata(path).ok()?;
+        Some(Self {
+            file: file_id(&meta),
+            len: meta.len(),
+            modified: meta.modified().ok(),
+        })
     }
 }
 
@@ -119,7 +155,8 @@ impl CellsTail {
     pub(crate) fn read(&mut self, path: &Path) -> io::Result<Tail> {
         // Identify the file before reading it: if it is replaced in
         // between, the next read sees a new identity and starts over.
-        let (file, len) = stat(path);
+        let stamp = Stamp::of(path);
+        let (file, len) = (stamp.and_then(|s| s.file), stamp.map(|s| s.len));
         if self.consumed > 0 && file == self.file && len >= Some(self.consumed as u64) {
             let offset = self.consumed - self.guard.len();
             if let Some(tail) = self.advance(file, offset, &read_from(path, offset)?) {
@@ -235,22 +272,23 @@ pub(crate) struct JobLog {
     latest: Vec<Option<RunRecord>>,
     /// Per family: its cells with a record.
     family_done: Vec<usize>,
+    /// The families with a cell that has no record, kept up to date as
+    /// rows arrive, so a scheduling pass finds the next one without
+    /// walking every family.
+    incomplete: BTreeSet<usize>,
 }
 
 impl JobLog {
-    /// An empty index over `spec`'s grid.
-    ///
-    /// # Errors
-    ///
-    /// [`DaemonError`] when the spec does not resolve to a grid.
-    pub(crate) fn new(spec: &JobSpec) -> Result<Self, DaemonError> {
-        let grid = Grid::new(&spec.to_experiment()?)?;
-        Ok(Self {
+    /// An empty index over `grid`.
+    pub(crate) fn new(grid: Grid) -> Self {
+        let families = grid.family_count();
+        Self {
             tail: CellsTail::default(),
             latest: vec![None; grid.cells()],
-            family_done: vec![0; grid.family_count()],
+            family_done: vec![0; families],
+            incomplete: (0..families).collect(),
             grid,
-        })
+        }
     }
 
     /// Brings the index up to date with the file at `path`.
@@ -264,10 +302,29 @@ impl JobLog {
         Ok(())
     }
 
+    /// Brings the index up to date from `opened`: the content of the file
+    /// at `path` from `opened.offset` on, as an
+    /// [`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)
+    /// just read it. Only when those bytes do not extend what the index
+    /// parsed does it read the file itself.
+    fn take_opened(&mut self, path: &Path, opened: &Opened) {
+        let tail = match self.tail.advance(opened.file, opened.offset, &opened.bytes) {
+            None if opened.offset == 0 => Some(self.tail.rebuild(opened.file, &opened.bytes)),
+            tail => tail,
+        };
+        match tail {
+            Some(tail) => self.absorb(path, tail),
+            None => {
+                let _ = self.refresh(path);
+            }
+        }
+    }
+
     fn absorb(&mut self, path: &Path, tail: Tail) {
         if tail.from_start {
             self.latest.iter_mut().for_each(|r| *r = None);
             self.family_done.iter_mut().for_each(|n| *n = 0);
+            self.incomplete = (0..self.family_done.len()).collect();
         }
         if tail.damaged > 0 {
             eprintln!(
@@ -284,7 +341,11 @@ impl JobLog {
             let mut record = Some(record);
             while let Some(i) = cells.next() {
                 if self.latest[i].is_none() {
-                    self.family_done[self.grid.family_of(i)] += 1;
+                    let f = self.grid.family_of(i);
+                    self.family_done[f] += 1;
+                    if self.family_done[f] == self.grid.family_cells(f).len() {
+                        self.incomplete.remove(&f);
+                    }
                 }
                 // Later rows overwrite earlier: a cell re-run (after a
                 // failure, or by a second claimant in a lost-lease
@@ -305,6 +366,21 @@ impl JobLog {
     /// Cells in the grid.
     pub(crate) fn total(&self) -> usize {
         self.latest.len()
+    }
+
+    /// Whether every cell has a record.
+    pub(crate) fn complete(&self) -> bool {
+        self.incomplete.is_empty()
+    }
+
+    /// The first family after family `after` (from the start for `None`)
+    /// with a cell that has no record.
+    pub(crate) fn next_incomplete(&self, after: Option<usize>) -> Option<usize> {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.incomplete
+            .range((from, Bound::Unbounded))
+            .next()
+            .copied()
     }
 
     /// Each family's cells-done count and size, in grid order; a
@@ -333,36 +409,215 @@ impl JobLog {
     }
 }
 
-/// A cached index and the spec it was built from.
-struct Entry {
+/// The grid of `spec`.
+///
+/// # Errors
+///
+/// [`DaemonError`] when the spec does not resolve to a grid.
+pub(crate) fn grid_of(spec: &JobSpec) -> Result<Grid, DaemonError> {
+    Ok(Grid::new(&spec.to_experiment()?)?)
+}
+
+/// One job's state in this process: its spec and experiment, its record
+/// index and the programs its claims share.
+pub(crate) struct Entry {
     spec: JobSpec,
+    /// The spec's experiment, which each claim narrows to its family.
+    exp: Experiment,
     log: Mutex<JobLog>,
+    /// Programs by number ([`Grid::program_of`]), each built by the first
+    /// claim that needs it.
+    programs: Mutex<HashMap<usize, Arc<Program>>>,
 }
 
-/// The process's indexes, by `cells.csv` path.
-fn cache() -> &'static Mutex<HashMap<PathBuf, Arc<Entry>>> {
-    static CACHE: OnceLock<Mutex<HashMap<PathBuf, Arc<Entry>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+impl Entry {
+    /// An entry for `spec`, with an empty index and no programs.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError`] when the spec does not resolve to a grid.
+    fn new(spec: JobSpec) -> Result<Self, DaemonError> {
+        let exp = spec.to_experiment()?;
+        let grid = Grid::new(&exp)?;
+        Ok(Self {
+            spec,
+            exp,
+            log: Mutex::new(JobLog::new(grid)),
+            programs: Mutex::default(),
+        })
+    }
+
+    /// The job's spec.
+    pub(crate) fn spec(&self) -> &JobSpec {
+        &self.spec
+    }
+
+    /// Cells in the job's grid.
+    pub(crate) fn cells(&self) -> usize {
+        self.exp.cells()
+    }
+
+    fn lock_log(&self) -> MutexGuard<'_, JobLog> {
+        self.log.lock().expect("job log lock")
+    }
+
+    fn lock_programs(&self) -> MutexGuard<'_, HashMap<usize, Arc<Program>>> {
+        self.programs.lock().expect("program cache lock")
+    }
+
+    /// Brings the index up to date with `job`'s `cells.csv` and runs `f`
+    /// on it. A failed read leaves the index lagging, which every caller
+    /// tolerates.
+    pub(crate) fn with_log<T>(&self, job: &Job, f: impl FnOnce(&JobLog) -> T) -> T {
+        let mut log = self.lock_log();
+        let _ = log.refresh(&job.cells_path());
+        f(&log)
+    }
+
+    /// The first family after family `after` with a cell that has no
+    /// record, and its id, as the index last saw the file.
+    pub(crate) fn next_incomplete(&self, after: usize) -> Option<(usize, FamilyId)> {
+        let log = self.lock_log();
+        let f = log.next_incomplete(Some(after))?;
+        Some((f, log.family(f)))
+    }
+
+    /// The prefix of the job's `cells.csv` that the writer's tail repair
+    /// may skip
+    /// ([`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)):
+    /// the index's consumed prefix, while every line in it parsed into a
+    /// record. The index is not brought up to date first: the open
+    /// re-checks the prefix's guard bytes and reads what follows them
+    /// anyway. The prefix is a copy, so the open runs without the index's
+    /// lock held.
+    pub(crate) fn trusted_prefix(&self) -> Option<TrustedPrefix> {
+        self.lock_log().tail.trusted()
+    }
+
+    /// Plans family `f` of `job`, resumed from its recorded rows, after the
+    /// caller's
+    /// [`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)
+    /// of the job's `cells.csv` returned `opened`. The index takes the
+    /// bytes the open read ([`JobLog::take_opened`]). The plan narrows the
+    /// job's experiment to the family ([`Experiment::family`]) and runs
+    /// the family's program from this entry, built here when no earlier
+    /// claim built it. Programs whose families are all complete are
+    /// dropped first.
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError`] when the family's experiment does not plan.
+    pub(crate) fn family_plan(
+        &self,
+        job: &Job,
+        f: usize,
+        opened: &Opened,
+    ) -> Result<SweepPlan, DaemonError> {
+        bytes_read().add(opened.read as u64);
+        let (exp, p, kept) = {
+            let mut log = self.lock_log();
+            log.take_opened(&job.cells_path(), opened);
+            let exp = self
+                .exp
+                .family(&log.grid, f)
+                .resume_from(log.family_records(f));
+            let p = log.grid.program_of(f);
+            let mut programs = self.lock_programs();
+            programs.retain(|&q, _| {
+                log.grid
+                    .program_families(q)
+                    .any(|g| log.incomplete.contains(&g))
+            });
+            (exp, p, programs.get(&p).cloned())
+        };
+        let mut built = None;
+        let plan = exp.plan_with(|workload, budget| match &kept {
+            Some(program) => Arc::clone(program),
+            None => Arc::clone(built.insert(Arc::new(workload.program_for(budget)))),
+        })?;
+        if let Some(program) = built {
+            self.lock_programs().entry(p).or_insert(program);
+        }
+        Ok(plan)
+    }
 }
 
-/// The job's cached index, built (empty) on first use or when the job
-/// directory now holds a different spec.
-fn entry(job: &Job, spec: &JobSpec) -> Result<Arc<Entry>, DaemonError> {
-    let mut cache = cache().lock().expect("job log cache lock");
-    let path = job.cells_path();
-    if let Some(entry) = cache.get(&path).filter(|e| e.spec == *spec) {
+/// What this process keeps of one job.
+#[derive(Default)]
+struct Slot {
+    /// `status.json` as last read, under the stamp the file had then.
+    status: Option<(Stamp, JobStatus)>,
+    /// The job's entry, under the stamp of the `spec.json` it was parsed
+    /// from (`None`: built from a spec a reader passed in).
+    entry: Option<(Option<Stamp>, Arc<Entry>)>,
+}
+
+/// The process's job state, by job directory.
+fn cache() -> MutexGuard<'static, HashMap<PathBuf, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<PathBuf, Slot>>> = OnceLock::new();
+    CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("job state lock")
+}
+
+/// The job's status for a scheduling pass: as last read while
+/// `status.json` keeps its stamp, read again otherwise.
+///
+/// # Errors
+///
+/// As [`JobStore::load_status`].
+pub(crate) fn status(store: &JobStore, job: &Job) -> Result<JobStatus, DaemonError> {
+    let stamp = Stamp::of(&job.status_path());
+    if let Some((_, status)) = cache()
+        .get(job.dir())
+        .and_then(|slot| slot.status.as_ref())
+        .filter(|(kept, _)| Some(*kept) == stamp)
+    {
+        return Ok(status.clone());
+    }
+    // Stamped before the read: a file replaced in between is kept under
+    // the older stamp, so the next pass reads it again.
+    let status = store.load_status(job)?;
+    if let Some(stamp) = stamp {
+        cache().entry(job.dir().to_path_buf()).or_default().status = Some((stamp, status.clone()));
+    }
+    Ok(status)
+}
+
+/// The job's entry for a scheduling pass: the one kept while `spec.json`
+/// keeps the stamp it was parsed under. Otherwise the spec is read again,
+/// and the entry, index and programs included, is rebuilt when the spec
+/// differs from the one it holds.
+///
+/// # Errors
+///
+/// As [`JobStore::load_spec`], and [`DaemonError`] when the spec does not
+/// resolve to a grid.
+pub(crate) fn entry(store: &JobStore, job: &Job) -> Result<Arc<Entry>, DaemonError> {
+    let stamp = Stamp::of(&job.spec_path());
+    if let Some((_, entry)) = cache()
+        .get(job.dir())
+        .and_then(|slot| slot.entry.as_ref())
+        .filter(|(kept, _)| kept.is_some() && *kept == stamp)
+    {
         return Ok(Arc::clone(entry));
     }
-    let entry = Arc::new(Entry {
-        spec: spec.clone(),
-        log: Mutex::new(JobLog::new(spec)?),
-    });
-    cache.insert(path, Arc::clone(&entry));
+    let spec = store.load_spec(job)?;
+    let mut cache = cache();
+    let slot = cache.entry(job.dir().to_path_buf()).or_default();
+    let entry = match slot.entry.take() {
+        Some((_, entry)) if entry.spec == spec => entry,
+        _ => Arc::new(Entry::new(spec)?),
+    };
+    slot.entry = Some((stamp, Arc::clone(&entry)));
     Ok(entry)
 }
 
-/// Brings the job's index up to date and runs `f` on it. A failed read
-/// leaves the index lagging, which every caller tolerates.
+/// Brings the job's index up to date and runs `f` on it, for a reader
+/// that loaded `spec` itself: the kept entry when it holds that spec, a
+/// new one otherwise. A failed read leaves the index lagging, which every
+/// caller tolerates.
 ///
 /// # Errors
 ///
@@ -372,75 +627,38 @@ pub(crate) fn with_log<T>(
     spec: &JobSpec,
     f: impl FnOnce(&JobLog) -> T,
 ) -> Result<T, DaemonError> {
-    let entry = entry(job, spec)?;
-    let mut log = entry.log.lock().expect("job log lock");
-    let _ = log.refresh(&job.cells_path());
-    Ok(f(&log))
-}
-
-/// The prefix of the job's `cells.csv` that the writer's tail repair
-/// may skip
-/// ([`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)):
-/// the index's consumed prefix, while every line in it parsed into a
-/// record. The index is not brought up to date first: the open
-/// re-checks the prefix's guard bytes and reads what follows them
-/// anyway. The prefix is a copy, so the open runs without the index's
-/// lock held.
-///
-/// # Errors
-///
-/// [`DaemonError`] when the spec does not resolve to a grid.
-pub(crate) fn trusted_prefix(
-    job: &Job,
-    spec: &JobSpec,
-) -> Result<Option<TrustedPrefix>, DaemonError> {
-    let entry = entry(job, spec)?;
-    let log = entry.log.lock().expect("job log lock");
-    Ok(log.tail.trusted())
-}
-
-/// The records present for family `f`, read after the caller's
-/// [`AppendWriter::open_after`](ftsim_stats::csv::AppendWriter::open_after)
-/// of the job's `cells.csv` returned
-/// `opened`. Should the index's own read fail, it takes the bytes the
-/// open read instead, so a peer's rows are never re-run because the
-/// index lagged.
-///
-/// # Errors
-///
-/// [`DaemonError`] when the spec does not resolve to a grid.
-pub(crate) fn family_records(
-    job: &Job,
-    spec: &JobSpec,
-    f: usize,
-    opened: &Opened,
-) -> Result<Vec<RunRecord>, DaemonError> {
-    bytes_read().add(opened.read as u64);
-    let entry = entry(job, spec)?;
-    let mut log = entry.log.lock().expect("job log lock");
-    let path = job.cells_path();
-    if log.refresh(&path).is_err() {
-        // `opened` is the file's content from `opened.offset` on, as of
-        // the open. Should it not extend what the index parsed, the tail
-        // starts over — when it holds the whole file.
-        let (file, _) = stat(&path);
-        let tail = match log.tail.advance(file, opened.offset, &opened.bytes) {
-            None if opened.offset == 0 => Some(log.tail.rebuild(file, &opened.bytes)),
-            tail => tail,
-        };
-        if let Some(tail) = tail {
-            log.absorb(&path, tail);
+    let entry = {
+        let mut cache = cache();
+        match cache
+            .get(job.dir())
+            .and_then(|slot| slot.entry.as_ref())
+            .filter(|(_, entry)| entry.spec == *spec)
+        {
+            Some((_, entry)) => Arc::clone(entry),
+            None => {
+                let entry = Arc::new(Entry::new(spec.clone())?);
+                cache.entry(job.dir().to_path_buf()).or_default().entry =
+                    Some((None, Arc::clone(&entry)));
+                entry
+            }
         }
-    }
-    Ok(log.family_records(f))
+    };
+    Ok(entry.with_log(job, f))
 }
 
-/// Drops the job's cached index: the job reached a terminal state.
+/// Drops what this process keeps of the job: it reached a terminal state.
 pub(crate) fn forget(job: &Job) {
-    cache()
-        .lock()
-        .expect("job log cache lock")
-        .remove(&job.cells_path());
+    cache().remove(job.dir());
+}
+
+/// The job's kept entry and the numbers of the programs it holds, if this
+/// process keeps one.
+#[cfg(test)]
+pub(crate) fn kept(job: &Job) -> Option<(Arc<Entry>, Vec<usize>)> {
+    let entry = Arc::clone(&cache().get(job.dir())?.entry.as_ref()?.1);
+    let mut programs: Vec<usize> = entry.lock_programs().keys().copied().collect();
+    programs.sort_unstable();
+    Some((entry, programs))
 }
 
 #[cfg(test)]
@@ -534,7 +752,7 @@ mod tests {
         let (store, job) = temp_job("track");
         let path = job.cells_path();
         let recs = records();
-        let mut log = JobLog::new(&spec()).unwrap();
+        let mut log = JobLog::new(grid_of(&spec()).unwrap());
         assert_matches_fresh_parse(&mut log, &path); // no file yet
 
         std::fs::write(&path, to_csv(&recs[..2])).unwrap();
@@ -669,8 +887,8 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_refresh_takes_what_the_open_read() {
-        let (store, job) = temp_job("fallback");
+    fn the_index_takes_what_the_open_read() {
+        let (store, job) = temp_job("opened");
         let path = job.cells_path();
         let recs = records();
         std::fs::write(&path, to_csv(&recs[..2])).unwrap();
@@ -682,7 +900,7 @@ mod tests {
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        let mut log = JobLog::new(&spec()).unwrap();
+        let mut log = JobLog::new(grid_of(&spec()).unwrap());
         log.refresh(&path).unwrap();
         let header = RunRecord::csv_header();
         append(
@@ -692,20 +910,17 @@ mod tests {
         let (_, opened) = AppendWriter::open_after(&path, &header, log.tail.trusted()).unwrap();
         assert!(opened.offset > 0);
 
-        // The open's bytes extend the boundary: the index takes them.
-        let (file, _) = stat(&path);
-        let tail = log
-            .tail
-            .advance(file, opened.offset, &opened.bytes)
-            .unwrap();
-        log.absorb(&path, tail);
+        // The open's bytes extend the boundary: the index takes them and
+        // reads nothing, so it holds the rows of a file now gone.
+        std::fs::remove_file(&path).unwrap();
+        log.take_opened(&path, &opened);
         assert_eq!(log.family(0), fam);
         assert_eq!(log.family_records(0), members(4));
+        assert_eq!(log.done(), 4);
 
         // Bytes from a later offset than the boundary's guard do not.
-        append(&path, row(&recs[4]).as_bytes());
-        let at = std::fs::metadata(&path).unwrap().len() as usize;
-        assert!(log.tail.advance(file, at, b"").is_none());
+        let at = opened.offset + opened.bytes.len();
+        assert!(log.tail.advance(opened.file, at, b"").is_none());
         std::fs::remove_dir_all(store.root()).ok();
     }
 
@@ -714,20 +929,21 @@ mod tests {
         let (store, job) = temp_job("cache");
         let recs = records();
         std::fs::write(job.cells_path(), to_csv(&recs)).unwrap();
-        let complete = with_log(&job, &spec(), |log| log.done() == log.total()).unwrap();
-        assert!(complete);
+        assert!(with_log(&job, &spec(), JobLog::complete).unwrap());
         let fam = family_of(&recs[0]);
         let members = recs
             .iter()
             .filter(|r| family_of(r) == fam)
             .cloned()
             .collect::<Vec<_>>();
-        let nothing = Opened {
-            offset: 0,
-            bytes: Vec::new(),
-            read: 0,
-        };
-        assert_eq!(family_records(&job, &spec(), 0, &nothing).unwrap(), members);
+        // A scheduling pass takes the entry a reader built for the same
+        // spec, index and all.
+        let kept_entry = entry(&store, &job).unwrap();
+        assert!(Arc::ptr_eq(&kept_entry, &kept(&job).unwrap().0));
+        assert_eq!(
+            kept_entry.with_log(&job, |log| log.family_records(0)),
+            members
+        );
 
         // A different spec in the same directory gets a fresh index.
         let mut other = spec();
@@ -735,7 +951,7 @@ mod tests {
         let (done, total) = with_log(&job, &other, |log| (log.done(), log.total())).unwrap();
         assert_eq!((done, total), (recs.len(), recs.len() * 3 / 2));
         forget(&job);
-        assert!(!cache().lock().unwrap().contains_key(&job.cells_path()));
+        assert!(kept(&job).is_none());
         std::fs::remove_dir_all(store.root()).ok();
     }
 }

@@ -4,18 +4,20 @@
 //! Since the fabric landed, *all* execution — one process or many —
 //! goes through the claim/lease scheduler in [`crate::fabric`]: a
 //! worker thread repeatedly asks [`next_assignment`] for a family to
-//! claim, runs it through a narrowed sub-experiment
-//! ([`run_family`]), and finalizes the job when its last cell lands
-//! ([`try_finalize`]). A single `ftsimd serve` process is simply the
+//! claim and runs it through a narrowed sub-experiment
+//! ([`run_family`]) on its cell thread, which it keeps across claims.
+//! The scheduling pass that finds every cell of a job recorded
+//! finalizes it. A single `ftsimd serve` process is simply the
 //! N=1 special case — its workers contend for claims nobody else
 //! wants — which is what keeps the determinism goldens unchanged: the
 //! records a family produces do not depend on who claimed it.
 //!
-//! Each completed cell's record is appended to the job's `cells.csv`
-//! (one synced write per row) before the worker moves on, so killing a
-//! daemon — gracefully or with `SIGKILL` — loses at most the cells in
-//! flight, and any surviving process steals the dead one's families
-//! once their leases expire.
+//! Each completed cell's record is written to the job's `cells.csv`
+//! before the worker moves on, and a claim's rows are synced once, when
+//! it ends (group commit). Killing a daemon — gracefully or with
+//! `SIGKILL` — loses at most the cells in flight, a machine crash at
+//! most the rows of the claims in flight, and any surviving process
+//! steals the dead one's families once their leases expire.
 //!
 //! When every cell has a record, the job's records are assembled in
 //! grid order and written as `results.csv`/`results.json` —
@@ -23,7 +25,7 @@
 //! serialize, which the daemon integration tests assert.
 
 use crate::fabric::{
-    next_assignment, run_family, try_finalize, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
+    next_assignment, run_family, CellThread, FabricConfig, FamilyOutcome, LeaseMode, NextWork,
 };
 use crate::failpoints as fp;
 use crate::gc::{gc_pass, GcOptions};
@@ -186,15 +188,13 @@ struct Ran {
     family: FamilyId,
     /// How the family ended (`Err`: the run broke).
     outcome: Result<FamilyOutcome, DaemonError>,
-    /// What [`try_finalize`] returned for a finished family
-    /// (`Ok(true)`: this step sealed the job); `Ok(false)` otherwise.
-    finalized: Result<bool, DaemonError>,
 }
 
-/// One worker step of [`serve`]: claim the next family of any job, run
-/// it, and finalize the job when the family finished. The claim is all
-/// that marks the job running: it is released when the step's
-/// assignment drops.
+/// One worker step of [`serve`]: claim the next family of any job and
+/// run it on the worker's `cells` thread. The claim is all that marks
+/// the job running: it is released when the step's assignment drops.
+/// The job is finalized by the scheduling pass that finds its last cell
+/// recorded, not here.
 ///
 /// # Errors
 ///
@@ -203,21 +203,17 @@ fn work_step(
     store: &JobStore,
     cfg: &FabricConfig,
     should_stop: &dyn Fn() -> bool,
+    cells: &mut CellThread,
 ) -> Result<Step, DaemonError> {
     let mut a = match next_assignment(store, cfg)? {
         NextWork::Work(a) => a,
         NextWork::Idle { incomplete } => return Ok(Step::Idle { incomplete }),
     };
-    let outcome = run_family(store, &mut a, cfg, should_stop);
-    let finalized = match outcome {
-        Ok(FamilyOutcome::Finished) => try_finalize(store, &a.job, &a.spec),
-        _ => Ok(false),
-    };
+    let outcome = run_family(store, &mut a, cfg, should_stop, cells);
     Ok(Step::Ran(Box::new(Ran {
         job: a.job,
         family: a.family,
         outcome,
-        finalized,
     })))
 }
 
@@ -379,8 +375,9 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
         }
         for _ in 0..worker_count(opts.workers) {
             scope.spawn(|| {
+                let mut cells = CellThread::default();
                 while !should_stop() {
-                    match work_step(store, &cfg, &should_stop) {
+                    match work_step(store, &cfg, &should_stop, &mut cells) {
                         Ok(Step::Ran(ran)) => announce(*ran, opts.poll),
                         Ok(Step::Idle { incomplete }) => {
                             if incomplete == 0 && opts.drain {
@@ -423,11 +420,8 @@ pub fn serve(store: &JobStore, opts: &ServeOptions) -> Result<(), DaemonError> {
 fn announce(ran: Ran, poll: Duration) {
     let (id, family) = (&ran.job.id, &ran.family);
     match ran.outcome {
-        Ok(FamilyOutcome::Finished) => match ran.finalized {
-            Ok(true) => println!("ftsimd: job {id} done"),
-            Ok(false) => {}
-            Err(e) => eprintln!("ftsimd: finalizing {id}: {e}"),
-        },
+        // The scheduling pass announces the job done.
+        Ok(FamilyOutcome::Finished) => {}
         Ok(FamilyOutcome::Interrupted) => println!("ftsimd: job {id} interrupted, re-queued"),
         Ok(FamilyOutcome::Lost) => {
             eprintln!("ftsimd: lost claim on {id} ({family}); peer took over");

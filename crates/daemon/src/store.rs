@@ -25,14 +25,30 @@
 //! `status.json` is always replaced via write-to-temp + rename, so a
 //! reader never sees a torn status; `cells.csv` is an
 //! [`ftsim_stats::csv::AppendWriter`] log, so a killed daemon loses at
-//! most the row in flight and the next `serve` resumes from the rest.
+//! most the row in flight and the next `serve` resumes from the rest (a
+//! crashed machine, at most the rows of the claims in flight: each claim
+//! syncs its rows once, when it ends).
 
 use crate::failpoints as fp;
 use crate::spec::{JobSpec, SpecError};
+use ftsim_obs::metrics;
 use ftsim_stats::JsonValue;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+
+/// Counts one read of a job's `spec.json` (`file = "spec"`) or
+/// `status.json` (`"status"`) by this process.
+fn count_meta_read(file: &str) {
+    const FILES: [&str; 2] = ["spec", "status"];
+    static READS: OnceLock<[metrics::Counter; 2]> = OnceLock::new();
+    let reads = READS.get_or_init(|| {
+        FILES.map(|f| metrics::counter("ftsimd_job_meta_reads_total", &[("file", f)]))
+    });
+    let at = FILES.iter().position(|&f| f == file);
+    reads[at.expect("a job metadata file")].inc();
+}
 
 /// Daemon-level failure: I/O on the state directory, an unreadable
 /// spec/status document, or a job that does not exist.
@@ -135,9 +151,9 @@ pub enum JobState {
     /// Submitted and not terminal: waiting for a worker, or being run.
     Queued,
     /// A queued job on which a live claim is held. This state is served,
-    /// never persisted: it is computed from the claim leases
-    /// ([`served`](crate::fabric::served)), so a dead worker's job reads
-    /// queued again once its lease expires.
+    /// never persisted: every reader computes it from the job's claim
+    /// leases, so a dead worker's job reads queued again once its lease
+    /// expires.
     Running,
     /// Every cell has a record; `results.csv`/`results.json` are final.
     Done,
@@ -662,6 +678,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`] or [`DaemonError::Spec`].
     pub fn load_spec(&self, job: &Job) -> Result<JobSpec, DaemonError> {
+        count_meta_read("spec");
         let path = job.spec_path();
         let text = ftsim_chaos::io()
             .read_to_string(fp::STORE_READ_SPEC, &path)
@@ -675,6 +692,7 @@ impl JobStore {
     ///
     /// [`DaemonError::Io`] or [`DaemonError::Corrupt`].
     pub fn load_status(&self, job: &Job) -> Result<JobStatus, DaemonError> {
+        count_meta_read("status");
         let path = job.status_path();
         let text = ftsim_chaos::io()
             .read_to_string(fp::STORE_READ_STATUS, &path)

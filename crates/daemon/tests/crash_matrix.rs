@@ -144,3 +144,43 @@ fn every_registered_failpoint_survives_a_kill_and_restart() {
         std::fs::remove_dir_all(&state).ok();
     }
 }
+
+/// Group commit: a daemon killed at a claim's sync, after it wrote the
+/// claim's rows, loses none of them. The restart runs only the other
+/// family, so `cells.csv` ends with one row per cell, and the results
+/// equal the one-shot grid's byte for byte.
+#[test]
+fn a_kill_at_the_claim_sync_loses_no_written_row() {
+    let expected = to_csv(
+        &JobSpec::parse(SPEC)
+            .unwrap()
+            .to_experiment()
+            .unwrap()
+            .run()
+            .unwrap(),
+    );
+    let state = state_dir("claim-sync");
+    let spec_path = state.join("job.toml");
+    std::fs::write(&spec_path, SPEC).unwrap();
+    let job_id = run_clean(&state, &["submit", spec_path.to_str().unwrap()])
+        .trim()
+        .to_string();
+    let job = state.join("jobs").join(&job_id);
+    let rows = || {
+        let text = std::fs::read_to_string(job.join("cells.csv")).unwrap();
+        text.lines().count() - 1 // the header
+    };
+
+    drain_under_chaos(
+        &state,
+        &format!("1:abort@{}#1", failpoints::FABRIC_CELLS_SYNC),
+    );
+    assert!(!job.join("results.csv").exists(), "the kill came first");
+    assert_eq!(rows(), 2, "the first claim wrote its family's two rows");
+
+    drain_clean(&state);
+    assert_eq!(rows(), 4, "the restart re-ran a written cell");
+    let from_file = std::fs::read_to_string(job.join("results.csv")).unwrap();
+    assert_eq!(from_file, expected);
+    std::fs::remove_dir_all(&state).ok();
+}

@@ -1,18 +1,26 @@
 //! Work-counter tripwire for a daemon resuming a large, mostly finished
-//! job: each `cells.csv` row is parsed, and each of its bytes read,
-//! about once per process, not once per claim, scheduling pass and
-//! finalization.
+//! job: each `cells.csv` row is parsed once, and each of its bytes read
+//! about once, per process, not once per claim, scheduling pass and
+//! finalization. The same holds for the job's metadata and programs.
 //!
 //! A 2,048-cell job has 9 cells in 10 pre-filled into its `cells.csv`
 //! (from a one-shot run of the same grid); an in-process `serve --drain`
 //! runs the rest. The rows the daemon parsed, by the process counter
-//! `ftsimd_cells_rows_parsed_total`, may not exceed the pre-filled rows
-//! plus the appended rows plus one full rebuild's worth. The bytes it
-//! read, by `ftsimd_cells_bytes_read_total` (the record index's reads
-//! and the writer's tail repairs), may not exceed twice the final file.
+//! `ftsimd_cells_rows_parsed_total`, must equal the pre-filled rows plus
+//! the appended rows. The bytes it read, by
+//! `ftsimd_cells_bytes_read_total` (the record index's reads and the
+//! writer's tail repairs), may not exceed twice the final file.
 //! Re-reading or re-parsing the whole file per claim, per scheduling
 //! pass and per finalization would cost several times that for every
 //! one of the job's families.
+//!
+//! Across the drain's 16 claims the daemon parses `spec.json` once and
+//! reads `status.json` twice (the first pass, and the finalize's update
+//! of it), by `ftsimd_job_meta_reads_total`; builds each of the grid's 8
+//! (workload, budget) programs once, by `ftsim_programs_built_total`; and
+//! tries to finalize the job once, by `ftsimd_finalize_attempts_total`.
+//! A daemon that re-reads, re-builds or re-finalizes per claim reads 16
+//! or more on each.
 //!
 //! The cells the daemon ran, by `ftsimd_cells_completed_total`, must be
 //! exactly the pending ones. An index that fails to match a pre-filled
@@ -80,6 +88,13 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     let cycles = metrics::counter("ftsim_sim_cycles_total", &[]);
     let (before, read_before, completed_before) = (parsed.get(), read.get(), completed.get());
     let (served_before, cycles_before) = (served.get(), cycles.get());
+    let once = [
+        metrics::counter("ftsimd_job_meta_reads_total", &[("file", "spec")]),
+        metrics::counter("ftsimd_job_meta_reads_total", &[("file", "status")]),
+        metrics::counter("ftsim_programs_built_total", &[]),
+        metrics::counter("ftsimd_finalize_attempts_total", &[]),
+    ];
+    let once_before: Vec<u64> = once.iter().map(metrics::Counter::get).collect();
     serve(
         &store,
         &ServeOptions {
@@ -95,6 +110,11 @@ fn resuming_a_large_job_parses_each_row_about_once() {
     let bytes_read = read.get() - read_before;
     let cells_completed = completed.get() - completed_before;
     let work = (served.get() - served_before, cycles.get() - cycles_before);
+    let per_drain: Vec<u64> = once
+        .iter()
+        .zip(&once_before)
+        .map(|(counter, before)| counter.get() - before)
+        .collect();
 
     assert_eq!(store.load_status(&job).unwrap().state, JobState::Done);
     assert_eq!(
@@ -112,11 +132,15 @@ fn resuming_a_large_job_parses_each_row_about_once() {
         (118, 92_334),
         "cells served from a fault-free outcome, and cycles simulated, by the drain"
     );
-    let bound = prefilled.len() + appended + oneshot.len();
-    assert!(
-        rows_parsed <= bound as u64,
-        "parsed {rows_parsed} cells.csv rows resuming {} pre-filled and \
-         {appended} appended rows (bound {bound})",
+    assert_eq!(
+        per_drain,
+        [1, 2, 8, 1],
+        "spec.json parses, status.json reads, programs built and finalize attempts by the drain"
+    );
+    assert_eq!(
+        rows_parsed,
+        (prefilled.len() + appended) as u64,
+        "cells.csv rows parsed resuming {} pre-filled and {appended} appended rows",
         prefilled.len()
     );
     let file_len = std::fs::metadata(job.cells_path()).unwrap().len();

@@ -177,11 +177,16 @@ pub fn parse(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
 /// A tail torn mid-way through a multi-byte UTF-8 character or inside a
 /// quoted multi-line cell is cut the same way, back past the damage.
 ///
+/// Rows are written either synced one by one ([`AppendWriter::append_row`])
+/// or unsynced ([`AppendWriter::write_row`]) and made durable together by
+/// one [`AppendWriter::sync`] (group commit).
+///
 /// Every filesystem operation routes through the
 /// [`ftsim_chaos`](ftsim_chaos::IoEnv) failpoint layer at sites
 /// `csv.open` (directory creation, open, read-back, tail repair) and
-/// `csv.append` (each fsynced row write), so crash-matrix and torn-write
-/// tests can target the exact primitive.
+/// `csv.append` (each row write), and a group commit's sync at the site
+/// its caller names, so crash-matrix and torn-write tests can target the
+/// exact primitive.
 #[derive(Debug)]
 pub struct AppendWriter {
     file: File,
@@ -220,6 +225,8 @@ pub struct Opened {
     /// Bytes read from the file, those the repair cut away and those of
     /// a failed guard check included.
     pub read: usize,
+    /// The opened file's identity ([`file_id`]).
+    pub file: Option<(u64, u64)>,
 }
 
 /// A file's identity on its filesystem (device, inode), where the
@@ -328,6 +335,7 @@ impl AppendWriter {
                 offset,
                 bytes,
                 read,
+                file: file_id(&meta),
             },
         ))
     }
@@ -345,15 +353,42 @@ impl AppendWriter {
         self.write_line(row)
     }
 
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        // One write call for line + newline: on a local filesystem an
-        // append of this size lands atomically in practice, and the
-        // sync bounds the loss window to the row in flight.
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        ftsim_chaos::io().append_sync(FP_CSV_APPEND, &mut self.file, buf.as_bytes())
+    /// Appends one row as [`AppendWriter::append_row`] does, but without
+    /// syncing it: the row reaches the page cache, so it survives the
+    /// writer's death but not the machine's until the next
+    /// [`AppendWriter::sync`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AppendWriter::append_row`], syncing aside.
+    pub fn write_row(&mut self, row: &str) -> std::io::Result<()> {
+        ftsim_chaos::io().append(FP_CSV_APPEND, &mut self.file, &line_bytes(row))
     }
+
+    /// Makes every row written so far durable: one sync for the rows of
+    /// several [`AppendWriter::write_row`] calls. The failpoint layer
+    /// gates it at `site`.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error syncing, including one injected at `site`.
+    pub fn sync(&self, site: &str) -> std::io::Result<()> {
+        ftsim_chaos::io().sync(site, &self.file)
+    }
+
+    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+        // The sync bounds the loss window to the row in flight.
+        ftsim_chaos::io().append_sync(FP_CSV_APPEND, &mut self.file, &line_bytes(line))
+    }
+}
+
+/// `line` and its newline, for one write call: on a local filesystem an
+/// append of a row's size lands atomically in practice.
+fn line_bytes(line: &str) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    buf
 }
 
 /// Whether `text` is a CSV document [`parse`] accepts — the same

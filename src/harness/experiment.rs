@@ -1,12 +1,15 @@
 //! Declarative sweep grids and the parallel cell runner.
 
+use crate::harness::grid::Grid;
 use crate::harness::plan::SweepPlan;
 use crate::harness::record::RunRecord;
 use ftsim_core::{ConfigError, MachineConfig, OracleMode, RunLimits};
 use ftsim_faults::SiteMix;
 use ftsim_isa::Program;
+use ftsim_obs::metrics;
 use ftsim_workloads::WorkloadProfile;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Default committed-instruction budget per cell (the experiments'
 /// standard sample size; the paper simulates 1 B instructions, whose
@@ -46,8 +49,14 @@ impl Workload {
         }
     }
 
-    /// The program to simulate for a given instruction budget.
-    pub(crate) fn program_for(&self, budget: u64) -> Program {
+    /// The program to simulate for a given instruction budget: generated
+    /// from the profile, or a copy of the ad-hoc program. Each call
+    /// builds one and counts it in `ftsim_programs_built_total`.
+    pub fn program_for(&self, budget: u64) -> Program {
+        static BUILT: OnceLock<metrics::Counter> = OnceLock::new();
+        BUILT
+            .get_or_init(|| metrics::counter("ftsim_programs_built_total", &[]))
+            .inc();
         match self {
             Workload::Profile(p) => p.program_for_instructions(budget),
             Workload::Program { program, .. } => program.clone(),
@@ -432,7 +441,48 @@ impl Experiment {
     ///
     /// [`ExperimentError`] when the grid is misconfigured.
     pub fn plan(self) -> Result<SweepPlan, ExperimentError> {
-        SweepPlan::new(self)
+        self.plan_with(|workload, budget| Arc::new(workload.program_for(budget)))
+    }
+
+    /// As [`Experiment::plan`], but each (workload, budget) program comes
+    /// from `program` instead of being built for this plan, so plans can
+    /// share programs, and the digest memos of their data images. For
+    /// the plan to be this grid's, `program(workload, budget)` must
+    /// return the program [`Workload::program_for`] builds.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError`] when the grid is misconfigured; `program` is
+    /// not called then.
+    pub fn plan_with(
+        self,
+        program: impl FnMut(&Workload, u64) -> Arc<Program>,
+    ) -> Result<SweepPlan, ExperimentError> {
+        SweepPlan::new(self, program)
+    }
+
+    /// Family `f` of this experiment's `grid` ([`Grid::family`]) as an
+    /// experiment of its own: the family's workload, model and budget,
+    /// with this grid's fault-rate, site-mix and seed axes and its other
+    /// settings, and no prior records. A record is a pure function of its
+    /// cell's identity, so the family's cells come out of it byte for
+    /// byte as out of the whole grid, with the same fork bounds and
+    /// baseline, at the planning cost of one family.
+    pub fn family(&self, grid: &Grid, f: usize) -> Experiment {
+        let cell = grid.cell(grid.family_cells(f).next().expect("a family has cells"));
+        Experiment {
+            workloads: vec![self.workloads[cell.workload].clone()],
+            models: vec![self.models[cell.model].clone()],
+            fault_rates_pm: self.fault_rates_pm.clone(),
+            site_mixes: self.site_mixes.clone(),
+            budgets: vec![self.budgets[cell.budget]],
+            seeds: self.seeds.clone(),
+            oracle: self.oracle,
+            threads: self.threads,
+            limits: self.limits,
+            checkpointing: self.checkpointing,
+            prior: Vec::new(),
+        }
     }
 }
 

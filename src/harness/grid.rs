@@ -202,6 +202,21 @@ impl Grid {
         }
     }
 
+    /// The (workload name, budget) program family `f` runs, numbered in
+    /// grid order from 0; one program serves a family of each model.
+    pub fn program_of(&self, f: usize) -> usize {
+        let (w, _, b) = self.family_groups(f);
+        w * self.budgets.values.len() + b
+    }
+
+    /// The families that run program `p` ([`Grid::program_of`]), one per
+    /// model name, ascending.
+    pub fn program_families(&self, p: usize) -> impl Iterator<Item = usize> {
+        let (models, budgets) = (self.models.values.len(), self.budgets.values.len());
+        let (w, b) = (p / budgets, p % budgets);
+        (0..models).map(move |m| (w * models + m) * budgets + b)
+    }
+
     /// Family `f`'s cells, ascending; its length is the family's size.
     pub fn family_cells(&self, f: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
         let (w, m, b) = self.family_groups(f);

@@ -29,7 +29,7 @@
 //! the family's checkpoints with no coordination beyond the per-family
 //! baseline lock.
 
-use crate::harness::experiment::{Experiment, ExperimentError};
+use crate::harness::experiment::{Experiment, ExperimentError, Workload};
 use crate::harness::grid::{Cell, Grid};
 use crate::harness::record::RunRecord;
 use ftsim_core::profile::{self, StageProfile};
@@ -267,22 +267,21 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Materializes a validated experiment into an executable plan.
-    pub(crate) fn new(exp: Experiment) -> Result<Self, ExperimentError> {
+    /// Materializes a validated experiment into an executable plan, with
+    /// each (workload, budget) program from `program`.
+    pub(crate) fn new(
+        exp: Experiment,
+        mut program: impl FnMut(&Workload, u64) -> Arc<Program>,
+    ) -> Result<Self, ExperimentError> {
         let grid = Grid::new(&exp)?;
 
-        // Generate each distinct (workload, budget) program once, up
-        // front, behind an `Arc`: cells share the image by reference
-        // count instead of deep-copying instructions and data per cell.
+        // Take each distinct (workload, budget) program once, up front,
+        // behind an `Arc`: cells share the image by reference count
+        // instead of deep-copying instructions and data per cell.
         let programs: Vec<Vec<Arc<Program>>> = exp
             .workloads
             .iter()
-            .map(|w| {
-                exp.budgets
-                    .iter()
-                    .map(|&b| Arc::new(w.program_for(b)))
-                    .collect()
-            })
+            .map(|w| exp.budgets.iter().map(|&b| program(w, b)).collect())
             .collect();
 
         // Cells already present in the prior records are not re-simulated.
